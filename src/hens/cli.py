@@ -8,7 +8,6 @@ numeric is printed with 17 significant digits.
 
 Exit codes: 0 success, 2 config error, 3 numerical-precondition failure,
 4 sampling impossibility (negative quasi-distribution weights).
-The environment variable HENS_THREADS caps internal worker counts.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import copy
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -87,7 +85,9 @@ def _fmt(x) -> str:
 def _merge(base: dict, extra: dict) -> dict:
     out = copy.deepcopy(base)
     for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
+        if isinstance(out.get(k), dict):
+            if not isinstance(v, dict):
+                raise ConfigError(f"config field {k!r} must be an object")
             out[k] = _merge(out[k], v)
         else:
             out[k] = copy.deepcopy(v)
@@ -126,7 +126,9 @@ def build_model(cfg: dict) -> SpectralDensityModel:
         if m["kind"] == "tabulated":
             if not m.get("path"):
                 raise ConfigError("tabulated model needs model.path")
-            return SpectralDensityModel.from_file(m["path"], temperature=m["temperature"])
+            table = read_table(m["path"], 2)
+            return SpectralDensityModel.tabulated(table[:, 0], table[:, 1],
+                                                  temperature=m["temperature"])
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad spectral density model: {exc}")
     raise ConfigError(f"unknown model kind {m['kind']!r}")
@@ -168,8 +170,10 @@ def _out_dir(cfg: dict) -> str:
 
 
 def _write_atomic(path: str, content: str) -> None:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    d, name = os.path.split(path)
+    tmp = os.path.join(d, f".tmp-{os.getpid()}-{os.urandom(4).hex()}-{name}")
+    # mode 0o666 lets the umask decide the final permissions
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(content)
@@ -235,25 +239,39 @@ def cmd_dephase(cfg: dict) -> int:
     return 0
 
 
-def _series_from_file(path: str) -> DephasingSeries:
+def read_table(path: str, columns: int) -> np.ndarray:
+    """Numeric table with at least ``columns`` columns, as a 2-d array.
+
+    Entries are separated by commas or whitespace (the first line decides),
+    an optional first line that does not parse as numbers is a header, and
+    every entry must be finite.
+    """
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
-        raise ConfigError(f"cannot read series {path}: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"malformed series file {path}: {exc}")
-    if data.shape[1] < 3:
-        raise ConfigError("series file needs columns t, re_phi, im_phi")
-    return DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2], model_tag="ensemble")
+        with open(path) as fh:
+            first = fh.readline()
+        try:
+            [float(x) for x in first.replace(",", " ").split()]
+            skip = 0
+        except ValueError:
+            skip = 1
+        data = np.loadtxt(path, delimiter="," if "," in first else None,
+                          skiprows=skip, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read table {path}: {exc}")
+    if data.shape[1] < columns:
+        raise ConfigError(f"{path}: expected at least {columns} columns")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: non-finite entry")
+    return data
 
 
 def cmd_invert(cfg: dict) -> int:
     if cfg["series"]["path"]:
+        data = read_table(cfg["series"]["path"], 3)
         try:
-            series = _series_from_file(cfg["series"]["path"])
+            series = DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2],
+                                     model_tag="ensemble")
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
             print(f"hens invert: {exc}", file=sys.stderr)
             return 3
     else:
@@ -297,13 +315,16 @@ def cmd_witness(cfg: dict) -> int:
     series = build_series(cfg)
     w = cfg["witness"]
     stop = w["stop_below"]
-    report, used = bochner_search(
-        series,
-        restarts=int(w["restarts"]),
-        seed=int(cfg["seed"]),
-        max_size=int(w["max_set_size"]),
-        stop_below=None if stop is None else float(stop),
-    )
+    try:
+        report, used = bochner_search(
+            series,
+            restarts=int(w["restarts"]),
+            seed=int(cfg["seed"]),
+            max_size=int(w["max_set_size"]),
+            stop_below=None if stop is None else float(stop),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     write_json(cfg, "bochner.json", {
         "times": list(report.times),
         "min_eigenvalue": report.min_eigenvalue,
@@ -347,24 +368,6 @@ def _parse_rho0(value) -> DensityMatrix:
         raise ConfigError(f"bad rho0: {exc}")
 
 
-def _load_two_columns(path: str):
-    try:
-        with open(path) as fh:
-            first = fh.readline()
-        skip = 0
-        try:
-            [float(x) for x in first.replace(",", " ").split()]
-        except ValueError:
-            skip = 1
-        data = np.loadtxt(path, delimiter="," if "," in first else None,
-                          skiprows=skip, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read table {path}: {exc}")
-    if data.shape[1] < 2:
-        raise ConfigError(f"{path}: expected two columns")
-    return data[:, 0], data[:, 1]
-
-
 def _requested_paths(cfg: dict, kind: str) -> list[str]:
     paths = cfg["paths"]
     if paths is None:
@@ -387,11 +390,11 @@ def _output_times(cfg: dict) -> np.ndarray:
     if t.get("list") is not None:
         times = np.asarray([float(x) for x in t["list"]], dtype=float)
     else:
-        if float(t["t_max"]) <= 0 or int(t["count"]) < 1:
-            raise ConfigError("times.t_max must be positive and times.count >= 1")
+        if not 0.0 < float(t["t_max"]) < np.inf or int(t["count"]) < 1:
+            raise ConfigError("times.t_max must be finite and positive and times.count >= 1")
         times = np.linspace(0.0, float(t["t_max"]), int(t["count"]))
-    if times.size == 0 or np.min(times) < 0:
-        raise ConfigError("output times must be nonnegative")
+    if times.size == 0 or not np.all((times >= 0) & np.isfinite(times)):
+        raise ConfigError("output times must be finite and nonnegative")
     return times
 
 
@@ -413,13 +416,18 @@ def cmd_simulate(cfg: dict) -> int:
     times = _output_times(cfg)
     paths = _requested_paths(cfg, kind)
     seed = int(cfg["seed"])
+    bins = int(ens_cfg["bins"])
+    samples = int(cfg["mc"]["samples"])
+    if bins < 1 or samples < 1:
+        raise ConfigError("ensemble.bins and mc.samples must be positive")
 
     flags: dict[str, object] = {"weights_nonnegative": True}
     states: dict[str, list[np.ndarray]] = {}
 
     if kind == "spectral":
         if ens_cfg.get("path"):
-            omega, weights = _load_two_columns(ens_cfg["path"])
+            table = read_table(ens_cfg["path"], 2)
+            omega, weights = table[:, 0], table[:, 1]
         elif ens_cfg.get("omega") is not None and ens_cfg.get("weights") is not None:
             omega = np.asarray(ens_cfg["omega"], dtype=float)
             weights = np.asarray(ens_cfg["weights"], dtype=float)
@@ -472,28 +480,7 @@ def cmd_simulate(cfg: dict) -> int:
                 dephase_qubit(rho0, _coherence_factor(omega, weights, t)).matrix for t in times
             ]
         if "dilation" in paths:
-            spec_ens = SpectralEnsemble(omega, weights)
-            dil = dilate(spec_ens.discretize(int(ens_cfg["bins"])))
-            classical = True
-            out = []
-            for t in times:
-                red, ok = joint_evolve_reduce(dil, rho0, t)
-                classical = classical and ok
-                out.append(red.matrix)
-            states["dilation"] = out
-            flags["classical_ok"] = classical
-        if "mc" in paths:
-            draws = sample_frequencies((omega, weights), int(cfg["mc"]["samples"]), seed)
-            stderrs = []
-            out = []
-            n = draws.size
-            for t in times:
-                ph = np.exp(1j * draws * t)
-                var = float(np.var(ph.real, ddof=1) + np.var(ph.imag, ddof=1)) if n > 1 else 0.0
-                stderrs.append(np.sqrt(var / n))
-                out.append(dephase_qubit(rho0, complex(ph.mean())).matrix)
-            states["mc"] = out
-            flags["mc_max_stderr"] = float(max(stderrs))
+            ens = SpectralEnsemble(omega, weights).discretize(bins)
     else:
         if kind == "cnot":
             a = float(ens_cfg["a"])
@@ -516,16 +503,29 @@ def cmd_simulate(cfg: dict) -> int:
             raise ConfigError("rho0 dimension differs from the ensemble")
         if "he" in paths:
             states["he"] = [he_average(ens, rho0, t).matrix for t in times]
-        if "dilation" in paths:
-            dil = dilate(ens)
-            classical = True
-            out = []
-            for t in times:
-                red, ok = joint_evolve_reduce(dil, rho0, t)
-                classical = classical and ok
-                out.append(red.matrix)
-            states["dilation"] = out
-            flags["classical_ok"] = classical
+
+    if "dilation" in paths:
+        dil = dilate(ens)
+        classical = True
+        out = []
+        for t in times:
+            red, ok = joint_evolve_reduce(dil, rho0, t)
+            classical = classical and ok
+            out.append(red.matrix)
+        states["dilation"] = out
+        flags["classical_ok"] = classical
+    if "mc" in paths:  # spectral ensembles only, see _requested_paths
+        draws = sample_frequencies((omega, weights), samples, seed)
+        stderrs = []
+        out = []
+        n = draws.size
+        for t in times:
+            ph = np.exp(1j * draws * t)
+            var = float(np.var(ph.real, ddof=1) + np.var(ph.imag, ddof=1)) if n > 1 else 0.0
+            stderrs.append(np.sqrt(var / n))
+            out.append(dephase_qubit(rho0, complex(ph.mean())).matrix)
+        states["mc"] = out
+        flags["mc_max_stderr"] = float(max(stderrs))
 
     emitted = [p for p in ("he", "dilation", "mc", "master") if p in states]
     dim = rho0.dim
@@ -583,7 +583,6 @@ def make_parser() -> argparse.ArgumentParser:
         prog="hens",
         description="Simulate qubit dephasing with Hamiltonian ensembles and "
                     "witness nonclassicality of the dynamics.",
-        epilog="HENS_THREADS caps internal worker counts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

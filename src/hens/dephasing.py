@@ -65,11 +65,11 @@ class SpectralDensityModel:
     temperature: float = 0.0
 
     def __post_init__(self):
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be nonnegative")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise ValueError("temperature must be finite and nonnegative")
         if self.kind == "ohmic_exp_cutoff":
-            if not self.omega_c > 0.0:
-                raise ValueError("cutoff frequency must be positive")
+            if not (math.isfinite(self.omega_c) and self.omega_c > 0.0):
+                raise ValueError("cutoff frequency must be finite and positive")
         elif self.kind == "tabulated":
             om = np.asarray(self.table_omega, dtype=float).copy()
             jv = np.asarray(self.table_j, dtype=float).copy()
@@ -95,14 +95,6 @@ class SpectralDensityModel:
     @classmethod
     def tabulated(cls, omega, j, temperature: float = 0.0) -> "SpectralDensityModel":
         return cls(kind="tabulated", table_omega=omega, table_j=j, temperature=float(temperature))
-
-    @classmethod
-    def from_file(cls, path, temperature: float = 0.0) -> "SpectralDensityModel":
-        """Two-column numeric text: omega, J(omega)."""
-        data = np.loadtxt(path, ndmin=2)
-        if data.shape[1] < 2:
-            raise ValueError("expected two columns: omega and J")
-        return cls.tabulated(data[:, 0], data[:, 1], temperature=temperature)
 
     def density(self, omega: np.ndarray) -> np.ndarray:
         omega = np.asarray(omega, dtype=float)
@@ -310,16 +302,6 @@ class DephasingSeries:
     @property
     def t_max(self) -> float:
         return -float(self.times[0])
-
-    def value_at(self, t):
-        """Linear interpolation on real and imaginary parts."""
-        tq = np.asarray(t, dtype=float)
-        if np.min(tq) < self.times[0] or np.max(tq) > self.times[-1]:
-            raise ValueError("time outside the series grid")
-        re = np.interp(tq, self.times, self.values.real)
-        im = np.interp(tq, self.times, self.values.imag)
-        out = re + 1j * im
-        return complex(out) if tq.ndim == 0 else out
 
 
 def dephasing_conventional(model: SpectralDensityModel, omega0: float,

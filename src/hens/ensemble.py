@@ -8,8 +8,6 @@ that average using only classically correlated joint states.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,23 +25,6 @@ from .qdyn import (
 
 PROB_TOL = 1e-10
 MASS_TOL = 1e-8
-
-
-def worker_count() -> int:
-    """Worker cap from HENS_THREADS (default 1 = serial)."""
-    try:
-        return max(1, int(os.environ.get("HENS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _chunk_map(fn, items):
-    """Map preserving order; threaded only when HENS_THREADS > 1."""
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -211,7 +192,7 @@ def sample_frequencies(ens, n: int, seed: int) -> np.ndarray:
         frac = np.where(seg > 0, (u - cdf[idx - 1]) / np.where(seg > 0, seg, 1.0), 0.0)
         return omega[idx - 1] + frac * domega
 
-    return np.concatenate(_chunk_map(draw, list(range(n_chunks))))
+    return np.concatenate([draw(i) for i in range(n_chunks)])
 
 
 def mc_average(ens, rho0: DensityMatrix, t: float, n: int, seed: int):

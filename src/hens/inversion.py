@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dephasing import DephasingSeries, ohmic_series, symmetry_residual, time_grid
-from .ensemble import SpectralEnsemble, _chunk_map
+from .ensemble import SpectralEnsemble
 
 
 class SeriesSymmetryError(ValueError):
@@ -162,13 +162,21 @@ def roundtrip_error(dist) -> float:
 def bochner_witness(series: DephasingSeries, times) -> BochnerReport:
     """Assemble the Hermitian Gram matrix phi(t_j - t_k) and report its floor.
 
+    The times must be grid points of the series whose pairwise differences
+    are grid points too; the matrix entries are the series' own samples.
     For a positive-definite dephasing factor the smallest eigenvalue is
     nonnegative; a clearly negative value certifies that no probability
     distribution generates the series.
     """
     times = np.asarray(times, dtype=float)
-    diffs = np.subtract.outer(times, times)
-    m = series.value_at(diffs.ravel()).reshape(diffs.shape)
+    n0 = series.n // 2
+    k = np.rint(times / series.dt)
+    if not (np.all((k >= -n0) & (k < n0)) and np.ptp(k) < n0):
+        raise ValueError("time outside the series grid")
+    k = k.astype(int)
+    if np.max(np.abs(series.times[n0 + k] - times)) > 1e-9 * series.dt:
+        raise ValueError("time off the series grid")
+    m = series.values[n0 + np.subtract.outer(k, k)]
     m = 0.5 * (m + m.conj().T)
     return BochnerReport(
         times=times,
@@ -184,8 +192,13 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
 
     Time sets of size 2..max_size are drawn uniformly from the grid points in
     [0, window] (default window: a quarter of the series span).  Returns
-    (best report, restarts used).
+    (best report, restarts used).  Raises ValueError unless restarts >= 1 and
+    max_size >= 2.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
+    if max_size < 2:
+        raise ValueError("max_size must be at least 2")
     if window is None:
         window = 0.25 * series.t_max
     dt = series.dt
@@ -221,9 +234,6 @@ def negativity_landscape(omega_c: float, phases, omega_window, grid: np.ndarray 
     mask = (omega_full >= lo) & (omega_full <= hi)
     omega = omega_full[mask]
 
-    def column(phase):
-        dist = inverse_ft(ohmic_series(omega_c, grid, phase=phase))
-        return np.minimum(dist.values[mask], 0.0)
-
-    cols = _chunk_map(column, list(phases))
+    cols = [np.minimum(inverse_ft(ohmic_series(omega_c, grid, phase=p)).values[mask], 0.0)
+            for p in phases]
     return omega, phases, np.column_stack(cols)

@@ -1,8 +1,12 @@
 import json
+import os
+import stat
 
 import numpy as np
+import pytest
 
-from hens.cli import main
+from hens.cli import main, read_table
+from hens.dephasing import SpectralDensityModel
 from hens.qdyn import PAULI_X, pure_state
 
 
@@ -293,3 +297,67 @@ class TestSimulate:
         rc = run("simulate", "--ensemble-kind", "cnot", "--paths", "he,warp",
                  "--output-dir", str(tmp_path))
         assert rc == 2
+
+
+class TestReadTable:
+    def test_model_table(self, tmp_path):
+        om = np.linspace(0.0, 30.0, 4001)
+        cols = np.column_stack([om, om * np.exp(-om)])
+        plain, headed = tmp_path / "plain.txt", tmp_path / "headed.csv"
+        np.savetxt(plain, cols)
+        np.savetxt(headed, cols, fmt="%.17g", delimiter=",", header="omega,J", comments="")
+        table = read_table(str(plain), 2)
+        assert np.array_equal(read_table(str(headed), 2), table)
+        model = SpectralDensityModel.tabulated(table[:, 0], table[:, 1])
+        # linear interpolation of a convex table biases by O(spacing^2)
+        assert abs(model.density(1.0) - np.exp(-1.0)) < 1e-5
+        assert model.density(31.0) == 0.0
+
+
+def write_inputs(d):
+    om = np.linspace(-8.0, 8.0, 257)
+    p = np.exp(-0.5 * om**2)
+    np.savetxt(d / "dist.csv", np.column_stack([om, p / np.trapezoid(p, om)]), delimiter=",")
+    (d / "nan_dist.csv").write_text("omega,p\n0,nan\n1,1\n")
+    (d / "nan_j.txt").write_text("0 0\n1 nan\n2 0\n")
+    (d / "nan_series.csv").write_text("t,re_phi,im_phi\n0,nan,0\n")
+    (d / "grid5.json").write_text('{"grid": 5}')
+
+
+SMALL_GRID = ["--grid-t-max", "16", "--grid-n", "256"]
+SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/dist.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["dephase", "--model-temperature", "nan"], id="nan-temperature"),
+    pytest.param(["dephase", "--config", "{d}/grid5.json"], id="grid-not-object"),
+    pytest.param(["dephase", "--model-kind", "tabulated", "--model-path", "{d}/nan_j.txt"],
+                 id="nan-model-table"),
+    pytest.param(["invert", "--series-path", "{d}/nan_series.csv"], id="nan-series"),
+    pytest.param(["witness", "--witness-restarts", "0", *SMALL_GRID], id="zero-restarts"),
+    pytest.param(["witness", "--witness-max-set-size", "1", *SMALL_GRID], id="set-size-one"),
+    pytest.param(["simulate", "--ensemble-kind", "cnot", "--times-t-max", "nan"],
+                 id="nan-times"),
+    pytest.param(["simulate", "--ensemble-kind", "spectral",
+                  "--ensemble-path", "{d}/nan_dist.csv"], id="nan-ensemble"),
+    pytest.param([*SPECTRAL, "--paths", "mc", "--mc-samples", "0"], id="zero-samples"),
+    pytest.param([*SPECTRAL, "--paths", "dilation", "--ensemble-bins", "0"], id="zero-bins"),
+])
+def test_bad_values_exit_two(tmp_path, capsys, argv):
+    write_inputs(tmp_path)
+    rc = run(*[a.format(d=tmp_path) for a in argv], "--output-dir", str(tmp_path / "out"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.strip() and "Traceback" not in err
+
+
+def test_outputs_follow_umask(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert run("simulate", "--ensemble-kind", "cnot", "--times-count", "3",
+                   "--output-dir", str(tmp_path)) == 0
+    finally:
+        os.umask(old)
+    assert sorted(os.listdir(tmp_path)) == ["consistency.json", "state.csv"]
+    for name in os.listdir(tmp_path):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644

@@ -40,16 +40,10 @@ class TestSpectralDensityModel:
             SpectralDensityModel.tabulated([1.0, 0.5], [0.1, 0.1])
         with pytest.raises(ValueError):
             SpectralDensityModel(kind="lorentzian")
-
-    def test_from_file(self, tmp_path):
-        om = np.linspace(0.0, 30.0, 4001)
-        path = tmp_path / "table.txt"
-        np.savetxt(path, np.column_stack([om, om * np.exp(-om)]))
-        model = SpectralDensityModel.from_file(path)
-        assert model.kind == "tabulated"
-        # linear interpolation of a convex table biases by O(spacing^2)
-        assert abs(model.density(1.0) - np.exp(-1.0)) < 1e-5
-        assert model.density(31.0) == 0.0
+        with pytest.raises(ValueError):
+            SpectralDensityModel.ohmic(np.inf)
+        with pytest.raises(ValueError):
+            SpectralDensityModel.ohmic(1.0, temperature=np.nan)
 
 
 class TestDecoherenceExponent:
@@ -181,15 +175,6 @@ class TestSeriesConstruction:
         quad = (dephasing_conventional(OHMIC1, 0.0, g) if phase is None
                 else dephasing_extended(OHMIC1, phase, g))
         assert np.max(np.abs(exact.values - quad.values)) < 1e-8
-
-    def test_value_at_interpolates_and_checks_range(self):
-        g = time_grid(10.0, 1 << 8)
-        s = ohmic_series(1.0, g)
-        assert abs(s.value_at(0.0) - 1.0) < 1e-14
-        mid = 0.5 * (g[10] + g[11])
-        assert abs(s.value_at(mid) - 0.5 * (s.values[10] + s.values[11])) < 1e-14
-        with pytest.raises(ValueError, match="outside"):
-            s.value_at(11.0)
 
 
 class TestMasterCoefficients:

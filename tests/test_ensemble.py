@@ -143,14 +143,6 @@ class TestMonteCarlo:
         assert np.array_equal(a.matrix, b.matrix)
         assert sa == sb
 
-    def test_worker_count_does_not_change_draws(self, monkeypatch):
-        ens = gaussian_spectral()
-        monkeypatch.delenv("HENS_THREADS", raising=False)
-        serial = sample_frequencies(ens, 200000, seed=5)
-        monkeypatch.setenv("HENS_THREADS", "4")
-        threaded = sample_frequencies(ens, 200000, seed=5)
-        assert np.array_equal(serial, threaded)
-
     def test_delta_distribution_rotates_within_grid_width(self):
         # a grid delta is a hat of width domega; the rotation is exact up to that
         omega0 = 2.0

@@ -126,11 +126,14 @@ class TestRoundtrip:
 class TestBochner:
     def test_two_point_eigenvalues(self):
         s = ohmic_series(1.0, GRID)
-        tau = 1.25
-        rep = bochner_witness(s, [0.0, tau])
-        expected_min = 1.0 - abs(s.value_at(tau))
+        k = 205
+        rep = bochner_witness(s, [0.0, GRID[GRID.size // 2 + k]])
+        expected_min = 1.0 - abs(s.values[GRID.size // 2 + k])
         assert abs(rep.min_eigenvalue - expected_min) < 1e-12
         assert rep.matrix_dim == 2
+        # 1.25 = 204.8 dt lies between grid points, where the series has no sample
+        with pytest.raises(ValueError, match="off the series grid"):
+            bochner_witness(s, [0.0, 1.25])
 
     def test_conventional_stays_positive(self):
         s = ohmic_series(1.0, GRID)
@@ -154,6 +157,13 @@ class TestBochner:
         b, _ = bochner_search(s, restarts=300, seed=9)
         assert a.min_eigenvalue == b.min_eigenvalue
         assert np.array_equal(a.times, b.times)
+
+    @pytest.mark.parametrize("bad", [{"restarts": 0}, {"max_size": 1}],
+                             ids=["restarts-0", "max-size-1"])
+    def test_search_bounds_rejected(self, bad):
+        s = ohmic_series(1.0, time_grid(10.0, 1 << 8))
+        with pytest.raises(ValueError, match="at least"):
+            bochner_search(s, **{"restarts": 10, "seed": 0, **bad})
 
     def test_out_of_range_times_rejected(self):
         s = ohmic_series(1.0, time_grid(10.0, 1 << 8))
@@ -187,12 +197,3 @@ class TestLandscape:
             if np.all(cells[:, j] == 0.0):
                 dist = inverse_ft(ohmic_series(1.0, GRID, phase=phase))
                 assert dist.min_value >= 0.0
-
-    def test_worker_count_does_not_change_output(self, monkeypatch):
-        phases = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
-        grid = time_grid(50.0, 1 << 12)
-        monkeypatch.delenv("HENS_THREADS", raising=False)
-        _, _, serial = negativity_landscape(1.0, phases, (-10.0, 10.0), grid)
-        monkeypatch.setenv("HENS_THREADS", "4")
-        _, _, threaded = negativity_landscape(1.0, phases, (-10.0, 10.0), grid)
-        assert np.array_equal(serial, threaded)
