@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
@@ -147,10 +148,16 @@ def build_series(cfg: dict) -> DephasingSeries:
     model = build_model(cfg)
     grid = build_grid(cfg, model.omega_scale())
     try:
+        omega0, phase = float(cfg["omega0"]), float(cfg["phase"])
+    except (TypeError, ValueError):
+        raise ConfigError("omega0 and phase must be numbers")
+    if not (math.isfinite(omega0) and math.isfinite(phase)):
+        raise ConfigError("omega0 and phase must be finite")
+    try:
         if cfg["mode"] == "conventional":
-            return dephasing_conventional(model, float(cfg["omega0"]), grid)
+            return dephasing_conventional(model, omega0, grid)
         if cfg["mode"] == "extended":
-            return dephasing_extended(model, float(cfg["phase"]), grid)
+            return dephasing_extended(model, phase, grid)
     except ValueError as exc:
         raise ConfigError(str(exc))
     raise ConfigError(f"unknown mode {cfg['mode']!r}")
@@ -344,9 +351,12 @@ def _parse_matrix(entries) -> np.ndarray:
         return complex(float(v), 0.0)
 
     try:
-        return np.array([[scal(v) for v in row] for row in entries], dtype=complex)
+        m = np.array([[scal(v) for v in row] for row in entries], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad matrix: {exc}")
+    if not np.all(np.isfinite(m)):
+        raise ConfigError("bad matrix: non-finite entry")
+    return m
 
 
 def _parse_rho0(value) -> DensityMatrix:
@@ -483,16 +493,20 @@ def cmd_simulate(cfg: dict) -> int:
             ens = SpectralEnsemble(omega, weights).discretize(bins)
     else:
         if kind == "cnot":
-            a = float(ens_cfg["a"])
+            a, j = float(ens_cfg["a"]), float(ens_cfg["j"])
             if not 0.0 <= a <= 1.0:
                 raise ConfigError("cnot mixing weight must lie in [0, 1]")
-            ens = cnot_ensemble(a, float(ens_cfg["j"]))
+            if not math.isfinite(j):
+                raise ConfigError("cnot coupling must be finite")
+            ens = cnot_ensemble(a, j)
         else:
             members = ens_cfg.get("members")
             if not members:
                 raise ConfigError("discrete ensemble needs members [[p, matrix], ...]")
             try:
                 probs = np.array([float(m[0]) for m in members])
+                if not np.all(np.isfinite(probs)):
+                    raise ConfigError("discrete ensemble probabilities must be finite")
                 hams = tuple(HermitianOperator(_parse_matrix(m[1])) for m in members)
                 ens = HamiltonianEnsemble(probs, hams)
             except ValueError as exc:

@@ -5,16 +5,24 @@ The decoherence exponent is the oscillatory frequency integral
     Phi(t) = 4 * int_0^inf J(w)/w^2 * coth(w / 2T) * (1 - cos(w t)) dw
 
 evaluated with composite Gauss-Legendre panels whose width respects the
-oscillation bound pi / (4|t|).  The extended two-qubit model adds an odd phase
+oscillation bound pi / (4|t|).  ``_panel_nodes`` cuts every interval of the
+base partition (the table knots, or [0, omega_max], split at 4T) into equal
+panels in one vectorized pass, with the same edge arithmetic as one
+``np.linspace`` per interval.  The extended two-qubit model adds an odd phase
 angle built from the companion integrals int 4J/w^2 (w t - sin w t) dw and the
-T=0 exponent.  Series on dense symmetric time grids are produced by sampling
-the exponent at adaptively refined knots and interpolating with a verified
-cubic spline; the knot tolerance is weighted by e^{+Phi} because only
-e^{-Phi} * dPhi reaches the series values.
+T=0 exponent; ``_knot_integrals`` returns the even (1 - cos) and the odd sine
+integral of one time from one node set and one evaluation of 4J/w^2, so the
+extended series and ``extended_phase`` share one evaluator.  Series on dense
+symmetric time grids are produced by sampling the exponent at adaptively
+refined knots and interpolating with a verified cubic spline; the knot
+tolerance is weighted by e^{+Phi} because only e^{-Phi} * dPhi reaches the
+series values.  The sine spline of the extended model reuses the odd integrals
+of the Phi knots it shares.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -27,6 +35,7 @@ from .qdyn import PAULI_Z, DensityMatrix
 SERIES_SYM_TOL = 1e-12
 SERIES_UNIT_TOL = 1e-12
 TAIL_EPS = 1e-12
+MAX_PANELS = 1 << 18  # 4.2M nodes per integral, ~16x what the Ohmic model needs at t = 200
 
 _GL_X, _GL_W = leggauss(16)
 
@@ -115,7 +124,12 @@ class SpectralDensityModel:
 
 
 def _panel_nodes(model: SpectralDensityModel, t: float):
-    """Gauss-Legendre nodes/weights on [0, omega_max] resolving J, coth and e^{i w t}."""
+    """Gauss-Legendre nodes/weights on [0, omega_max] resolving J, coth and e^{i w t}.
+
+    Every interval [a, b] of the base partition is cut into k equal panels, and
+    all intervals are built in one pass with the arithmetic of
+    ``np.linspace(a, b, k + 1)``: edge j is j * ((b - a) / k) + a, the last is b.
+    """
     osc = np.pi / (4.0 * abs(t)) if t != 0.0 else np.inf
     cap = min(0.5 * model.omega_scale(), osc)
     if model.kind == "tabulated":
@@ -125,14 +139,22 @@ def _panel_nodes(model: SpectralDensityModel, t: float):
     temp = model.temperature
     if temp > 0.0:
         base = np.unique(np.concatenate([base, [min(4.0 * temp, base[-1])]]))
-    edges = [np.array([base[0]])]
-    for a, b in zip(base[:-1], base[1:]):
-        w = cap
-        if temp > 0.0 and a < 4.0 * temp:
-            w = min(w, 0.5 * temp)
-        k = max(1, int(np.ceil((b - a) / w)))
-        edges.append(np.linspace(a, b, k + 1)[1:])
-    e = np.concatenate(edges)
+    a, b = base[:-1], base[1:]
+    width = np.full(a.size, cap)
+    if temp > 0.0:
+        width[a < 4.0 * temp] = min(cap, 0.5 * temp)
+    span = b - a
+    k = np.maximum(np.ceil(span / width), 1.0)
+    if not k.sum() <= MAX_PANELS:
+        raise ValueError(f"quadrature at t = {t!r} needs more than {MAX_PANELS} panels; "
+                         "shorten the time grid")
+    k = k.astype(np.int64)
+    ends = np.cumsum(k)
+    j = (np.arange(1, ends[-1] + 1) - np.repeat(ends - k, k)).astype(float)
+    e = np.empty(ends[-1] + 1)
+    e[0] = base[0]
+    e[1:] = j * np.repeat(span / k, k) + np.repeat(a, k)
+    e[ends] = b
     c = 0.5 * (e[1:] + e[:-1])
     h = 0.5 * (e[1:] - e[:-1])
     nodes = (c[:, None] + h[:, None] * _GL_X[None, :]).ravel()
@@ -163,6 +185,24 @@ def _sine_integral(model: SpectralDensityModel, t: float) -> float:
     return s * float(f @ weights)
 
 
+def _knot_integrals(model: SpectralDensityModel, t: float) -> tuple[float, float]:
+    """The T = 0 (1 - cos) and the sine integral at t, as (even, odd), from one node set.
+
+    Bit-identical to ``_one_minus_cos_integral(model, t, with_coth=False)`` and
+    ``_sine_integral(model, t)``: the nodes and the factor 4 J/w^2 are shared,
+    the operation order is theirs.
+    """
+    s = math.copysign(1.0, t) if t != 0.0 else 0.0
+    t = abs(float(t))
+    if t == 0.0:
+        return 0.0, 0.0
+    nodes, weights = _panel_nodes(model, t)
+    g = 4.0 * model.density(nodes) / nodes**2
+    even = g * (2.0 * np.sin(0.5 * nodes * t) ** 2) @ weights
+    odd = g * np.sin(nodes * t) @ weights
+    return max(float(even), 0.0), s * float(odd)
+
+
 def _inverse_frequency_mass(model: SpectralDensityModel) -> float:
     """int_0^inf 4 J/w dw (the linear-in-t part of the drift integral)."""
     nodes, weights = _panel_nodes(model, 0.0)
@@ -189,8 +229,8 @@ def extended_phase(model: SpectralDensityModel, phase: float, t):
     c1 = _inverse_frequency_mass(model)
     vals = []
     for x in ts.ravel():
-        drift = c1 * x - _sine_integral(model, x)
-        even = _one_minus_cos_integral(model, x, with_coth=False)
+        even, odd = _knot_integrals(model, x)
+        drift = c1 * x - odd
         vals.append(math.cos(phase) * drift + np.sign(x) * math.sin(phase) * even)
     out = np.array(vals)
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
@@ -201,7 +241,8 @@ def _adaptive_curve(f, t_hi: float, tol: float, weight=None, n0: int = 32,
     """Cubic spline of f on [0, t_hi] from adaptively refined quadrature knots.
 
     Midpoints are verified against a local cubic through the four nearest
-    knots; intervals failing tol * weight(t, value) are split.
+    knots (kept in a sorted list); intervals failing tol * weight(t, value)
+    are split.
     """
     xs = np.unique(np.concatenate([
         np.linspace(0.0, t_hi, n0 + 1),
@@ -209,33 +250,33 @@ def _adaptive_curve(f, t_hi: float, tol: float, weight=None, n0: int = 32,
     ]))
     xs = np.concatenate([[0.0], xs[xs > 0.0]])
     vals = {float(x): f(float(x)) for x in xs}
+    ks = sorted(vals)
     work = [(float(a), float(b)) for a, b in zip(xs[:-1], xs[1:])]
     floor = t_hi * 2.0 ** -max_depth
     while work:
         a, b = work.pop()
         m = 0.5 * (a + b)
         fm = f(m)
-        ks = np.array(sorted(vals))
-        i = np.searchsorted(ks, m)
+        i = bisect.bisect_left(ks, m)
         lo = max(0, i - 2)
         hi = min(len(ks), lo + 4)
         lo = max(0, hi - 4)
         sub = ks[lo:hi]
         est = float(CubicSpline(sub, [vals[k] for k in sub])(m))
+        if m not in vals:
+            ks.insert(i, m)
         vals[m] = fm
         tol_eff = tol * (weight(m, fm) if weight is not None else 1.0)
         if abs(est - fm) > tol_eff and (b - a) > floor:
             work.append((a, m))
             work.append((m, b))
-    ks = np.array(sorted(vals))
     return CubicSpline(ks, [vals[k] for k in ks])
 
 
-def _exponent_spline(model: SpectralDensityModel, t_hi: float, with_coth: bool, tol: float = 1e-9):
+def _exponent_spline(exponent, t_hi: float, tol: float = 1e-9):
+    """Adaptive spline of a decoherence exponent t -> Phi(t), tolerance weighted by e^{+Phi}."""
     w = lambda t, v: min(math.exp(min(v, 37.0)), 1e16)
-    return _adaptive_curve(
-        lambda x: _one_minus_cos_integral(model, x, with_coth=with_coth), t_hi, tol, weight=w
-    )
+    return _adaptive_curve(exponent, t_hi, tol, weight=w)
 
 
 def time_grid(t_max: float, n: int) -> np.ndarray:
@@ -243,8 +284,8 @@ def time_grid(t_max: float, n: int) -> np.ndarray:
     n = int(n)
     if n < 4 or n & (n - 1):
         raise ValueError("grid size must be a power of two, at least 4")
-    if not t_max > 0.0:
-        raise ValueError("t_max must be positive")
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise ValueError("t_max must be finite and positive")
     dt = 2.0 * t_max / n
     return (np.arange(n) - n // 2) * dt
 
@@ -275,6 +316,8 @@ class DephasingSeries:
         n = t.size
         if n < 4 or n & (n - 1) or v.shape != t.shape:
             raise ValueError("times/values must be power-of-two grids of equal size")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("times and values must be finite")
         d = np.diff(t)
         if np.min(d) <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
             raise ValueError("time grid must be uniform and increasing")
@@ -308,7 +351,8 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
                            grid: np.ndarray) -> DephasingSeries:
     """Series exp(i omega0 t - Phi(t)) on the given symmetric grid."""
     grid = np.asarray(grid, dtype=float)
-    spline = _exponent_spline(model, float(np.max(np.abs(grid))), with_coth=True)
+    spline = _exponent_spline(lambda x: _one_minus_cos_integral(model, x, with_coth=True),
+                              float(np.max(np.abs(grid))))
     exponent = np.clip(spline(np.abs(grid)), 0.0, None)
     values = np.exp(1j * omega0 * grid - exponent)
     return DephasingSeries(grid, values, omega0=omega0, model_tag="conventional")
@@ -321,9 +365,17 @@ def dephasing_extended(model: SpectralDensityModel, phase: float,
         raise ValueError("extended model implemented at T=0 only")
     grid = np.asarray(grid, dtype=float)
     t_hi = float(np.max(np.abs(grid)))
-    phi_spline = _exponent_spline(model, t_hi, with_coth=False)
+    odd = {}  # sine integrals of the Phi knots, reused by the sine spline
+
+    def even_knot(x):
+        even, odd[x] = _knot_integrals(model, x)
+        return even
+
+    phi_spline = _exponent_spline(even_knot, t_hi)
     w = lambda t, v: min(math.exp(min(float(phi_spline(t)), 37.0)), 1e16)
-    sine_spline = _adaptive_curve(lambda x: _sine_integral(model, x), t_hi, 1e-9, weight=w)
+    sine_spline = _adaptive_curve(
+        lambda x: odd[x] if x in odd else _sine_integral(model, x), t_hi, 1e-9, weight=w
+    )
     c1 = _inverse_frequency_mass(model)
     a = np.abs(grid)
     s = np.sign(grid)

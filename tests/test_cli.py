@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import stat
@@ -322,6 +324,8 @@ def write_inputs(d):
     (d / "nan_j.txt").write_text("0 0\n1 nan\n2 0\n")
     (d / "nan_series.csv").write_text("t,re_phi,im_phi\n0,nan,0\n")
     (d / "grid5.json").write_text('{"grid": 5}')
+    (d / "nan_member.json").write_text(
+        '{"ensemble": {"kind": "discrete", "members": [[1.0, [[0, 0], [0, NaN]]]]}}')
 
 
 SMALL_GRID = ["--grid-t-max", "16", "--grid-n", "256"]
@@ -331,6 +335,14 @@ SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/d
 @pytest.mark.parametrize("argv", [
     pytest.param(["dephase", "--model-temperature", "nan"], id="nan-temperature"),
     pytest.param(["dephase", "--config", "{d}/grid5.json"], id="grid-not-object"),
+    pytest.param(["dephase", "--omega0", "nan", *SMALL_GRID], id="nan-omega0"),
+    pytest.param(["dephase", "--omega0", "inf", *SMALL_GRID], id="inf-omega0"),
+    pytest.param(["dephase", "--mode", "extended", "--phase", "nan", *SMALL_GRID],
+                 id="nan-phase"),
+    pytest.param(["invert", "--mode", "extended", "--phase", "nan", *SMALL_GRID],
+                 id="invert-nan-phase"),
+    pytest.param(["dephase", "--grid-t-max", "inf", "--grid-n", "256"], id="inf-t-max"),
+    pytest.param(["dephase", "--grid-t-max", "1e12", "--grid-n", "256"], id="huge-t-max"),
     pytest.param(["dephase", "--model-kind", "tabulated", "--model-path", "{d}/nan_j.txt"],
                  id="nan-model-table"),
     pytest.param(["invert", "--series-path", "{d}/nan_series.csv"], id="nan-series"),
@@ -338,6 +350,8 @@ SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/d
     pytest.param(["witness", "--witness-max-set-size", "1", *SMALL_GRID], id="set-size-one"),
     pytest.param(["simulate", "--ensemble-kind", "cnot", "--times-t-max", "nan"],
                  id="nan-times"),
+    pytest.param(["simulate", "--ensemble-kind", "cnot", "--ensemble-j", "nan"], id="nan-j"),
+    pytest.param(["simulate", "--config", "{d}/nan_member.json"], id="nan-member"),
     pytest.param(["simulate", "--ensemble-kind", "spectral",
                   "--ensemble-path", "{d}/nan_dist.csv"], id="nan-ensemble"),
     pytest.param([*SPECTRAL, "--paths", "mc", "--mc-samples", "0"], id="zero-samples"),
@@ -349,6 +363,34 @@ def test_bad_values_exit_two(tmp_path, capsys, argv):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+
+
+def test_dephase_exit_codes_hold_for_special_floats(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0])
+    # Node counts grow with omega_c * t_max, so the finite model and grid draws
+    # stay in [-20, 20] to keep each run well under a second (the huge-t-max
+    # bad-value case covers the panel limit).  Extreme finite temperatures such
+    # as 1e300 are left out: the adaptive spline then refines without end.
+    small = special | st.floats(-20.0, 20.0)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(omega0=special | st.floats(), phase=special | st.floats(),
+                      omega_c=small, temperature=small, t_max=small,
+                      mode=st.sampled_from(["conventional", "extended"]))
+    def check(omega0, phase, omega_c, temperature, t_max, mode):
+        out = tmp_path_factory.mktemp("run")
+        argv = ["dephase", "--mode", mode, "--grid-n", "256", "--output-dir", str(out),
+                f"--omega0={omega0!r}", f"--phase={phase!r}", f"--model-omega-c={omega_c!r}",
+                f"--model-temperature={temperature!r}", f"--grid-t-max={t_max!r}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+
+    check()
 
 
 def test_outputs_follow_umask(tmp_path):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from hens.dephasing import (
+    _GL_W,
+    _GL_X,
     CoefficientSingularityError,
     DephasingSeries,
     SpectralDensityModel,
@@ -14,6 +16,10 @@ from hens.dephasing import (
     ohmic_series,
     propagate_master,
     time_grid,
+    _knot_integrals,
+    _one_minus_cos_integral,
+    _panel_nodes,
+    _sine_integral,
 )
 from hens.qdyn import maximally_mixed, pure_state, trace_distance
 
@@ -89,6 +95,72 @@ class TestDecoherenceExponent:
             assert abs(decoherence_exponent(model, t) - phi_t0_analytic(t)) < 1e-4
 
 
+def loop_panel_nodes(model, t):
+    """Reference panel builder: one np.linspace per base interval."""
+    osc = np.pi / (4.0 * abs(t)) if t != 0.0 else np.inf
+    cap = min(0.5 * model.omega_scale(), osc)
+    if model.kind == "tabulated":
+        base = np.unique(np.concatenate([[0.0], model.table_omega]))
+    else:
+        base = np.array([0.0, model.omega_max()])
+    temp = model.temperature
+    if temp > 0.0:
+        base = np.unique(np.concatenate([base, [min(4.0 * temp, base[-1])]]))
+    edges = [np.array([base[0]])]
+    for a, b in zip(base[:-1], base[1:]):
+        w = cap
+        if temp > 0.0 and a < 4.0 * temp:
+            w = min(w, 0.5 * temp)
+        k = max(1, int(np.ceil((b - a) / w)))
+        edges.append(np.linspace(a, b, k + 1)[1:])
+    e = np.concatenate(edges)
+    c = 0.5 * (e[1:] + e[:-1])
+    h = 0.5 * (e[1:] - e[:-1])
+    nodes = (c[:, None] + h[:, None] * _GL_X[None, :]).ravel()
+    weights = (h[:, None] * _GL_W[None, :]).ravel()
+    return nodes, weights
+
+
+def panel_models():
+    om = np.linspace(0.0, 40.0, 401)
+    rng = np.random.default_rng(5)
+    uneven = np.concatenate([[0.0, 0.1, 0.3], np.sort(rng.uniform(0.5, 20.0, 150))])
+    models = []
+    # at T = 100, 4T = 400 lies beyond both frequency ranges and is clipped to their ends
+    for temp in (0.0, 0.05, 0.5, 3.0, 100.0):
+        models.append(SpectralDensityModel.tabulated(om, om * np.exp(-om), temperature=temp))
+        models.append(SpectralDensityModel.ohmic(2.0, temperature=temp))
+    # 4T = 0.2 falls inside the table interval [0.1, 0.3]
+    models.append(SpectralDensityModel.tabulated(uneven, uneven * np.exp(-uneven),
+                                                 temperature=0.05))
+    models.append(SpectralDensityModel.tabulated(uneven, uneven * np.exp(-uneven)))
+    return models
+
+
+class TestPanelNodes:
+    @pytest.mark.parametrize("model", panel_models(), ids=lambda m: f"{m.kind}-T{m.temperature}")
+    def test_matches_loop_reference(self, model):
+        for t in (0.0, 1e-3, np.pi / (2.0 * model.omega_scale()), 5.0, 200.0):
+            nodes, weights = _panel_nodes(model, t)
+            ref_nodes, ref_weights = loop_panel_nodes(model, t)
+            assert np.array_equal(nodes, ref_nodes)
+            assert np.array_equal(weights, ref_weights)
+
+    def test_knot_integrals_share_nodes_bit_for_bit(self):
+        om = np.linspace(0.0, 20.0, 201)
+        for model in (OHMIC1, SpectralDensityModel.tabulated(om, om * np.exp(-om))):
+            for t in (0.0, 0.37, -2.5, 9.0):
+                assert _knot_integrals(model, t) == (
+                    _one_minus_cos_integral(model, t, with_coth=False),
+                    _sine_integral(model, t),
+                )
+
+    def test_panel_count_is_bounded(self):
+        # refused before any node array is allocated
+        with pytest.raises(ValueError, match="panels"):
+            decoherence_exponent(OHMIC1, 1e12)
+
+
 class TestExtendedPhase:
     def test_zero_time(self):
         assert extended_phase(OHMIC1, 0.3, 0.0) == 0.0
@@ -134,6 +206,9 @@ class TestSeriesConstruction:
             DephasingSeries(g, bumped)
         with pytest.raises(ValueError, match="t = 0"):
             DephasingSeries(g, 0.9 * good)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                DephasingSeries(g, np.where(g == 0.0, 1.0, bad))
 
     def test_conventional_series_paper_values(self):
         # t = 1 lands on the grid: dt = 1/32
@@ -167,6 +242,17 @@ class TestSeriesConstruction:
             ext = dephasing_extended(OHMIC1, phase, g)
             assert np.max(np.abs(np.abs(ext.values) - np.abs(conv.values))) < 1e-9
             assert ext.values[g.size // 2] == 1.0
+
+    def test_tabulated_extended_matches_pointwise_phase(self):
+        # many table intervals: the Phi and sine splines share their knot integrals
+        om = np.linspace(0.0, 20.0, 201)
+        model = SpectralDensityModel.tabulated(om, om * np.exp(-om))
+        g = time_grid(10.0, 256)
+        s = dephasing_extended(model, 0.7, g)
+        for k in (3, 64, 128, 160, 250):
+            t = g[k]
+            exact = np.exp(-1j * extended_phase(model, 0.7, t) - decoherence_exponent(model, t))
+            assert abs(s.values[k] - exact) < 1e-9
 
     @pytest.mark.parametrize("phase", [None, np.pi / 4])
     def test_closed_form_matches_quadrature(self, phase):
