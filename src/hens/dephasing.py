@@ -12,17 +12,18 @@ panels in one vectorized pass, with the same edge arithmetic as one
 angle built from the companion integrals int 4J/w^2 (w t - sin w t) dw and the
 T=0 exponent; ``_knot_integrals`` returns the even (1 - cos) and the odd sine
 integral of one time from one node set and one evaluation of 4J/w^2, so the
-extended series and ``extended_phase`` share one evaluator.  Series on dense
-symmetric time grids are produced by sampling the exponent at adaptively
-refined knots and interpolating with a verified cubic spline; the knot
-tolerance is weighted by e^{+Phi} because only e^{-Phi} * dPhi reaches the
-series values.  The sine spline of the extended model reuses the odd integrals
-of the Phi knots it shares.
+extended series and ``extended_phase`` share one evaluator.  Every series on a
+dense symmetric time grid comes from one adaptive spline: the exponent, or the
+extended model's (Phi, sine) pair as two columns of the same knots, is sampled
+at adaptively refined times and interpolated with a verified cubic spline.
+The knot tolerance is weighted by e^{+Phi} because only e^{-Phi} * dPhi (and
+e^{-Phi} * d theta) reaches the series values.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,8 @@ SERIES_SYM_TOL = 1e-12
 SERIES_UNIT_TOL = 1e-12
 TAIL_EPS = 1e-12
 MAX_PANELS = 1 << 18  # 4.2M nodes per integral, ~16x what the Ohmic model needs at t = 200
+KNOT_TOL = 1e-9
+PHI_NEGLIGIBLE = 37.0  # e^{-37} < 1e-16: the series no longer resolves Phi or the phase
 
 _GL_X, _GL_W = leggauss(16)
 
@@ -162,35 +165,38 @@ def _panel_nodes(model: SpectralDensityModel, t: float):
     return nodes, weights
 
 
-def _one_minus_cos_integral(model: SpectralDensityModel, t: float, with_coth: bool) -> float:
-    """int_0^inf 4 J/w^2 [coth(w/2T)] (1 - cos w t) dw, even in t."""
+def _finite_integrand(integral):
+    """Turn an overflow, a division by zero or a NaN in integral(model, t) into a ValueError."""
+    @functools.wraps(integral)
+    def checked(model: SpectralDensityModel, t: float):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return integral(model, t)
+        except FloatingPointError as exc:
+            raise ValueError(f"decoherence exponent at t = {t!r} is not representable "
+                             f"in floating point ({exc})") from None
+    return checked
+
+
+@_finite_integrand
+def _one_minus_cos_integral(model: SpectralDensityModel, t: float) -> float:
+    """int_0^inf 4 J/w^2 coth(w/2T) (1 - cos w t) dw, even in t (coth = 1 at T = 0)."""
     t = abs(float(t))
     if t == 0.0:
         return 0.0
     nodes, weights = _panel_nodes(model, t)
     f = 4.0 * model.density(nodes) / nodes**2 * (2.0 * np.sin(0.5 * nodes * t) ** 2)
-    if with_coth and model.temperature > 0.0:
+    if model.temperature > 0.0:
         f = f * _coth(nodes / (2.0 * model.temperature))
     return max(float(f @ weights), 0.0)
 
 
-def _sine_integral(model: SpectralDensityModel, t: float) -> float:
-    """int_0^inf 4 J/w^2 sin(w t) dw, odd in t."""
-    s = math.copysign(1.0, t) if t != 0.0 else 0.0
-    t = abs(float(t))
-    if t == 0.0:
-        return 0.0
-    nodes, weights = _panel_nodes(model, t)
-    f = 4.0 * model.density(nodes) / nodes**2 * np.sin(nodes * t)
-    return s * float(f @ weights)
-
-
+@_finite_integrand
 def _knot_integrals(model: SpectralDensityModel, t: float) -> tuple[float, float]:
     """The T = 0 (1 - cos) and the sine integral at t, as (even, odd), from one node set.
 
-    Bit-identical to ``_one_minus_cos_integral(model, t, with_coth=False)`` and
-    ``_sine_integral(model, t)``: the nodes and the factor 4 J/w^2 are shared,
-    the operation order is theirs.
+    even = int 4 J/w^2 (1 - cos w t) dw and odd = int 4 J/w^2 sin(w t) dw share
+    the nodes and the factor 4 J/w^2.
     """
     s = math.copysign(1.0, t) if t != 0.0 else 0.0
     t = abs(float(t))
@@ -213,7 +219,7 @@ def _inverse_frequency_mass(model: SpectralDensityModel) -> float:
 def decoherence_exponent(model: SpectralDensityModel, t):
     """Nonnegative exponent controlling |phi(t)| = e^{-Phi(t)}; even, Phi(0) = 0."""
     ts = np.asarray(t, dtype=float)
-    out = np.array([_one_minus_cos_integral(model, x, with_coth=True) for x in ts.ravel()])
+    out = np.array([_one_minus_cos_integral(model, x) for x in ts.ravel()])
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
@@ -236,47 +242,48 @@ def extended_phase(model: SpectralDensityModel, phase: float, t):
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-def _adaptive_curve(f, t_hi: float, tol: float, weight=None, n0: int = 32,
-                    max_depth: int = 36):
+def _adaptive_curve(f, t_hi: float) -> CubicSpline:
     """Cubic spline of f on [0, t_hi] from adaptively refined quadrature knots.
 
-    Midpoints are verified against a local cubic through the four nearest
-    knots (kept in a sorted list); intervals failing tol * weight(t, value)
-    are split.
+    f(t) is the exponent Phi(t), or a tuple (Phi(t), ...) whose further
+    entries become further columns of the same knots and spline.  Every
+    midpoint is checked against a local cubic through the four nearest knots
+    (kept in a sorted list), and its interval is split when any column misses
+    KNOT_TOL * e^{+Phi} (Phi at the midpoint, the weight capped at 1e16).  An
+    interval is accepted without that check once Phi and its local estimate at
+    the midpoint both reach PHI_NEGLIGIBLE, or once it is no longer than
+    t_hi * 2^-36.
     """
-    xs = np.unique(np.concatenate([
-        np.linspace(0.0, t_hi, n0 + 1),
-        np.geomspace(t_hi * 2.0 ** -12, t_hi, n0 + 1),
+    xs = np.unique(np.concatenate([  # 32 uniform and 32 geometric base intervals
+        np.linspace(0.0, t_hi, 33),
+        np.geomspace(t_hi * 2.0 ** -12, t_hi, 33),
     ]))
     xs = np.concatenate([[0.0], xs[xs > 0.0]])
-    vals = {float(x): f(float(x)) for x in xs}
+    vals = {float(x): np.asarray(f(float(x))) for x in xs}
     ks = sorted(vals)
     work = [(float(a), float(b)) for a, b in zip(xs[:-1], xs[1:])]
-    floor = t_hi * 2.0 ** -max_depth
+    floor = t_hi * 2.0 ** -36
     while work:
         a, b = work.pop()
         m = 0.5 * (a + b)
-        fm = f(m)
+        fm = np.asarray(f(m))
         i = bisect.bisect_left(ks, m)
         lo = max(0, i - 2)
         hi = min(len(ks), lo + 4)
         lo = max(0, hi - 4)
         sub = ks[lo:hi]
-        est = float(CubicSpline(sub, [vals[k] for k in sub])(m))
+        est = CubicSpline(sub, [vals[k] for k in sub])(m)
         if m not in vals:
             ks.insert(i, m)
         vals[m] = fm
-        tol_eff = tol * (weight(m, fm) if weight is not None else 1.0)
-        if abs(est - fm) > tol_eff and (b - a) > floor:
+        phi = fm.flat[0]
+        if min(phi, est.flat[0]) >= PHI_NEGLIGIBLE or (b - a) <= floor:
+            continue
+        tol = KNOT_TOL * min(math.exp(min(phi, PHI_NEGLIGIBLE)), 1e16)
+        if abs(est - fm).max() > tol:
             work.append((a, m))
             work.append((m, b))
     return CubicSpline(ks, [vals[k] for k in ks])
-
-
-def _exponent_spline(exponent, t_hi: float, tol: float = 1e-9):
-    """Adaptive spline of a decoherence exponent t -> Phi(t), tolerance weighted by e^{+Phi}."""
-    w = lambda t, v: min(math.exp(min(v, 37.0)), 1e16)
-    return _adaptive_curve(exponent, t_hi, tol, weight=w)
 
 
 def time_grid(t_max: float, n: int) -> np.ndarray:
@@ -351,8 +358,8 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
                            grid: np.ndarray) -> DephasingSeries:
     """Series exp(i omega0 t - Phi(t)) on the given symmetric grid."""
     grid = np.asarray(grid, dtype=float)
-    spline = _exponent_spline(lambda x: _one_minus_cos_integral(model, x, with_coth=True),
-                              float(np.max(np.abs(grid))))
+    spline = _adaptive_curve(lambda x: _one_minus_cos_integral(model, x),
+                             float(np.max(np.abs(grid))))
     exponent = np.clip(spline(np.abs(grid)), 0.0, None)
     values = np.exp(1j * omega0 * grid - exponent)
     return DephasingSeries(grid, values, omega0=omega0, model_tag="conventional")
@@ -364,23 +371,12 @@ def dephasing_extended(model: SpectralDensityModel, phase: float,
     if model.temperature != 0.0:
         raise ValueError("extended model implemented at T=0 only")
     grid = np.asarray(grid, dtype=float)
-    t_hi = float(np.max(np.abs(grid)))
-    odd = {}  # sine integrals of the Phi knots, reused by the sine spline
-
-    def even_knot(x):
-        even, odd[x] = _knot_integrals(model, x)
-        return even
-
-    phi_spline = _exponent_spline(even_knot, t_hi)
-    w = lambda t, v: min(math.exp(min(float(phi_spline(t)), 37.0)), 1e16)
-    sine_spline = _adaptive_curve(
-        lambda x: odd[x] if x in odd else _sine_integral(model, x), t_hi, 1e-9, weight=w
-    )
+    spline = _adaptive_curve(lambda x: _knot_integrals(model, x), float(np.max(np.abs(grid))))
     c1 = _inverse_frequency_mass(model)
-    a = np.abs(grid)
     s = np.sign(grid)
-    exponent = np.clip(phi_spline(a), 0.0, None)
-    drift = c1 * grid - s * sine_spline(a)
+    even, odd = spline(np.abs(grid)).T
+    exponent = np.clip(even, 0.0, None)
+    drift = c1 * grid - s * odd
     theta = math.cos(phase) * drift + s * math.sin(phase) * exponent
     values = np.exp(-1j * theta - exponent)
     return DephasingSeries(grid, values, omega0=0.0, model_tag="extended", phase=float(phase))

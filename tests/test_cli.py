@@ -3,6 +3,9 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +346,12 @@ SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/d
                  id="invert-nan-phase"),
     pytest.param(["dephase", "--grid-t-max", "inf", "--grid-n", "256"], id="inf-t-max"),
     pytest.param(["dephase", "--grid-t-max", "1e12", "--grid-n", "256"], id="huge-t-max"),
+    # (omega_c t)^2 overflows at the default t_max = 200 / omega_c
+    pytest.param(["dephase", "--model-omega-c", "1e300", "--grid-n", "256"], id="huge-omega-c"),
+    pytest.param(["dephase", "--model-omega-c", "1e-300", "--grid-n", "256"],
+                 id="tiny-omega-c"),
+    pytest.param(["dephase", "--model-temperature", "1e-300", "--grid-n", "256"],
+                 id="tiny-temperature"),
     pytest.param(["dephase", "--model-kind", "tabulated", "--model-path", "{d}/nan_j.txt"],
                  id="nan-model-table"),
     pytest.param(["invert", "--series-path", "{d}/nan_series.csv"], id="nan-series"),
@@ -365,25 +374,42 @@ def test_bad_values_exit_two(tmp_path, capsys, argv):
     assert err.strip() and "Traceback" not in err
 
 
+def test_huge_temperature_ends(tmp_path):
+    # Phi ~ 1e30: intervals whose exponent is past e^{-Phi} < 1e-16 are accepted
+    # as they are instead of being split down to the refinement floor
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hens.cli", "dephase", "--model-temperature",
+                           "1e30", *SMALL_GRID, "--output-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    _, data = read_csv(tmp_path / "phi.csv")
+    assert np.all(data[data[:, 0] != 0.0, 3] == 0.0)
+
+
 def test_dephase_exit_codes_hold_for_special_floats(tmp_path_factory):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0])
-    # Node counts grow with omega_c * t_max, so the finite model and grid draws
-    # stay in [-20, 20] to keep each run well under a second (the huge-t-max
-    # bad-value case covers the panel limit).  Extreme finite temperatures such
-    # as 1e300 are left out: the adaptive spline then refines without end.
+    # Node counts grow with omega_c * t_max, so the finite grid draws stay in
+    # [-20, 20] to keep each run well under a second (the huge-t-max bad-value
+    # case covers the panel limit); the model draws add the extremes.
     small = special | st.floats(-20.0, 20.0)
+    model = small | st.sampled_from([1e300, -1e300, 1e-300])
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
-    @hypothesis.given(omega0=special | st.floats(), phase=special | st.floats(),
-                      omega_c=small, temperature=small, t_max=small,
+    @hypothesis.given(command=st.sampled_from(["dephase", "invert", "witness"]),
+                      omega0=special | st.floats(), phase=special | st.floats(),
+                      omega_c=model, temperature=model, t_max=small,
                       mode=st.sampled_from(["conventional", "extended"]))
-    def check(omega0, phase, omega_c, temperature, t_max, mode):
+    def check(command, omega0, phase, omega_c, temperature, t_max, mode):
         out = tmp_path_factory.mktemp("run")
-        argv = ["dephase", "--mode", mode, "--grid-n", "256", "--output-dir", str(out),
+        argv = [command, "--mode", mode, "--grid-n", "256", "--output-dir", str(out),
                 f"--omega0={omega0!r}", f"--phase={phase!r}", f"--model-omega-c={omega_c!r}",
                 f"--model-temperature={temperature!r}", f"--grid-t-max={t_max!r}"]
+        if command == "witness":
+            argv.append("--witness-restarts=5")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = main(argv)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from hens.dephasing import (
     _knot_integrals,
     _one_minus_cos_integral,
     _panel_nodes,
-    _sine_integral,
 )
 from hens.qdyn import maximally_mixed, pure_state, trace_distance
 
@@ -137,6 +138,17 @@ def panel_models():
     return models
 
 
+def sine_integral(model, t):
+    """Reference odd integral: int_0^inf 4 J/w^2 sin(w t) dw on its own node set."""
+    s = math.copysign(1.0, t) if t != 0.0 else 0.0
+    t = abs(float(t))
+    if t == 0.0:
+        return 0.0
+    nodes, weights = _panel_nodes(model, t)
+    f = 4.0 * model.density(nodes) / nodes**2 * np.sin(nodes * t)
+    return s * float(f @ weights)
+
+
 class TestPanelNodes:
     @pytest.mark.parametrize("model", panel_models(), ids=lambda m: f"{m.kind}-T{m.temperature}")
     def test_matches_loop_reference(self, model):
@@ -151,9 +163,15 @@ class TestPanelNodes:
         for model in (OHMIC1, SpectralDensityModel.tabulated(om, om * np.exp(-om))):
             for t in (0.0, 0.37, -2.5, 9.0):
                 assert _knot_integrals(model, t) == (
-                    _one_minus_cos_integral(model, t, with_coth=False),
-                    _sine_integral(model, t),
+                    _one_minus_cos_integral(model, t),
+                    sine_integral(model, t),
                 )
+        # 4 int e^{-w/wc} sin(w t)/w dw = 4 arctan(wc t)
+        for omega_c in (1.0, 3.0):
+            model = SpectralDensityModel.ohmic(omega_c)
+            for t in (0.37, -2.5, 9.0, 200.0):
+                odd = _knot_integrals(model, t)[1]
+                assert abs(odd - 4.0 * np.arctan(omega_c * t)) < 1e-9
 
     def test_panel_count_is_bounded(self):
         # refused before any node array is allocated
@@ -244,7 +262,7 @@ class TestSeriesConstruction:
             assert ext.values[g.size // 2] == 1.0
 
     def test_tabulated_extended_matches_pointwise_phase(self):
-        # many table intervals: the Phi and sine splines share their knot integrals
+        # many table intervals: Phi and the sine integral are two columns of one spline
         om = np.linspace(0.0, 20.0, 201)
         model = SpectralDensityModel.tabulated(om, om * np.exp(-om))
         g = time_grid(10.0, 256)
