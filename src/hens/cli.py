@@ -32,6 +32,7 @@ from .dephasing import (
     time_grid,
 )
 from .ensemble import (
+    NEGATIVE_TOL,
     HamiltonianEnsemble,
     SpectralEnsemble,
     _coherence_factor,
@@ -40,6 +41,7 @@ from .ensemble import (
     dilate,
     he_average,
     joint_evolve_reduce,
+    mc_coherence,
     sample_frequencies,
 )
 from .inversion import (
@@ -408,15 +410,6 @@ def _output_times(cfg: dict) -> np.ndarray:
     return times
 
 
-def _state_columns(label: str, dim: int) -> list[str]:
-    cols = []
-    for i in range(dim):
-        for j in range(dim):
-            cols.append(f"{label}_re_{i}{j}")
-            cols.append(f"{label}_im_{i}{j}")
-    return cols
-
-
 def cmd_simulate(cfg: dict) -> int:
     ens_cfg = cfg["ensemble"]
     kind = ens_cfg["kind"]
@@ -449,7 +442,7 @@ def cmd_simulate(cfg: dict) -> int:
         if abs(mass - 1.0) > 1e-3:
             raise ConfigError("spectral weights are not normalized")
         weights = weights / mass
-        negative = bool(np.min(weights) < -1e-6)
+        negative = bool(np.min(weights) < -NEGATIVE_TOL)
         flags["weights_nonnegative"] = not negative
 
         if negative and ({"mc", "dilation"} & set(paths)):
@@ -470,18 +463,21 @@ def cmd_simulate(cfg: dict) -> int:
                 grid = build_grid(cfg)
             try:
                 series = forward_ft((omega, weights), grid)
-                t_all, eps, gam = master_coeffs(series)
+                stride = 2.0 * series.dt
+                k_idx = np.rint(times / stride).astype(int)
+                # grid points 0..last, at least one RK4 step; the centered
+                # differences there reach from -dt to (last + 1) dt
+                last = max(2 * int(k_idx.max()), 2)
+                t_all, eps, gam = master_coeffs(series, -1.5 * series.dt,
+                                                (last + 1.5) * series.dt)
             except CoefficientSingularityError as exc:
                 print(f"hens simulate: {exc}", file=sys.stderr)
                 return 3
             except ValueError as exc:
                 raise ConfigError(str(exc))
-            i0 = int(np.searchsorted(t_all, 0.0))
-            stride = 2.0 * series.dt
-            k_idx = np.rint(times / stride).astype(int)
-            if 2 * int(k_idx.max()) + i0 >= t_all.size:
+            if last >= t_all.size:
                 raise ConfigError("output times exceed the master-equation grid")
-            sub = slice(i0, i0 + 2 * int(k_idx.max()) + 1)
+            sub = slice(0, last + 1)
             _, rho_prop = propagate_master(rho0, t_all[sub], eps[sub], gam[sub])
             states["master"] = [rho_prop[k].matrix for k in k_idx]
             times = k_idx * stride
@@ -530,28 +526,20 @@ def cmd_simulate(cfg: dict) -> int:
         flags["classical_ok"] = classical
     if "mc" in paths:  # spectral ensembles only, see _requested_paths
         draws = sample_frequencies((omega, weights), samples, seed)
-        stderrs = []
-        out = []
-        n = draws.size
-        for t in times:
-            ph = np.exp(1j * draws * t)
-            var = float(np.var(ph.real, ddof=1) + np.var(ph.imag, ddof=1)) if n > 1 else 0.0
-            stderrs.append(np.sqrt(var / n))
-            out.append(dephase_qubit(rho0, complex(ph.mean())).matrix)
-        states["mc"] = out
-        flags["mc_max_stderr"] = float(max(stderrs))
+        est = [mc_coherence(draws, t) for t in times]
+        states["mc"] = [dephase_qubit(rho0, zbar).matrix for zbar, _ in est]
+        flags["mc_max_stderr"] = max(stderr for _, stderr in est)
 
     emitted = [p for p in ("he", "dilation", "mc", "master") if p in states]
     dim = rho0.dim
     header = ["t"]
     columns = [np.asarray(times)]
     for label in emitted:
-        header.extend(_state_columns(label, dim))
         stack = np.array(states[label])
         for i in range(dim):
             for j in range(dim):
-                columns.append(stack[:, i, j].real)
-                columns.append(stack[:, i, j].imag)
+                header += [f"{label}_re_{i}{j}", f"{label}_im_{i}{j}"]
+                columns += [stack[:, i, j].real, stack[:, i, j].imag]
     write_table(cfg, "state", header, columns)
 
     distances = {}
@@ -585,11 +573,16 @@ def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model-path", dest="model__path", metavar="FILE",
                    help="two-column text with omega, J(omega)")
     p.add_argument("--mode", choices=["conventional", "extended"])
+    p.add_argument("--grid-t-max", dest="grid__t_max", type=float, metavar="T")
+    p.add_argument("--grid-n", dest="grid__n", type=int, metavar="POW2")
+
+
+def _add_series(p: argparse.ArgumentParser) -> None:
+    """Model flags plus the system parameters of one dephasing series."""
+    _add_model(p)
     p.add_argument("--omega0", type=float, metavar="W", help="system level splitting")
     p.add_argument("--phase", type=float, metavar="RAD",
                    help="relative coupling phase of the extended model")
-    p.add_argument("--grid-t-max", dest="grid__t_max", type=float, metavar="T")
-    p.add_argument("--grid-n", dest="grid__n", type=int, metavar="POW2")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -602,12 +595,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dephase", help="emit the dephasing factor phi(t)")
     _add_common(p)
-    _add_model(p)
+    _add_series(p)
     p.set_defaults(func=cmd_dephase)
 
     p = sub.add_parser("invert", help="recover the simulating (quasi-)distribution")
     _add_common(p)
-    _add_model(p)
+    _add_series(p)
     p.add_argument("--series-path", dest="series__path", metavar="FILE",
                    help="invert a phi.csv series instead of a model")
     p.set_defaults(func=cmd_invert)
@@ -622,7 +615,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="search for a positive-definiteness violation")
     _add_common(p)
-    _add_model(p)
+    _add_series(p)
     p.add_argument("--witness-restarts", dest="witness__restarts", type=int, metavar="N")
     p.add_argument("--witness-max-set-size", dest="witness__max_set_size", type=int,
                    metavar="N")

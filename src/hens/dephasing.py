@@ -272,7 +272,7 @@ def _adaptive_curve(f, t_hi: float) -> CubicSpline:
         hi = min(len(ks), lo + 4)
         lo = max(0, hi - 4)
         sub = ks[lo:hi]
-        est = CubicSpline(sub, [vals[k] for k in sub])(m)
+        est = _knot_spline(sub, vals)(m)
         if m not in vals:
             ks.insert(i, m)
         vals[m] = fm
@@ -283,7 +283,16 @@ def _adaptive_curve(f, t_hi: float) -> CubicSpline:
         if abs(est - fm).max() > tol:
             work.append((a, m))
             work.append((m, b))
-    return CubicSpline(ks, [vals[k] for k in ks])
+    return _knot_spline(ks, vals)
+
+
+def _knot_spline(ks: list[float], vals: dict) -> CubicSpline:
+    """Cubic spline through the knots ks; a ValueError names the exponent when it fails."""
+    try:
+        return CubicSpline(ks, [vals[k] for k in ks])
+    except ValueError as exc:  # slopes between knot values near the float limit overflow
+        raise ValueError(f"decoherence exponent on [{ks[0]!r}, {ks[-1]!r}] is not "
+                         f"representable in floating point ({exc})") from None
 
 
 def time_grid(t_max: float, n: int) -> np.ndarray:

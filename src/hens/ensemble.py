@@ -25,6 +25,7 @@ from .qdyn import (
 
 PROB_TOL = 1e-10
 MASS_TOL = 1e-8
+NEGATIVE_TOL = 1e-6  # deeper spectral weight dips are negativity, shallower ones noise
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class SpectralEnsemble:
         d = np.diff(om)
         if np.min(d) <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * max(abs(d[0]), 1.0):
             raise ValueError("omega grid must be uniform and increasing")
-        if np.min(w) < -1e-6:
+        if np.min(w) < -NEGATIVE_TOL:
             raise ValueError("negative weights")
         mass = float(np.trapezoid(w, om))
         if abs(mass - 1.0) > MASS_TOL:
@@ -169,7 +170,7 @@ def sample_frequencies(ens, n: int, seed: int) -> np.ndarray:
     else:
         omega = np.asarray(ens[0], dtype=float)
         weights = np.asarray(ens[1], dtype=float)
-    if np.min(weights) < -1e-6:
+    if np.min(weights) < -NEGATIVE_TOL:
         raise ValueError("not a probability distribution - cannot sample")
     weights = np.clip(weights, 0.0, None)
     domega = omega[1] - omega[0]
@@ -201,12 +202,26 @@ def mc_average(ens, rho0: DensityMatrix, t: float, n: int, seed: int):
     Returns (state, stderr) where stderr is the standard error of the sampled
     coherence factor. Deterministic for a fixed seed.
     """
-    draws = sample_frequencies(ens, n, seed)
-    ph = np.exp(1j * draws * t)
-    zbar = complex(ph.mean())
-    var = float(np.var(ph.real, ddof=1) + np.var(ph.imag, ddof=1)) if n > 1 else 0.0
-    stderr = float(np.sqrt(var / n))
+    zbar, stderr = mc_coherence(sample_frequencies(ens, n, seed), t)
     return dephase_qubit(rho0, zbar), stderr
+
+
+def mc_coherence(draws: np.ndarray, t: float) -> tuple[complex, float]:
+    """Sample mean of e^{i w t} over the drawn frequencies, and its standard error."""
+    n = draws.size
+    ph = np.exp(1j * draws * t)
+    var = float(np.var(ph.real, ddof=1) + np.var(ph.imag, ddof=1)) if n > 1 else 0.0
+    return complex(ph.mean()), float(np.sqrt(var / n))
+
+
+def _env_coherence(matrix: np.ndarray, d: int, env_dim: int) -> float:
+    """Largest |entry| of the environment-off-diagonal blocks of a (d*m)x(d*m) matrix.
+
+    Zero exactly when the (system, env) operator is classically correlated.
+    """
+    mags = np.abs(matrix.reshape(d, env_dim, d, env_dim)).max(axis=(0, 2))
+    np.fill_diagonal(mags, 0.0)
+    return float(mags.max())
 
 
 @dataclass(frozen=True)
@@ -225,11 +240,7 @@ class Dilation:
         centered = sum(p * v.matrix for p, v in zip(self.probs, self.couplings))
         if float(np.max(np.abs(centered))) > PROB_TOL:
             raise ValueError("couplings are not centered")
-        joint = self.h_joint.matrix.reshape(d, self.env_dim, d, self.env_dim)
-        off = joint.copy()
-        for j in range(self.env_dim):
-            off[:, j, :, j] = 0.0
-        if float(np.max(np.abs(off))) > PROB_TOL:
+        if _env_coherence(self.h_joint.matrix, d, self.env_dim) > PROB_TOL:
             raise ValueError("joint Hamiltonian is not environment-diagonal")
 
     def joint_initial(self, rho0: DensityMatrix) -> DensityMatrix:
@@ -243,17 +254,15 @@ def dilate(ens: HamiltonianEnsemble) -> Dilation:
     hbar = ens.mean_hamiltonian()
     couplings = tuple(HermitianOperator(h.matrix - hbar.matrix) for h in ens.hamiltonians)
     env_state = DensityMatrix(np.diag(ens.probs).astype(complex))
-    joint = np.zeros((d * m, d * m), dtype=complex)
-    for j, h in enumerate(ens.hamiltonians):
-        proj = np.zeros((m, m), dtype=complex)
-        proj[j, j] = 1.0
-        joint += np.kron(h.matrix, proj)
+    joint = np.zeros((d, m, d, m), dtype=complex)
+    j = np.arange(m)
+    joint[:, j, :, j] = [h.matrix for h in ens.hamiltonians]
     return Dilation(
         env_dim=m,
         h_system=hbar,
         couplings=couplings,
         env_state=env_state,
-        h_joint=HermitianOperator(joint),
+        h_joint=HermitianOperator(joint.reshape(d * m, d * m)),
         probs=ens.probs,
     )
 
@@ -271,14 +280,8 @@ def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, t: float):
     u = unitary_at(dil.h_joint, t)
     jt = u @ joint0.matrix @ u.conj().T
     jt = 0.5 * (jt + jt.conj().T)
-    blocks = jt.reshape(d, dil.env_dim, d, dil.env_dim)
-    off_max = 0.0
-    for j in range(dil.env_dim):
-        for k in range(dil.env_dim):
-            if j != k:
-                off_max = max(off_max, float(np.max(np.abs(blocks[:, j, :, k]))))
     reduced = partial_trace(DensityMatrix(jt), (d, dil.env_dim), keep="s")
-    return reduced, off_max <= 1e-10
+    return reduced, _env_coherence(jt, d, dil.env_dim) <= 1e-10
 
 
 def cnot_mixture(a: float, j_coupling: float, t: float, rho0: DensityMatrix) -> DensityMatrix:

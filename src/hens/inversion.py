@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import DephasingSeries, ohmic_series, symmetry_residual, time_grid
+from .dephasing import DephasingSeries, ohmic_series, symmetry_residual
 from .ensemble import SpectralEnsemble
 
 
@@ -85,8 +85,7 @@ def _as_omega_weights(dist):
     return np.asarray(omega, dtype=float), np.asarray(weights, dtype=float)
 
 
-def forward_ft(dist, grid: np.ndarray,
-               omega0: float = 0.0, model_tag: str = "ensemble") -> DephasingSeries:
+def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     """Dephasing series phi(t) = int p(w) e^{i w t} dw of a real distribution.
 
     Uses the exact FFT pair when the input lives on the conjugate grid of
@@ -127,7 +126,7 @@ def forward_ft(dist, grid: np.ndarray,
     mass = float(np.real(values[n // 2]))
     if abs(mass - 1.0) > 1e-6:
         raise ValueError("input mass differs from 1 beyond tolerance")
-    return DephasingSeries(grid, values / mass, omega0=omega0, model_tag=model_tag)
+    return DephasingSeries(grid, values / mass, model_tag="ensemble")
 
 
 def inverse_ft(series: DephasingSeries) -> QuasiDistribution:
@@ -186,12 +185,11 @@ def bochner_witness(series: DephasingSeries, times) -> BochnerReport:
 
 
 def bochner_search(series: DephasingSeries, restarts: int, seed: int,
-                   window: float | None = None, max_size: int = 8,
-                   stop_below: float | None = None):
+                   max_size: int = 8, stop_below: float | None = None):
     """Randomized search for a Gram matrix with a negative floor.
 
     Time sets of size 2..max_size are drawn uniformly from the grid points in
-    [0, window] (default window: a quarter of the series span).  Returns
+    [0, t_max / 4], a quarter of the series span.  Returns
     (best report, restarts used).  Raises ValueError unless restarts >= 1 and
     max_size >= 2.
     """
@@ -199,10 +197,7 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
         raise ValueError("restarts must be at least 1")
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    if window is None:
-        window = 0.25 * series.t_max
-    dt = series.dt
-    k_hi = int(window / dt)
+    k_hi = int(0.25 * series.t_max / series.dt)
     n0 = series.n // 2
     rng = np.random.default_rng(seed)
     best = None
@@ -219,7 +214,7 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
     return best, used
 
 
-def negativity_landscape(omega_c: float, phases, omega_window, grid: np.ndarray | None = None):
+def negativity_landscape(omega_c: float, phases, omega_window, grid: np.ndarray):
     """Negative part of the recovered extended-model distribution over (w, phase).
 
     For each phase, builds the closed-form Ohmic extended series, inverts it,
@@ -227,8 +222,6 @@ def negativity_landscape(omega_c: float, phases, omega_window, grid: np.ndarray 
     (omega, phases, matrix) with matrix shape (len(omega), len(phases)).
     """
     phases = np.asarray(phases, dtype=float)
-    if grid is None:
-        grid = time_grid(200.0 / omega_c, 1 << 16)
     lo, hi = float(omega_window[0]), float(omega_window[1])
     omega_full = conjugate_frequency_grid(grid)
     mask = (omega_full >= lo) & (omega_full <= hi)

@@ -166,6 +166,14 @@ class TestLandscape:
         rc = run("landscape", "--mode", "conventional", "--output-dir", str(tmp_path))
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--phase", "--omega0"])
+    def test_series_flags_rejected(self, tmp_path, capsys, flag):
+        # the landscape sweeps every phase and has no level splitting
+        with pytest.raises(SystemExit) as exc:
+            run("landscape", flag, "1.3", "--output-dir", str(tmp_path))
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestWitness:
     def test_conventional_stays_positive(self, tmp_path):
@@ -262,6 +270,20 @@ class TestSimulate:
         cons = json.load(open(out / "consistency.json"))
         assert cons["pairwise_max_trace_distance"]["he_vs_master"] < 1e-4
 
+    def test_spectral_master_propagates_only_output_window(self, tmp_path):
+        # phi of this 257-row table vanishes near |t| = 67.9, far beyond the output
+        # times; 257 is not a power of two, so forward_ft sums directly
+        write_inputs(tmp_path)
+        for count in ("4", "1"):
+            out = tmp_path / f"run{count}"
+            rc = run("simulate", "--ensemble-kind", "spectral",
+                     "--ensemble-path", str(tmp_path / "dist.csv"),
+                     "--paths", "he,master", "--times-t-max", "3", "--times-count", count,
+                     "--output-dir", str(out))
+            assert rc == 0
+            cons = json.load(open(out / "consistency.json"))
+            assert cons["pairwise_max_trace_distance"]["he_vs_master"] < 1e-8
+
     def test_quasi_distribution_exits_four(self, tmp_path, capsys):
         inv = tmp_path / "inv"
         assert run("invert", "--mode", "extended", "--phase", str(np.pi / 4),
@@ -332,6 +354,8 @@ def write_inputs(d):
 
 
 SMALL_GRID = ["--grid-t-max", "16", "--grid-n", "256"]
+# what stderr must name where the failing layer's own message would not
+BAD_VALUE_MESSAGES = {"huge-temperature": "decoherence exponent"}
 SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/dist.csv"]
 
 
@@ -352,6 +376,9 @@ SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/d
                  id="tiny-omega-c"),
     pytest.param(["dephase", "--model-temperature", "1e-300", "--grid-n", "256"],
                  id="tiny-temperature"),
+    # knot exponents ~1e302: their spline slopes overflow
+    pytest.param(["dephase", "--model-temperature", "1e300", *SMALL_GRID],
+                 id="huge-temperature"),
     pytest.param(["dephase", "--model-kind", "tabulated", "--model-path", "{d}/nan_j.txt"],
                  id="nan-model-table"),
     pytest.param(["invert", "--series-path", "{d}/nan_series.csv"], id="nan-series"),
@@ -366,12 +393,13 @@ SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/d
     pytest.param([*SPECTRAL, "--paths", "mc", "--mc-samples", "0"], id="zero-samples"),
     pytest.param([*SPECTRAL, "--paths", "dilation", "--ensemble-bins", "0"], id="zero-bins"),
 ])
-def test_bad_values_exit_two(tmp_path, capsys, argv):
+def test_bad_values_exit_two(tmp_path, capsys, request, argv):
     write_inputs(tmp_path)
     rc = run(*[a.format(d=tmp_path) for a in argv], "--output-dir", str(tmp_path / "out"))
     assert rc == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
+    assert BAD_VALUE_MESSAGES.get(request.node.callspec.id, "") in err
 
 
 def test_huge_temperature_ends(tmp_path):

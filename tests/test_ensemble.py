@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hens.ensemble import (
+    Dilation,
     HamiltonianEnsemble,
     SpectralEnsemble,
+    _env_coherence,
     cnot_ensemble,
     cnot_mixture,
     dilate,
@@ -14,6 +16,7 @@ from hens.ensemble import (
     spectral_average,
 )
 from hens.qdyn import (
+    DensityMatrix,
     HermitianOperator,
     PAULI_X,
     PAULI_Z,
@@ -34,6 +37,17 @@ def random_qubit_ensemble(rng, n_members):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         hams.append(HermitianOperator(0.5 * (a + a.conj().T)))
     return HamiltonianEnsemble(p, tuple(hams))
+
+
+def loop_env_coherence(matrix, d, env_dim):
+    """Reference check: one np.max per environment-off-diagonal block."""
+    blocks = matrix.reshape(d, env_dim, d, env_dim)
+    off_max = 0.0
+    for j in range(env_dim):
+        for k in range(env_dim):
+            if j != k:
+                off_max = max(off_max, float(np.max(np.abs(blocks[:, j, :, k]))))
+    return off_max
 
 
 def gaussian_spectral(sigma=1.0, span=8.0, n=2001):
@@ -218,6 +232,33 @@ class TestDilation:
         ens = random_qubit_ensemble(rng, 3)
         reduced, _ = joint_evolve_reduce(dilate(ens), PLUS, 0.0)
         assert trace_distance(reduced, PLUS) < 1e-14
+
+    def test_env_coherence_matches_loop_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for d, m in ((1, 1), (2, 1), (1, 5), (2, 2), (3, 4), (2, 64)):
+            a = rng.normal(size=(d * m, d * m)) + 1j * rng.normal(size=(d * m, d * m))
+            rho = a @ a.conj().T
+            joint = DensityMatrix(rho / np.trace(rho)).matrix
+            assert _env_coherence(joint, d, m) == loop_env_coherence(joint, d, m)
+        ens = random_qubit_ensemble(rng, 6)
+        joint = dilate(ens).h_joint.matrix
+        assert _env_coherence(joint, 2, 6) == loop_env_coherence(joint, 2, 6) == 0.0
+
+    def test_rejects_non_classical_construction(self):
+        ens = random_qubit_ensemble(np.random.default_rng(17), 3)
+        dil = dilate(ens)
+        fields = dict(env_dim=dil.env_dim, h_system=dil.h_system, couplings=dil.couplings,
+                      env_state=dil.env_state, h_joint=dil.h_joint, probs=dil.probs)
+        Dilation(**fields)
+        shifted = tuple(HermitianOperator(v.matrix + 0.1 * PAULI_X) for v in dil.couplings)
+        with pytest.raises(ValueError, match="centered"):
+            Dilation(**{**fields, "couplings": shifted})
+        # an environment flip term couples the bins: not environment-diagonal
+        flip = np.zeros((3, 3))
+        flip[0, 1] = flip[1, 0] = 1e-3
+        h_joint = HermitianOperator(dil.h_joint.matrix + np.kron(PAULI_Z, flip))
+        with pytest.raises(ValueError, match="environment-diagonal"):
+            Dilation(**{**fields, "h_joint": h_joint})
 
     def test_unitality(self):
         rng = np.random.default_rng(13)
