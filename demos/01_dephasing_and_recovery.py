@@ -19,7 +19,8 @@ from hens import (
 
 model = SpectralDensityModel.ohmic(omega_c=1.0)
 
-# The decoherence exponent from oscillation-aware quadrature, next to the
+# The decoherence exponent from a Filon-type rule (one sampling of the spectral
+# density, exact Legendre moments on the oscillatory panels), next to the
 # analytic closed form 2 ln(1 + wc^2 t^2) it must agree with.
 print("decoherence exponent, quadrature vs closed form")
 for t in (0.5, 1.0, 5.0, 20.0):

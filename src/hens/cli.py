@@ -50,6 +50,7 @@ from .inversion import (
     forward_ft,
     inverse_ft,
     negativity_landscape,
+    on_conjugate_grid,
 )
 from .qdyn import DensityMatrix, HermitianOperator, maximally_mixed, pure_state, trace_distance
 
@@ -461,15 +462,22 @@ def cmd_simulate(cfg: dict) -> int:
                 grid = time_grid(np.pi / (omega[1] - omega[0]), n_om)
             else:
                 grid = build_grid(cfg)
+            if times.max() > grid[-1]:  # before the grid indices below can overflow
+                raise ConfigError("output times exceed the master-equation grid")
+            dt = float(grid[1] - grid[0])
+            stride = 2.0 * dt
+            k_idx = np.rint(times / stride).astype(int)
+            # grid points 0..last, at least one RK4 step; the centered
+            # differences there reach from -dt to (last + 1) dt
+            last = max(2 * int(k_idx.max()), 2)
+            if not on_conjugate_grid(omega, grid):
+                # direct summation costs one row per time: sum only the smallest
+                # symmetric power-of-two subgrid that holds that reach
+                half = min(grid.size, 1 << (2 * last + 3).bit_length()) // 2
+                grid = grid[grid.size // 2 - half : grid.size // 2 + half]
             try:
                 series = forward_ft((omega, weights), grid)
-                stride = 2.0 * series.dt
-                k_idx = np.rint(times / stride).astype(int)
-                # grid points 0..last, at least one RK4 step; the centered
-                # differences there reach from -dt to (last + 1) dt
-                last = max(2 * int(k_idx.max()), 2)
-                t_all, eps, gam = master_coeffs(series, -1.5 * series.dt,
-                                                (last + 1.5) * series.dt)
+                t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
             except CoefficientSingularityError as exc:
                 print(f"hens simulate: {exc}", file=sys.stderr)
                 return 3

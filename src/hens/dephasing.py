@@ -4,43 +4,56 @@ The decoherence exponent is the oscillatory frequency integral
 
     Phi(t) = 4 * int_0^inf J(w)/w^2 * coth(w / 2T) * (1 - cos(w t)) dw
 
-evaluated with composite Gauss-Legendre panels whose width respects the
-oscillation bound pi / (4|t|).  ``_panel_nodes`` cuts every interval of the
-base partition (the table knots, or [0, omega_max], split at 4T) into equal
-panels in one vectorized pass, with the same edge arithmetic as one
-``np.linspace`` per interval.  The extended two-qubit model adds an odd phase
-angle built from the companion integrals int 4J/w^2 (w t - sin w t) dw and the
-T=0 exponent; ``_knot_integrals`` returns the even (1 - cos) and the odd sine
-integral of one time from one node set and one evaluation of 4J/w^2, so the
-extended series and ``extended_phase`` share one evaluator.  Every series on a
-dense symmetric time grid comes from one adaptive spline: the exponent, or the
-extended model's (Phi, sine) pair as two columns of the same knots, is sampled
-at adaptively refined times and interpolated with a verified cubic spline.
-The knot tolerance is weighted by e^{+Phi} because only e^{-Phi} * dPhi (and
-e^{-Phi} * d theta) reaches the series values.
+evaluated by a Filon-type rule whose cost does not grow with t (Filon 1928;
+Iserles & Norsett 2005).  ``_FilonRule`` samples g = 4 J/w^2 coth(w/2T) once
+per model on a t-independent partition: the panels of ``_panel_edges(model,
+0)`` (the table knots, or [0, omega_max], split at 4T and cut into equal
+panels in one vectorized pass), graded geometrically near w = 0 so that each
+panel lies at least two of its widths from the singularity of g.  At each t
+every panel wider than the oscillation bound pi / (4t) integrates the
+degree-15 Legendre interpolant of g against 1 - e^{i w t} exactly; the
+narrower panels and the panel touching w = 0 keep Gauss-Legendre.  One complex
+sum gives the even (1 - cos) integral and the odd sine integral, so the
+conventional and extended series, ``decoherence_exponent`` and
+``extended_phase`` share one evaluator.  The extended two-qubit model builds
+its odd phase angle from int 4J/w^2 (w t - sin w t) dw and the T=0 exponent.
+Every series on a dense symmetric time grid comes from one adaptive spline:
+the exponent, or the extended model's (Phi, sine) pair as two columns of the
+same knots, is sampled at adaptively refined times and interpolated with a
+verified cubic spline.  The knot tolerance is weighted by e^{+Phi} because
+only e^{-Phi} * dPhi (and e^{-Phi} * d theta) reaches the series values.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 from scipy.interpolate import CubicSpline
+from scipy.special import spherical_jn
 
 from .qdyn import PAULI_Z, DensityMatrix
 
 SERIES_SYM_TOL = 1e-12
 SERIES_UNIT_TOL = 1e-12
 TAIL_EPS = 1e-12
-MAX_PANELS = 1 << 18  # 4.2M nodes per integral, ~16x what the Ohmic model needs at t = 200
+MAX_PANELS = 1 << 18  # panels of one partition, or of the w = 0 panel cut at one time
 KNOT_TOL = 1e-9
 PHI_NEGLIGIBLE = 37.0  # e^{-37} < 1e-16: the series no longer resolves Phi or the phase
 
+GRADE = 1.5  # b / a <= 1.5: a panel [a, b] lies at least two of its widths from w = 0
+ZERO_PANEL = 2.0 ** -10  # width of the w = 0 panel, as a fraction of the first panel's
+
 _GL_X, _GL_W = leggauss(16)
+_DEGREES = np.arange(16)
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j] * 4)  # i^n
+# a_n = sum_k g(x_k) _LEGENDRE[k, n]: the Legendre coefficients of the degree-15
+# interpolant of the values g(x_k) at the nodes
+_LEGENDRE = legvander(_GL_X, 15) * _GL_W[:, None] * (_DEGREES + 0.5)
 
 
 class CoefficientSingularityError(ValueError):
@@ -126,15 +139,16 @@ class SpectralDensityModel:
         return float(self.table_omega[-1] - self.table_omega[0])
 
 
-def _panel_nodes(model: SpectralDensityModel, t: float):
-    """Gauss-Legendre nodes/weights on [0, omega_max] resolving J, coth and e^{i w t}.
+def _panel_edges(model: SpectralDensityModel, t: float) -> np.ndarray:
+    """Panel edges on [0, omega_max] resolving J, coth and, for t != 0, e^{i w t}.
 
-    Every interval [a, b] of the base partition is cut into k equal panels, and
-    all intervals are built in one pass with the arithmetic of
-    ``np.linspace(a, b, k + 1)``: edge j is j * ((b - a) / k) + a, the last is b.
+    Every interval of the base partition (the table knots, or [0, omega_max],
+    split at 4T) gets panels no wider than half the model's width, 0.5 T
+    below 4T and, for t != 0, the oscillation bound pi / (4|t|).
     """
-    osc = np.pi / (4.0 * abs(t)) if t != 0.0 else np.inf
-    cap = min(0.5 * model.omega_scale(), osc)
+    cap = 0.5 * model.omega_scale()
+    if t != 0.0:
+        cap = min(cap, np.pi / (4.0 * abs(t)))
     if model.kind == "tabulated":
         base = np.unique(np.concatenate([[0.0], model.table_omega]))
     else:
@@ -142,10 +156,19 @@ def _panel_nodes(model: SpectralDensityModel, t: float):
     temp = model.temperature
     if temp > 0.0:
         base = np.unique(np.concatenate([base, [min(4.0 * temp, base[-1])]]))
-    a, b = base[:-1], base[1:]
-    width = np.full(a.size, cap)
+    width = np.full(base.size - 1, cap)
     if temp > 0.0:
-        width[a < 4.0 * temp] = min(cap, 0.5 * temp)
+        width[base[:-1] < 4.0 * temp] = min(cap, 0.5 * temp)
+    return _cut(base, width, t)
+
+
+def _cut(base: np.ndarray, width: np.ndarray, t: float) -> np.ndarray:
+    """Edges cutting every interval [a, b] of base into k = ceil((b - a) / width) equal panels.
+
+    All intervals are cut in one pass with the arithmetic of
+    ``np.linspace(a, b, k + 1)``: edge j is j * ((b - a) / k) + a, the last is b.
+    """
+    a, b = base[:-1], base[1:]
     span = b - a
     k = np.maximum(np.ceil(span / width), 1.0)
     if not k.sum() <= MAX_PANELS:
@@ -158,68 +181,127 @@ def _panel_nodes(model: SpectralDensityModel, t: float):
     e[0] = base[0]
     e[1:] = j * np.repeat(span / k, k) + np.repeat(a, k)
     e[ends] = b
+    return e
+
+
+def _gauss_legendre(e: np.ndarray):
+    """16-point Gauss-Legendre nodes and weights, shape (panels, 16), on the panels of edges e."""
     c = 0.5 * (e[1:] + e[:-1])
     h = 0.5 * (e[1:] - e[:-1])
-    nodes = (c[:, None] + h[:, None] * _GL_X[None, :]).ravel()
-    weights = (h[:, None] * _GL_W[None, :]).ravel()
-    return nodes, weights
+    return c[:, None] + h[:, None] * _GL_X, h[:, None] * _GL_W
 
 
-def _finite_integrand(integral):
-    """Turn an overflow, a division by zero or a NaN in integral(model, t) into a ValueError."""
-    @functools.wraps(integral)
-    def checked(model: SpectralDensityModel, t: float):
-        try:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                return integral(model, t)
-        except FloatingPointError as exc:
-            raise ValueError(f"decoherence exponent at t = {t!r} is not representable "
-                             f"in floating point ({exc})") from None
-    return checked
+def _panel_nodes(model: SpectralDensityModel, t: float):
+    """Flat Gauss-Legendre nodes/weights on the panels of ``_panel_edges(model, t)``."""
+    nodes, weights = _gauss_legendre(_panel_edges(model, t))
+    return nodes.ravel(), weights.ravel()
 
 
-@_finite_integrand
-def _one_minus_cos_integral(model: SpectralDensityModel, t: float) -> float:
-    """int_0^inf 4 J/w^2 coth(w/2T) (1 - cos w t) dw, even in t (coth = 1 at T = 0)."""
-    t = abs(float(t))
-    if t == 0.0:
-        return 0.0
-    nodes, weights = _panel_nodes(model, t)
-    f = 4.0 * model.density(nodes) / nodes**2 * (2.0 * np.sin(0.5 * nodes * t) ** 2)
-    if model.temperature > 0.0:
-        f = f * _coth(nodes / (2.0 * model.temperature))
-    return max(float(f @ weights), 0.0)
+def _graded(e: np.ndarray) -> np.ndarray:
+    """Edges e from ZERO_PANEL * e[1] on, with every panel [a, b] that is nearer to
+    w = 0 than two of its widths split geometrically into pieces with b / a <= GRADE."""
+    a = np.concatenate([[ZERO_PANEL * e[1]], e[1:-1]])
+    b = e[1:]
+    n = np.ceil(np.log(b / a) / math.log(GRADE)).astype(np.int64)
+    ends = np.cumsum(n)
+    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - n, n)
+    out = np.empty(ends[-1] + 1)
+    out[0] = a[0]
+    out[1:] = np.repeat(a, n) * np.repeat(b / a, n) ** (j / np.repeat(n, n))
+    out[ends] = b
+    return out
 
 
-@_finite_integrand
-def _knot_integrals(model: SpectralDensityModel, t: float) -> tuple[float, float]:
-    """The T = 0 (1 - cos) and the sine integral at t, as (even, odd), from one node set.
+@contextlib.contextmanager
+def _representable(t: float | None):
+    """Turn an overflow, a division by zero or a NaN into a ValueError naming the exponent."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        where = "" if t is None else f" at t = {t!r}"
+        raise ValueError(f"decoherence exponent{where} is not representable "
+                         f"in floating point ({exc})") from None
 
-    even = int 4 J/w^2 (1 - cos w t) dw and odd = int 4 J/w^2 sin(w t) dw share
-    the nodes and the factor 4 J/w^2.
+
+class _FilonRule:
+    """The frequency integrals of one model, from one sampling of g = 4 J/w^2 coth(w/2T).
+
+    ``integrals(t)`` returns (even, odd) = (int g (1 - cos w t) dw,
+    int g sin(w t) dw); coth = 1 at T = 0, where odd is the extended model's
+    sine integral.  g is sampled once at the 16 Gauss-Legendre nodes of every
+    panel of ``_graded(_panel_edges(model, 0))``.  On a panel [c - h, c + h],
+    int g (1 - e^{iwt}) dw = h [(1 - e^{ict}) (G - B) + B], where G = int g dx
+    and B = int g (1 - e^{ihtx}) dx over x in [-1, 1] is a weighted sum of the
+    16 samples whose weights depend only on ht.  For a panel wider than the
+    oscillation bound pi / (4t) they integrate the degree-15 interpolant of g
+    exactly, through the Legendre moments int P_n(x) e^{ihtx} dx = 2 i^n j_n(ht)
+    (a Filon-type rule, so the cost of a time does not grow with t); a
+    narrower panel takes its Gauss-Legendre weights.  Weights are computed
+    once per distinct half-width.  g is singular at w = 0, so the panel
+    touching it is never integrated through moments: once it is wider than
+    the oscillation bound it is cut into Gauss-Legendre panels under the bound.
     """
-    s = math.copysign(1.0, t) if t != 0.0 else 0.0
-    t = abs(float(t))
-    if t == 0.0:
-        return 0.0, 0.0
-    nodes, weights = _panel_nodes(model, t)
-    g = 4.0 * model.density(nodes) / nodes**2
-    even = g * (2.0 * np.sin(0.5 * nodes * t) ** 2) @ weights
-    odd = g * np.sin(nodes * t) @ weights
-    return max(float(even), 0.0), s * float(odd)
 
+    def __init__(self, model: SpectralDensityModel):
+        self.model = model
+        e = np.concatenate([[0.0], _graded(_panel_edges(model, 0.0))])
+        self.zero = e[1]  # the panel touching w = 0 is [0, zero]
+        self.c = 0.5 * (e[1:] + e[:-1])
+        self.h = 0.5 * (e[1:] - e[:-1])
+        self.widths, self.width_of = np.unique(self.h, return_inverse=True)
+        nodes, weights = _gauss_legendre(e)
+        with _representable(None):
+            self.g = self._g(nodes)
+            self.g_sum = self.g @ _GL_W  # G of every panel
+            # int 4 J/w dw at T = 0, the linear-in-t part of the drift integral
+            self.inverse_frequency_mass = float(np.sum(self.g * nodes * weights))
 
-def _inverse_frequency_mass(model: SpectralDensityModel) -> float:
-    """int_0^inf 4 J/w dw (the linear-in-t part of the drift integral)."""
-    nodes, weights = _panel_nodes(model, 0.0)
-    f = 4.0 * model.density(nodes) / nodes
-    return float(f @ weights)
+    def _g(self, w: np.ndarray) -> np.ndarray:
+        g = 4.0 * self.model.density(w) / w**2
+        if self.model.temperature > 0.0:
+            g = g * _coth(w / (2.0 * self.model.temperature))
+        return g
+
+    def integrals(self, t: float) -> tuple[float, float]:
+        s = math.copysign(1.0, t) if t != 0.0 else 0.0
+        t = abs(float(t))
+        if t == 0.0:
+            return 0.0, 0.0
+        cap = np.pi / (4.0 * t)
+        with _representable(t):
+            even = odd = 0.0
+            p = 0  # the first panel of the sum below
+            if self.zero > cap:
+                w, weights = _gauss_legendre(_cut(np.array([0.0, self.zero]),
+                                                  np.array([cap]), t))
+                gw = self._g(w) * weights
+                even = np.sum(gw * (2.0 * np.sin(0.5 * w * t) ** 2))
+                odd = np.sum(gw * np.sin(w * t))
+                p = 1
+            # the weights of B, one row per distinct half-width
+            x = self.widths * t
+            n = int(np.searchsorted(x, np.pi / 8.0, side="right"))
+            v = np.empty((x.size, 16), dtype=complex)
+            xk = x[:n, None] * _GL_X
+            v[:n] = _GL_W * (2.0 * np.sin(0.5 * xk) ** 2 - 1j * np.sin(xk))
+            if n < x.size:
+                x = x[n:]
+                mu = -2.0 * _I_POWERS * spherical_jn(_DEGREES, x[:, None])
+                mu[:, 0] = 2.0 * (1.0 - np.sin(x) / x)  # x > pi/8: no cancellation
+                v[n:] = mu @ _LEGENDRE.T
+            b = np.einsum("pk,pk->p", self.g[p:], v[self.width_of[p:]])
+            ct = self.c[p:] * t
+            z = (2.0 * np.sin(0.5 * ct) ** 2 - 1j * np.sin(ct)) * (self.g_sum[p:] - b) + b
+            total = self.h[p:] @ z
+        return max(float(even + total.real), 0.0), s * float(odd - total.imag)
 
 
 def decoherence_exponent(model: SpectralDensityModel, t):
     """Nonnegative exponent controlling |phi(t)| = e^{-Phi(t)}; even, Phi(0) = 0."""
     ts = np.asarray(t, dtype=float)
-    out = np.array([_one_minus_cos_integral(model, x) for x in ts.ravel()])
+    rule = _FilonRule(model)
+    out = np.array([rule.integrals(x)[0] for x in ts.ravel()])
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
@@ -232,32 +314,35 @@ def extended_phase(model: SpectralDensityModel, phase: float, t):
     if model.temperature != 0.0:
         raise ValueError("extended model implemented at T=0 only")
     ts = np.asarray(t, dtype=float)
-    c1 = _inverse_frequency_mass(model)
+    rule = _FilonRule(model)
     vals = []
     for x in ts.ravel():
-        even, odd = _knot_integrals(model, x)
-        drift = c1 * x - odd
+        even, odd = rule.integrals(x)
+        drift = rule.inverse_frequency_mass * x - odd
         vals.append(math.cos(phase) * drift + np.sign(x) * math.sin(phase) * even)
     out = np.array(vals)
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
 def _adaptive_curve(f, t_hi: float) -> CubicSpline:
-    """Cubic spline of f on [0, t_hi] from adaptively refined quadrature knots.
+    """Cubic spline of f on [0, t_hi] from adaptively refined knots.
 
     f(t) is the exponent Phi(t), or a tuple (Phi(t), ...) whose further
-    entries become further columns of the same knots and spline.  Every
-    midpoint is checked against a local cubic through the four nearest knots
-    (kept in a sorted list), and its interval is split when any column misses
-    KNOT_TOL * e^{+Phi} (Phi at the midpoint, the weight capped at 1e16).  An
-    interval is accepted without that check once Phi and its local estimate at
-    the midpoint both reach PHI_NEGLIGIBLE, or once it is no longer than
-    t_hi * 2^-36.
+    entries become further columns of the same knots and spline.  The base
+    knots are 32 uniform and 32 geometric intervals, without knots closer than
+    1e-9 t_hi to the previous one.  Every midpoint is checked against the
+    cubic through the four nearest knots (kept in a sorted list; the closed
+    Lagrange form of what a not-a-knot spline through them gives), and its
+    interval is split when any column misses KNOT_TOL * e^{+Phi} (Phi at the
+    midpoint, the weight capped at 1e16).  An interval is accepted without
+    that check once Phi and its local estimate at the midpoint both reach
+    PHI_NEGLIGIBLE, or once it is no longer than t_hi * 2^-36.
     """
-    xs = np.unique(np.concatenate([  # 32 uniform and 32 geometric base intervals
+    xs = np.unique(np.concatenate([
         np.linspace(0.0, t_hi, 33),
         np.geomspace(t_hi * 2.0 ** -12, t_hi, 33),
     ]))
+    xs = xs[np.concatenate([[True], np.diff(xs) > 1e-9 * t_hi])]
     xs = np.concatenate([[0.0], xs[xs > 0.0]])
     vals = {float(x): np.asarray(f(float(x))) for x in xs}
     ks = sorted(vals)
@@ -271,8 +356,14 @@ def _adaptive_curve(f, t_hi: float) -> CubicSpline:
         lo = max(0, i - 2)
         hi = min(len(ks), lo + 4)
         lo = max(0, hi - 4)
-        sub = ks[lo:hi]
-        est = _knot_spline(sub, vals)(m)
+        # Lagrange form in u = (x - x0) / (x3 - x0), whose products cannot underflow
+        x0, x1, x2, x3 = ks[lo:hi]
+        span = x3 - x0
+        u1, u2, s = (x1 - x0) / span, (x2 - x0) / span, (m - x0) / span
+        est = (vals[x0] * ((s - u1) * (s - u2) * (1.0 - s) / (u1 * u2))
+               + vals[x1] * (s * (s - u2) * (s - 1.0) / (u1 * (u1 - u2) * (u1 - 1.0)))
+               + vals[x2] * (s * (s - u1) * (s - 1.0) / (u2 * (u2 - u1) * (u2 - 1.0)))
+               + vals[x3] * (s * (s - u1) * (s - u2) / ((1.0 - u1) * (1.0 - u2))))
         if m not in vals:
             ks.insert(i, m)
         vals[m] = fm
@@ -367,8 +458,8 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
                            grid: np.ndarray) -> DephasingSeries:
     """Series exp(i omega0 t - Phi(t)) on the given symmetric grid."""
     grid = np.asarray(grid, dtype=float)
-    spline = _adaptive_curve(lambda x: _one_minus_cos_integral(model, x),
-                             float(np.max(np.abs(grid))))
+    rule = _FilonRule(model)
+    spline = _adaptive_curve(lambda x: rule.integrals(x)[0], float(np.max(np.abs(grid))))
     exponent = np.clip(spline(np.abs(grid)), 0.0, None)
     values = np.exp(1j * omega0 * grid - exponent)
     return DephasingSeries(grid, values, omega0=omega0, model_tag="conventional")
@@ -380,12 +471,12 @@ def dephasing_extended(model: SpectralDensityModel, phase: float,
     if model.temperature != 0.0:
         raise ValueError("extended model implemented at T=0 only")
     grid = np.asarray(grid, dtype=float)
-    spline = _adaptive_curve(lambda x: _knot_integrals(model, x), float(np.max(np.abs(grid))))
-    c1 = _inverse_frequency_mass(model)
+    rule = _FilonRule(model)
+    spline = _adaptive_curve(rule.integrals, float(np.max(np.abs(grid))))
     s = np.sign(grid)
     even, odd = spline(np.abs(grid)).T
     exponent = np.clip(even, 0.0, None)
-    drift = c1 * grid - s * odd
+    drift = rule.inverse_frequency_mass * grid - s * odd
     theta = math.cos(phase) * drift + s * math.sin(phase) * exponent
     values = np.exp(-1j * theta - exponent)
     return DephasingSeries(grid, values, omega0=0.0, model_tag="extended", phase=float(phase))

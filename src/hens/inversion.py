@@ -76,6 +76,18 @@ def conjugate_frequency_grid(times: np.ndarray) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(times.size, d=dt))
 
 
+def on_conjugate_grid(omega: np.ndarray, grid: np.ndarray) -> bool:
+    """True when omega is the FFT conjugate of the symmetric time grid (same size, centered)."""
+    n = grid.size
+    dt = float(grid[1] - grid[0])
+    domega = float(omega[1] - omega[0])
+    return bool(
+        omega.size == n
+        and abs(domega * dt * n - 2.0 * np.pi) <= 1e-9 * 2.0 * np.pi
+        and abs(omega[n // 2]) <= 1e-9 * max(abs(omega[-1]), 1.0)
+    )
+
+
 def _as_omega_weights(dist):
     if isinstance(dist, QuasiDistribution):
         return dist.omega, dist.values
@@ -98,15 +110,8 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
         raise ValueError("weights must be real")
     grid = np.asarray(grid, dtype=float)
     n = grid.size
-    dt = float(grid[1] - grid[0])
     domega = float(omega[1] - omega[0])
-
-    conjugate = (
-        omega.size == n
-        and abs(domega * dt * n - 2.0 * np.pi) <= 1e-9 * 2.0 * np.pi
-        and abs(omega[n // 2]) <= 1e-9 * max(abs(omega[-1]), 1.0)
-    )
-    if conjugate:
+    if on_conjugate_grid(omega, grid):
         values = domega * n * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(weights)))
     else:
         if omega.size * n > 1 << 28:

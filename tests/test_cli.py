@@ -390,6 +390,7 @@ SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/d
     pytest.param(["simulate", "--config", "{d}/nan_member.json"], id="nan-member"),
     pytest.param(["simulate", "--ensemble-kind", "spectral",
                   "--ensemble-path", "{d}/nan_dist.csv"], id="nan-ensemble"),
+    pytest.param([*SPECTRAL, "--paths", "he,master", "--times-t-max", "1e300"], id="huge-times"),
     pytest.param([*SPECTRAL, "--paths", "mc", "--mc-samples", "0"], id="zero-samples"),
     pytest.param([*SPECTRAL, "--paths", "dilation", "--ensemble-bins", "0"], id="zero-bins"),
 ])
@@ -420,9 +421,10 @@ def test_dephase_exit_codes_hold_for_special_floats(tmp_path_factory):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0])
-    # Node counts grow with omega_c * t_max, so the finite grid draws stay in
-    # [-20, 20] to keep each run well under a second (the huge-t-max bad-value
-    # case covers the panel limit); the model draws add the extremes.
+    # Only the w = 0 panel's node count grows with omega_c * t_max; the finite
+    # grid draws stay in [-20, 20] to keep each run well under a second (the
+    # huge-t-max bad-value case covers the panel limit); the model draws add
+    # the extremes.
     small = special | st.floats(-20.0, 20.0)
     model = small | st.sampled_from([1e300, -1e300, 1e-300])
 

@@ -18,8 +18,8 @@ from hens.dephasing import (
     ohmic_series,
     propagate_master,
     time_grid,
-    _knot_integrals,
-    _one_minus_cos_integral,
+    _FilonRule,
+    _coth,
     _panel_nodes,
 )
 from hens.qdyn import maximally_mixed, pure_state, trace_distance
@@ -88,6 +88,20 @@ class TestDecoherenceExponent:
             exact = float(mp.quad(f, pts))
             assert abs(decoherence_exponent(model, t) - exact) < 1e-8
 
+    def test_low_temperature_against_mpmath(self):
+        # coth(w/2T) - 1 ~ 2 e^{-w/T} falls off within a few T: at T = 1e-3 the
+        # panel just above 4T is half a unit wide and needs the grading near 0
+        mp = pytest.importorskip("mpmath")
+        temp = 1e-3
+        model = SpectralDensityModel.ohmic(1.0, temperature=temp)
+        for t in (1.0, 5.0):
+            f = lambda w: (4.0 * mp.exp(-w) / w) * mp.coth(w / (2 * temp)) \
+                * (1 - mp.cos(w * t))
+            pts = [0] + [temp * 2**k for k in range(7)] + [k * 0.5 for k in range(1, 81)] \
+                + [mp.inf]
+            exact = float(mp.quad(f, pts))
+            assert abs(decoherence_exponent(model, t) - exact) < 1e-10
+
     def test_tabulated_tracks_ohmic(self):
         om = np.linspace(0.0, 40.0, 16001)
         model = SpectralDensityModel.tabulated(om, om * np.exp(-om))
@@ -122,19 +136,22 @@ def loop_panel_nodes(model, t):
     return nodes, weights
 
 
+def uneven_table(temperature):
+    rng = np.random.default_rng(5)
+    om = np.concatenate([[0.0, 0.1, 0.3], np.sort(rng.uniform(0.5, 20.0, 150))])
+    return SpectralDensityModel.tabulated(om, om * np.exp(-om), temperature=temperature)
+
+
 def panel_models():
     om = np.linspace(0.0, 40.0, 401)
-    rng = np.random.default_rng(5)
-    uneven = np.concatenate([[0.0, 0.1, 0.3], np.sort(rng.uniform(0.5, 20.0, 150))])
     models = []
     # at T = 100, 4T = 400 lies beyond both frequency ranges and is clipped to their ends
     for temp in (0.0, 0.05, 0.5, 3.0, 100.0):
         models.append(SpectralDensityModel.tabulated(om, om * np.exp(-om), temperature=temp))
         models.append(SpectralDensityModel.ohmic(2.0, temperature=temp))
     # 4T = 0.2 falls inside the table interval [0.1, 0.3]
-    models.append(SpectralDensityModel.tabulated(uneven, uneven * np.exp(-uneven),
-                                                 temperature=0.05))
-    models.append(SpectralDensityModel.tabulated(uneven, uneven * np.exp(-uneven)))
+    models.append(uneven_table(0.05))
+    models.append(uneven_table(0.0))
     return models
 
 
@@ -149,6 +166,31 @@ def sine_integral(model, t):
     return s * float(f @ weights)
 
 
+def gl_integrals(model, t):
+    """Reference (even, odd) pair: Gauss-Legendre panels under the oscillation bound pi/(4t).
+
+    even = int 4 J/w^2 coth(w/2T) (1 - cos w t) dw (coth = 1 at T = 0) and
+    odd = int 4 J/w^2 sin(w t) dw, each on the nodes of ``_panel_nodes(model, t)``.
+    """
+    if t == 0.0:
+        return 0.0, 0.0
+    nodes, weights = _panel_nodes(model, t)
+    f = 4.0 * model.density(nodes) / nodes**2 * (2.0 * np.sin(0.5 * nodes * t) ** 2)
+    if model.temperature > 0.0:
+        f = f * _coth(nodes / (2.0 * model.temperature))
+    return max(float(f @ weights), 0.0), sine_integral(model, t)
+
+
+def oracle_models():
+    om = np.linspace(0.0, 40.0, 401)
+    models = [SpectralDensityModel.ohmic(omega_c, temperature=temp)
+              for omega_c in (1.0, 3.0) for temp in (0.0, 0.7)]
+    models += [SpectralDensityModel.tabulated(om, om * np.exp(-om), temperature=temp)
+               for temp in (0.0, 0.5)]
+    # without the grading near w = 0 this table misses the reference by 1.8e-9 at T = 0
+    return models + [uneven_table(0.0), uneven_table(0.05)]
+
+
 class TestPanelNodes:
     @pytest.mark.parametrize("model", panel_models(), ids=lambda m: f"{m.kind}-T{m.temperature}")
     def test_matches_loop_reference(self, model):
@@ -158,20 +200,31 @@ class TestPanelNodes:
             assert np.array_equal(nodes, ref_nodes)
             assert np.array_equal(weights, ref_weights)
 
-    def test_knot_integrals_share_nodes_bit_for_bit(self):
-        om = np.linspace(0.0, 20.0, 201)
-        for model in (OHMIC1, SpectralDensityModel.tabulated(om, om * np.exp(-om))):
-            for t in (0.0, 0.37, -2.5, 9.0):
-                assert _knot_integrals(model, t) == (
-                    _one_minus_cos_integral(model, t),
-                    sine_integral(model, t),
-                )
+    @pytest.mark.parametrize("model", oracle_models(), ids=lambda m: (
+        f"ohmic{m.omega_c:g}" if m.table_omega is None else f"table{m.table_omega.size}")
+        + f"-T{m.temperature:g}")
+    def test_filon_rule_matches_gauss_legendre(self, model):
+        rule = _FilonRule(model)
+        for t in (0.0, 1e-3, -1e-3, 0.37, -2.5, 9.0, 50.0, 200.0):
+            even, odd = rule.integrals(t)
+            ref_even, ref_odd = gl_integrals(model, t)
+            assert abs(even - ref_even) < 1e-10
+            # at T > 0, coth makes int g sin(w t) dw diverge at w = 0: no reference
+            if model.temperature == 0.0:
+                assert abs(odd - ref_odd) < 1e-10
+
+    def test_filon_rule_matches_closed_forms(self):
         # 4 int e^{-w/wc} sin(w t)/w dw = 4 arctan(wc t)
         for omega_c in (1.0, 3.0):
-            model = SpectralDensityModel.ohmic(omega_c)
+            rule = _FilonRule(SpectralDensityModel.ohmic(omega_c))
             for t in (0.37, -2.5, 9.0, 200.0):
-                odd = _knot_integrals(model, t)[1]
-                assert abs(odd - 4.0 * np.arctan(omega_c * t)) < 1e-9
+                assert abs(rule.integrals(t)[1] - 4.0 * np.arctan(omega_c * t)) < 1e-9
+        # and 4 int e^{-w} (1 - cos w t)/w dw = 2 ln(1 + t^2), far out in t
+        rule = _FilonRule(OHMIC1)
+        for t in (200.0, 1000.0):
+            even, odd = rule.integrals(t)
+            assert abs(even - 2.0 * np.log1p(t * t)) < 1e-11
+            assert abs(odd - 4.0 * np.arctan(t)) < 1e-11
 
     def test_panel_count_is_bounded(self):
         # refused before any node array is allocated
@@ -271,6 +324,22 @@ class TestSeriesConstruction:
             t = g[k]
             exact = np.exp(-1j * extended_phase(model, 0.7, t) - decoherence_exponent(model, t))
             assert abs(s.values[k] - exact) < 1e-9
+
+    def test_tiny_time_grid(self):
+        # knots ~1e-152 apart: the midpoint check's products must not underflow
+        g = time_grid(1e-150, 256)
+        for s in (dephasing_conventional(OHMIC1, 0.0, g), dephasing_extended(OHMIC1, 0.3, g)):
+            assert np.max(np.abs(s.values - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("phase", [None, np.pi / 4])
+    def test_default_grid_matches_closed_form(self, phase):
+        # 2^16 points on [-200, 200): base knots at t = 25 once nearly coincided,
+        # and the spline through that pair set the series' worst error (~1.5e-9)
+        g = time_grid(200.0, 1 << 16)
+        exact = ohmic_series(1.0, g, phase=phase)
+        quad = (dephasing_conventional(OHMIC1, 0.0, g) if phase is None
+                else dephasing_extended(OHMIC1, phase, g))
+        assert np.max(np.abs(exact.values - quad.values)) < 1e-10
 
     @pytest.mark.parametrize("phase", [None, np.pi / 4])
     def test_closed_form_matches_quadrature(self, phase):
