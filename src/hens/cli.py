@@ -42,6 +42,7 @@ from .ensemble import (
     he_average,
     joint_evolve_reduce,
     mc_coherence,
+    require_uniform_grid,
     sample_frequencies,
 )
 from .inversion import (
@@ -69,10 +70,7 @@ DEFAULTS = {
     "phases": {"count": 64},
     "witness": {"restarts": 10000, "max_set_size": 8, "stop_below": None},
     "series": {"path": None},
-    "ensemble": {
-        "kind": None, "members": None, "omega": None, "weights": None,
-        "path": None, "a": 0.5, "j": 1.0, "bins": 32,
-    },
+    "ensemble": {"kind": None, "members": None, "path": None, "a": 0.5, "j": 1.0, "bins": 32},
     "rho0": "plus",
     "times": {"t_max": 10.0, "count": 21, "list": None},
     "mc": {"samples": 100000},
@@ -80,6 +78,15 @@ DEFAULTS = {
     "seed": 12345,
     "output": {"dir": ".", "format": "csv"},
 }
+
+# JSON types of the fields whose default does not show them: the fields whose
+# default is null (null stays allowed there), and rho0, a preset or a matrix
+FIELD_TYPES = {
+    "model.path": (str,), "grid.t_max": (float,), "witness.stop_below": (float,),
+    "series.path": (str,), "ensemble.kind": (str,), "ensemble.members": (list,),
+    "ensemble.path": (str,), "times.list": (list,), "paths": (str, list), "rho0": (str, list),
+}
+TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 
 
 def _fmt(x) -> str:
@@ -119,7 +126,27 @@ def load_config(args: argparse.Namespace) -> dict:
         for p in parts[:-1]:
             node = node.setdefault(p, {})
         node[parts[-1]] = value
+    _check_types(cfg, DEFAULTS)
     return cfg
+
+
+def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
+    """Raise ConfigError naming the first field whose JSON type its default does not allow.
+
+    A number field also takes an integer; no field takes a boolean.
+    """
+    for key, default in defaults.items():
+        name, value = prefix + key, cfg[key]
+        if isinstance(default, dict):
+            _check_types(value, default, name + ".")
+            continue
+        if value is None and default is None:
+            continue
+        kinds = FIELD_TYPES.get(name, (type(default),))
+        allowed = tuple((int, float) if k is float else k for k in kinds)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ConfigError(f"config field {name!r} must be "
+                              + " or ".join(TYPE_NAMES[k] for k in kinds))
 
 
 def build_model(cfg: dict) -> SpectralDensityModel:
@@ -279,8 +306,7 @@ def cmd_invert(cfg: dict) -> int:
     if cfg["series"]["path"]:
         data = read_table(cfg["series"]["path"], 3)
         try:
-            series = DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2],
-                                     model_tag="ensemble")
+            series = DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2])
         except ValueError as exc:
             print(f"hens invert: {exc}", file=sys.stderr)
             return 3
@@ -387,10 +413,9 @@ def _requested_paths(cfg: dict, kind: str) -> list[str]:
         paths = ["he", "dilation", "mc", "master"] if kind == "spectral" else ["he", "dilation"]
     if isinstance(paths, str):
         paths = [p for p in paths.split(",") if p]
-    known = {"he", "dilation", "mc", "master"}
-    bad = set(paths) - known
+    bad = [p for p in paths if p not in ("he", "dilation", "mc", "master")]
     if bad:
-        raise ConfigError(f"unknown simulation paths: {sorted(bad)}")
+        raise ConfigError(f"unknown simulation paths: {bad}")
     if kind != "spectral":
         unsupported = set(paths) & {"mc", "master"}
         if unsupported:
@@ -400,8 +425,11 @@ def _requested_paths(cfg: dict, kind: str) -> list[str]:
 
 def _output_times(cfg: dict) -> np.ndarray:
     t = cfg["times"]
-    if t.get("list") is not None:
-        times = np.asarray([float(x) for x in t["list"]], dtype=float)
+    if t["list"] is not None:
+        try:
+            times = np.asarray([float(x) for x in t["list"]], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("times.list must be a list of numbers")
     else:
         if not 0.0 < float(t["t_max"]) < np.inf or int(t["count"]) < 1:
             raise ConfigError("times.t_max must be finite and positive and times.count >= 1")
@@ -429,16 +457,14 @@ def cmd_simulate(cfg: dict) -> int:
     states: dict[str, list[np.ndarray]] = {}
 
     if kind == "spectral":
-        if ens_cfg.get("path"):
-            table = read_table(ens_cfg["path"], 2)
-            omega, weights = table[:, 0], table[:, 1]
-        elif ens_cfg.get("omega") is not None and ens_cfg.get("weights") is not None:
-            omega = np.asarray(ens_cfg["omega"], dtype=float)
-            weights = np.asarray(ens_cfg["weights"], dtype=float)
-        else:
-            raise ConfigError("spectral ensemble needs omega/weights arrays or a path")
-        if omega.ndim != 1 or omega.size < 2 or weights.shape != omega.shape:
-            raise ConfigError("spectral ensemble columns must be matching 1-d arrays")
+        if not ens_cfg["path"]:
+            raise ConfigError("spectral ensemble needs ensemble.path")
+        table = read_table(ens_cfg["path"], 2)
+        omega, weights = table[:, 0], table[:, 1]
+        try:
+            require_uniform_grid(omega)
+        except ValueError as exc:
+            raise ConfigError(f"{ens_cfg['path']}: {exc}")
         mass = float(np.trapezoid(weights, omega))
         if abs(mass - 1.0) > 1e-3:
             raise ConfigError("spectral weights are not normalized")
@@ -453,6 +479,8 @@ def cmd_simulate(cfg: dict) -> int:
                 file=sys.stderr,
             )
             return 4
+        if {"mc", "dilation"} & set(paths):
+            spectral = SpectralEnsemble(omega, weights)
 
         if "master" in paths:
             # without an explicit grid, use the conjugate of the input's
@@ -494,7 +522,7 @@ def cmd_simulate(cfg: dict) -> int:
                 dephase_qubit(rho0, _coherence_factor(omega, weights, t)).matrix for t in times
             ]
         if "dilation" in paths:
-            ens = SpectralEnsemble(omega, weights).discretize(bins)
+            ens = spectral.discretize(bins)
     else:
         if kind == "cnot":
             a, j = float(ens_cfg["a"]), float(ens_cfg["j"])
@@ -513,7 +541,7 @@ def cmd_simulate(cfg: dict) -> int:
                     raise ConfigError("discrete ensemble probabilities must be finite")
                 hams = tuple(HermitianOperator(_parse_matrix(m[1])) for m in members)
                 ens = HamiltonianEnsemble(probs, hams)
-            except ValueError as exc:
+            except (TypeError, ValueError, IndexError) as exc:
                 if isinstance(exc, ConfigError):
                     raise
                 raise ConfigError(f"bad ensemble: {exc}")
@@ -533,7 +561,7 @@ def cmd_simulate(cfg: dict) -> int:
         states["dilation"] = out
         flags["classical_ok"] = classical
     if "mc" in paths:  # spectral ensembles only, see _requested_paths
-        draws = sample_frequencies((omega, weights), samples, seed)
+        draws = sample_frequencies(spectral, samples, seed)
         est = [mc_coherence(draws, t) for t in times]
         states["mc"] = [dephase_qubit(rho0, zbar).matrix for zbar, _ in est]
         flags["mc_max_stderr"] = max(stderr for _, stderr in est)

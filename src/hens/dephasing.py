@@ -245,13 +245,13 @@ class _FilonRule:
 
     def __init__(self, model: SpectralDensityModel):
         self.model = model
-        e = np.concatenate([[0.0], _graded(_panel_edges(model, 0.0))])
-        self.zero = e[1]  # the panel touching w = 0 is [0, zero]
-        self.c = 0.5 * (e[1:] + e[:-1])
-        self.h = 0.5 * (e[1:] - e[:-1])
-        self.widths, self.width_of = np.unique(self.h, return_inverse=True)
-        nodes, weights = _gauss_legendre(e)
         with _representable(None):
+            e = np.concatenate([[0.0], _graded(_panel_edges(model, 0.0))])
+            self.zero = e[1]  # the panel touching w = 0 is [0, zero]
+            self.c = 0.5 * (e[1:] + e[:-1])
+            self.h = 0.5 * (e[1:] - e[:-1])
+            self.widths, self.width_of = np.unique(self.h, return_inverse=True)
+            nodes, weights = _gauss_legendre(e)
             self.g = self._g(nodes)
             self.g_sum = self.g @ _GL_W  # G of every panel
             # int 4 J/w dw at T = 0, the linear-in-t part of the drift integral
@@ -380,8 +380,11 @@ def _adaptive_curve(f, t_hi: float) -> CubicSpline:
 def _knot_spline(ks: list[float], vals: dict) -> CubicSpline:
     """Cubic spline through the knots ks; a ValueError names the exponent when it fails."""
     try:
-        return CubicSpline(ks, [vals[k] for k in ks])
-    except ValueError as exc:  # slopes between knot values near the float limit overflow
+        # slopes between knot values near the float limit overflow, and so do
+        # the cubic coefficients (~ values / spacing^3) of knots spaced below ~1e-160
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return CubicSpline(ks, [vals[k] for k in ks])
+    except (ValueError, FloatingPointError) as exc:
         raise ValueError(f"decoherence exponent on [{ks[0]!r}, {ks[-1]!r}] is not "
                          f"representable in floating point ({exc})") from None
 
@@ -414,8 +417,6 @@ class DephasingSeries:
     times: np.ndarray
     values: np.ndarray
     omega0: float = 0.0
-    model_tag: str = "conventional"
-    phase: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).copy()
@@ -462,7 +463,7 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
     spline = _adaptive_curve(lambda x: rule.integrals(x)[0], float(np.max(np.abs(grid))))
     exponent = np.clip(spline(np.abs(grid)), 0.0, None)
     values = np.exp(1j * omega0 * grid - exponent)
-    return DephasingSeries(grid, values, omega0=omega0, model_tag="conventional")
+    return DephasingSeries(grid, values, omega0=omega0)
 
 
 def dephasing_extended(model: SpectralDensityModel, phase: float,
@@ -479,7 +480,7 @@ def dephasing_extended(model: SpectralDensityModel, phase: float,
     drift = rule.inverse_frequency_mass * grid - s * odd
     theta = math.cos(phase) * drift + s * math.sin(phase) * exponent
     values = np.exp(-1j * theta - exponent)
-    return DephasingSeries(grid, values, omega0=0.0, model_tag="extended", phase=float(phase))
+    return DephasingSeries(grid, values)
 
 
 def ohmic_series(omega_c: float, grid: np.ndarray, phase: float | None = None) -> DephasingSeries:
@@ -493,12 +494,10 @@ def ohmic_series(omega_c: float, grid: np.ndarray, phase: float | None = None) -
     log1p = np.log1p(x * x)
     modulus = np.exp(-2.0 * log1p)
     if phase is None:
-        return DephasingSeries(grid, modulus.astype(complex), omega0=0.0,
-                               model_tag="conventional")
+        return DephasingSeries(grid, modulus.astype(complex))
     theta = 4.0 * math.cos(phase) * (x - np.arctan(x)) \
         + np.sign(grid) * math.sin(phase) * 2.0 * log1p
-    return DephasingSeries(grid, np.exp(-1j * theta) * modulus, omega0=0.0,
-                           model_tag="extended", phase=float(phase))
+    return DephasingSeries(grid, np.exp(-1j * theta) * modulus)
 
 
 def master_coeffs(series: DephasingSeries, t_min: float | None = None,

@@ -64,6 +64,15 @@ class HamiltonianEnsemble:
         return HermitianOperator(m)
 
 
+def require_uniform_grid(omega: np.ndarray) -> None:
+    """Raise ValueError unless omega is a uniform increasing 1-d grid of two or more points."""
+    if omega.ndim != 1 or omega.size < 2:
+        raise ValueError("omega grid must be a 1-d array of at least two points")
+    d = np.diff(omega)
+    if np.min(d) <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * max(abs(d[0]), 1.0):
+        raise ValueError("omega grid must be uniform and increasing")
+
+
 @dataclass(frozen=True)
 class SpectralEnsemble:
     """Qubit spectral disorder: weights p(omega) over generators omega*sigma_z/2.
@@ -80,11 +89,9 @@ class SpectralEnsemble:
     def __post_init__(self):
         om = np.asarray(self.omega, dtype=float).copy()
         w = np.asarray(self.weights, dtype=float).copy()
-        if om.ndim != 1 or om.size < 2 or w.shape != om.shape:
+        if w.shape != om.shape:
             raise ValueError("omega grid and weights must be matching 1-d arrays")
-        d = np.diff(om)
-        if np.min(d) <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * max(abs(d[0]), 1.0):
-            raise ValueError("omega grid must be uniform and increasing")
+        require_uniform_grid(om)
         if np.min(w) < -NEGATIVE_TOL:
             raise ValueError("negative weights")
         mass = float(np.trapezoid(w, om))
@@ -157,28 +164,20 @@ def spectral_average(ens: SpectralEnsemble, rho0: DensityMatrix, t: float) -> De
 
 
 def sample_frequencies(ens, n: int, seed: int) -> np.ndarray:
-    """Inverse-CDF draws from the spectral weights, chunked into seeded substreams.
+    """Inverse-CDF draws from ``ens.cdf()``, chunked into seeded substreams.
 
-    Accepts a SpectralEnsemble or a raw (omega, weights) pair; raw weights are
-    revalidated so that signed quasi-distributions are rejected with a
-    sampling-specific error.
+    Accepts a SpectralEnsemble or a raw (omega, weights) pair, converted
+    through SpectralEnsemble; a pair it rejects raises ValueError("not a
+    probability distribution - cannot sample (<its reason>)").
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if isinstance(ens, SpectralEnsemble):
-        omega, weights = ens.omega, ens.weights
-    else:
-        omega = np.asarray(ens[0], dtype=float)
-        weights = np.asarray(ens[1], dtype=float)
-    if np.min(weights) < -NEGATIVE_TOL:
-        raise ValueError("not a probability distribution - cannot sample")
-    weights = np.clip(weights, 0.0, None)
-    domega = omega[1] - omega[0]
-    inc = 0.5 * (weights[1:] + weights[:-1]) * domega
-    cdf = np.concatenate([[0.0], np.cumsum(inc)])
-    if cdf[-1] <= 0.0:
-        raise ValueError("not a probability distribution - cannot sample")
-    cdf = cdf / cdf[-1]
+    if not isinstance(ens, SpectralEnsemble):
+        try:
+            ens = SpectralEnsemble(*ens)
+        except ValueError as exc:
+            raise ValueError(f"not a probability distribution - cannot sample ({exc})") from None
+    omega, domega, cdf = ens.omega, ens.domega, ens.cdf()
 
     chunk = 1 << 16
     n_chunks = (n + chunk - 1) // chunk

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dephasing import DephasingSeries, ohmic_series, symmetry_residual
-from .ensemble import SpectralEnsemble
+from .ensemble import SpectralEnsemble, _coherence_factor
 
 
 class SeriesSymmetryError(ValueError):
@@ -101,9 +101,11 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     """Dephasing series phi(t) = int p(w) e^{i w t} dw of a real distribution.
 
     Uses the exact FFT pair when the input lives on the conjugate grid of
-    ``grid``, direct summation otherwise.  The result is normalized by its
-    t = 0 sample (the discrete mass of the input, required to be 1 within
-    1e-6) so the series invariants hold for any legal input.
+    ``grid``; off it, each time is the trapezoid sum ``_coherence_factor``
+    of the spectral ensembles, for at most 2^28 (frequency, time) pairs.
+    The result is normalized by its t = 0 sample (the discrete mass of the
+    input, required to be 1 within 1e-6) so the series invariants hold for
+    any legal input.
     """
     omega, weights = _as_omega_weights(dist)
     if np.iscomplexobj(weights):
@@ -118,20 +120,12 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
             raise ValueError(
                 "grids too large for direct summation; use conjugate grids for the FFT path"
             )
-        # trapezoid weights off the conjugate grid
-        tw = np.full(omega.size, domega)
-        tw[0] *= 0.5
-        tw[-1] *= 0.5
-        values = np.empty(n, dtype=complex)
-        step = max(1, (1 << 22) // max(omega.size, 1))
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            values[lo:hi] = np.exp(1j * np.outer(grid[lo:hi], omega)) @ (weights * tw)
+        values = np.array([_coherence_factor(omega, weights, t) for t in grid])
 
     mass = float(np.real(values[n // 2]))
     if abs(mass - 1.0) > 1e-6:
         raise ValueError("input mass differs from 1 beyond tolerance")
-    return DephasingSeries(grid, values / mass, model_tag="ensemble")
+    return DephasingSeries(grid, values / mass)
 
 
 def inverse_ft(series: DephasingSeries) -> QuasiDistribution:

@@ -345,6 +345,11 @@ def write_inputs(d):
     om = np.linspace(-8.0, 8.0, 257)
     p = np.exp(-0.5 * om**2)
     np.savetxt(d / "dist.csv", np.column_stack([om, p / np.trapezoid(p, om)]), delimiter=",")
+    # spacing 1/16 below omega = 0 and 1/8 above it
+    om = np.concatenate([np.linspace(-8.0, 0.0, 129), np.linspace(0.0, 8.0, 65)[1:]])
+    p = np.exp(-0.5 * om**2)
+    np.savetxt(d / "uneven_dist.csv", np.column_stack([om, p / np.trapezoid(p, om)]),
+               delimiter=",")
     (d / "nan_dist.csv").write_text("omega,p\n0,nan\n1,1\n")
     (d / "nan_j.txt").write_text("0 0\n1 nan\n2 0\n")
     (d / "nan_series.csv").write_text("t,re_phi,im_phi\n0,nan,0\n")
@@ -355,8 +360,26 @@ def write_inputs(d):
 
 SMALL_GRID = ["--grid-t-max", "16", "--grid-n", "256"]
 # what stderr must name where the failing layer's own message would not
-BAD_VALUE_MESSAGES = {"huge-temperature": "decoherence exponent"}
+BAD_VALUE_MESSAGES = {
+    "huge-temperature": "decoherence exponent",
+    "huge-omega-c-tiny-temperature": "decoherence exponent",
+    "tiny-t-max": "decoherence exponent",
+    "uneven-grid-dilation": "uniform and increasing",
+    "uneven-grid-he-mc": "uniform and increasing",
+}
 SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/dist.csv"]
+UNEVEN = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/uneven_dist.csv"]
+
+
+def bad_field(command, field, value, *flags):
+    """Param running command on a config file that sets the dotted field to value;
+    stderr must name the field."""
+    doc = value
+    for key in reversed(field.split(".")):
+        doc = {key: doc}
+    case = f"{field}={json.dumps(value)}"
+    BAD_VALUE_MESSAGES[case] = repr(field)
+    return pytest.param([command, "--config", doc, *flags], id=case)
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,6 +402,12 @@ SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/d
     # knot exponents ~1e302: their spline slopes overflow
     pytest.param(["dephase", "--model-temperature", "1e300", *SMALL_GRID],
                  id="huge-temperature"),
+    # the ratio of the graded panels' edges overflows
+    pytest.param(["dephase", "--model-omega-c", "1e300", "--model-temperature", "1e-300",
+                  "--grid-t-max", "1", "--grid-n", "256"], id="huge-omega-c-tiny-temperature"),
+    # knots ~1e-202 apart: the spline's cubic coefficients (~ values / spacing^3) overflow
+    pytest.param(["dephase", "--mode", "extended", "--grid-t-max", "1e-200", "--grid-n", "256"],
+                 id="tiny-t-max"),
     pytest.param(["dephase", "--model-kind", "tabulated", "--model-path", "{d}/nan_j.txt"],
                  id="nan-model-table"),
     pytest.param(["invert", "--series-path", "{d}/nan_series.csv"], id="nan-series"),
@@ -393,10 +422,37 @@ SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/d
     pytest.param([*SPECTRAL, "--paths", "he,master", "--times-t-max", "1e300"], id="huge-times"),
     pytest.param([*SPECTRAL, "--paths", "mc", "--mc-samples", "0"], id="zero-samples"),
     pytest.param([*SPECTRAL, "--paths", "dilation", "--ensemble-bins", "0"], id="zero-bins"),
+    pytest.param([*UNEVEN, "--paths", "dilation"], id="uneven-grid-dilation"),
+    pytest.param([*UNEVEN, "--paths", "he,mc"], id="uneven-grid-he-mc"),
+    bad_field("landscape", "phases.count", "abc"),
+    bad_field("landscape", "phases.count", 2.5, *SMALL_GRID),
+    bad_field("landscape", "window.omega_lo", "a", *SMALL_GRID),
+    bad_field("simulate", "times.count", "x", "--ensemble-kind", "cnot"),
+    bad_field("simulate", "times.list", 3, "--ensemble-kind", "cnot"),
+    bad_field("simulate", "paths", 5, "--ensemble-kind", "cnot"),
+    bad_field("simulate", "ensemble.a", "x", "--ensemble-kind", "cnot"),
+    bad_field("simulate", "ensemble.members", 3, "--ensemble-kind", "discrete"),
+    bad_field("simulate", "seed", None, "--ensemble-kind", "cnot"),
+    bad_field("simulate", "mc.samples", "x", *SPECTRAL[1:], "--paths", "mc"),
+    bad_field("simulate", "mc.samples", 2.5, *SPECTRAL[1:], "--paths", "mc"),
+    bad_field("simulate", "ensemble.bins", None, *SPECTRAL[1:], "--paths", "dilation"),
+    bad_field("witness", "witness.restarts", None, *SMALL_GRID),
+    bad_field("witness", "witness.restarts", True, *SMALL_GRID),
+    bad_field("dephase", "model.omega_c", None, *SMALL_GRID),
+    bad_field("dephase", "grid.n", None),
+    bad_field("dephase", "model.path", 3, "--model-kind", "tabulated", *SMALL_GRID),
+    bad_field("invert", "series.path", 3),
 ])
 def test_bad_values_exit_two(tmp_path, capsys, request, argv):
     write_inputs(tmp_path)
-    rc = run(*[a.format(d=tmp_path) for a in argv], "--output-dir", str(tmp_path / "out"))
+    args = []
+    for i, a in enumerate(argv):
+        if isinstance(a, str):
+            args.append(a.format(d=tmp_path))
+        else:  # a config document
+            args.append(str(tmp_path / f"config{i}.json"))
+            Path(args[-1]).write_text(json.dumps(a))
+    rc = run(*args, "--output-dir", str(tmp_path / "out"))
     assert rc == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err

@@ -172,6 +172,13 @@ class TestMonteCarlo:
         assert trace_distance(got, direct) < 2e-3
         assert stderr < 1e-3
 
+    def test_raw_pair_draws_as_its_ensemble(self):
+        om = np.linspace(-8.0, 8.0, 2001)
+        w = np.exp(-0.5 * om**2)
+        pair = (om, w / np.trapezoid(w, om))
+        assert np.array_equal(sample_frequencies(pair, 70000, seed=5),
+                              sample_frequencies(SpectralEnsemble(*pair), 70000, seed=5))
+
     def test_negative_weights_rejected(self):
         om = np.linspace(-2, 2, 101)
         w = np.full(101, 0.3)

@@ -26,7 +26,30 @@ def gaussian(omega, sigma=1.0):
     return np.exp(-0.5 * (omega / sigma) ** 2) / (sigma * np.sqrt(2.0 * np.pi))
 
 
+def chunked_direct_sum(omega, weights, grid):
+    """Reference: the trapezoid sum off the conjugate grid as one chunked matrix product."""
+    domega = omega[1] - omega[0]
+    tw = np.full(omega.size, domega)
+    tw[0] *= 0.5
+    tw[-1] *= 0.5
+    values = np.empty(grid.size, dtype=complex)
+    step = max(1, (1 << 22) // omega.size)
+    for lo in range(0, grid.size, step):
+        hi = min(lo + step, grid.size)
+        values[lo:hi] = np.exp(1j * np.outer(grid[lo:hi], omega)) @ (weights * tw)
+    return values / values[grid.size // 2].real
+
+
 class TestForward:
+    @pytest.mark.parametrize("rows, n", [(257, 64), (4001, 2048)])
+    def test_direct_summation_matches_chunked_reference(self, rows, n):
+        omega = np.linspace(-8.0, 8.0, rows)
+        p = gaussian(omega)
+        p /= np.trapezoid(p, omega)
+        grid = time_grid(20.0, n)
+        s = forward_ft((omega, p), grid)
+        assert np.max(np.abs(s.values - chunked_direct_sum(omega, p, grid))) < 1e-13
+
     def test_delta_spike_gives_pure_phase(self):
         w = np.zeros_like(OMEGA)
         k = OMEGA.size // 2 + 40
