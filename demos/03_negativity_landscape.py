@@ -3,16 +3,18 @@
 Sweep the relative coupling phase of the two-qubit model over [0, 2pi) and
 record the negative part of the recovered distribution at every frequency.
 The resulting landscape shows which phases admit no simulating ensemble and
-where in frequency the obstruction sits.
+where in frequency the obstruction sits.  One quadrature of the Ohmic bath
+gives the pair (Phi, drift) that every phase's series is built from.
 """
 
 import numpy as np
 
-from hens import negativity_landscape, time_grid
+from hens import SpectralDensityModel, extended_exponents, negativity_landscape, time_grid
 
 phases = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 grid = time_grid(t_max=200.0, n=1 << 16)
-omega, phases, cells = negativity_landscape(1.0, phases, (-10.0, 10.0), grid)
+exponent, drift = extended_exponents(SpectralDensityModel.ohmic(1.0), grid)
+omega, phases, cells = negativity_landscape(exponent, drift, phases, (-10.0, 10.0), grid)
 
 per_phase = -np.trapezoid(np.minimum(cells, 0.0), omega, axis=0)
 k_max = int(np.argmax(per_phase))

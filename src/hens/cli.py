@@ -27,6 +27,7 @@ from .dephasing import (
     SpectralDensityModel,
     dephasing_conventional,
     dephasing_extended,
+    extended_exponents,
     master_coeffs,
     propagate_master,
     time_grid,
@@ -177,10 +178,7 @@ def build_grid(cfg: dict, omega_scale: float = 1.0) -> np.ndarray:
 def build_series(cfg: dict) -> DephasingSeries:
     model = build_model(cfg)
     grid = build_grid(cfg, model.omega_scale())
-    try:
-        omega0, phase = float(cfg["omega0"]), float(cfg["phase"])
-    except (TypeError, ValueError):
-        raise ConfigError("omega0 and phase must be numbers")
+    omega0, phase = float(cfg["omega0"]), float(cfg["phase"])
     if not (math.isfinite(omega0) and math.isfinite(phase)):
         raise ConfigError("omega0 and phase must be finite")
     try:
@@ -331,8 +329,6 @@ def cmd_landscape(cfg: dict) -> int:
     model = build_model(cfg)
     if cfg["mode"] != "extended":
         raise ConfigError("landscape requires mode = extended")
-    if model.kind != "ohmic_exp_cutoff" or model.temperature != 0.0:
-        raise ConfigError("landscape requires the Ohmic model at T = 0")
     count = int(cfg["phases"]["count"])
     if count < 1:
         raise ConfigError("phases.count must be positive")
@@ -341,7 +337,11 @@ def cmd_landscape(cfg: dict) -> int:
     window = (float(cfg["window"]["omega_lo"]), float(cfg["window"]["omega_hi"]))
     if window[1] <= window[0]:
         raise ConfigError("empty frequency window")
-    omega, phases, cells = negativity_landscape(model.omega_c, phases, window, grid)
+    try:
+        exponent, drift = extended_exponents(model, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    omega, phases, cells = negativity_landscape(exponent, drift, phases, window, grid)
     header = ["omega"] + [f"phi={_fmt(p)}" for p in phases]
     write_table(cfg, "landscape", header, [omega] + [cells[:, j] for j in range(phases.size)])
     return 0
@@ -371,21 +371,27 @@ def cmd_witness(cfg: dict) -> int:
     return 0
 
 
-def _parse_matrix(entries) -> np.ndarray:
+def _number(value, field: str) -> float:
+    """A JSON number inside a config list, as a float; ConfigError names the field otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config field {field!r} must hold numbers, not {value!r}")
+    return float(value)
+
+
+def _parse_matrix(entries, field: str) -> np.ndarray:
     def scal(v):
-        if isinstance(v, (list, tuple)):
+        if isinstance(v, list):
             if len(v) != 2:
-                raise ConfigError("complex entries are [re, im] pairs")
-            return complex(float(v[0]), float(v[1]))
-        return complex(float(v), 0.0)
+                raise ConfigError(f"config field {field!r}: complex entries are [re, im] pairs")
+            return complex(_number(v[0], field), _number(v[1], field))
+        return complex(_number(v, field), 0.0)
 
     try:
-        m = np.array([[scal(v) for v in row] for row in entries], dtype=complex)
+        return np.array([[scal(v) for v in row] for row in entries], dtype=complex)
     except (TypeError, ValueError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
         raise ConfigError(f"bad matrix: {exc}")
-    if not np.all(np.isfinite(m)):
-        raise ConfigError("bad matrix: non-finite entry")
-    return m
 
 
 def _parse_rho0(value) -> DensityMatrix:
@@ -400,7 +406,7 @@ def _parse_rho0(value) -> DensityMatrix:
             if value not in presets:
                 raise ConfigError(f"unknown rho0 preset {value!r}")
             return presets[value]()
-        return DensityMatrix(_parse_matrix(value))
+        return DensityMatrix(_parse_matrix(value, "rho0"))
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -413,6 +419,8 @@ def _requested_paths(cfg: dict, kind: str) -> list[str]:
         paths = ["he", "dilation", "mc", "master"] if kind == "spectral" else ["he", "dilation"]
     if isinstance(paths, str):
         paths = [p for p in paths.split(",") if p]
+    if not paths:
+        raise ConfigError("config field 'paths' names no simulation path")
     bad = [p for p in paths if p not in ("he", "dilation", "mc", "master")]
     if bad:
         raise ConfigError(f"unknown simulation paths: {bad}")
@@ -426,10 +434,7 @@ def _requested_paths(cfg: dict, kind: str) -> list[str]:
 def _output_times(cfg: dict) -> np.ndarray:
     t = cfg["times"]
     if t["list"] is not None:
-        try:
-            times = np.asarray([float(x) for x in t["list"]], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("times.list must be a list of numbers")
+        times = np.array([_number(x, "times.list") for x in t["list"]])
     else:
         if not 0.0 < float(t["t_max"]) < np.inf or int(t["count"]) < 1:
             raise ConfigError("times.t_max must be finite and positive and times.count >= 1")
@@ -536,12 +541,11 @@ def cmd_simulate(cfg: dict) -> int:
             if not members:
                 raise ConfigError("discrete ensemble needs members [[p, matrix], ...]")
             try:
-                probs = np.array([float(m[0]) for m in members])
-                if not np.all(np.isfinite(probs)):
-                    raise ConfigError("discrete ensemble probabilities must be finite")
-                hams = tuple(HermitianOperator(_parse_matrix(m[1])) for m in members)
+                probs = [_number(m[0], "ensemble.members") for m in members]
+                hams = tuple(HermitianOperator(_parse_matrix(m[1], "ensemble.members"))
+                             for m in members)
                 ens = HamiltonianEnsemble(probs, hams)
-            except (TypeError, ValueError, IndexError) as exc:
+            except (TypeError, ValueError, LookupError) as exc:
                 if isinstance(exc, ConfigError):
                     raise
                 raise ConfigError(f"bad ensemble: {exc}")

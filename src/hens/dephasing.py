@@ -16,7 +16,8 @@ narrower panels and the panel touching w = 0 keep Gauss-Legendre.  One complex
 sum gives the even (1 - cos) integral and the odd sine integral, so the
 conventional and extended series, ``decoherence_exponent`` and
 ``extended_phase`` share one evaluator.  The extended two-qubit model builds
-its odd phase angle from int 4J/w^2 (w t - sin w t) dw and the T=0 exponent.
+its odd phase angle from int 4J/w^2 (w t - sin w t) dw and the T=0 exponent,
+a pair (``extended_exponents``) that serves every phase (``extended_series``).
 Every series on a dense symmetric time grid comes from one adaptive spline:
 the exponent, or the extended model's (Phi, sine) pair as two columns of the
 same knots, is sampled at adaptively refined times and interpolated with a
@@ -466,21 +467,28 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
     return DephasingSeries(grid, values, omega0=omega0)
 
 
-def dephasing_extended(model: SpectralDensityModel, phase: float,
-                       grid: np.ndarray) -> DephasingSeries:
-    """Series exp(-i theta_phase(t) - Phi(t)) of the extended model (T = 0)."""
+def extended_exponents(model: SpectralDensityModel, grid: np.ndarray):
+    """(Phi, drift) of the extended model (T = 0) on the grid, from one spline: the
+    decoherence exponent and int 4J/w^2 (w t - sin w t) dw, for ``extended_series``."""
     if model.temperature != 0.0:
         raise ValueError("extended model implemented at T=0 only")
     grid = np.asarray(grid, dtype=float)
     rule = _FilonRule(model)
     spline = _adaptive_curve(rule.integrals, float(np.max(np.abs(grid))))
-    s = np.sign(grid)
     even, odd = spline(np.abs(grid)).T
-    exponent = np.clip(even, 0.0, None)
-    drift = rule.inverse_frequency_mass * grid - s * odd
-    theta = math.cos(phase) * drift + s * math.sin(phase) * exponent
-    values = np.exp(-1j * theta - exponent)
-    return DephasingSeries(grid, values)
+    return np.clip(even, 0.0, None), rule.inverse_frequency_mass * grid - np.sign(grid) * odd
+
+
+def extended_series(grid, exponent, drift, phase: float) -> DephasingSeries:
+    """Series exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi."""
+    theta = math.cos(phase) * drift + np.sign(grid) * math.sin(phase) * exponent
+    return DephasingSeries(grid, np.exp(-1j * theta - exponent))
+
+
+def dephasing_extended(model: SpectralDensityModel, phase: float,
+                       grid: np.ndarray) -> DephasingSeries:
+    """Series exp(-i theta_phase(t) - Phi(t)) of the extended model (T = 0)."""
+    return extended_series(grid, *extended_exponents(model, grid), phase)
 
 
 def ohmic_series(omega_c: float, grid: np.ndarray, phase: float | None = None) -> DephasingSeries:

@@ -40,6 +40,8 @@ class HamiltonianEnsemble:
         hs = tuple(self.hamiltonians)
         if p.ndim != 1 or len(hs) != p.size or p.size == 0:
             raise ValueError("probabilities and Hamiltonians must pair up")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.min(p) < 0.0:
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > PROB_TOL:
@@ -91,6 +93,8 @@ class SpectralEnsemble:
         w = np.asarray(self.weights, dtype=float).copy()
         if w.shape != om.shape:
             raise ValueError("omega grid and weights must be matching 1-d arrays")
+        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(w))):
+            raise ValueError("omega grid and weights must be finite")
         require_uniform_grid(om)
         if np.min(w) < -NEGATIVE_TOL:
             raise ValueError("negative weights")

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import DephasingSeries, ohmic_series, symmetry_residual
+from .dephasing import DephasingSeries, extended_series, symmetry_residual
+from .dephasing import ohmic_series  # noqa: F401  bench/spans.py wraps this name
 from .ensemble import SpectralEnsemble, _coherence_factor
 
 
@@ -77,15 +78,10 @@ def conjugate_frequency_grid(times: np.ndarray) -> np.ndarray:
 
 
 def on_conjugate_grid(omega: np.ndarray, grid: np.ndarray) -> bool:
-    """True when omega is the FFT conjugate of the symmetric time grid (same size, centered)."""
-    n = grid.size
-    dt = float(grid[1] - grid[0])
-    domega = float(omega[1] - omega[0])
-    return bool(
-        omega.size == n
-        and abs(domega * dt * n - 2.0 * np.pi) <= 1e-9 * 2.0 * np.pi
-        and abs(omega[n // 2]) <= 1e-9 * max(abs(omega[-1]), 1.0)
-    )
+    """True when omega is, point by point, the FFT conjugate of the symmetric time grid."""
+    conjugate = conjugate_frequency_grid(grid)
+    return bool(omega.shape == conjugate.shape
+                and np.max(np.abs(omega - conjugate)) <= 1e-9 * abs(conjugate[0]))
 
 
 def _as_omega_weights(dist):
@@ -213,11 +209,12 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
     return best, used
 
 
-def negativity_landscape(omega_c: float, phases, omega_window, grid: np.ndarray):
+def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray):
     """Negative part of the recovered extended-model distribution over (w, phase).
 
-    For each phase, builds the closed-form Ohmic extended series, inverts it,
-    and keeps min(wp, 0) on the requested frequency window.  Returns
+    ``(exponent, drift)`` is the extended model's pair on the grid (see
+    ``extended_exponents``).  For each phase, inverts ``extended_series`` and
+    keeps min(wp, 0) on the requested frequency window.  Returns
     (omega, phases, matrix) with matrix shape (len(omega), len(phases)).
     """
     phases = np.asarray(phases, dtype=float)
@@ -226,6 +223,6 @@ def negativity_landscape(omega_c: float, phases, omega_window, grid: np.ndarray)
     mask = (omega_full >= lo) & (omega_full <= hi)
     omega = omega_full[mask]
 
-    cols = [np.minimum(inverse_ft(ohmic_series(omega_c, grid, phase=p)).values[mask], 0.0)
+    cols = [np.minimum(inverse_ft(extended_series(grid, exponent, drift, p)).values[mask], 0.0)
             for p in phases]
     return omega, phases, np.column_stack(cols)

@@ -29,6 +29,8 @@ def _frozen_complex(matrix) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError("expected a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     m.setflags(write=False)
     return m
 
@@ -124,18 +126,8 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
 
 
 def unitary_at(h: HermitianOperator, t: float) -> np.ndarray:
-    """U = exp(-i h t); closed form for 2x2, eigendecomposition otherwise."""
-    m = h.matrix
-    if h.dim == 2:
-        c = 0.5 * float(np.real(np.trace(m)))
-        a = m - c * np.eye(2)
-        # a = r * (unit vector . sigma); r^2 = det-free invariant
-        r = np.sqrt(max(float(np.real(a[0, 0] * a[0, 0] + a[0, 1] * a[1, 0])), 0.0))
-        phase = np.exp(-1j * c * t)
-        if r * abs(t) < 1e-300:
-            return phase * (np.eye(2) - 1j * a * t)
-        return phase * (np.cos(r * t) * np.eye(2) - 1j * np.sin(r * t) / r * a)
-    w, v = np.linalg.eigh(m)
+    """U = exp(-i h t) from the eigendecomposition of h."""
+    w, v = np.linalg.eigh(h.matrix)
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 

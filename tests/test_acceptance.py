@@ -70,16 +70,17 @@ def test_criterion_3_extended_distribution_negativity():
           f"Linf difference={diff:.2e} > 1e-2")
 
 
-def test_criterion_4_negativity_landscape():
+def test_criterion_4_negativity_landscape(ohmic_pair):
     start = time.monotonic()
     phases = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     grid = time_grid(200.0, 1 << 16)
-    omega, phases, cells = negativity_landscape(1.0, phases, (-10.0, 10.0), grid)
+    pair = ohmic_pair(grid)
+    omega, phases, cells = negativity_landscape(*pair, phases, (-10.0, 10.0), grid)
     elapsed = time.monotonic() - start
     k_quarter = 8   # phases[k] = 2 pi k / 64; k=8 -> pi/4, k=40 -> 5 pi/4
     k_five = 40
     _, _, wrapped = negativity_landscape(
-        1.0, np.array([phases[k_quarter] + 2.0 * np.pi]), (-10.0, 10.0), grid)
+        *pair, np.array([phases[k_quarter] + 2.0 * np.pi]), (-10.0, 10.0), grid)
     periodic = float(np.max(np.abs(cells[:, k_quarter] - wrapped[:, 0])))
     check(4, [elapsed < 60.0, cells[:, k_quarter].min() < 0.0,
               cells[:, k_five].min() < 0.0, periodic < 1e-10, np.max(cells) <= 0.0],

@@ -162,6 +162,21 @@ class TestLandscape:
         assert cells[:, 1].min() < -1e-3
         assert cells[:, 5].min() < -1e-3
 
+    def test_tabulated_bath(self, tmp_path):
+        # any T = 0 bath: a 401-knot Ohmic table, on the default t_max = 200 / 40
+        knots = np.linspace(0.0, 40.0, 401)
+        table = tmp_path / "j.txt"
+        np.savetxt(table, np.column_stack([knots, knots * np.exp(-knots)]))
+        args = ["landscape", "--model-kind", "tabulated", "--model-path", str(table),
+                "--phases-count", "8", "--grid-n", "256"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(*args, "--output-dir", str(a)) == 0
+        assert run(*args, "--output-dir", str(b)) == 0
+        assert (a / "landscape.csv").read_bytes() == (b / "landscape.csv").read_bytes()
+        _, data = read_csv(a / "landscape.csv")
+        assert data.shape == (31, 9)
+        assert data[:, 2].min() < -1e-3  # phase pi/4
+
     def test_conventional_mode_rejected(self, tmp_path):
         rc = run("landscape", "--mode", "conventional", "--output-dir", str(tmp_path))
         assert rc == 2
@@ -356,14 +371,19 @@ def write_inputs(d):
     (d / "grid5.json").write_text('{"grid": 5}')
     (d / "nan_member.json").write_text(
         '{"ensemble": {"kind": "discrete", "members": [[1.0, [[0, 0], [0, NaN]]]]}}')
+    (d / "dict_member.json").write_text(
+        '{"ensemble": {"kind": "discrete", "members": [{"p": 1.0}]}}')
 
 
 SMALL_GRID = ["--grid-t-max", "16", "--grid-n", "256"]
+ZERO2 = [[0, 0], [0, 0]]
 # what stderr must name where the failing layer's own message would not
 BAD_VALUE_MESSAGES = {
     "huge-temperature": "decoherence exponent",
     "huge-omega-c-tiny-temperature": "decoherence exponent",
     "tiny-t-max": "decoherence exponent",
+    "landscape-thermal": "T=0",
+    "no-paths": "'paths'",
     "uneven-grid-dilation": "uniform and increasing",
     "uneven-grid-he-mc": "uniform and increasing",
 }
@@ -424,12 +444,24 @@ def bad_field(command, field, value, *flags):
     pytest.param([*SPECTRAL, "--paths", "dilation", "--ensemble-bins", "0"], id="zero-bins"),
     pytest.param([*UNEVEN, "--paths", "dilation"], id="uneven-grid-dilation"),
     pytest.param([*UNEVEN, "--paths", "he,mc"], id="uneven-grid-he-mc"),
+    pytest.param(["landscape", "--model-temperature", "0.5", *SMALL_GRID],
+                 id="landscape-thermal"),
     bad_field("landscape", "phases.count", "abc"),
     bad_field("landscape", "phases.count", 2.5, *SMALL_GRID),
     bad_field("landscape", "window.omega_lo", "a", *SMALL_GRID),
     bad_field("simulate", "times.count", "x", "--ensemble-kind", "cnot"),
     bad_field("simulate", "times.list", 3, "--ensemble-kind", "cnot"),
     bad_field("simulate", "paths", 5, "--ensemble-kind", "cnot"),
+    bad_field("simulate", "paths", [], "--ensemble-kind", "cnot"),
+    pytest.param(["simulate", "--ensemble-kind", "cnot", "--paths", ","], id="no-paths"),
+    bad_field("simulate", "times.list", ["1"], "--ensemble-kind", "cnot"),
+    bad_field("simulate", "ensemble.members", [["0.5", ZERO2], [0.5, ZERO2]],
+              "--ensemble-kind", "discrete"),
+    bad_field("simulate", "ensemble.members", [[True, ZERO2]], "--ensemble-kind", "discrete"),
+    bad_field("simulate", "ensemble.members", [[1.0, [[1, 0], [0, "-1"]]]],
+              "--ensemble-kind", "discrete"),
+    bad_field("simulate", "rho0", [[0.5, "-0.5"], [-0.5, 0.5]], "--ensemble-kind", "cnot"),
+    pytest.param(["simulate", "--config", "{d}/dict_member.json"], id="dict-member"),
     bad_field("simulate", "ensemble.a", "x", "--ensemble-kind", "cnot"),
     bad_field("simulate", "ensemble.members", 3, "--ensemble-kind", "discrete"),
     bad_field("simulate", "seed", None, "--ensemble-kind", "cnot"),

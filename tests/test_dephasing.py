@@ -13,7 +13,9 @@ from hens.dephasing import (
     dephasing_conventional,
     dephasing_extended,
     extended_coherence,
+    extended_exponents,
     extended_phase,
+    extended_series,
     master_coeffs,
     ohmic_series,
     propagate_master,
@@ -254,6 +256,8 @@ class TestExtendedPhase:
         warm = SpectralDensityModel.ohmic(1.0, temperature=0.5)
         with pytest.raises(ValueError, match="T=0"):
             extended_phase(warm, 0.1, 1.0)
+        with pytest.raises(ValueError, match="T=0"):
+            extended_exponents(warm, time_grid(10.0, 1 << 8))
 
 
 class TestSeriesConstruction:
@@ -348,6 +352,14 @@ class TestSeriesConstruction:
         quad = (dephasing_conventional(OHMIC1, 0.0, g) if phase is None
                 else dephasing_extended(OHMIC1, phase, g))
         assert np.max(np.abs(exact.values - quad.values)) < 1e-8
+
+    def test_quadrature_pair_matches_closed_pair_at_every_phase(self, ohmic_pair):
+        # the landscape builds all 64 phases from one quadrature of (Phi, drift)
+        g = time_grid(200.0, 1 << 16)
+        quad, exact = extended_exponents(OHMIC1, g), ohmic_pair(g)
+        for phase in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
+            err = extended_series(g, *quad, phase).values - extended_series(g, *exact, phase).values
+            assert np.max(np.abs(err)) <= 1e-10
 
 
 class TestMasterCoefficients:

@@ -64,6 +64,11 @@ class TestHamiltonianEnsemble:
         with pytest.raises(ValueError):
             HamiltonianEnsemble(np.array([1.5, -0.5]), (h, h))
 
+    def test_rejects_non_finite_probability(self):
+        h = HermitianOperator(PAULI_Z)
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianEnsemble(np.array([0.5, np.nan]), (h, h))
+
     def test_single_member_equals_unitary_orbit(self):
         rng = np.random.default_rng(2)
         ens = random_qubit_ensemble(rng, 1)
@@ -112,6 +117,14 @@ class TestSpectralEnsemble:
             SpectralEnsemble(np.concatenate([om[:5], om[6:]]), np.ones(10) / 2.0)
         with pytest.raises(ValueError, match="normalized"):
             SpectralEnsemble(om, 3.0 * w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("col", [0, 1], ids=["omega", "weight"])
+    def test_rejects_non_finite(self, bad, col):
+        pair = [np.linspace(-1, 1, 11), np.ones(11) / 2.0]
+        pair[col][4] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SpectralEnsemble(*pair)
 
     def test_average_at_zero_time(self):
         ens = gaussian_spectral()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hens.dephasing import DephasingSeries, ohmic_series, time_grid
+from hens.ensemble import _coherence_factor
 from hens.inversion import (
     SeriesSymmetryError,
     bochner_search,
@@ -49,6 +50,20 @@ class TestForward:
         grid = time_grid(20.0, n)
         s = forward_ft((omega, p), grid)
         assert np.max(np.abs(s.values - chunked_direct_sum(omega, p, grid))) < 1e-13
+
+    def test_non_uniform_table_is_summed_directly(self):
+        # a conjugate-grid table whose peak point is then moved 0.3 dw: its first
+        # step, size, centre and mass still match, but the FFT would put the peak
+        # back on the grid
+        grid = time_grid(20.0, 256)
+        omega = conjugate_frequency_grid(grid)
+        k = omega.size // 2 + 6
+        p = gaussian(omega - omega[k])
+        p /= np.trapezoid(p, omega)
+        omega[k] += 0.3 * (omega[1] - omega[0])
+        s = forward_ft((omega, p), grid)
+        direct = np.array([_coherence_factor(omega, p, t) for t in grid])
+        assert np.max(np.abs(s.values - direct)) < 1e-13
 
     def test_delta_spike_gives_pure_phase(self):
         w = np.zeros_like(OMEGA)
@@ -195,23 +210,24 @@ class TestBochner:
 
 
 class TestLandscape:
-    def test_columns_match_individual_inversions(self):
+    def test_columns_match_individual_inversions(self, ohmic_pair):
         phases = np.array([0.1, np.pi / 4, 2.5])
-        omega, got_phases, cells = negativity_landscape(1.0, phases, (-10.0, 10.0), GRID)
+        omega, got_phases, cells = negativity_landscape(*ohmic_pair(GRID), phases,
+                                                        (-10.0, 10.0), GRID)
         assert cells.shape == (omega.size, 3)
         dist = inverse_ft(ohmic_series(1.0, GRID, phase=np.pi / 4))
         mask = (dist.omega >= -10.0) & (dist.omega <= 10.0)
         expected = np.minimum(dist.values[mask], 0.0)
         assert np.max(np.abs(cells[:, 1] - expected)) < 1e-14
 
-    def test_two_pi_periodic(self):
+    def test_two_pi_periodic(self, ohmic_pair):
         phases = np.array([np.pi / 4, np.pi / 4 + 2.0 * np.pi])
-        _, _, cells = negativity_landscape(1.0, phases, (-10.0, 10.0), GRID)
+        _, _, cells = negativity_landscape(*ohmic_pair(GRID), phases, (-10.0, 10.0), GRID)
         assert np.max(np.abs(cells[:, 0] - cells[:, 1])) < 1e-10
 
-    def test_cells_nonpositive_and_zero_only_when_positive(self):
+    def test_cells_nonpositive_and_zero_only_when_positive(self, ohmic_pair):
         phases = np.array([0.0, np.pi / 4])
-        _, _, cells = negativity_landscape(1.0, phases, (-10.0, 10.0), GRID)
+        _, _, cells = negativity_landscape(*ohmic_pair(GRID), phases, (-10.0, 10.0), GRID)
         assert np.max(cells) <= 0.0
         # phase pi/4 has genuine negativity, so its column cannot vanish
         assert np.min(cells[:, 1]) < -1e-3

@@ -43,6 +43,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HermitianOperator(m)
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(m)
+
     def test_matrices_are_frozen(self):
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
