@@ -15,7 +15,6 @@ from .qdyn import (
     PAULI_Y,
     PAULI_Z,
     evolve_unitary,
-    identity_operator,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -96,7 +95,6 @@ __all__ = [
     "extended_series",
     "forward_ft",
     "he_average",
-    "identity_operator",
     "inverse_ft",
     "joint_evolve_reduce",
     "master_coeffs",

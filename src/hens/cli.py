@@ -1,13 +1,16 @@
 """Deterministic command-line front end.
 
 Subcommands ``dephase``, ``invert``, ``landscape``, ``witness`` and
-``simulate`` read a JSON config (flags override file fields, kebab-case flag
-names mirror the field paths) and emit flat CSV/JSON data files.  Output is a
-deterministic function of the config, files are written atomically, and every
-numeric is printed with 17 significant digits.
+``simulate`` read a JSON config (flags override file fields; each flag is its
+field path in kebab case, as declared once in ``FIELDS``) and emit flat
+CSV/JSON data files.  Output is a deterministic function of the config, files
+are written atomically, and every numeric is printed with 17 significant
+digits.
 
 Exit codes: 0 success, 2 config error, 3 numerical-precondition failure,
-4 sampling impossibility (negative quasi-distribution weights).
+4 sampling impossibility (negative quasi-distribution weights).  ``main()`` is
+the one place that sets them: every failure below it raises ``ConfigError``
+carrying its code.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 
@@ -57,37 +59,74 @@ from .inversion import (
 from .qdyn import DensityMatrix, HermitianOperator, maximally_mixed, pure_state, trace_distance
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(Exception):
+    """A failure that ``main`` reports as ``hens <cmd>: <message>``, exiting with
+    ``code``: 2 config error, 3 numerical precondition, 4 sampling impossibility."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
 
 
-DEFAULTS = {
-    "model": {"kind": "ohmic_exp_cutoff", "omega_c": 1.0, "temperature": 0.0, "path": None},
-    "mode": "conventional",
-    "omega0": 0.0,
-    "phase": 0.0,
-    "grid": {"t_max": None, "n": 65536},
-    "window": {"omega_lo": -10.0, "omega_hi": 10.0},
-    "phases": {"count": 64},
-    "witness": {"restarts": 10000, "max_set_size": 8, "stop_below": None},
-    "series": {"path": None},
-    "ensemble": {"kind": None, "members": None, "path": None, "a": 0.5, "j": 1.0, "bins": 32},
-    "rho0": "plus",
-    "times": {"t_max": 10.0, "count": 21, "list": None},
-    "mc": {"samples": 100000},
-    "paths": None,
-    "seed": 12345,
-    "output": {"dir": ".", "format": "csv"},
-}
-
-# JSON types of the fields whose default does not show them: the fields whose
-# default is null (null stays allowed there), and rho0, a preset or a matrix
-FIELD_TYPES = {
-    "model.path": (str,), "grid.t_max": (float,), "witness.stop_below": (float,),
-    "series.path": (str,), "ensemble.kind": (str,), "ensemble.members": (list,),
-    "ensemble.path": (str,), "times.list": (list,), "paths": (str, list), "rho0": (str, list),
+# Every config field: path -> (default, the JSON types it takes when the default
+# does not show them, the argparse options of its flag --<path in kebab case>,
+# or None for a field read only from the config file).  A null default keeps
+# null allowed; a number field also takes an integer; no field takes a boolean.
+FIELDS = {
+    "model.kind": ("ohmic_exp_cutoff", None, {"choices": ["ohmic_exp_cutoff", "tabulated"]}),
+    "model.omega_c": (1.0, None, {"metavar": "W", "help": "Ohmic cutoff frequency"}),
+    "model.temperature": (0.0, None, {"metavar": "T"}),
+    "model.path": (None, (str,),
+                   {"metavar": "FILE", "help": "two-column text with omega, J(omega)"}),
+    "mode": ("conventional", None, {"choices": ["conventional", "extended"]}),
+    "omega0": (0.0, None, {"metavar": "W", "help": "system level splitting"}),
+    "phase": (0.0, None,
+              {"metavar": "RAD", "help": "relative coupling phase of the extended model"}),
+    "grid.t_max": (None, (float,), {"metavar": "T"}),
+    "grid.n": (65536, None, {"metavar": "POW2"}),
+    "window.omega_lo": (-10.0, None, {"metavar": "W"}),
+    "window.omega_hi": (10.0, None, {"metavar": "W"}),
+    "phases.count": (64, None, {"metavar": "N"}),
+    "witness.restarts": (10000, None, {"metavar": "N"}),
+    "witness.max_set_size": (8, None, {"metavar": "N"}),
+    "witness.stop_below": (None, (float,), {
+        "metavar": "EIG", "help": "stop once an eigenvalue below this is found"}),
+    "series.path": (None, (str,),
+                    {"metavar": "FILE", "help": "invert a phi.csv series instead of a model"}),
+    "ensemble.kind": (None, (str,), {"choices": ["discrete", "spectral", "cnot"]}),
+    "ensemble.members": (None, (list,), None),
+    "ensemble.path": (None, (str,),
+                      {"metavar": "FILE", "help": "two-column text with omega, weight"}),
+    "ensemble.a": (0.5, None, {"metavar": "A", "help": "cnot mixing weight"}),
+    "ensemble.j": (1.0, None, {"metavar": "J", "help": "cnot coupling strength"}),
+    "ensemble.bins": (32, None,
+                      {"metavar": "N", "help": "bins for discretizing a spectral ensemble"}),
+    "rho0": ("plus", (str, list), {"help": "plus | up | down | mixed"}),
+    "times.t_max": (10.0, None, {"metavar": "T"}),
+    "times.count": (21, None, {"metavar": "N"}),
+    "times.list": (None, (list,), None),
+    "mc.samples": (100000, None, {"metavar": "N"}),
+    "paths": (None, (str, list),
+              {"metavar": "LIST", "help": "comma-joined subset of he,dilation,mc,master"}),
+    "seed": (12345, None, {"metavar": "INT"}),
+    "output.dir": (".", None, {"metavar": "DIR", "help": "output directory"}),
+    "output.format": ("csv", None, {"choices": ["csv", "json"]}),
 }
 TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
+TABLE_BLOCK = 4096  # rows of a table formatted per call
+
+
+def _types(path: str) -> tuple:
+    default, types, _ = FIELDS[path]
+    return types or (type(default),)
+
+
+def _slot(cfg: dict, path: str) -> tuple[dict, str]:
+    """The object holding the field at a dotted path, and the field's key in it."""
+    *parents, key = path.split(".")
+    for p in parents:
+        cfg = cfg.setdefault(p, {})
+    return cfg, key
 
 
 def _fmt(x) -> str:
@@ -107,47 +146,42 @@ def _merge(base: dict, extra: dict) -> dict:
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    cfg = copy.deepcopy(DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
+    """The defaults, overridden by the --config file, overridden by the flags.
+
+    Raises ConfigError naming the first field whose JSON type the table does
+    not allow, or whose number is NaN, infinite or past the float range.
+    """
+    cfg: dict = {}
+    for path, (default, _, _) in FIELDS.items():
+        node, key = _slot(cfg, path)
+        node[key] = default
+    config = getattr(args, "config", None)
+    if config:
         try:
-            with open(path) as fh:
+            with open(config) as fh:
                 loaded = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}")
+            raise ConfigError(f"cannot read config {config}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
         cfg = _merge(cfg, loaded)
-    # kebab-case flags --a-b-c override field paths a.b_c
-    for key, value in vars(args).items():
-        if value is None or key in ("config", "command", "func"):
+    for path in FIELDS:
+        node, key = _slot(cfg, path)
+        value = getattr(args, path, None)
+        if value is not None:
+            node[key] = value
+        value = node[key]
+        if value is None and FIELDS[path][0] is None:
             continue
-        parts = key.split("__")
-        node = cfg
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
-    _check_types(cfg, DEFAULTS)
-    return cfg
-
-
-def _check_types(cfg: dict, defaults: dict, prefix: str = "") -> None:
-    """Raise ConfigError naming the first field whose JSON type its default does not allow.
-
-    A number field also takes an integer; no field takes a boolean.
-    """
-    for key, default in defaults.items():
-        name, value = prefix + key, cfg[key]
-        if isinstance(default, dict):
-            _check_types(value, default, name + ".")
-            continue
-        if value is None and default is None:
-            continue
-        kinds = FIELD_TYPES.get(name, (type(default),))
+        kinds = _types(path)
         allowed = tuple((int, float) if k is float else k for k in kinds)
         if isinstance(value, bool) or not isinstance(value, allowed):
-            raise ConfigError(f"config field {name!r} must be "
+            raise ConfigError(f"config field {path!r} must be "
                               + " or ".join(TYPE_NAMES[k] for k in kinds))
+        # NaN fails this comparison, and so do ±inf and integers past the float range
+        if float in kinds and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"config field {path!r} must be finite")
+    return cfg
 
 
 def build_model(cfg: dict) -> SpectralDensityModel:
@@ -179,8 +213,6 @@ def build_series(cfg: dict) -> DephasingSeries:
     model = build_model(cfg)
     grid = build_grid(cfg, model.omega_scale())
     omega0, phase = float(cfg["omega0"]), float(cfg["phase"])
-    if not (math.isfinite(omega0) and math.isfinite(phase)):
-        raise ConfigError("omega0 and phase must be finite")
     try:
         if cfg["mode"] == "conventional":
             return dephasing_conventional(model, omega0, grid)
@@ -204,14 +236,15 @@ def _out_dir(cfg: dict) -> str:
     return d
 
 
-def _write_atomic(path: str, content: str) -> None:
+def _write_atomic(path: str, parts) -> None:
+    """Write the strings of ``parts`` to path, which holds all of them or is untouched."""
     d, name = os.path.split(path)
     tmp = os.path.join(d, f".tmp-{os.getpid()}-{os.urandom(4).hex()}-{name}")
     # mode 0o666 lets the umask decide the final permissions
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(content)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -222,26 +255,32 @@ def _write_atomic(path: str, content: str) -> None:
 def write_table(cfg: dict, stem: str, header: list[str], columns: list[np.ndarray]) -> str:
     """Emit named columns as CSV or JSON per output.format."""
     d = _out_dir(cfg)
-    rows = len(columns[0])
+    table = np.column_stack(columns)
+    fields = ["%.16e"] * table.shape[1]  # the format of _fmt
     if cfg["output"]["format"] == "csv":
-        lines = [",".join(header)]
-        for i in range(rows):
-            lines.append(",".join(_fmt(c[i]) for c in columns))
         path = os.path.join(d, stem + ".csv")
-        _write_atomic(path, "\n".join(lines) + "\n")
+        head, row, sep, tail = ",".join(header) + "\n", ",".join(fields) + "\n", "", ""
     else:
-        body = ",\n".join(
-            "    [" + ", ".join(_fmt(c[i]) for c in columns) + "]" for i in range(rows)
-        )
-        doc = '{\n  "columns": %s,\n  "rows": [\n%s\n  ]\n}\n' % (json.dumps(header), body)
         path = os.path.join(d, stem + ".json")
-        _write_atomic(path, doc)
+        head = '{\n  "columns": %s,\n  "rows": [\n' % json.dumps(header)
+        row, sep, tail = "    [" + ", ".join(fields) + "]", ",\n", "\n  ]\n}\n"
+
+    def text():
+        # one %-template per block of rows, filled in one call; a block at a
+        # time keeps the text held in memory small
+        yield head
+        for i in range(0, len(table), TABLE_BLOCK):
+            block = table[i:i + TABLE_BLOCK]
+            yield (sep if i else "") + sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+        yield tail
+
+    _write_atomic(path, text())
     return path
 
 
 def write_json(cfg: dict, name: str, obj) -> str:
     path = os.path.join(_out_dir(cfg), name)
-    _write_atomic(path, _json_text(obj, 0) + "\n")
+    _write_atomic(path, [_json_text(obj, 0) + "\n"])
     return path
 
 
@@ -264,14 +303,13 @@ def _json_text(obj, indent: int) -> str:
     return pad + json.dumps(obj)
 
 
-def cmd_dephase(cfg: dict) -> int:
+def cmd_dephase(cfg: dict) -> None:
     series = build_series(cfg)
     write_table(
         cfg, "phi",
         ["t", "re_phi", "im_phi", "abs_phi"],
         [series.times, series.values.real, series.values.imag, np.abs(series.values)],
     )
-    return 0
 
 
 def read_table(path: str, columns: int) -> np.ndarray:
@@ -300,21 +338,19 @@ def read_table(path: str, columns: int) -> np.ndarray:
     return data
 
 
-def cmd_invert(cfg: dict) -> int:
+def cmd_invert(cfg: dict) -> None:
     if cfg["series"]["path"]:
         data = read_table(cfg["series"]["path"], 3)
         try:
             series = DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2])
         except ValueError as exc:
-            print(f"hens invert: {exc}", file=sys.stderr)
-            return 3
+            raise ConfigError(str(exc), 3)
     else:
         series = build_series(cfg)
     try:
         dist = inverse_ft(series)
     except SeriesSymmetryError as exc:
-        print(f"hens invert: {exc}", file=sys.stderr)
-        return 3
+        raise ConfigError(str(exc), 3)
     write_table(cfg, "wp", ["omega", "wp"], [dist.omega, dist.values])
     write_json(cfg, "diagnostics.json", {
         "norm": dist.norm,
@@ -322,10 +358,9 @@ def cmd_invert(cfg: dict) -> int:
         "negativity": dist.negativity,
         "realness_residual": dist.realness_residual,
     })
-    return 0
 
 
-def cmd_landscape(cfg: dict) -> int:
+def cmd_landscape(cfg: dict) -> None:
     model = build_model(cfg)
     if cfg["mode"] != "extended":
         raise ConfigError("landscape requires mode = extended")
@@ -335,19 +370,18 @@ def cmd_landscape(cfg: dict) -> int:
     phases = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     grid = build_grid(cfg, model.omega_scale())
     window = (float(cfg["window"]["omega_lo"]), float(cfg["window"]["omega_hi"]))
-    if window[1] <= window[0]:
+    if not window[0] < window[1]:
         raise ConfigError("empty frequency window")
     try:
         exponent, drift = extended_exponents(model, grid)
+        omega, phases, cells = negativity_landscape(exponent, drift, phases, window, grid)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    omega, phases, cells = negativity_landscape(exponent, drift, phases, window, grid)
     header = ["omega"] + [f"phi={_fmt(p)}" for p in phases]
     write_table(cfg, "landscape", header, [omega] + [cells[:, j] for j in range(phases.size)])
-    return 0
 
 
-def cmd_witness(cfg: dict) -> int:
+def cmd_witness(cfg: dict) -> None:
     series = build_series(cfg)
     w = cfg["witness"]
     stop = w["stop_below"]
@@ -368,7 +402,6 @@ def cmd_witness(cfg: dict) -> int:
         "restarts_used": used,
         "seed": int(cfg["seed"]),
     })
-    return 0
 
 
 def _number(value, field: str) -> float:
@@ -389,8 +422,6 @@ def _parse_matrix(entries, field: str) -> np.ndarray:
     try:
         return np.array([[scal(v) for v in row] for row in entries], dtype=complex)
     except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad matrix: {exc}")
 
 
@@ -408,8 +439,6 @@ def _parse_rho0(value) -> DensityMatrix:
             return presets[value]()
         return DensityMatrix(_parse_matrix(value, "rho0"))
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"bad rho0: {exc}")
 
 
@@ -434,17 +463,19 @@ def _requested_paths(cfg: dict, kind: str) -> list[str]:
 def _output_times(cfg: dict) -> np.ndarray:
     t = cfg["times"]
     if t["list"] is not None:
+        if not t["list"]:
+            raise ConfigError("config field 'times.list' is empty")
         times = np.array([_number(x, "times.list") for x in t["list"]])
     else:
-        if not 0.0 < float(t["t_max"]) < np.inf or int(t["count"]) < 1:
-            raise ConfigError("times.t_max must be finite and positive and times.count >= 1")
+        if not 0.0 < t["t_max"] or t["count"] < 1:
+            raise ConfigError("times.t_max must be positive and times.count >= 1")
         times = np.linspace(0.0, float(t["t_max"]), int(t["count"]))
-    if times.size == 0 or not np.all((times >= 0) & np.isfinite(times)):
+    if not np.all((times >= 0) & np.isfinite(times)):
         raise ConfigError("output times must be finite and nonnegative")
     return times
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: dict) -> None:
     ens_cfg = cfg["ensemble"]
     kind = ens_cfg["kind"]
     if kind not in ("discrete", "spectral", "cnot"):
@@ -478,12 +509,8 @@ def cmd_simulate(cfg: dict) -> int:
         flags["weights_nonnegative"] = not negative
 
         if negative and ({"mc", "dilation"} & set(paths)):
-            print(
-                "hens simulate: not a probability distribution - cannot sample "
-                "(negative weights; a nonclassicality signal)",
-                file=sys.stderr,
-            )
-            return 4
+            raise ConfigError("not a probability distribution - cannot sample "
+                              "(negative weights; a nonclassicality signal)", 4)
         if {"mc", "dilation"} & set(paths):
             spectral = SpectralEnsemble(omega, weights)
 
@@ -512,8 +539,7 @@ def cmd_simulate(cfg: dict) -> int:
                 series = forward_ft((omega, weights), grid)
                 t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
             except CoefficientSingularityError as exc:
-                print(f"hens simulate: {exc}", file=sys.stderr)
-                return 3
+                raise ConfigError(str(exc), 3)
             except ValueError as exc:
                 raise ConfigError(str(exc))
             if last >= t_all.size:
@@ -533,8 +559,6 @@ def cmd_simulate(cfg: dict) -> int:
             a, j = float(ens_cfg["a"]), float(ens_cfg["j"])
             if not 0.0 <= a <= 1.0:
                 raise ConfigError("cnot mixing weight must lie in [0, 1]")
-            if not math.isfinite(j):
-                raise ConfigError("cnot coupling must be finite")
             ens = cnot_ensemble(a, j)
         else:
             members = ens_cfg.get("members")
@@ -546,8 +570,6 @@ def cmd_simulate(cfg: dict) -> int:
                              for m in members)
                 ens = HamiltonianEnsemble(probs, hams)
             except (TypeError, ValueError, LookupError) as exc:
-                if isinstance(exc, ConfigError):
-                    raise
                 raise ConfigError(f"bad ensemble: {exc}")
         if rho0.dim != ens.dim:
             raise ConfigError("rho0 dimension differs from the ensemble")
@@ -594,35 +616,26 @@ def cmd_simulate(cfg: dict) -> int:
     write_json(cfg, "consistency.json", {
         "pairwise_max_trace_distance": distances, **flags, "seed": seed,
     })
-    return 0
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE", help="JSON config file")
-    p.add_argument("--output-dir", dest="output__dir", metavar="DIR", help="output directory")
-    p.add_argument("--output-format", dest="output__format", choices=["csv", "json"])
-    p.add_argument("--seed", type=int, metavar="INT")
-
-
-def _add_model(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model-kind", dest="model__kind",
-                   choices=["ohmic_exp_cutoff", "tabulated"])
-    p.add_argument("--model-omega-c", dest="model__omega_c", type=float, metavar="W",
-                   help="Ohmic cutoff frequency")
-    p.add_argument("--model-temperature", dest="model__temperature", type=float, metavar="T")
-    p.add_argument("--model-path", dest="model__path", metavar="FILE",
-                   help="two-column text with omega, J(omega)")
-    p.add_argument("--mode", choices=["conventional", "extended"])
-    p.add_argument("--grid-t-max", dest="grid__t_max", type=float, metavar="T")
-    p.add_argument("--grid-n", dest="grid__n", type=int, metavar="POW2")
-
-
-def _add_series(p: argparse.ArgumentParser) -> None:
-    """Model flags plus the system parameters of one dephasing series."""
-    _add_model(p)
-    p.add_argument("--omega0", type=float, metavar="W", help="system level splitting")
-    p.add_argument("--phase", type=float, metavar="RAD",
-                   help="relative coupling phase of the extended model")
+COMMON = ("output.dir", "output.format", "seed")
+MODEL = ("model.kind", "model.omega_c", "model.temperature", "model.path", "mode",
+         "grid.t_max", "grid.n")
+SERIES = MODEL + ("omega0", "phase")  # the system parameters of one dephasing series
+# subcommand -> (handler, help, fields that take a flag, in help order)
+COMMANDS = {
+    "dephase": (cmd_dephase, "emit the dephasing factor phi(t)", SERIES),
+    "invert": (cmd_invert, "recover the simulating (quasi-)distribution",
+               SERIES + ("series.path",)),
+    "landscape": (cmd_landscape, "negative contributions over (omega, phase)",
+                  MODEL + ("phases.count", "window.omega_lo", "window.omega_hi")),
+    "witness": (cmd_witness, "search for a positive-definiteness violation",
+                SERIES + ("witness.restarts", "witness.max_set_size", "witness.stop_below")),
+    "simulate": (cmd_simulate, "evolve an ensemble by every applicable route",
+                 ("grid.t_max", "grid.n", "ensemble.kind", "ensemble.path", "ensemble.a",
+                  "ensemble.j", "ensemble.bins", "rho0", "times.t_max", "times.count",
+                  "mc.samples", "paths")),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -632,71 +645,27 @@ def make_parser() -> argparse.ArgumentParser:
                     "witness nonclassicality of the dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dephase", help="emit the dephasing factor phi(t)")
-    _add_common(p)
-    _add_series(p)
-    p.set_defaults(func=cmd_dephase)
-
-    p = sub.add_parser("invert", help="recover the simulating (quasi-)distribution")
-    _add_common(p)
-    _add_series(p)
-    p.add_argument("--series-path", dest="series__path", metavar="FILE",
-                   help="invert a phi.csv series instead of a model")
-    p.set_defaults(func=cmd_invert)
-
-    p = sub.add_parser("landscape", help="negative contributions over (omega, phase)")
-    _add_common(p)
-    _add_model(p)
-    p.add_argument("--phases-count", dest="phases__count", type=int, metavar="N")
-    p.add_argument("--window-omega-lo", dest="window__omega_lo", type=float, metavar="W")
-    p.add_argument("--window-omega-hi", dest="window__omega_hi", type=float, metavar="W")
-    p.set_defaults(func=cmd_landscape, mode="extended")
-
-    p = sub.add_parser("witness", help="search for a positive-definiteness violation")
-    _add_common(p)
-    _add_series(p)
-    p.add_argument("--witness-restarts", dest="witness__restarts", type=int, metavar="N")
-    p.add_argument("--witness-max-set-size", dest="witness__max_set_size", type=int,
-                   metavar="N")
-    p.add_argument("--witness-stop-below", dest="witness__stop_below", type=float,
-                   metavar="EIG", help="stop once an eigenvalue below this is found")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("simulate", help="evolve an ensemble by every applicable route")
-    _add_common(p)
-    p.add_argument("--grid-t-max", dest="grid__t_max", type=float, metavar="T")
-    p.add_argument("--grid-n", dest="grid__n", type=int, metavar="POW2")
-    p.add_argument("--ensemble-kind", dest="ensemble__kind",
-                   choices=["discrete", "spectral", "cnot"])
-    p.add_argument("--ensemble-path", dest="ensemble__path", metavar="FILE",
-                   help="two-column text with omega, weight")
-    p.add_argument("--ensemble-a", dest="ensemble__a", type=float, metavar="A",
-                   help="cnot mixing weight")
-    p.add_argument("--ensemble-j", dest="ensemble__j", type=float, metavar="J",
-                   help="cnot coupling strength")
-    p.add_argument("--ensemble-bins", dest="ensemble__bins", type=int, metavar="N",
-                   help="bins for discretizing a spectral ensemble")
-    p.add_argument("--rho0", help="plus | up | down | mixed")
-    p.add_argument("--times-t-max", dest="times__t_max", type=float, metavar="T")
-    p.add_argument("--times-count", dest="times__count", type=int, metavar="N")
-    p.add_argument("--mc-samples", dest="mc__samples", type=int, metavar="N")
-    p.add_argument("--paths", metavar="LIST",
-                   help="comma-joined subset of he,dilation,mc,master")
-    p.set_defaults(func=cmd_simulate)
-
+    for name, (handler, text, fields) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", metavar="FILE", help="JSON config file")
+        for path in COMMON + fields:
+            p.add_argument("--" + path.replace(".", "-").replace("_", "-"), dest=path,
+                           type=_types(path)[0], **FIELDS[path][2])
+        p.set_defaults(func=handler)
+    # the landscape sweeps the extended model's phases; --mode conventional exits 2
+    sub.choices["landscape"].set_defaults(mode="extended")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only place that reports a failure and sets the exit code."""
+    args = make_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        return args.func(cfg)
+        args.func(load_config(args))
     except ConfigError as exc:
         print(f"hens {args.command}: {exc}", file=sys.stderr)
-        return 2
+        return exc.code
+    return 0
 
 
 def entry() -> None:

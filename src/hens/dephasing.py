@@ -325,8 +325,8 @@ def extended_phase(model: SpectralDensityModel, phase: float, t):
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-def _adaptive_curve(f, t_hi: float) -> CubicSpline:
-    """Cubic spline of f on [0, t_hi] from adaptively refined knots.
+def _adaptive_curve(f, t_hi: float):
+    """Cubic spline of f on [0, t_hi] from adaptively refined knots, as a function of t.
 
     f(t) is the exponent Phi(t), or a tuple (Phi(t), ...) whose further
     entries become further columns of the same knots and spline.  The base
@@ -337,7 +337,10 @@ def _adaptive_curve(f, t_hi: float) -> CubicSpline:
     interval is split when any column misses KNOT_TOL * e^{+Phi} (Phi at the
     midpoint, the weight capped at 1e16).  An interval is accepted without
     that check once Phi and its local estimate at the midpoint both reach
-    PHI_NEGLIGIBLE, or once it is no longer than t_hi * 2^-36.
+    PHI_NEGLIGIBLE, or once it is no longer than t_hi * 2^-36.  The spline is
+    built in t / 2^e, with t_hi = m 2^e and 1/2 <= m < 1, so that its cubic
+    coefficients (~ values / spacing^3) stay representable on any t_hi; the
+    exact power-of-two scaling leaves every evaluated value unchanged.
     """
     xs = np.unique(np.concatenate([
         np.linspace(0.0, t_hi, 33),
@@ -375,16 +378,18 @@ def _adaptive_curve(f, t_hi: float) -> CubicSpline:
         if abs(est - fm).max() > tol:
             work.append((a, m))
             work.append((m, b))
-    return _knot_spline(ks, vals)
+    e = math.frexp(t_hi)[1]
+    spline = _knot_spline(ks, vals, e)
+    return lambda t: spline(np.ldexp(t, -e))
 
 
-def _knot_spline(ks: list[float], vals: dict) -> CubicSpline:
-    """Cubic spline through the knots ks; a ValueError names the exponent when it fails."""
+def _knot_spline(ks: list[float], vals: dict, e: int) -> CubicSpline:
+    """Cubic spline through the knots ks, in the variable t / 2^e; a ValueError
+    names the exponent when it fails."""
     try:
-        # slopes between knot values near the float limit overflow, and so do
-        # the cubic coefficients (~ values / spacing^3) of knots spaced below ~1e-160
+        # slopes between knot values near the float limit overflow
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return CubicSpline(ks, [vals[k] for k in ks])
+            return CubicSpline(np.ldexp(ks, -e), [vals[k] for k in ks])
     except (ValueError, FloatingPointError) as exc:
         raise ValueError(f"decoherence exponent on [{ks[0]!r}, {ks[-1]!r}] is not "
                          f"representable in floating point ({exc})") from None

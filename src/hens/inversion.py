@@ -216,13 +216,17 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
     ``extended_exponents``).  For each phase, inverts ``extended_series`` and
     keeps min(wp, 0) on the requested frequency window.  Returns
     (omega, phases, matrix) with matrix shape (len(omega), len(phases)).
+    Raises ValueError when the window holds no frequency of the conjugate grid.
     """
     phases = np.asarray(phases, dtype=float)
     lo, hi = float(omega_window[0]), float(omega_window[1])
     omega_full = conjugate_frequency_grid(grid)
     mask = (omega_full >= lo) & (omega_full <= hi)
     omega = omega_full[mask]
-
+    if not omega.size:
+        span = [float(omega_full[0]), float(omega_full[-1])]
+        raise ValueError(f"frequency window [{lo!r}, {hi!r}] holds no frequency of the grid, "
+                         f"whose frequencies span {span}")
     cols = [np.minimum(inverse_ft(extended_series(grid, exponent, drift, p)).values[mask], 0.0)
             for p in phases]
     return omega, phases, np.column_stack(cols)

@@ -79,10 +79,6 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
-def identity_operator(dim: int) -> HermitianOperator:
-    return HermitianOperator(np.eye(dim, dtype=complex))
-
-
 def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hens.cli import main, read_table
+from hens.cli import COMMANDS, COMMON, FIELDS, load_config, main, make_parser, read_table
 from hens.dephasing import SpectralDensityModel
 from hens.qdyn import PAULI_X, pure_state
 
@@ -381,8 +381,9 @@ ZERO2 = [[0, 0], [0, 0]]
 BAD_VALUE_MESSAGES = {
     "huge-temperature": "decoherence exponent",
     "huge-omega-c-tiny-temperature": "decoherence exponent",
-    "tiny-t-max": "decoherence exponent",
     "landscape-thermal": "T=0",
+    "empty-window": "holds no frequency of the grid",
+    "empty-times-list": "'times.list' is empty",
     "no-paths": "'paths'",
     "uneven-grid-dilation": "uniform and increasing",
     "uneven-grid-he-mc": "uniform and increasing",
@@ -425,9 +426,6 @@ def bad_field(command, field, value, *flags):
     # the ratio of the graded panels' edges overflows
     pytest.param(["dephase", "--model-omega-c", "1e300", "--model-temperature", "1e-300",
                   "--grid-t-max", "1", "--grid-n", "256"], id="huge-omega-c-tiny-temperature"),
-    # knots ~1e-202 apart: the spline's cubic coefficients (~ values / spacing^3) overflow
-    pytest.param(["dephase", "--mode", "extended", "--grid-t-max", "1e-200", "--grid-n", "256"],
-                 id="tiny-t-max"),
     pytest.param(["dephase", "--model-kind", "tabulated", "--model-path", "{d}/nan_j.txt"],
                  id="nan-model-table"),
     pytest.param(["invert", "--series-path", "{d}/nan_series.csv"], id="nan-series"),
@@ -446,6 +444,9 @@ def bad_field(command, field, value, *flags):
     pytest.param([*UNEVEN, "--paths", "he,mc"], id="uneven-grid-he-mc"),
     pytest.param(["landscape", "--model-temperature", "0.5", *SMALL_GRID],
                  id="landscape-thermal"),
+    # the 256-point default grid's frequencies end near |omega| = 2
+    pytest.param(["landscape", "--window-omega-lo", "1000", "--window-omega-hi", "2000",
+                  "--grid-n", "256"], id="empty-window"),
     bad_field("landscape", "phases.count", "abc"),
     bad_field("landscape", "phases.count", 2.5, *SMALL_GRID),
     bad_field("landscape", "window.omega_lo", "a", *SMALL_GRID),
@@ -455,6 +456,8 @@ def bad_field(command, field, value, *flags):
     bad_field("simulate", "paths", [], "--ensemble-kind", "cnot"),
     pytest.param(["simulate", "--ensemble-kind", "cnot", "--paths", ","], id="no-paths"),
     bad_field("simulate", "times.list", ["1"], "--ensemble-kind", "cnot"),
+    pytest.param(["simulate", "--config", {"times": {"list": []}}, "--ensemble-kind", "cnot"],
+                 id="empty-times-list"),
     bad_field("simulate", "ensemble.members", [["0.5", ZERO2], [0.5, ZERO2]],
               "--ensemble-kind", "discrete"),
     bad_field("simulate", "ensemble.members", [[True, ZERO2]], "--ensemble-kind", "discrete"),
@@ -489,6 +492,70 @@ def test_bad_values_exit_two(tmp_path, capsys, request, argv):
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
     assert BAD_VALUE_MESSAGES.get(request.node.callspec.id, "") in err
+
+
+def test_tiny_t_max_extended_series(tmp_path):
+    # knots ~1e-202 apart: the spline is built on knots rescaled by a power of two
+    rc = run("dephase", "--mode", "extended", "--grid-t-max", "1e-200", "--grid-n", "256",
+             "--output-dir", str(tmp_path))
+    assert rc == 0
+    _, data = read_csv(tmp_path / "phi.csv")
+    assert np.max(np.abs(data[:, 1] + 1j * data[:, 2] - 1.0)) < 1e-12
+
+
+def field_types(path):
+    default, types, _ = FIELDS[path]
+    return types or (type(default),)
+
+
+def field_value(cfg, path):
+    for key in path.split("."):
+        cfg = cfg[key]
+    return cfg
+
+
+FLAGS = [(name, path) for name, (_, _, fields) in COMMANDS.items() for path in COMMON + fields]
+FLOAT_FIELDS = [path for path in FIELDS if float in field_types(path)]
+
+
+def flag(path):
+    return "--" + path.replace(".", "-").replace("_", "-")
+
+
+@pytest.mark.parametrize("command,path", FLAGS, ids=[f"{c}-{p}" for c, p in FLAGS])
+def test_flag_sets_exactly_its_field(command, path):
+    parser = make_parser()
+    base = load_config(parser.parse_args([command]))
+    options = FIELDS[path][2]
+    if "choices" in options:
+        text = next(c for c in options["choices"] if c != field_value(base, path))
+    else:
+        text = {int: "7", float: "2.5", str: "x"}[field_types(path)[0]]
+    cfg = load_config(parser.parse_args([command, flag(path), text]))
+    changed = [p for p in FIELDS if field_value(cfg, p) != field_value(base, p)]
+    assert changed == [path]
+    assert str(field_value(cfg, path)) == text
+
+
+@pytest.mark.parametrize("source", ["flag", "json"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+@pytest.mark.parametrize("path", FLOAT_FIELDS)
+def test_non_finite_number_exits_two(tmp_path, capsys, path, value, source):
+    command = next(c for c, p in FLAGS if p == path)
+    if source == "flag":
+        argv = [command, f"{flag(path)}={value!r}"]
+    else:
+        doc = value
+        for key in reversed(path.split(".")):
+            doc = {key: doc}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = [command, "--config", str(config)]
+    assert run(*argv, "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"config field {path!r} must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_huge_temperature_ends(tmp_path):

@@ -220,6 +220,11 @@ class TestLandscape:
         expected = np.minimum(dist.values[mask], 0.0)
         assert np.max(np.abs(cells[:, 1] - expected)) < 1e-14
 
+    def test_empty_window_rejected(self, ohmic_pair):
+        # GRID's frequencies end near |omega| = 514
+        with pytest.raises(ValueError, match="holds no frequency of the grid"):
+            negativity_landscape(*ohmic_pair(GRID), [0.0], (1000.0, 2000.0), GRID)
+
     def test_two_pi_periodic(self, ohmic_pair):
         phases = np.array([np.pi / 4, np.pi / 4 + 2.0 * np.pi])
         _, _, cells = negativity_landscape(*ohmic_pair(GRID), phases, (-10.0, 10.0), GRID)
