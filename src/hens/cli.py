@@ -114,6 +114,7 @@ FIELDS = {
 }
 TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 TABLE_BLOCK = 4096  # rows of a table formatted per call
+INT64 = np.iinfo(np.int64)
 
 
 def _types(path: str) -> tuple:
@@ -149,7 +150,8 @@ def load_config(args: argparse.Namespace) -> dict:
     """The defaults, overridden by the --config file, overridden by the flags.
 
     Raises ConfigError naming the first field whose JSON type the table does
-    not allow, or whose number is NaN, infinite or past the float range.
+    not allow, whose number is NaN, infinite or past the float range, or whose
+    integer is past the int64 range.
     """
     cfg: dict = {}
     for path, (default, _, _) in FIELDS.items():
@@ -181,6 +183,9 @@ def load_config(args: argparse.Namespace) -> dict:
         # NaN fails this comparison, and so do ±inf and integers past the float range
         if float in kinds and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"config field {path!r} must be finite")
+        # counts and seeds reach numpy as int64: a larger one fails here, allocating nothing
+        if int in kinds and not INT64.min <= value <= INT64.max:
+            raise ConfigError(f"config field {path!r} is out of range")
     return cfg
 
 
@@ -408,6 +413,8 @@ def _number(value, field: str) -> float:
     """A JSON number inside a config list, as a float; ConfigError names the field otherwise."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config field {field!r} must hold numbers, not {value!r}")
+    if isinstance(value, int) and not abs(value) <= sys.float_info.max:  # float() would raise
+        raise ConfigError(f"config field {field!r} is out of range")
     return float(value)
 
 
@@ -588,9 +595,9 @@ def cmd_simulate(cfg: dict) -> None:
         flags["classical_ok"] = classical
     if "mc" in paths:  # spectral ensembles only, see _requested_paths
         draws = sample_frequencies(spectral, samples, seed)
-        est = [mc_coherence(draws, t) for t in times]
-        states["mc"] = [dephase_qubit(rho0, zbar).matrix for zbar, _ in est]
-        flags["mc_max_stderr"] = max(stderr for _, stderr in est)
+        means, stderrs = mc_coherence(draws, times)
+        states["mc"] = [dephase_qubit(rho0, zbar).matrix for zbar in means]
+        flags["mc_max_stderr"] = float(stderrs.max())
 
     emitted = [p for p in ("he", "dilation", "mc", "master") if p in states]
     dim = rho0.dim

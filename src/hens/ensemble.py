@@ -26,6 +26,7 @@ from .qdyn import (
 PROB_TOL = 1e-10
 MASS_TOL = 1e-8
 NEGATIVE_TOL = 1e-6  # deeper spectral weight dips are negativity, shallower ones noise
+MC_BLOCK = 1 << 16  # draws per sampler substream and per Monte Carlo estimator block
 
 
 @dataclass(frozen=True)
@@ -182,39 +183,74 @@ def sample_frequencies(ens, n: int, seed: int) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"not a probability distribution - cannot sample ({exc})") from None
     omega, domega, cdf = ens.omega, ens.domega, ens.cdf()
-
-    chunk = 1 << 16
-    n_chunks = (n + chunk - 1) // chunk
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def draw(i):
-        m = chunk if (i + 1) * chunk <= n else n - i * chunk
-        u = np.random.default_rng(children[i]).random(m)
+    out = np.empty(n)  # before the substreams: an n too large to hold fails here
+    children = np.random.SeedSequence(seed).spawn((n + MC_BLOCK - 1) // MC_BLOCK)
+    for i, child in enumerate(children):
+        block = out[i * MC_BLOCK:(i + 1) * MC_BLOCK]
+        u = np.random.default_rng(child).random(block.size)
         # left edge on ties / flat CDF runs
         idx = np.clip(np.searchsorted(cdf, u, side="left"), 1, cdf.size - 1)
         seg = cdf[idx] - cdf[idx - 1]
         frac = np.where(seg > 0, (u - cdf[idx - 1]) / np.where(seg > 0, seg, 1.0), 0.0)
-        return omega[idx - 1] + frac * domega
-
-    return np.concatenate([draw(i) for i in range(n_chunks)])
+        block[:] = omega[idx - 1] + frac * domega
+    return out
 
 
 def mc_average(ens, rho0: DensityMatrix, t: float, n: int, seed: int):
-    """Monte Carlo estimate of the spectral average.
+    """Monte Carlo estimate of the spectral average at one time t.
 
     Returns (state, stderr) where stderr is the standard error of the sampled
-    coherence factor. Deterministic for a fixed seed.
+    coherence factor.  Deterministic for a fixed seed.  The factor is
+    ``mc_coherence(draws, [t])``: one exponential per draw, so its error is the
+    rounding of w*t in e^{iwt}.
     """
-    zbar, stderr = mc_coherence(sample_frequencies(ens, n, seed), t)
-    return dephase_qubit(rho0, zbar), stderr
+    zbar, stderr = mc_coherence(sample_frequencies(ens, n, seed), [t])
+    return dephase_qubit(rho0, zbar[0]), float(stderr[0])
 
 
-def mc_coherence(draws: np.ndarray, t: float) -> tuple[complex, float]:
-    """Sample mean of e^{i w t} over the drawn frequencies, and its standard error."""
+def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means of e^{iwt} over the drawn frequencies w at each time, and their stderrs.
+
+    One pass over the draws, MC_BLOCK at a time.  Within a block the times are
+    visited in sorted order (stable, so repeats are free) and the phases z
+    step by the recurrence z <- z * e^{iw*gap}, gap being the distance to the
+    previous time (the first from t = 0).  The factor e^{iw*gap} is computed
+    again only when the gap moves by more than np.spacing of the later time,
+    so evenly spaced times cost one exponential per draw, and any other time
+    set at most one per draw per time.  Reusing a factor adds at most
+    |w|*ulp(t) of phase per step, the order of the rounding of w*t in a
+    direct evaluation; over K steps the means are within
+    K*(max|w|*ulp(t_max) + a few eps) of the direct per-time estimate.
+
+    Per time the blocks accumulate S = sum z and Q = sum |z|^2; the mean is S/n
+    and the variance (Q - n|mean|^2)/(n - 1), floored at 0 (exactly 0 at t = 0
+    and for n = 1).  Returns (means, stderrs) in the caller's order of times.
+    """
+    draws = np.asarray(draws, dtype=float)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
     n = draws.size
-    ph = np.exp(1j * draws * t)
-    var = float(np.var(ph.real, ddof=1) + np.var(ph.imag, ddof=1)) if n > 1 else 0.0
-    return complex(ph.mean()), float(np.sqrt(var / n))
+    order = np.argsort(times, kind="stable")
+    sums = np.zeros(times.size, dtype=complex)
+    squares = np.zeros(times.size)
+    for start in range(0, n, MC_BLOCK):
+        w = draws[start:start + MC_BLOCK]
+        z = np.ones(w.size, dtype=complex)
+        prev, step_gap = 0.0, None
+        for k in order:
+            t = times[k]
+            gap = t - prev
+            prev = t
+            if gap:
+                if step_gap is None or abs(gap - step_gap) > np.spacing(abs(t)):
+                    step, step_gap = np.exp(1j * w * gap), gap
+                z *= step
+            sums[k] += z.sum()
+            squares[k] += np.vdot(z, z).real
+    means = sums / n
+    if n < 2:
+        return means, np.zeros(times.size)
+    var = np.maximum(squares - n * (means.real ** 2 + means.imag ** 2), 0.0) / (n - 1)
+    return means, np.sqrt(var / n)
 
 
 def _env_coherence(matrix: np.ndarray, d: int, env_dim: int) -> float:

@@ -12,6 +12,7 @@ import pytest
 
 from hens.cli import COMMANDS, COMMON, FIELDS, load_config, main, make_parser, read_table
 from hens.dephasing import SpectralDensityModel
+from hens.ensemble import SpectralEnsemble, sample_frequencies
 from hens.qdyn import PAULI_X, pure_state
 
 
@@ -299,6 +300,46 @@ class TestSimulate:
             cons = json.load(open(out / "consistency.json"))
             assert cons["pairwise_max_trace_distance"]["he_vs_master"] < 1e-8
 
+    def test_spectral_mc_estimates_every_time_in_one_pass(self, tmp_path):
+        write_inputs(tmp_path)
+        dist, samples = tmp_path / "dist.csv", 70000  # more draws than one block
+
+        def simulate(name, times, *flags):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"times": {"list": times}}))
+            out = tmp_path / name
+            assert run("simulate", "--ensemble-kind", "spectral", "--ensemble-path", str(dist),
+                       "--mc-samples", str(samples), "--config", str(config), *flags,
+                       "--output-dir", str(out)) == 0
+            lines = (out / "state.csv").read_text().splitlines()
+            cons = json.load(open(out / "consistency.json"))
+            return lines[0].split(","), [line.split(",") for line in lines[1:]], cons
+
+        given = [2.0, 0.0, 0.5, 3.0, 1.0, 0.5]
+        header, rows, cons = simulate("all", given)
+        other, other_rows, _ = simulate("routes", given, "--paths", "he,dilation,master")
+        for name in other:  # the other routes do not see the Monte Carlo pass
+            k, j = header.index(name), other.index(name)
+            assert [r[k] for r in rows] == [r[j] for r in other_rows]
+
+        table = np.loadtxt(dist, delimiter=",")
+        weights = table[:, 1] / np.trapezoid(table[:, 1], table[:, 0])
+        draws = sample_frequencies(SpectralEnsemble(table[:, 0], weights), samples, 12345)
+        stderrs = []
+        for row in rows:  # the master route snaps t to its grid; mc runs at those times
+            ph = np.exp(1j * draws * float(row[0]))
+            zbar = 0.5 * ph.mean()  # rho0 = |+><+| has coherence 1/2
+            assert abs(float(row[header.index("mc_re_10")]) - zbar.real) <= 1e-14
+            assert abs(float(row[header.index("mc_im_10")]) - zbar.imag) <= 1e-14
+            var = np.var(ph.real, ddof=1) + np.var(ph.imag, ddof=1)
+            stderrs.append(np.sqrt(var / samples))
+        assert abs(cons["mc_max_stderr"] - max(stderrs)) <= 1e-12 * max(stderrs)
+
+        # shuffled times give the sorted run's rows, byte for byte, in the given order
+        _, sorted_rows, _ = simulate("sorted", sorted(given))
+        rank = np.argsort(np.argsort(given, kind="stable"), kind="stable")
+        assert rows == [sorted_rows[r] for r in rank]
+
     def test_quasi_distribution_exits_four(self, tmp_path, capsys):
         inv = tmp_path / "inv"
         assert run("invert", "--mode", "extended", "--phase", str(np.pi / 4),
@@ -387,6 +428,10 @@ BAD_VALUE_MESSAGES = {
     "no-paths": "'paths'",
     "uneven-grid-dilation": "uniform and increasing",
     "uneven-grid-he-mc": "uniform and increasing",
+    "huge-phases-count": "config field 'phases.count' is out of range",
+    "huge-times-count": "config field 'times.count' is out of range",
+    "huge-times-list": "config field 'times.list' is out of range",
+    "huge-seed": "config field 'seed' is out of range",
 }
 SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/dist.csv"]
 UNEVEN = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/uneven_dist.csv"]
@@ -458,6 +503,15 @@ def bad_field(command, field, value, *flags):
     bad_field("simulate", "times.list", ["1"], "--ensemble-kind", "cnot"),
     pytest.param(["simulate", "--config", {"times": {"list": []}}, "--ensemble-kind", "cnot"],
                  id="empty-times-list"),
+    # integers past int64 (and, in a list, past the float range) stop at the boundary
+    pytest.param(["landscape", "--config", {"phases": {"count": 10**400}}],
+                 id="huge-phases-count"),
+    pytest.param(["simulate", "--config", {"times": {"count": 10**400}}, "--ensemble-kind",
+                  "cnot"], id="huge-times-count"),
+    pytest.param(["simulate", "--config", {"times": {"list": [1.0, 10**400]}},
+                  "--ensemble-kind", "cnot"], id="huge-times-list"),
+    pytest.param(["simulate", "--config", {"seed": 2**63}, "--ensemble-kind", "cnot"],
+                 id="huge-seed"),
     bad_field("simulate", "ensemble.members", [["0.5", ZERO2], [0.5, ZERO2]],
               "--ensemble-kind", "discrete"),
     bad_field("simulate", "ensemble.members", [[True, ZERO2]], "--ensemble-kind", "discrete"),

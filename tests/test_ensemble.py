@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import hens.ensemble
 from hens.ensemble import (
+    MC_BLOCK,
     Dilation,
     HamiltonianEnsemble,
     SpectralEnsemble,
@@ -12,6 +14,7 @@ from hens.ensemble import (
     he_average,
     joint_evolve_reduce,
     mc_average,
+    mc_coherence,
     sample_frequencies,
     spectral_average,
 )
@@ -211,6 +214,106 @@ class TestMonteCarlo:
             if abs(got.matrix[1, 0] - exact) > 5.0 * stderr:
                 failures += 1
         assert failures <= max(1, trials // 100)
+
+
+def reference_coherence(draws, t):
+    """The per-time estimator: mean of e^{iwt} and the ddof=1 variances of its parts."""
+    ph = np.exp(1j * draws * t)
+    var = np.var(ph.real, ddof=1) + np.var(ph.imag, ddof=1) if draws.size > 1 else 0.0
+    return ph.mean(), np.sqrt(var / draws.size)
+
+
+def reference_draws(ens, n, seed):
+    """The sampler as a concatenation of one array per seeded substream."""
+    cdf = ens.cdf()
+    chunks = []
+    for i, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // MC_BLOCK))):
+        u = np.random.default_rng(child).random(min(MC_BLOCK, n - i * MC_BLOCK))
+        idx = np.clip(np.searchsorted(cdf, u, side="left"), 1, cdf.size - 1)
+        seg = cdf[idx] - cdf[idx - 1]
+        frac = np.where(seg > 0, (u - cdf[idx - 1]) / np.where(seg > 0, seg, 1.0), 0.0)
+        chunks.append(ens.omega[idx - 1] + frac * ens.domega)
+    return np.concatenate(chunks)
+
+
+def skewed_draws(n, seed=11):
+    # an off-center, bimodal p(omega): the means stay far from 0 and 1
+    om = np.linspace(-6.0, 10.0, 3201)
+    w = np.exp(-0.5 * (om - 1.5) ** 2) + 0.4 * np.exp(-2.0 * (om - 5.0) ** 2)
+    return sample_frequencies(SpectralEnsemble(om, w / np.trapezoid(w, om)), n, seed)
+
+
+def assert_matches_reference(draws, times, mean_tol=1e-14, stderr_rtol=1e-12):
+    means, stderrs = mc_coherence(draws, times)
+    assert means.shape == stderrs.shape == (len(times),)
+    for t, m, s in zip(times, means, stderrs):
+        ref_m, ref_s = reference_coherence(draws, t)
+        assert abs(m - ref_m) <= mean_tol, t
+        assert abs(s - ref_s) <= stderr_rtol * ref_s, t
+
+
+class TestMonteCarloAllTimes:
+    @pytest.mark.parametrize("times", [np.linspace(0, 10, 21), np.linspace(0, 10, 101),
+                                       np.linspace(0, 7, 21),
+                                       [3.0, 0.0, 1.5, 3.0, 0.7, 0.0, 9.25, 1.5],
+                                       # gaps ~1e4 ulp apart: too far to reuse a factor
+                                       [0.0, 1.0, 2.0 + 1e-11, 3.0 + 1e-11, 4.0]],
+                             ids=["0-10-21", "0-10-101", "0-7-21", "unsorted-repeats",
+                                  "near-even"])
+    def test_matches_per_time_estimator(self, times):
+        assert_matches_reference(skewed_draws(2 * MC_BLOCK + 123), times)
+
+    @pytest.mark.parametrize("n", [2, 1000, MC_BLOCK + 1])
+    def test_matches_per_time_estimator_at_block_edges(self, n):
+        assert_matches_reference(skewed_draws(n), np.linspace(0, 10, 21))
+
+    def test_single_draw_has_zero_stderr(self):
+        draws = skewed_draws(1)
+        means, stderrs = mc_coherence(draws, [0.0, 2.5, 5.0])
+        assert np.array_equal(stderrs, np.zeros(3))
+        assert np.allclose(means, np.exp(1j * draws[0] * np.array([0.0, 2.5, 5.0])),
+                           rtol=0, atol=1e-14)
+
+    def test_zero_time_is_exact(self):
+        means, stderrs = mc_coherence(skewed_draws(MC_BLOCK + 7), [2.0, 0.0, 0.0, 1.0])
+        assert means[1] == means[2] == 1.0 and stderrs[1] == stderrs[2] == 0.0
+
+    def test_long_evenly_spaced_run(self):
+        # each reused step factor adds at most max|w| ulp(t) of phase
+        draws = skewed_draws(5000)
+        times = np.linspace(0, 200, 2000)
+        k = times.size
+        bound = k * np.max(np.abs(draws)) * np.spacing(times[-1]) + k * np.finfo(float).eps
+        assert_matches_reference(draws, times, mean_tol=bound)
+
+    def test_evenly_spaced_times_cost_one_exponential_per_draw(self, monkeypatch):
+        sizes = []
+        exp = np.exp
+
+        def counting_exp(x):
+            sizes.append(np.size(x))
+            return exp(x)
+
+        draws = skewed_draws(2 * MC_BLOCK + 5)
+        monkeypatch.setattr(hens.ensemble.np, "exp", counting_exp)
+        mc_coherence(draws, np.linspace(0, 10, 101))
+        assert sum(sizes) == draws.size
+        sizes.clear()
+        # distinct gaps: one exponential per draw per time
+        mc_coherence(draws, [0.3, 1.0, 2.5, 2.5, 5.0])
+        assert sum(sizes) == 4 * draws.size
+
+    def test_mc_average_is_the_one_time_estimate(self):
+        ens = gaussian_spectral()
+        state, stderr = mc_average(ens, PLUS, 1.7, 3000, seed=9)
+        zbar, ref_stderr = reference_coherence(sample_frequencies(ens, 3000, seed=9), 1.7)
+        assert abs(state.matrix[1, 0] - 0.5 * zbar) < 1e-15
+        assert abs(stderr - ref_stderr) <= 1e-12 * ref_stderr
+
+    @pytest.mark.parametrize("n", [1, MC_BLOCK, MC_BLOCK + 1, 1_000_000])
+    def test_sampler_fills_blocks_as_the_substreams_draw(self, n):
+        ens = gaussian_spectral()
+        assert np.array_equal(sample_frequencies(ens, n, seed=4), reference_draws(ens, n, seed=4))
 
 
 class TestDilation:
