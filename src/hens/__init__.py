@@ -14,7 +14,6 @@ from .qdyn import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    evolve_unitary,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -43,7 +42,6 @@ from .dephasing import (
     dephasing_extended,
     extended_coherence,
     extended_exponents,
-    extended_phase,
     extended_series,
     master_coeffs,
     ohmic_series,
@@ -53,7 +51,6 @@ from .dephasing import (
 from .inversion import (
     BochnerReport,
     QuasiDistribution,
-    SeriesSymmetryError,
     bochner_search,
     bochner_witness,
     forward_ft,
@@ -77,7 +74,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "QuasiDistribution",
-    "SeriesSymmetryError",
     "SpectralDensityModel",
     "SpectralEnsemble",
     "bochner_search",
@@ -88,10 +84,8 @@ __all__ = [
     "dephasing_conventional",
     "dephasing_extended",
     "dilate",
-    "evolve_unitary",
     "extended_coherence",
     "extended_exponents",
-    "extended_phase",
     "extended_series",
     "forward_ft",
     "he_average",

@@ -49,7 +49,6 @@ from .ensemble import (
     sample_frequencies,
 )
 from .inversion import (
-    SeriesSymmetryError,
     bochner_search,
     forward_ft,
     inverse_ft,
@@ -352,10 +351,7 @@ def cmd_invert(cfg: dict) -> None:
             raise ConfigError(str(exc), 3)
     else:
         series = build_series(cfg)
-    try:
-        dist = inverse_ft(series)
-    except SeriesSymmetryError as exc:
-        raise ConfigError(str(exc), 3)
+    dist = inverse_ft(series)
     write_table(cfg, "wp", ["omega", "wp"], [dist.omega, dist.values])
     write_json(cfg, "diagnostics.json", {
         "norm": dist.norm,

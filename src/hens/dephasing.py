@@ -14,10 +14,11 @@ every panel wider than the oscillation bound pi / (4t) integrates the
 degree-15 Legendre interpolant of g against 1 - e^{i w t} exactly; the
 narrower panels and the panel touching w = 0 keep Gauss-Legendre.  One complex
 sum gives the even (1 - cos) integral and the odd sine integral, so the
-conventional and extended series, ``decoherence_exponent`` and
-``extended_phase`` share one evaluator.  The extended two-qubit model builds
-its odd phase angle from int 4J/w^2 (w t - sin w t) dw and the T=0 exponent,
-a pair (``extended_exponents``) that serves every phase (``extended_series``).
+conventional and extended series and ``decoherence_exponent`` share one
+evaluator.  The extended two-qubit model builds its odd phase angle from
+int 4J/w^2 (w t - sin w t) dw and the T=0 exponent, a pair
+(``extended_exponents``) that serves every phase (``extended_series``, and
+the landscape's columns through the same values helper).
 Every series on a dense symmetric time grid comes from one adaptive spline:
 the exponent, or the extended model's (Phi, sine) pair as two columns of the
 same knots, is sampled at adaptively refined times and interpolated with a
@@ -192,12 +193,6 @@ def _gauss_legendre(e: np.ndarray):
     return c[:, None] + h[:, None] * _GL_X, h[:, None] * _GL_W
 
 
-def _panel_nodes(model: SpectralDensityModel, t: float):
-    """Flat Gauss-Legendre nodes/weights on the panels of ``_panel_edges(model, t)``."""
-    nodes, weights = _gauss_legendre(_panel_edges(model, t))
-    return nodes.ravel(), weights.ravel()
-
-
 def _graded(e: np.ndarray) -> np.ndarray:
     """Edges e from ZERO_PANEL * e[1] on, with every panel [a, b] that is nearer to
     w = 0 than two of its widths split geometrically into pieces with b / a <= GRADE."""
@@ -306,25 +301,6 @@ def decoherence_exponent(model: SpectralDensityModel, t):
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-def extended_phase(model: SpectralDensityModel, phase: float, t):
-    """Odd phase angle of the two-qubit extended model at T = 0.
-
-    cos(phase) * int 4J/w^2 (w t - sin w t) dw
-      + sign(t) * sin(phase) * int 4J/w^2 (1 - cos w t) dw
-    """
-    if model.temperature != 0.0:
-        raise ValueError("extended model implemented at T=0 only")
-    ts = np.asarray(t, dtype=float)
-    rule = _FilonRule(model)
-    vals = []
-    for x in ts.ravel():
-        even, odd = rule.integrals(x)
-        drift = rule.inverse_frequency_mass * x - odd
-        vals.append(math.cos(phase) * drift + np.sign(x) * math.sin(phase) * even)
-    out = np.array(vals)
-    return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
-
-
 def _adaptive_curve(f, t_hi: float):
     """Cubic spline of f on [0, t_hi] from adaptively refined knots, as a function of t.
 
@@ -412,6 +388,20 @@ def symmetry_residual(values: np.ndarray) -> float:
     return float(np.max(np.abs(tail - np.conj(tail[::-1]))))
 
 
+def _require_series_grid(t: np.ndarray) -> None:
+    """ValueError unless t is a finite, uniform, increasing 2^k >= 4 grid centered on t = 0."""
+    n = t.size
+    if t.ndim != 1 or n < 4 or n & (n - 1):
+        raise ValueError("times must be a power-of-two grid")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("times must be finite")
+    d = np.diff(t)
+    if np.min(d) <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
+        raise ValueError("time grid must be uniform and increasing")
+    if abs(t[n // 2]) > 1e-12 * max(abs(t[-1]), 1.0):
+        raise ValueError("time grid must be centered on t = 0")
+
+
 @dataclass(frozen=True)
 class DephasingSeries:
     """Complex dephasing factor phi(t) on a symmetric uniform time grid.
@@ -422,21 +412,14 @@ class DephasingSeries:
 
     times: np.ndarray
     values: np.ndarray
-    omega0: float = 0.0
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float).copy()
         v = np.asarray(self.values, dtype=complex).copy()
         n = t.size
-        if n < 4 or n & (n - 1) or v.shape != t.shape:
-            raise ValueError("times/values must be power-of-two grids of equal size")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise ValueError("times and values must be finite")
-        d = np.diff(t)
-        if np.min(d) <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
-            raise ValueError("time grid must be uniform and increasing")
-        if abs(t[n // 2]) > 1e-12 * max(abs(t[-1]), 1.0):
-            raise ValueError("time grid must be centered on t = 0")
+        _require_series_grid(t)
+        if v.shape != t.shape or not np.all(np.isfinite(v)):
+            raise ValueError("values must be finite, one per time")
         if abs(v[n // 2] - 1.0) > SERIES_UNIT_TOL:
             raise ValueError("dephasing factor must equal 1 at t = 0")
         if float(np.max(np.abs(v))) > 1.0 + SERIES_UNIT_TOL:
@@ -469,7 +452,7 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
     spline = _adaptive_curve(lambda x: rule.integrals(x)[0], float(np.max(np.abs(grid))))
     exponent = np.clip(spline(np.abs(grid)), 0.0, None)
     values = np.exp(1j * omega0 * grid - exponent)
-    return DephasingSeries(grid, values, omega0=omega0)
+    return DephasingSeries(grid, values)
 
 
 def extended_exponents(model: SpectralDensityModel, grid: np.ndarray):
@@ -484,10 +467,37 @@ def extended_exponents(model: SpectralDensityModel, grid: np.ndarray):
     return np.clip(even, 0.0, None), rule.inverse_frequency_mass * grid - np.sign(grid) * odd
 
 
+def _extended_values(grid, exponent, drift, phase: float) -> np.ndarray:
+    """exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi."""
+    theta = math.cos(phase) * drift + np.sign(grid) * math.sin(phase) * exponent
+    return np.exp(-1j * theta - exponent)
+
+
 def extended_series(grid, exponent, drift, phase: float) -> DephasingSeries:
     """Series exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi."""
-    theta = math.cos(phase) * drift + np.sign(grid) * math.sin(phase) * exponent
-    return DephasingSeries(grid, np.exp(-1j * theta - exponent))
+    return DephasingSeries(grid, _extended_values(grid, exponent, drift, phase))
+
+
+def _extended_pair(grid, exponent, drift):
+    """(grid, Phi, drift) as float arrays that ``extended_series`` accepts at every finite
+    phase.  ValueError unless the grid passes the series' grid rules and, within the
+    series' tolerances, Phi >= 0, Phi is even and the drift odd (Phi + i drift is
+    conjugate-symmetric) and both are 0 at t = 0; both must be finite, with a finite sum
+    of their largest magnitudes, which bounds theta."""
+    grid, exponent, drift = (np.asarray(a, dtype=float) for a in (grid, exponent, drift))
+    _require_series_grid(grid)
+    if exponent.shape != grid.shape or drift.shape != grid.shape:
+        raise ValueError("exponent and drift must match the time grid")
+    if not math.isfinite(float(np.max(np.abs(exponent))) + float(np.max(np.abs(drift)))):
+        raise ValueError("exponent and drift must be finite")
+    if float(np.min(exponent)) < -SERIES_UNIT_TOL:
+        raise ValueError("exponent must be nonnegative")
+    pair = exponent + 1j * drift
+    if abs(pair[grid.size // 2]) > SERIES_UNIT_TOL:
+        raise ValueError("exponent and drift must vanish at t = 0")
+    if symmetry_residual(pair) > SERIES_SYM_TOL:
+        raise ValueError("exponent must be even and drift odd")
+    return grid, exponent, drift
 
 
 def dephasing_extended(model: SpectralDensityModel, phase: float,
@@ -505,12 +515,9 @@ def ohmic_series(omega_c: float, grid: np.ndarray, phase: float | None = None) -
     grid = np.asarray(grid, dtype=float)
     x = omega_c * grid
     log1p = np.log1p(x * x)
-    modulus = np.exp(-2.0 * log1p)
     if phase is None:
-        return DephasingSeries(grid, modulus.astype(complex))
-    theta = 4.0 * math.cos(phase) * (x - np.arctan(x)) \
-        + np.sign(grid) * math.sin(phase) * 2.0 * log1p
-    return DephasingSeries(grid, np.exp(-1j * theta) * modulus)
+        return DephasingSeries(grid, np.exp(-2.0 * log1p).astype(complex))
+    return extended_series(grid, 2.0 * log1p, 4.0 * (x - np.arctan(x)), phase)
 
 
 def master_coeffs(series: DephasingSeries, t_min: float | None = None,

@@ -17,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import DephasingSeries, extended_series, symmetry_residual
+from .dephasing import DephasingSeries, _extended_pair, _extended_values
 from .dephasing import ohmic_series  # noqa: F401  bench/spans.py wraps this name
 from .ensemble import SpectralEnsemble, _coherence_factor
-
-
-class SeriesSymmetryError(ValueError):
-    """Inversion input violates conjugate symmetry."""
 
 
 @dataclass(frozen=True)
@@ -124,18 +120,19 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     return DephasingSeries(grid, values / mass)
 
 
+def _spectrum(values: np.ndarray, dt: float) -> np.ndarray:
+    """(dt/2pi) sum_n values_n e^{-i w_k t_n} on the conjugate grid of a symmetric time grid."""
+    return dt / (2.0 * np.pi) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
+
+
 def inverse_ft(series: DephasingSeries) -> QuasiDistribution:
     """Recover the simulating (quasi-)distribution of a dephasing series.
 
     wp(w_k) = (dt/2pi) sum_n phi(t_n) e^{-i w_k t_n} on the conjugate grid
     dw = 2pi/(N dt); the imaginary residual is recorded, never silently lost.
     """
-    if symmetry_residual(series.values) > 1e-8:
-        raise SeriesSymmetryError("series not conjugate-symmetric")
     omega = conjugate_frequency_grid(series.times)
-    spectrum = series.dt / (2.0 * np.pi) * np.fft.fftshift(
-        np.fft.fft(np.fft.ifftshift(series.values))
-    )
+    spectrum = _spectrum(series.values, series.dt)
     return QuasiDistribution.from_samples(
         omega, spectrum.real, realness_residual=float(np.max(np.abs(spectrum.imag)))
     )
@@ -213,12 +210,16 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
     """Negative part of the recovered extended-model distribution over (w, phase).
 
     ``(exponent, drift)`` is the extended model's pair on the grid (see
-    ``extended_exponents``).  For each phase, inverts ``extended_series`` and
-    keeps min(wp, 0) on the requested frequency window.  Returns
-    (omega, phases, matrix) with matrix shape (len(omega), len(phases)).
-    Raises ValueError when the window holds no frequency of the conjugate grid.
+    ``extended_exponents``).  The pair and phases are checked once; each column
+    is then ``inverse_ft``'s spectrum of that phase's series, kept as min(wp, 0)
+    on the requested frequency window.  Returns (omega, phases, matrix) with
+    matrix shape (len(omega), len(phases)).  Raises ValueError for a pair or
+    phase ``extended_series`` rejects, or a window without grid frequencies.
     """
+    grid, exponent, drift = _extended_pair(grid, exponent, drift)
     phases = np.asarray(phases, dtype=float)
+    if not np.all(np.isfinite(phases)):
+        raise ValueError("phases must be finite")
     lo, hi = float(omega_window[0]), float(omega_window[1])
     omega_full = conjugate_frequency_grid(grid)
     mask = (omega_full >= lo) & (omega_full <= hi)
@@ -227,6 +228,7 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
         span = [float(omega_full[0]), float(omega_full[-1])]
         raise ValueError(f"frequency window [{lo!r}, {hi!r}] holds no frequency of the grid, "
                          f"whose frequencies span {span}")
-    cols = [np.minimum(inverse_ft(extended_series(grid, exponent, drift, p)).values[mask], 0.0)
+    dt = float(grid[1] - grid[0])
+    cols = [np.minimum(_spectrum(_extended_values(grid, exponent, drift, p), dt).real[mask], 0.0)
             for p in phases]
     return omega, phases, np.column_stack(cols)

@@ -127,15 +127,6 @@ def unitary_at(h: HermitianOperator, t: float) -> np.ndarray:
     return (v * np.exp(-1j * w * t)) @ v.conj().T
 
 
-def evolve_unitary(rho: DensityMatrix, h: HermitianOperator, t: float) -> DensityMatrix:
-    """U rho U^dagger with U = exp(-i h t)."""
-    if rho.dim != h.dim:
-        raise DimensionError("state and Hamiltonian dimensions differ")
-    u = unitary_at(h, t)
-    out = u @ rho.matrix @ u.conj().T
-    return DensityMatrix(0.5 * (out + out.conj().T))
-
-
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the sum of absolute eigenvalues of a - b."""
     if a.dim != b.dim:

@@ -220,8 +220,7 @@ def test_criterion_10_fourier_roundtrip_suite():
     omega0 = m * dist0.domega
     from hens.dephasing import DephasingSeries
 
-    shifted = inverse_ft(DephasingSeries(grid, np.exp(1j * omega0 * grid) * base.values,
-                                         omega0=omega0))
+    shifted = inverse_ft(DephasingSeries(grid, np.exp(1j * omega0 * grid) * base.values))
     shift_resid = float(np.max(np.abs(shifted.values - np.roll(dist0.values, m))))
     check(10, [e_gauss <= 1e-6, e_lorentz <= 1e-4, shift_resid <= 1e-8],
           f"roundtrip Gaussian {e_gauss:.2e} <= 1e-6, Lorentzian {e_lorentz:.2e} <= 1e-4; "

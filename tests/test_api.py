@@ -1,0 +1,27 @@
+"""The package's public names: ``hens.__all__`` and README's module table agree."""
+
+import importlib
+import re
+from pathlib import Path
+
+import hens
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_all_names_resolve_once():
+    assert len(hens.__all__) == len(set(hens.__all__))
+    assert [name for name in hens.__all__ if not hasattr(hens, name)] == []
+
+
+def test_readme_module_table_lists_all():
+    # rows "| `hens.<module>` | contents | `Name`, `name`, ... |"
+    listed = []
+    for line in README.read_text().splitlines():
+        row = re.match(r"\| `(hens\.\w+)` \|.*\| (.*) \|$", line)
+        if row:
+            module = importlib.import_module(row.group(1))
+            names = re.findall(r"`(\w+)`", row.group(2))
+            assert [n for n in names if not hasattr(module, n)] == [], row.group(1)
+            listed += names
+    assert sorted(listed) == sorted(hens.__all__)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from hens.dephasing import (
     dephasing_extended,
     extended_coherence,
     extended_exponents,
-    extended_phase,
     extended_series,
     master_coeffs,
     ohmic_series,
@@ -22,7 +22,8 @@ from hens.dephasing import (
     time_grid,
     _FilonRule,
     _coth,
-    _panel_nodes,
+    _gauss_legendre,
+    _panel_edges,
 )
 from hens.qdyn import maximally_mixed, pure_state, trace_distance
 
@@ -110,6 +111,13 @@ class TestDecoherenceExponent:
         for t in (0.5, 2.0, 7.0):
             # linear-interpolation bias of the table, not quadrature error
             assert abs(decoherence_exponent(model, t) - phi_t0_analytic(t)) < 1e-4
+
+
+def _panel_nodes(model, t):
+    """Flat Gauss-Legendre nodes/weights on the panels of ``_panel_edges(model, t)``: the
+    capped rule, with panels under the oscillation bound pi/(4t) for t != 0."""
+    nodes, weights = _gauss_legendre(_panel_edges(model, t))
+    return nodes.ravel(), weights.ravel()
 
 
 def loop_panel_nodes(model, t):
@@ -234,28 +242,54 @@ class TestPanelNodes:
             decoherence_exponent(OHMIC1, 1e12)
 
 
+PHASE_GRID = time_grid(64.0, 1 << 12)  # dt = 1/32: t = 1 is a grid point
+PHASE_T0 = PHASE_GRID.size // 2
+PHASE_T1 = PHASE_T0 + 32
+
+
+@functools.cache
+def ohmic_phase_pair():
+    return extended_exponents(OHMIC1, PHASE_GRID)
+
+
+def pointwise_phase(model, phase, t):
+    """Reference: the extended phase angle at one time, straight from the Filon rule,
+    cos(phase) int 4J/w^2 (w t - sin w t) dw + sign(t) sin(phase) int 4J/w^2 (1 - cos w t) dw."""
+    rule = _FilonRule(model)
+    even, odd = rule.integrals(t)
+    drift = rule.inverse_frequency_mass * t - odd
+    return math.cos(phase) * drift + np.sign(t) * math.sin(phase) * even
+
+
 class TestExtendedPhase:
+    """The phase angle theta of ``extended_series`` on the pair of ``extended_exponents``,
+    read off the series as -arg phi."""
+
     def test_zero_time(self):
-        assert extended_phase(OHMIC1, 0.3, 0.0) == 0.0
+        exponent, drift = ohmic_phase_pair()
+        assert exponent[PHASE_T0] == 0.0 and drift[PHASE_T0] == 0.0
+        assert extended_series(PHASE_GRID, exponent, drift, 0.3).values[PHASE_T0] == 1.0
 
     def test_cosine_part_reference(self):
         # 4 (wc t - arctan wc t) at wc = t = 1
-        assert abs(extended_phase(OHMIC1, 0.0, 1.0) - (4.0 - np.pi)) < 1e-9
+        s = extended_series(PHASE_GRID, *ohmic_phase_pair(), 0.0)
+        assert abs(-np.angle(s.values[PHASE_T1]) - (4.0 - np.pi)) < 1e-9
 
     def test_sine_part_equals_zero_temperature_exponent(self):
-        assert abs(extended_phase(OHMIC1, np.pi / 2, 1.0) - 2.0 * np.log(2.0)) < 1e-9
+        s = extended_series(PHASE_GRID, *ohmic_phase_pair(), np.pi / 2)
+        assert abs(-np.angle(s.values[PHASE_T1]) - 2.0 * np.log(2.0)) < 1e-9
 
     def test_odd(self):
+        # arg phi(t) + arg phi(-t) = -(theta(t) + theta(-t)) modulo 2 pi
+        v = extended_series(PHASE_GRID, *ohmic_phase_pair(), 0.9).values
         rng = np.random.default_rng(7)
-        for t in rng.uniform(0.1, 10, 5):
-            fwd = extended_phase(OHMIC1, 0.9, t)
-            bwd = extended_phase(OHMIC1, 0.9, -t)
-            assert abs(fwd + bwd) < 1e-12
+        for k in rng.integers(4, 321, 5):  # t in [0.125, 10]
+            assert abs(np.angle(v[PHASE_T0 + k] * v[PHASE_T0 - k])) < 1e-12
 
     def test_finite_temperature_rejected(self):
         warm = SpectralDensityModel.ohmic(1.0, temperature=0.5)
         with pytest.raises(ValueError, match="T=0"):
-            extended_phase(warm, 0.1, 1.0)
+            dephasing_extended(warm, 0.1, time_grid(10.0, 1 << 8))
         with pytest.raises(ValueError, match="T=0"):
             extended_exponents(warm, time_grid(10.0, 1 << 8))
 
@@ -302,7 +336,6 @@ class TestSeriesConstruction:
         s = dephasing_conventional(OHMIC1, omega0, g)
         expected = np.exp(1j * omega0 * g) * (1 + g**2) ** -2.0
         assert np.max(np.abs(s.values - expected)) < 1e-8
-        assert s.omega0 == omega0
 
     def test_extended_series_closed_form(self):
         g = time_grid(50.0, 1 << 12)
@@ -326,7 +359,7 @@ class TestSeriesConstruction:
         s = dephasing_extended(model, 0.7, g)
         for k in (3, 64, 128, 160, 250):
             t = g[k]
-            exact = np.exp(-1j * extended_phase(model, 0.7, t) - decoherence_exponent(model, t))
+            exact = np.exp(-1j * pointwise_phase(model, 0.7, t) - _FilonRule(model).integrals(t)[0])
             assert abs(s.values[k] - exact) < 1e-9
 
     def test_tiny_time_grid(self):
@@ -375,7 +408,7 @@ class TestMasterCoefficients:
     def test_pure_rotation_coefficients(self):
         omega0 = 1.3
         g = time_grid(10.0, 1 << 10)
-        s = DephasingSeries(g, np.exp(1j * omega0 * g), omega0=omega0)
+        s = DephasingSeries(g, np.exp(1j * omega0 * g))
         t, eps, gam = master_coeffs(s)
         assert np.max(np.abs(eps - omega0 / 2.0)) < 1e-10
         assert np.max(np.abs(gam)) < 1e-12

@@ -23,13 +23,19 @@ from hens.qdyn import (
     HermitianOperator,
     PAULI_X,
     PAULI_Z,
-    evolve_unitary,
     maximally_mixed,
     pure_state,
     trace_distance,
+    unitary_at,
 )
 
 PLUS = pure_state([1.0, 1.0])
+
+
+def unitary_orbit(rho, h, t):
+    """U rho U^dagger with U = exp(-i h t) from ``unitary_at``."""
+    u = unitary_at(h, t)
+    return DensityMatrix(u @ rho.matrix @ u.conj().T)
 
 
 def random_qubit_ensemble(rng, n_members):
@@ -76,7 +82,7 @@ class TestHamiltonianEnsemble:
         rng = np.random.default_rng(2)
         ens = random_qubit_ensemble(rng, 1)
         for t in (0.0, 0.7, 3.1):
-            direct = evolve_unitary(PLUS, ens.hamiltonians[0], t)
+            direct = unitary_orbit(PLUS, ens.hamiltonians[0], t)
             assert trace_distance(he_average(ens, PLUS, t), direct) < 1e-14
 
     def test_two_member_dephasing_oracle(self):
@@ -142,7 +148,7 @@ class TestSpectralEnsemble:
         ens = SpectralEnsemble(om, w)
         t = 0.9
         got = spectral_average(ens, PLUS, t)
-        direct = evolve_unitary(PLUS, HermitianOperator(0.5 * om[k] * PAULI_Z), t)
+        direct = unitary_orbit(PLUS, HermitianOperator(0.5 * om[k] * PAULI_Z), t)
         assert trace_distance(got, direct) < 1e-12
 
     def test_gaussian_coherence_decay(self):
@@ -184,7 +190,7 @@ class TestMonteCarlo:
         draws = sample_frequencies(ens, 20000, seed=3)
         assert np.max(np.abs(draws - omega0)) <= om[1] - om[0] + 1e-12
         got, stderr = mc_average(ens, PLUS, 2.0, 20000, seed=3)
-        direct = evolve_unitary(PLUS, HermitianOperator(0.5 * omega0 * PAULI_Z), 2.0)
+        direct = unitary_orbit(PLUS, HermitianOperator(0.5 * omega0 * PAULI_Z), 2.0)
         assert trace_distance(got, direct) < 2e-3
         assert stderr < 1e-3
 
@@ -394,7 +400,7 @@ class TestCnot:
     def test_full_weight_is_pure_rotation(self):
         t, j = 0.8, 1.4
         got = cnot_mixture(1.0, j, t, PLUS)
-        direct = evolve_unitary(PLUS, HermitianOperator(0.5 * j * PAULI_X), t)
+        direct = unitary_orbit(PLUS, HermitianOperator(0.5 * j * PAULI_X), t)
         assert trace_distance(got, direct) < 1e-14
 
     def test_zero_weight_is_identity(self):
