@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 
@@ -58,6 +59,9 @@ from .inversion import (
 from .qdyn import DensityMatrix, HermitianOperator, maximally_mixed, pure_state, trace_distance
 
 
+TABLE_BLOCK = 4096  # rows of a table formatted per call
+
+
 class ConfigError(Exception):
     """A failure that ``main`` reports as ``hens <cmd>: <message>``, exiting with
     ``code``: 2 config error, 3 numerical precondition, 4 sampling impossibility."""
@@ -69,55 +73,69 @@ class ConfigError(Exception):
 
 # Every config field: path -> (default, the JSON types it takes when the default
 # does not show them, the argparse options of its flag --<path in kebab case>,
-# or None for a field read only from the config file).  A null default keeps
-# null allowed; a number field also takes an integer; no field takes a boolean.
+# or None for a field read only from the config file, and for a count the
+# largest value it takes).  A null default keeps null allowed; a number field
+# also takes an integer; no field takes a boolean.  A count's bound keeps the
+# array it sizes within COUNT_BYTES: the bytes of one unit are noted beside it.
+COUNT_BYTES = 1 << 30
 FIELDS = {
-    "model.kind": ("ohmic_exp_cutoff", None, {"choices": ["ohmic_exp_cutoff", "tabulated"]}),
-    "model.omega_c": (1.0, None, {"metavar": "W", "help": "Ohmic cutoff frequency"}),
-    "model.temperature": (0.0, None, {"metavar": "T"}),
+    "model.kind": ("ohmic_exp_cutoff", None, {"choices": ["ohmic_exp_cutoff", "tabulated"]},
+                   None),
+    "model.omega_c": (1.0, None, {"metavar": "W", "help": "Ohmic cutoff frequency"}, None),
+    "model.temperature": (0.0, None, {"metavar": "T"}, None),
     "model.path": (None, (str,),
-                   {"metavar": "FILE", "help": "two-column text with omega, J(omega)"}),
-    "mode": ("conventional", None, {"choices": ["conventional", "extended"]}),
-    "omega0": (0.0, None, {"metavar": "W", "help": "system level splitting"}),
+                   {"metavar": "FILE", "help": "two-column text with omega, J(omega)"}, None),
+    "mode": ("conventional", None, {"choices": ["conventional", "extended"]}, None),
+    "omega0": (0.0, None, {"metavar": "W", "help": "system level splitting"}, None),
     "phase": (0.0, None,
-              {"metavar": "RAD", "help": "relative coupling phase of the extended model"}),
-    "grid.t_max": (None, (float,), {"metavar": "T"}),
-    "grid.n": (65536, None, {"metavar": "POW2"}),
-    "window.omega_lo": (-10.0, None, {"metavar": "W"}),
-    "window.omega_hi": (10.0, None, {"metavar": "W"}),
-    "phases.count": (64, None, {"metavar": "N"}),
-    "witness.restarts": (10000, None, {"metavar": "N"}),
-    "witness.max_set_size": (8, None, {"metavar": "N"}),
+              {"metavar": "RAD", "help": "relative coupling phase of the extended model"}, None),
+    "grid.t_max": (None, (float,), {"metavar": "T"}, None),
+    # a row of dephase's four float columns per point: 32 B
+    "grid.n": (65536, None, {"metavar": "POW2"}, COUNT_BYTES // 32),
+    "window.omega_lo": (-10.0, None, {"metavar": "W"}, None),
+    "window.omega_hi": (10.0, None, {"metavar": "W"}, None),
+    # a landscape cell in each of the TABLE_BLOCK rows formatted at once, as a Python
+    # float in a list and a tuple plus its 24 characters of text: 64 B each
+    "phases.count": (64, None, {"metavar": "N"}, COUNT_BYTES // (64 * TABLE_BLOCK)),
+    # a floor per restart, were all held at once: 8 B
+    "witness.restarts": (10000, None, {"metavar": "N"}, COUNT_BYTES // 8),
+    # a Gram matrix of s x s complex entries: 16 s^2 B
+    "witness.max_set_size": (8, None, {"metavar": "N"}, math.isqrt(COUNT_BYTES // 16)),
     "witness.stop_below": (None, (float,), {
-        "metavar": "EIG", "help": "stop once an eigenvalue below this is found"}),
+        "metavar": "EIG", "help": "stop once an eigenvalue below this is found"}, None),
     "series.path": (None, (str,),
-                    {"metavar": "FILE", "help": "invert a phi.csv series instead of a model"}),
-    "ensemble.kind": (None, (str,), {"choices": ["discrete", "spectral", "cnot"]}),
-    "ensemble.members": (None, (list,), None),
+                    {"metavar": "FILE", "help": "invert a phi.csv series instead of a model"},
+                    None),
+    "ensemble.kind": (None, (str,), {"choices": ["discrete", "spectral", "cnot"]}, None),
+    "ensemble.members": (None, (list,), None, None),
     "ensemble.path": (None, (str,),
-                      {"metavar": "FILE", "help": "two-column text with omega, weight"}),
-    "ensemble.a": (0.5, None, {"metavar": "A", "help": "cnot mixing weight"}),
-    "ensemble.j": (1.0, None, {"metavar": "J", "help": "cnot coupling strength"}),
+                      {"metavar": "FILE", "help": "two-column text with omega, weight"}, None),
+    "ensemble.a": (0.5, None, {"metavar": "A", "help": "cnot mixing weight"}, None),
+    "ensemble.j": (1.0, None, {"metavar": "J", "help": "cnot coupling strength"}, None),
+    # the dilation's joint Hamiltonian of (2 bins)^2 complex entries: 64 bins^2 B
     "ensemble.bins": (32, None,
-                      {"metavar": "N", "help": "bins for discretizing a spectral ensemble"}),
-    "rho0": ("plus", (str, list), {"help": "plus | up | down | mixed"}),
-    "times.t_max": (10.0, None, {"metavar": "T"}),
-    "times.count": (21, None, {"metavar": "N"}),
-    "times.list": (None, (list,), None),
-    "mc.samples": (100000, None, {"metavar": "N"}),
+                      {"metavar": "N", "help": "bins for discretizing a spectral ensemble"},
+                      math.isqrt(COUNT_BYTES // 64)),
+    "rho0": ("plus", (str, list), {"help": "plus | up | down | mixed"}, None),
+    "times.t_max": (10.0, None, {"metavar": "T"}, None),
+    # a 2 x 2 complex state held as its own array (~180 B) by each of four routes,
+    # and its stacked copy: 1 KiB per time
+    "times.count": (21, None, {"metavar": "N"}, COUNT_BYTES // 1024),
+    "times.list": (None, (list,), None, None),
+    # a float draw: 8 B
+    "mc.samples": (100000, None, {"metavar": "N"}, COUNT_BYTES // 8),
     "paths": (None, (str, list),
-              {"metavar": "LIST", "help": "comma-joined subset of he,dilation,mc,master"}),
-    "seed": (12345, None, {"metavar": "INT"}),
-    "output.dir": (".", None, {"metavar": "DIR", "help": "output directory"}),
-    "output.format": ("csv", None, {"choices": ["csv", "json"]}),
+              {"metavar": "LIST", "help": "comma-joined subset of he,dilation,mc,master"}, None),
+    "seed": (12345, None, {"metavar": "INT"}, None),
+    "output.dir": (".", None, {"metavar": "DIR", "help": "output directory"}, None),
+    "output.format": ("csv", None, {"choices": ["csv", "json"]}, None),
 }
 TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
-TABLE_BLOCK = 4096  # rows of a table formatted per call
 INT64 = np.iinfo(np.int64)
 
 
 def _types(path: str) -> tuple:
-    default, types, _ = FIELDS[path]
+    default, types, _, _ = FIELDS[path]
     return types or (type(default),)
 
 
@@ -150,10 +168,10 @@ def load_config(args: argparse.Namespace) -> dict:
 
     Raises ConfigError naming the first field whose JSON type the table does
     not allow, whose number is NaN, infinite or past the float range, or whose
-    integer is past the int64 range.
+    integer is past the int64 range or, for a count, past the field's bound.
     """
     cfg: dict = {}
-    for path, (default, _, _) in FIELDS.items():
+    for path, (default, _, _, _) in FIELDS.items():
         node, key = _slot(cfg, path)
         node[key] = default
     config = getattr(args, "config", None)
@@ -182,9 +200,12 @@ def load_config(args: argparse.Namespace) -> dict:
         # NaN fails this comparison, and so do ±inf and integers past the float range
         if float in kinds and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"config field {path!r} must be finite")
-        # counts and seeds reach numpy as int64: a larger one fails here, allocating nothing
-        if int in kinds and not INT64.min <= value <= INT64.max:
-            raise ConfigError(f"config field {path!r} is out of range")
+        # counts and seeds reach numpy as int64, and a count stays within its bound:
+        # a larger one fails here, allocating nothing
+        bound = FIELDS[path][3]
+        if int in kinds and not INT64.min <= value <= (INT64.max if bound is None else bound):
+            raise ConfigError(f"config field {path!r} is out of range"
+                              + ("" if bound is None else f" (at most {bound})"))
     return cfg
 
 

@@ -6,9 +6,9 @@ The decoherence exponent is the oscillatory frequency integral
 
 evaluated by a Filon-type rule whose cost does not grow with t (Filon 1928;
 Iserles & Norsett 2005).  ``_FilonRule`` samples g = 4 J/w^2 coth(w/2T) once
-per model on a t-independent partition: the panels of ``_panel_edges(model,
-0)`` (the table knots, or [0, omega_max], split at 4T and cut into equal
-panels in one vectorized pass), graded geometrically near w = 0 so that each
+per model on a t-independent partition: the panels of ``_panel_edges(model)``
+(the table knots, or [0, omega_max], split at 4T and cut into equal panels in
+one vectorized pass), graded geometrically near w = 0 so that each
 panel lies at least two of its widths from the singularity of g.  At each t
 every panel wider than the oscillation bound pi / (4t) integrates the
 degree-15 Legendre interpolant of g against 1 - e^{i w t} exactly; the
@@ -141,16 +141,14 @@ class SpectralDensityModel:
         return float(self.table_omega[-1] - self.table_omega[0])
 
 
-def _panel_edges(model: SpectralDensityModel, t: float) -> np.ndarray:
-    """Panel edges on [0, omega_max] resolving J, coth and, for t != 0, e^{i w t}.
+def _panel_edges(model: SpectralDensityModel) -> np.ndarray:
+    """Panel edges on [0, omega_max] resolving J and coth.
 
     Every interval of the base partition (the table knots, or [0, omega_max],
-    split at 4T) gets panels no wider than half the model's width, 0.5 T
-    below 4T and, for t != 0, the oscillation bound pi / (4|t|).
+    split at 4T) gets panels no wider than half the model's width, and 0.5 T
+    below 4T.
     """
     cap = 0.5 * model.omega_scale()
-    if t != 0.0:
-        cap = min(cap, np.pi / (4.0 * abs(t)))
     if model.kind == "tabulated":
         base = np.unique(np.concatenate([[0.0], model.table_omega]))
     else:
@@ -161,7 +159,7 @@ def _panel_edges(model: SpectralDensityModel, t: float) -> np.ndarray:
     width = np.full(base.size - 1, cap)
     if temp > 0.0:
         width[base[:-1] < 4.0 * temp] = min(cap, 0.5 * temp)
-    return _cut(base, width, t)
+    return _cut(base, width, 0.0)
 
 
 def _cut(base: np.ndarray, width: np.ndarray, t: float) -> np.ndarray:
@@ -226,7 +224,7 @@ class _FilonRule:
     ``integrals(t)`` returns (even, odd) = (int g (1 - cos w t) dw,
     int g sin(w t) dw); coth = 1 at T = 0, where odd is the extended model's
     sine integral.  g is sampled once at the 16 Gauss-Legendre nodes of every
-    panel of ``_graded(_panel_edges(model, 0))``.  On a panel [c - h, c + h],
+    panel of ``_graded(_panel_edges(model))``.  On a panel [c - h, c + h],
     int g (1 - e^{iwt}) dw = h [(1 - e^{ict}) (G - B) + B], where G = int g dx
     and B = int g (1 - e^{ihtx}) dx over x in [-1, 1] is a weighted sum of the
     16 samples whose weights depend only on ht.  For a panel wider than the
@@ -242,7 +240,7 @@ class _FilonRule:
     def __init__(self, model: SpectralDensityModel):
         self.model = model
         with _representable(None):
-            e = np.concatenate([[0.0], _graded(_panel_edges(model, 0.0))])
+            e = np.concatenate([[0.0], _graded(_panel_edges(model))])
             self.zero = e[1]  # the panel touching w = 0 is [0, zero]
             self.c = 0.5 * (e[1:] + e[:-1])
             self.h = 0.5 * (e[1:] - e[:-1])

@@ -21,6 +21,12 @@ from .dephasing import DephasingSeries, _extended_pair, _extended_values
 from .dephasing import ohmic_series  # noqa: F401  bench/spans.py wraps this name
 from .ensemble import SpectralEnsemble, _coherence_factor
 
+# Restarts of bochner_search drawn before their floors are evaluated.  Blocks of
+# 256, 512 and 1024 took the same time for 10000 restarts (2-core VM, BLAS at
+# one thread); the smallest holds least and wastes least work past stop_below.
+WITNESS_BLOCK = 256
+GRAM_ENTRIES = 1 << 12  # Gram-matrix entries per eigvalsh call: 64 KiB of complex128
+
 
 @dataclass(frozen=True)
 class QuasiDistribution:
@@ -150,16 +156,38 @@ def roundtrip_error(dist) -> float:
     return float(np.max(np.abs(back.values - weights)))
 
 
+def _gram_floors(values: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the Gram matrix [phi(t_j - t_l)] of each row of ``k``.
+
+    ``values`` are a series' samples and ``k`` an (R, s) stack of index sets, each
+    index counted in grid steps from t = 0, whose pairwise differences stay on
+    the grid.  Entry (j, l) of row r is ``values[n/2 + k[r, j] - k[r, l]]``; each
+    matrix is symmetrized to 0.5 (m + m^H) and the stack goes to ``eigvalsh`` at
+    most GRAM_ENTRIES matrix entries at a time.
+    """
+    n0 = values.size // 2
+    step = max(1, GRAM_ENTRIES // k.shape[1] ** 2)
+    floors = np.empty(k.shape[0])
+    for lo in range(0, k.shape[0], step):
+        part = k[lo:lo + step]
+        m = values[n0 + part[:, :, None] - part[:, None, :]]
+        m = 0.5 * (m + m.conj().swapaxes(1, 2))
+        floors[lo:lo + step] = np.linalg.eigvalsh(m)[:, 0]
+    return floors
+
+
 def bochner_witness(series: DephasingSeries, times) -> BochnerReport:
     """Assemble the Hermitian Gram matrix phi(t_j - t_k) and report its floor.
 
-    The times must be grid points of the series whose pairwise differences
-    are grid points too; the matrix entries are the series' own samples.
-    For a positive-definite dephasing factor the smallest eigenvalue is
-    nonnegative; a clearly negative value certifies that no probability
-    distribution generates the series.
+    The times must be a nonempty 1-d array of grid points of the series whose
+    pairwise differences are grid points too; the matrix entries are the
+    series' own samples.  For a positive-definite dephasing factor the
+    smallest eigenvalue is nonnegative; a clearly negative value certifies
+    that no probability distribution generates the series.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise ValueError("times must be a nonempty 1-d array")
     n0 = series.n // 2
     k = np.rint(times / series.dt)
     if not (np.all((k >= -n0) & (k < n0)) and np.ptp(k) < n0):
@@ -167,11 +195,9 @@ def bochner_witness(series: DephasingSeries, times) -> BochnerReport:
     k = k.astype(int)
     if np.max(np.abs(series.times[n0 + k] - times)) > 1e-9 * series.dt:
         raise ValueError("time off the series grid")
-    m = series.values[n0 + np.subtract.outer(k, k)]
-    m = 0.5 * (m + m.conj().T)
     return BochnerReport(
         times=times,
-        min_eigenvalue=float(np.linalg.eigvalsh(m)[0]),
+        min_eigenvalue=float(_gram_floors(series.values, k[None])[0]),
         matrix_dim=times.size,
     )
 
@@ -181,9 +207,16 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
     """Randomized search for a Gram matrix with a negative floor.
 
     Time sets of size 2..max_size are drawn uniformly from the grid points in
-    [0, t_max / 4], a quarter of the series span.  Returns
-    (best report, restarts used).  Raises ValueError unless restarts >= 1 and
-    max_size >= 2.
+    [0, t_max / 4], a quarter of the series span: per restart one draw of the
+    size, then one of the indices.  The restarts are drawn WITNESS_BLOCK at a
+    time; a block's sets are grouped by size and each group's floors come from
+    one stacked ``eigvalsh`` (``_gram_floors``), so memory does not grow with
+    ``restarts``.  The draws, the floors and the result are those of one
+    ``bochner_witness`` call per restart: the best report is the first restart
+    that reaches the smallest floor, and with ``stop_below`` the search ends at
+    the first restart whose floor is below it, counted in the restarts used.
+    Returns (best report, restarts used).  Raises ValueError unless
+    restarts >= 1 and max_size >= 2.
     """
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
@@ -192,18 +225,29 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
     k_hi = int(0.25 * series.t_max / series.dt)
     n0 = series.n // 2
     rng = np.random.default_rng(seed)
-    best = None
-    used = 0
-    for _ in range(restarts):
-        used += 1
-        size = int(rng.integers(2, max_size + 1))
-        times = series.times[n0 + rng.integers(0, k_hi + 1, size)]
-        rep = bochner_witness(series, times)
-        if best is None or rep.min_eigenvalue < best.min_eigenvalue:
-            best = rep
-        if stop_below is not None and best.min_eigenvalue < stop_below:
+    best_floor, best_k, used = np.inf, None, 0
+    while used < restarts:
+        sets = []
+        for _ in range(min(WITNESS_BLOCK, restarts - used)):
+            size = int(rng.integers(2, max_size + 1))
+            sets.append(rng.integers(0, k_hi + 1, size))
+        sizes = np.array([k.size for k in sets])
+        floors = np.empty(len(sets))
+        for size in np.unique(sizes):
+            at = np.flatnonzero(sizes == size)
+            floors[at] = _gram_floors(series.values, np.array([sets[i] for i in at]))
+        below = np.flatnonzero(floors < stop_below) if stop_below is not None else []
+        if len(below):
+            floors = floors[:below[0] + 1]
+        i = int(np.argmin(floors))  # the first restart at the block's smallest floor
+        if floors[i] < best_floor:
+            best_floor, best_k = floors[i], sets[i]
+        used += floors.size
+        if len(below):
             break
-    return best, used
+    report = BochnerReport(times=series.times[n0 + best_k], min_eigenvalue=float(best_floor),
+                           matrix_dim=best_k.size)
+    return report, used
 
 
 def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray):

@@ -558,7 +558,7 @@ def test_tiny_t_max_extended_series(tmp_path):
 
 
 def field_types(path):
-    default, types, _ = FIELDS[path]
+    default, types, _, _ = FIELDS[path]
     return types or (type(default),)
 
 
@@ -609,6 +609,26 @@ def test_non_finite_number_exits_two(tmp_path, capsys, path, value, source):
     assert run(*argv, "--output-dir", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert f"config field {path!r} must be finite" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+COUNT_FIELDS = [path for path in FIELDS if FIELDS[path][3] is not None]
+
+
+@pytest.mark.parametrize("value", ["past", 10**15, 2**40])
+@pytest.mark.parametrize("path", COUNT_FIELDS)
+def test_count_past_its_bound_exits_two(tmp_path, capsys, path, value):
+    # refused before anything is allocated; the bound itself passes the boundary
+    command = next(c for c, p in FLAGS if p == path)
+    bound = FIELDS[path][3]
+    value = bound + 1 if value == "past" else value
+    extra = ["--ensemble-kind", "cnot"] if command == "simulate" else []
+    assert load_config(make_parser().parse_args([command, flag(path), str(bound)]))
+    assert run(command, flag(path), str(value), *extra,
+               "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"config field {path!r} is out of range (at most {bound})" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

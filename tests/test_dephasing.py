@@ -22,6 +22,7 @@ from hens.dephasing import (
     time_grid,
     _FilonRule,
     _coth,
+    _cut,
     _gauss_legendre,
     _panel_edges,
 )
@@ -113,10 +114,33 @@ class TestDecoherenceExponent:
             assert abs(decoherence_exponent(model, t) - phi_t0_analytic(t)) < 1e-4
 
 
+def panel_base(model):
+    """The base partition (the table knots, or [0, omega_max], split at 4T) and the
+    largest panel width on each of its intervals: half the model's width, 0.5 T below 4T."""
+    cap = 0.5 * model.omega_scale()
+    if model.kind == "tabulated":
+        base = np.unique(np.concatenate([[0.0], model.table_omega]))
+    else:
+        base = np.array([0.0, model.omega_max()])
+    temp = model.temperature
+    if temp > 0.0:
+        base = np.unique(np.concatenate([base, [min(4.0 * temp, base[-1])]]))
+    width = np.full(base.size - 1, cap)
+    if temp > 0.0:
+        width[base[:-1] < 4.0 * temp] = min(cap, 0.5 * temp)
+    return base, width
+
+
 def _panel_nodes(model, t):
-    """Flat Gauss-Legendre nodes/weights on the panels of ``_panel_edges(model, t)``: the
-    capped rule, with panels under the oscillation bound pi/(4t) for t != 0."""
-    nodes, weights = _gauss_legendre(_panel_edges(model, t))
+    """Flat Gauss-Legendre nodes/weights of the capped rule: the library's partition
+    ``_panel_edges(model)`` at t = 0; for t != 0 every base interval cut by ``_cut``
+    into panels also under the oscillation bound pi/(4|t|)."""
+    if t == 0.0:
+        edges = _panel_edges(model)
+    else:
+        base, width = panel_base(model)
+        edges = _cut(base, np.minimum(width, np.pi / (4.0 * abs(t))), t)
+    nodes, weights = _gauss_legendre(edges)
     return nodes.ravel(), weights.ravel()
 
 

@@ -1,6 +1,10 @@
+import functools
+import json
+
 import numpy as np
 import pytest
 
+from hens.cli import build_series, load_config, main, make_parser
 from hens.dephasing import (
     DephasingSeries,
     SpectralDensityModel,
@@ -11,6 +15,8 @@ from hens.dephasing import (
 )
 from hens.ensemble import _coherence_factor
 from hens.inversion import (
+    WITNESS_BLOCK,
+    _gram_floors,
     bochner_search,
     bochner_witness,
     conjugate_frequency_grid,
@@ -204,6 +210,124 @@ class TestBochner:
         s = ohmic_series(1.0, time_grid(10.0, 1 << 8))
         with pytest.raises(ValueError, match="outside"):
             bochner_witness(s, [0.0, 11.0])
+
+
+@functools.cache
+def extended_ohmic():
+    return ohmic_series(1.0, GRID, phase=np.pi / 2)
+
+
+def loop_search(series, restarts, seed, max_size, stop_below):
+    """Reference: the per-restart search, one ``bochner_witness`` call per restart.
+
+    Yields (best report, restarts used) after each restart it runs, so a search
+    of R restarts returns the R-th pair, or the last one if the loop stopped
+    before R.
+    """
+    k_hi = int(0.25 * series.t_max / series.dt)
+    n0 = series.n // 2
+    rng = np.random.default_rng(seed)
+    best = None
+    for used in range(1, restarts + 1):
+        size = int(rng.integers(2, max_size + 1))
+        times = series.times[n0 + rng.integers(0, k_hi + 1, size)]
+        rep = bochner_witness(series, times)
+        if best is None or rep.min_eigenvalue < best.min_eigenvalue:
+            best = rep
+        yield best, used
+        if stop_below is not None and best.min_eigenvalue < stop_below:
+            break
+
+
+def assert_same_search(got, want):
+    (a, used_a), (b, used_b) = got, want
+    assert used_a == used_b
+    assert np.array_equal(a.times, b.times)
+    assert np.float64(a.min_eigenvalue).tobytes() == np.float64(b.min_eigenvalue).tobytes()
+    assert a.matrix_dim == b.matrix_dim
+
+
+class TestStackedSearch:
+    # a block less one, a block, one more, and a partial fourth block
+    RESTARTS = [1, WITNESS_BLOCK - 1, WITNESS_BLOCK, WITNESS_BLOCK + 1, 3 * WITNESS_BLOCK + 7]
+
+    # -1.0 lies below every floor the search meets, so it never stops
+    @pytest.mark.parametrize("stop_below", [None, -1e-3, 0.5, -1.0],
+                             ids=["no-stop", "stop-1e-3", "stop+0.5", "never-reached"])
+    @pytest.mark.parametrize("max_size", [2, 3, 8, 17])
+    def test_matches_per_restart_loop(self, max_size, stop_below):
+        series = extended_ohmic()
+        seed = 40 + max_size
+        ref = list(loop_search(series, max(self.RESTARTS), seed, max_size, stop_below))
+        for restarts in self.RESTARTS:
+            got = bochner_search(series, restarts, seed, max_size=max_size,
+                                 stop_below=stop_below)
+            assert_same_search(got, ref[min(restarts, len(ref)) - 1])
+        if stop_below == -1.0:
+            assert len(ref) == max(self.RESTARTS)
+
+    def test_acceptance_seeds_keep_their_restart_counts(self):
+        # criterion 5 (seed 1234) and demo 02 (seed 7)
+        series = extended_ohmic()
+        for seed, used in ((1234, 52), (7, 361)):
+            report, got = bochner_search(series, 10000, seed, stop_below=-1e-3)
+            assert got == used
+            assert report.min_eigenvalue < -1e-3
+
+    def test_cli_writes_the_per_restart_result(self, tmp_path):
+        args = ["witness", "--mode", "extended", "--phase", str(np.pi / 2),
+                "--witness-restarts", "3000"]
+        assert main([*args, "--output-dir", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "bochner.json").read_text())
+        cfg = load_config(make_parser().parse_args(args))
+        want, used = list(loop_search(build_series(cfg), 3000, cfg["seed"], 8, None))[-1]
+        assert rep["restarts_used"] == used == 3000
+        assert rep["times"] == list(want.times)
+        assert rep["min_eigenvalue"] == want.min_eigenvalue
+        assert rep["matrix_dim"] == want.matrix_dim
+
+
+def symbol_floor(series, step, m_max, points=1 << 16):
+    """Lower bound on the floor of every Gram matrix of a uniform set {0, D, ..., (s-1) D},
+    s <= m_max + 1, D = step grid steps, without an eigensolver (Grenander-Szego).
+
+    With c_m the Hermitian part of phi(m D), such a matrix is a section of the
+    Toeplitz matrix of the symbol f(theta) = sum_{|m| <= m_max} c_m e^{-i m theta},
+    so its eigenvalues are >= min f.  f is sampled on ``points`` angles by one FFT;
+    |f'| <= sum 2 m |c_m| bounds how far it dips between them.
+    """
+    n0 = series.n // 2
+    m = np.arange(m_max + 1)
+    c = 0.5 * (series.values[n0 + m * step] + np.conj(series.values[n0 - m * step]))
+    coef = np.zeros(points, dtype=complex)
+    coef[0] = c[0].real
+    coef[1:m_max + 1] = 2.0 * c[1:]
+    f = np.fft.fft(coef).real  # c_0 + 2 Re sum_{m >= 1} c_m e^{-i m theta}
+    return float(f.min()) - np.sum(2.0 * m * np.abs(c)) * np.pi / points
+
+
+class TestGramFloorOracle:
+    @pytest.mark.parametrize("phase", [None, np.pi / 2], ids=["conventional", "extended"])
+    @pytest.mark.parametrize("step", [1, 8, 30, 200])
+    def test_uniform_sets_stay_above_the_symbol_minimum(self, phase, step):
+        series = ohmic_series(1.0, GRID) if phase is None else extended_ohmic()
+        for size in (2, 3, 8, 17, 64):
+            # a stack of shifted copies of one uniform set: one Toeplitz matrix
+            k = np.arange(4)[:, None] + step * np.arange(size)
+            floors = _gram_floors(series.values, k)
+            assert np.all(floors == floors[0])
+            assert floors[0] >= symbol_floor(series, step, size - 1) - 1e-12
+
+    def test_bound_is_attained_as_the_set_grows(self):
+        # at D = 30 dt the extended symbol dips to about -0.24; 64 points come within 0.01
+        series = extended_ohmic()
+        floor = _gram_floors(series.values, 30 * np.arange(64)[None])[0]
+        bound = symbol_floor(series, 30, 63)
+        assert bound < -0.2
+        assert bound <= floor < bound + 0.01
+        # at D = 200 dt the conventional symbol is positive: the floor is certified positive
+        conv = ohmic_series(1.0, GRID)
+        assert symbol_floor(conv, 200, 63) > 0.7
 
 
 def series_columns(grid, exponent, drift, phases, window):
