@@ -41,8 +41,8 @@ dil = dilate(ens)
 
 print("ensemble average vs dilation-reduced dynamics (5 random members):")
 for t in (0.5, 2.0, 8.0):
-    direct = he_average(ens, plus, t)
-    reduced, classical = joint_evolve_reduce(dil, plus, t)
+    [direct] = he_average(ens, plus, [t])
+    [reduced], classical = joint_evolve_reduce(dil, plus, [t])
     print(f"  t = {t:4.1f}: trace distance = {trace_distance(direct, reduced):.2e}, "
           f"joint state classically correlated: {classical}")
 

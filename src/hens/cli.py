@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import math
 import os
@@ -51,6 +52,7 @@ from .ensemble import (
 )
 from .inversion import (
     bochner_search,
+    conjugate_frequency_grid,
     forward_ft,
     inverse_ft,
     negativity_landscape,
@@ -130,6 +132,9 @@ FIELDS = {
     "output.dir": (".", None, {"metavar": "DIR", "help": "output directory"}, None),
     "output.format": ("csv", None, {"choices": ["csv", "json"]}, None),
 }
+# bounds of two-field products: the state entries one simulate route holds (as many
+# as times.count at its bound of 2 x 2 states) and the cells of a landscape, 8 B each
+STATE_ENTRIES, LANDSCAPE_CELLS = FIELDS["times.count"][3] * 4, COUNT_BYTES // 8
 TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 INT64 = np.iinfo(np.int64)
 
@@ -394,6 +399,12 @@ def cmd_landscape(cfg: dict) -> None:
     window = (float(cfg["window"]["omega_lo"]), float(cfg["window"]["omega_hi"]))
     if not window[0] < window[1]:
         raise ConfigError("empty frequency window")
+    omega = conjugate_frequency_grid(grid)
+    inside = int(np.count_nonzero((omega >= window[0]) & (omega <= window[1])))
+    if inside * count > LANDSCAPE_CELLS:
+        raise ConfigError(f"config fields 'grid.n' and 'phases.count' are out of range together: "
+                          f"{inside} window frequencies x {count} phases (at most "
+                          f"{LANDSCAPE_CELLS} cells)")
     try:
         exponent, drift = extended_exponents(model, grid)
         omega, phases, cells = negativity_landscape(exponent, drift, phases, window, grid)
@@ -507,20 +518,15 @@ def cmd_simulate(cfg: dict) -> None:
     rho0 = _parse_rho0(cfg["rho0"])
     times = _output_times(cfg)
     paths = _requested_paths(cfg, kind)
-    seed = int(cfg["seed"])
-    bins = int(ens_cfg["bins"])
-    samples = int(cfg["mc"]["samples"])
+    seed, bins, samples = int(cfg["seed"]), int(ens_cfg["bins"]), int(cfg["mc"]["samples"])
     if bins < 1 or samples < 1:
         raise ConfigError("ensemble.bins and mc.samples must be positive")
 
     flags: dict[str, object] = {"weights_nonnegative": True}
-    states: dict[str, list[np.ndarray]] = {}
-
     if kind == "spectral":
         if not ens_cfg["path"]:
             raise ConfigError("spectral ensemble needs ensemble.path")
-        table = read_table(ens_cfg["path"], 2)
-        omega, weights = table[:, 0], table[:, 1]
+        omega, weights = read_table(ens_cfg["path"], 2)[:, :2].T
         try:
             require_uniform_grid(omega)
         except ValueError as exc:
@@ -531,112 +537,97 @@ def cmd_simulate(cfg: dict) -> None:
         weights = weights / mass
         negative = bool(np.min(weights) < -NEGATIVE_TOL)
         flags["weights_nonnegative"] = not negative
-
         if negative and ({"mc", "dilation"} & set(paths)):
             raise ConfigError("not a probability distribution - cannot sample "
                               "(negative weights; a nonclassicality signal)", 4)
         if {"mc", "dilation"} & set(paths):
             spectral = SpectralEnsemble(omega, weights)
-
-        if "master" in paths:
-            # without an explicit grid, use the conjugate of the input's
-            # frequency grid so the transform runs on the exact FFT pair
-            n_om = omega.size
-            if cfg["grid"]["t_max"] is None and n_om >= 4 and not (n_om & (n_om - 1)):
-                grid = time_grid(np.pi / (omega[1] - omega[0]), n_om)
-            else:
-                grid = build_grid(cfg)
-            if times.max() > grid[-1]:  # before the grid indices below can overflow
-                raise ConfigError("output times exceed the master-equation grid")
-            dt = float(grid[1] - grid[0])
-            stride = 2.0 * dt
-            k_idx = np.rint(times / stride).astype(int)
-            # grid points 0..last, at least one RK4 step; the centered
-            # differences there reach from -dt to (last + 1) dt
-            last = max(2 * int(k_idx.max()), 2)
-            if not on_conjugate_grid(omega, grid):
-                # direct summation costs one row per time: sum only the smallest
-                # symmetric power-of-two subgrid that holds that reach
-                half = min(grid.size, 1 << (2 * last + 3).bit_length()) // 2
-                grid = grid[grid.size // 2 - half : grid.size // 2 + half]
-            try:
-                series = forward_ft((omega, weights), grid)
-                t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
-            except CoefficientSingularityError as exc:
-                raise ConfigError(str(exc), 3)
-            except ValueError as exc:
-                raise ConfigError(str(exc))
-            if last >= t_all.size:
-                raise ConfigError("output times exceed the master-equation grid")
-            sub = slice(0, last + 1)
-            _, rho_prop = propagate_master(rho0, t_all[sub], eps[sub], gam[sub])
-            states["master"] = [rho_prop[k].matrix for k in k_idx]
-            times = k_idx * stride
-        if "he" in paths:
-            states["he"] = [
-                dephase_qubit(rho0, _coherence_factor(omega, weights, t)).matrix for t in times
-            ]
         if "dilation" in paths:
             ens = spectral.discretize(bins)
+    elif kind == "cnot":
+        a, j = float(ens_cfg["a"]), float(ens_cfg["j"])
+        if not 0.0 <= a <= 1.0:
+            raise ConfigError("cnot mixing weight must lie in [0, 1]")
+        ens = cnot_ensemble(a, j)
     else:
-        if kind == "cnot":
-            a, j = float(ens_cfg["a"]), float(ens_cfg["j"])
-            if not 0.0 <= a <= 1.0:
-                raise ConfigError("cnot mixing weight must lie in [0, 1]")
-            ens = cnot_ensemble(a, j)
-        else:
-            members = ens_cfg.get("members")
-            if not members:
-                raise ConfigError("discrete ensemble needs members [[p, matrix], ...]")
-            try:
-                probs = [_number(m[0], "ensemble.members") for m in members]
-                hams = tuple(HermitianOperator(_parse_matrix(m[1], "ensemble.members"))
-                             for m in members)
-                ens = HamiltonianEnsemble(probs, hams)
-            except (TypeError, ValueError, LookupError) as exc:
-                raise ConfigError(f"bad ensemble: {exc}")
-        if rho0.dim != ens.dim:
-            raise ConfigError("rho0 dimension differs from the ensemble")
-        if "he" in paths:
-            states["he"] = [he_average(ens, rho0, t).matrix for t in times]
+        members = ens_cfg.get("members")
+        if not members:
+            raise ConfigError("discrete ensemble needs members [[p, matrix], ...]")
+        try:
+            probs = [_number(m[0], "ensemble.members") for m in members]
+            hams = tuple(HermitianOperator(_parse_matrix(m[1], "ensemble.members"))
+                         for m in members)
+            ens = HamiltonianEnsemble(probs, hams)
+        except (TypeError, ValueError, LookupError) as exc:
+            raise ConfigError(f"bad ensemble: {exc}")
+    dim = 2 if kind == "spectral" else ens.dim  # a spectral ensemble acts on one qubit
+    if rho0.dim != dim:
+        raise ConfigError("rho0 dimension differs from the ensemble")
+    if times.size * dim * dim > STATE_ENTRIES:
+        fields = ("times.count" if cfg["times"]["list"] is None else "times.list",
+                  "ensemble.members" if kind == "discrete" else "ensemble.kind")
+        raise ConfigError("config fields %r and %r are out of range together: %d times of "
+                          "%d x %d states (at most %d entries)"
+                          % (*fields, times.size, dim, dim, STATE_ENTRIES))
 
+    states: dict[str, list[DensityMatrix]] = {}
+    if "master" in paths:  # spectral ensembles only, see _requested_paths
+        # without an explicit grid, use the conjugate of the input's
+        # frequency grid so the transform runs on the exact FFT pair
+        n_om = omega.size
+        if cfg["grid"]["t_max"] is None and n_om >= 4 and not (n_om & (n_om - 1)):
+            grid = time_grid(np.pi / (omega[1] - omega[0]), n_om)
+        else:
+            grid = build_grid(cfg)
+        if times.max() > grid[-1]:  # before the grid indices below can overflow
+            raise ConfigError("output times exceed the master-equation grid")
+        dt = float(grid[1] - grid[0])
+        stride = 2.0 * dt
+        k_idx = np.rint(times / stride).astype(int)
+        # grid points 0..last, at least one RK4 step; the centered
+        # differences there reach from -dt to (last + 1) dt
+        last = max(2 * int(k_idx.max()), 2)
+        if not on_conjugate_grid(omega, grid):
+            # direct summation costs one row per time: sum only the smallest
+            # symmetric power-of-two subgrid that holds that reach
+            half = min(grid.size, 1 << (2 * last + 3).bit_length()) // 2
+            grid = grid[grid.size // 2 - half : grid.size // 2 + half]
+        try:
+            series = forward_ft((omega, weights), grid)
+            t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
+        except CoefficientSingularityError as exc:
+            raise ConfigError(str(exc), 3)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        if last >= t_all.size:
+            raise ConfigError("output times exceed the master-equation grid")
+        _, steps = propagate_master(rho0, t_all[:last + 1], eps[:last + 1], gam[:last + 1])
+        states["master"] = [steps[k] for k in k_idx]
+        times = k_idx * stride
+    if "he" in paths:
+        try:
+            states["he"] = (dephase_qubit(rho0, _coherence_factor(omega, weights, times))
+                            if kind == "spectral" else he_average(ens, rho0, times))
+        except ValueError as exc:
+            raise ConfigError(str(exc))
     if "dilation" in paths:
-        dil = dilate(ens)
-        classical = True
-        out = []
-        for t in times:
-            red, ok = joint_evolve_reduce(dil, rho0, t)
-            classical = classical and ok
-            out.append(red.matrix)
-        states["dilation"] = out
-        flags["classical_ok"] = classical
+        states["dilation"], flags["classical_ok"] = joint_evolve_reduce(dilate(ens), rho0, times)
     if "mc" in paths:  # spectral ensembles only, see _requested_paths
-        draws = sample_frequencies(spectral, samples, seed)
-        means, stderrs = mc_coherence(draws, times)
-        states["mc"] = [dephase_qubit(rho0, zbar).matrix for zbar in means]
+        means, stderrs = mc_coherence(sample_frequencies(spectral, samples, seed), times)
+        states["mc"] = dephase_qubit(rho0, means)
         flags["mc_max_stderr"] = float(stderrs.max())
 
     emitted = [p for p in ("he", "dilation", "mc", "master") if p in states]
-    dim = rho0.dim
-    header = ["t"]
-    columns = [np.asarray(times)]
+    header, columns = ["t"], [np.asarray(times)]
     for label in emitted:
-        stack = np.array(states[label])
-        for i in range(dim):
-            for j in range(dim):
-                header += [f"{label}_re_{i}{j}", f"{label}_im_{i}{j}"]
-                columns += [stack[:, i, j].real, stack[:, i, j].imag]
+        stack = np.array([s.matrix for s in states[label]])
+        for i, j in itertools.product(range(dim), repeat=2):
+            header += [f"{label}_re_{i}{j}", f"{label}_im_{i}{j}"]
+            columns += [stack[:, i, j].real, stack[:, i, j].imag]
     write_table(cfg, "state", header, columns)
 
-    distances = {}
-    for x in range(len(emitted)):
-        for y in range(x + 1, len(emitted)):
-            a, b = emitted[x], emitted[y]
-            d = max(
-                trace_distance(DensityMatrix(ma), DensityMatrix(mb))
-                for ma, mb in zip(states[a], states[b])
-            )
-            distances[f"{a}_vs_{b}"] = d
+    distances = {f"{a}_vs_{b}": max(trace_distance(x, y) for x, y in zip(states[a], states[b]))
+                 for a, b in itertools.combinations(emitted, 2)}
     write_json(cfg, "consistency.json", {
         "pairwise_max_trace_distance": distances, **flags, "seed": seed,
     })

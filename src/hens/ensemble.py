@@ -12,12 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dephasing import SERIES_UNIT_TOL
 from .qdyn import (
     DensityMatrix,
     DimensionError,
     HermitianOperator,
     PAULI_X,
     PAULI_Z,
+    hermitized_states,
     partial_trace,
     tensor,
     unitary_at,
@@ -138,34 +140,40 @@ class SpectralEnsemble:
         return HamiltonianEnsemble(probs, hams)
 
 
-def he_average(ens: HamiltonianEnsemble, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Mixture of unitary orbits: sum_j p_j U_j rho0 U_j^dagger."""
+def he_average(ens: HamiltonianEnsemble, rho0: DensityMatrix, times) -> list[DensityMatrix]:
+    """Mixture of unitary orbits, sum_j p_j U_j rho0 U_j^dagger: one state per time."""
     if rho0.dim != ens.dim:
         raise DimensionError("state and ensemble dimensions differ")
-    out = np.zeros((ens.dim, ens.dim), dtype=complex)
+    out = np.zeros((np.size(times), ens.dim, ens.dim), dtype=complex)
     for p, h in zip(ens.probs, ens.hamiltonians):
-        u = unitary_at(h, t)
-        out += p * (u @ rho0.matrix @ u.conj().T)
-    return DensityMatrix(0.5 * (out + out.conj().T))
+        u = unitary_at(h, times)
+        out += p * (u @ rho0.matrix @ u.conj().swapaxes(1, 2))
+    return hermitized_states(out)
 
 
-def _coherence_factor(omega: np.ndarray, weights: np.ndarray, t: float) -> complex:
-    return complex(np.trapezoid(weights * np.exp(1j * omega * t), omega))
+def _coherence_factor(omega: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
+    """Trapezoid sum of weights * e^{i omega t} over the grid at each time."""
+    return np.array([np.trapezoid(weights * np.exp(1j * omega * t), omega)
+                     for t in np.asarray(times, dtype=float)], dtype=complex)
 
 
-def dephase_qubit(rho0: DensityMatrix, factor: complex) -> DensityMatrix:
-    """Scale the qubit coherences: rho[1,0] by factor, rho[0,1] by its conjugate."""
+def dephase_qubit(rho0: DensityMatrix, factors) -> list[DensityMatrix]:
+    """Scale the qubit coherences, rho[1,0] by a factor and rho[0,1] by its conjugate:
+    one state per factor.  A factor past unit modulus raises ValueError."""
     if rho0.dim != 2:
         raise DimensionError("qubit state expected")
-    m = rho0.matrix.copy()
-    m[1, 0] *= factor
-    m[0, 1] *= np.conj(factor)
-    return DensityMatrix(0.5 * (m + m.conj().T))
+    factors = np.asarray(factors, dtype=complex)
+    if np.any(np.abs(factors) > 1.0 + SERIES_UNIT_TOL):
+        raise ValueError("dephasing factor exceeds unit modulus")
+    m = np.repeat(rho0.matrix[None], factors.size, axis=0)
+    m[:, 1, 0] *= factors
+    m[:, 0, 1] *= factors.conj()
+    return hermitized_states(m)
 
 
 def spectral_average(ens: SpectralEnsemble, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Averaged qubit state under spectral disorder (populations untouched)."""
-    return dephase_qubit(rho0, _coherence_factor(ens.omega, ens.weights, t))
+    """Averaged qubit state under spectral disorder at one time (populations untouched)."""
+    return dephase_qubit(rho0, _coherence_factor(ens.omega, ens.weights, [t]))[0]
 
 
 def sample_frequencies(ens, n: int, seed: int) -> np.ndarray:
@@ -205,7 +213,7 @@ def mc_average(ens, rho0: DensityMatrix, t: float, n: int, seed: int):
     rounding of w*t in e^{iwt}.
     """
     zbar, stderr = mc_coherence(sample_frequencies(ens, n, seed), [t])
-    return dephase_qubit(rho0, zbar[0]), float(stderr[0])
+    return dephase_qubit(rho0, zbar)[0], float(stderr[0])
 
 
 def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
@@ -306,25 +314,29 @@ def dilate(ens: HamiltonianEnsemble) -> Dilation:
     )
 
 
-def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, t: float):
+def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, times):
     """Evolve rho0 (x) rho_E under the joint Hamiltonian and trace out the environment.
 
-    Returns (reduced state, classical_ok); classical_ok is True when every
-    environment-off-diagonal block of the joint state stays below 1e-10.
+    One eigendecomposition serves every time; each joint state is validated and
+    reduced before the next is formed.  Returns (one reduced state per time,
+    classical_ok), True when no joint state's environment-off-diagonal block passes 1e-10.
     """
     d = dil.h_system.dim
     if rho0.dim != d:
         raise DimensionError("state dimension differs from the dilation system")
-    joint0 = dil.joint_initial(rho0)
-    u = unitary_at(dil.h_joint, t)
-    jt = u @ joint0.matrix @ u.conj().T
-    jt = 0.5 * (jt + jt.conj().T)
-    reduced = partial_trace(DensityMatrix(jt), (d, dil.env_dim), keep="s")
-    return reduced, _env_coherence(jt, d, dil.env_dim) <= 1e-10
+    joint0 = dil.joint_initial(rho0).matrix
+    w, v = np.linalg.eigh(dil.h_joint.matrix)
+    reduced, classical = [], True
+    for t in np.asarray(times, dtype=float):
+        u = (v * np.exp(-1j * w * t)) @ v.conj().T
+        jt = hermitized_states(u @ joint0 @ u.conj().T)[0]
+        reduced.append(partial_trace(jt, (d, dil.env_dim), keep="s"))
+        classical = classical and _env_coherence(jt.matrix, d, dil.env_dim) <= 1e-10
+    return reduced, classical
 
 
 def cnot_mixture(a: float, j_coupling: float, t: float, rho0: DensityMatrix) -> DensityMatrix:
-    """Target-qubit state of a CNOT controlled by a classical mixture.
+    """Target-qubit state of a CNOT controlled by a classical mixture, at one time t.
 
     a * U_x rho0 U_x^dagger + (1 - a) * rho0 with U_x = exp(-i J sigma_x t / 2);
     the ensemble picture is {(a, J sigma_x / 2), (1 - a, 0)}.
@@ -333,9 +345,9 @@ def cnot_mixture(a: float, j_coupling: float, t: float, rho0: DensityMatrix) -> 
         raise ValueError("mixing weight must lie in [0, 1]")
     if rho0.dim != 2:
         raise DimensionError("qubit state expected")
-    u = unitary_at(HermitianOperator(0.5 * j_coupling * PAULI_X), t)
+    u = unitary_at(HermitianOperator(0.5 * j_coupling * PAULI_X), [t])[0]
     out = a * (u @ rho0.matrix @ u.conj().T) + (1.0 - a) * rho0.matrix
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    return hermitized_states(out)[0]
 
 
 def cnot_ensemble(a: float, j_coupling: float) -> HamiltonianEnsemble:

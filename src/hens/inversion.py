@@ -99,8 +99,8 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     """Dephasing series phi(t) = int p(w) e^{i w t} dw of a real distribution.
 
     Uses the exact FFT pair when the input lives on the conjugate grid of
-    ``grid``; off it, each time is the trapezoid sum ``_coherence_factor``
-    of the spectral ensembles, for at most 2^28 (frequency, time) pairs.
+    ``grid``; off it, the times are the trapezoid sums of one
+    ``_coherence_factor`` call, for at most 2^28 (frequency, time) pairs.
     The result is normalized by its t = 0 sample (the discrete mass of the
     input, required to be 1 within 1e-6) so the series invariants hold for
     any legal input.
@@ -118,7 +118,7 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
             raise ValueError(
                 "grids too large for direct summation; use conjugate grids for the FFT path"
             )
-        values = np.array([_coherence_factor(omega, weights, t) for t in grid])
+        values = _coherence_factor(omega, weights, grid)
 
     mass = float(np.real(values[n // 2]))
     if abs(mass - 1.0) > 1e-6:

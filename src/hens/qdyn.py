@@ -79,6 +79,12 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
+def hermitized_states(m: np.ndarray) -> list[DensityMatrix]:
+    """A validated DensityMatrix of 0.5 (m + m^H) for each matrix m of a (..., d, d) array."""
+    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
+    return [DensityMatrix(x) for x in h.reshape(-1, *m.shape[-2:])]
+
+
 def maximally_mixed(dim: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
@@ -111,20 +117,17 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
     d_s, d_e = int(dims[0]), int(dims[1])
     if d_s * d_e != rho.dim:
         raise DimensionError("bad factorization")
-    r = rho.matrix.reshape(d_s, d_e, d_s, d_e)
-    if keep == "s":
-        out = np.einsum("aebe->ab", r)
-    elif keep == "e":
-        out = np.einsum("aeaf->ef", r)
-    else:
+    if keep not in ("s", "e"):
         raise ValueError("keep must be 's' or 'e'")
-    return DensityMatrix(0.5 * (out + out.conj().T))
+    out = np.einsum("aebe->ab" if keep == "s" else "aeaf->ef",
+                    rho.matrix.reshape(d_s, d_e, d_s, d_e))
+    return hermitized_states(out)[0]
 
 
-def unitary_at(h: HermitianOperator, t: float) -> np.ndarray:
-    """U = exp(-i h t) from the eigendecomposition of h."""
+def unitary_at(h: HermitianOperator, times) -> np.ndarray:
+    """U = exp(-i h t) from one eigendecomposition of h: a (T, d, d) stack for T times."""
     w, v = np.linalg.eigh(h.matrix)
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    return (v * np.exp(-1j * np.multiply.outer(times, w))[..., None, :]) @ v.conj().T
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -178,6 +178,18 @@ class TestLandscape:
         assert data.shape == (31, 9)
         assert data[:, 2].min() < -1e-3  # phase pi/4
 
+    def test_cells_are_bounded(self, tmp_path, capsys):
+        # all 2^16 grid frequencies lie in the window: 2^16 x 4096 phases is twice
+        # the 2^27 cells allowed, though each field alone is within its bound
+        rc = run("landscape", "--grid-n", "65536", "--grid-t-max", "1e4",
+                 "--window-omega-lo=-1e3", "--window-omega-hi", "1e3",
+                 "--phases-count", "4096", "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config fields 'grid.n' and 'phases.count' are out of range" in err
+        assert "65536 window frequencies x 4096 phases" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_conventional_mode_rejected(self, tmp_path):
         rc = run("landscape", "--mode", "conventional", "--output-dir", str(tmp_path))
         assert rc == 2
@@ -363,6 +375,50 @@ class TestSimulate:
         cons = json.load(open(out / "consistency.json"))
         assert cons["weights_nonnegative"] is False
         assert cons["pairwise_max_trace_distance"]["he_vs_master"] < 1e-4
+
+    @pytest.mark.parametrize("path", ["he", "master"])
+    def test_factor_past_unit_modulus_exits_two(self, tmp_path, capsys, path):
+        # weights N(0, 1) + 0.5 sin 3w: unit mass, dips to -0.5, and |phi(3)| ~ 4
+        om = np.linspace(-8.0, 8.0, 257)
+        p = np.exp(-0.5 * om**2) / np.sqrt(2.0 * np.pi) + 0.5 * np.sin(3.0 * om)
+        np.savetxt(tmp_path / "signed.csv", np.column_stack([om, p]), delimiter=",")
+        rc = run("simulate", "--ensemble-kind", "spectral",
+                 "--ensemble-path", str(tmp_path / "signed.csv"), "--paths", path,
+                 "--times-t-max", "6", "--times-count", "7", "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "dephasing factor exceeds unit modulus" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", ["he", "dilation", "mc", "master"])
+    def test_spectral_needs_a_qubit_rho0(self, tmp_path, capsys, path):
+        write_inputs(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho0": (np.eye(4) / 4).tolist()}))
+        rc = run("simulate", "--config", str(cfg), "--ensemble-kind", "spectral",
+                 "--ensemble-path", str(tmp_path / "dist.csv"), "--paths", path,
+                 "--output-dir", str(tmp_path / "out"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "rho0 dimension differs from the ensemble" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dim,count", [(64, 1 << 20), (4, (1 << 18) + 1)])
+    def test_times_by_state_size_is_bounded(self, tmp_path, capsys, dim, count):
+        # times.count x dim^2 state entries per route may not pass the qubit budget
+        # of 2^20 times x 4 entries, though each field alone is within its bound
+        h = np.diag(np.linspace(-1.0, 1.0, dim)).tolist()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "ensemble": {"kind": "discrete", "members": [[1.0, h]]},
+            "rho0": (np.eye(dim) / dim).tolist(),
+            "times": {"t_max": 1.0, "count": count},
+        }))
+        assert run("simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert "config fields 'times.count' and 'ensemble.members' are out of range" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

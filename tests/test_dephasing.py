@@ -26,7 +26,7 @@ from hens.dephasing import (
     _gauss_legendre,
     _panel_edges,
 )
-from hens.qdyn import maximally_mixed, pure_state, trace_distance
+from hens.qdyn import PAULI_Z, DensityMatrix, maximally_mixed, pure_state, trace_distance
 
 OHMIC1 = SpectralDensityModel.ohmic(1.0)
 
@@ -453,26 +453,55 @@ class TestMasterCoefficients:
         assert t[0] >= -1.0 and t[-1] <= 1.0
 
 
+def rk4_propagate_master(rho0, times, epsilon, gamma):
+    """Reference: classic RK4 on the 2 x 2 matrix equation, steps of two grid intervals."""
+    rho = np.array(rho0.matrix, dtype=complex)
+    h = 2.0 * float(times[1] - times[0])
+
+    def rhs(i, r):
+        comm = PAULI_Z @ r - r @ PAULI_Z
+        return -1j * epsilon[i] * comm + gamma[i] * (PAULI_Z @ r @ PAULI_Z - r)
+
+    n_steps = (times.size - 1) // 2
+    states = [DensityMatrix(rho)]
+    for s in range(n_steps):
+        i = 2 * s
+        k1 = rhs(i, rho)
+        k2 = rhs(i + 1, rho + 0.5 * h * k1)
+        k3 = rhs(i + 1, rho + 0.5 * h * k2)
+        k4 = rhs(i + 2, rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        states.append(DensityMatrix(rho))
+    return times[0 : 2 * n_steps + 1 : 2], states
+
+
+def master_case(name):
+    """(rho0, times, epsilon, gamma) of a propagation case."""
+    if name == "constant-drift":
+        t = np.linspace(0.0, 5.0, 2001)
+        return pure_state([1.0, 1.0]), t, np.full(t.size, 0.4), np.zeros(t.size)
+    if name == "ohmic":
+        series = ohmic_series(1.0, time_grid(20.0, 1 << 14))
+        t_all, eps, gam = master_coeffs(series)
+        i0 = int(np.searchsorted(t_all, 0.0))
+        sub = slice(i0, i0 + 2 * 4096 + 1)
+        return pure_state([1.0, 1.0]), t_all[sub], eps[sub], gam[sub]
+    t = np.linspace(0.0, 5.0, 501)  # maximally mixed
+    return maximally_mixed(2), t, np.sin(t), 0.1 + 0.05 * np.cos(t)
+
+
 class TestPropagateMaster:
     def test_constant_drift_is_rotation(self):
-        omega0 = 0.8
-        n = 2001
-        t = np.linspace(0.0, 5.0, n)
-        eps = np.full(n, omega0 / 2.0)
-        gam = np.zeros(n)
-        rho0 = pure_state([1.0, 1.0])
+        rho0, t, eps, gam = master_case("constant-drift")
+        omega0 = 2.0 * eps[0]
         t_out, states = propagate_master(rho0, t, eps, gam)
         ratio = states[-1].matrix[1, 0] / rho0.matrix[1, 0]
         assert abs(ratio - np.exp(1j * omega0 * t_out[-1])) < 1e-10
 
     def test_reproduces_ohmic_coherence(self):
-        g = time_grid(20.0, 1 << 14)
-        series = ohmic_series(1.0, g)
-        t_all, eps, gam = master_coeffs(series)
-        i0 = int(np.searchsorted(t_all, 0.0))
-        sub = slice(i0, i0 + 2 * 4096 + 1)
-        rho0 = pure_state([1.0, 1.0])
-        t_out, states = propagate_master(rho0, t_all[sub], eps[sub], gam[sub])
+        rho0, t, eps, gam = master_case("ohmic")
+        t_out, states = propagate_master(rho0, t, eps, gam)
         coh = np.array([s.matrix[1, 0] for s in states]) / rho0.matrix[1, 0]
         exact = (1.0 + t_out**2) ** -2.0
         assert np.max(np.abs(coh - exact) / exact) < 1e-5
@@ -480,12 +509,16 @@ class TestPropagateMaster:
         assert np.max(np.abs(pops - 0.5)) < 1e-12
 
     def test_maximally_mixed_is_stationary(self):
-        n = 501
-        t = np.linspace(0.0, 5.0, n)
-        eps = np.sin(t)
-        gam = 0.1 + 0.05 * np.cos(t)
-        _, states = propagate_master(maximally_mixed(2), t, eps, gam)
+        _, states = propagate_master(*master_case("maximally-mixed"))
         assert trace_distance(states[-1], maximally_mixed(2)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["constant-drift", "ohmic", "maximally-mixed"])
+    def test_matches_matrix_rk4(self, name):
+        case = master_case(name)
+        t_out, states = propagate_master(*case)
+        t_ref, ref = rk4_propagate_master(*case)
+        assert np.array_equal(t_out, t_ref) and len(states) == len(ref)
+        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(states, ref)) <= 1e-12
 
     def test_misaligned_grids_rejected(self):
         t = np.linspace(0.0, 1.0, 11)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from hens.ensemble import (
     Dilation,
     HamiltonianEnsemble,
     SpectralEnsemble,
+    _coherence_factor,
     _env_coherence,
     cnot_ensemble,
     cnot_mixture,
+    dephase_qubit,
     dilate,
     he_average,
     joint_evolve_reduce,
@@ -24,6 +28,7 @@ from hens.qdyn import (
     PAULI_X,
     PAULI_Z,
     maximally_mixed,
+    partial_trace,
     pure_state,
     trace_distance,
     unitary_at,
@@ -59,10 +64,113 @@ def loop_env_coherence(matrix, d, env_dim):
     return off_max
 
 
+def loop_unitary(h, t):
+    """Reference: U = exp(-i h t) at one time, from its own eigendecomposition of h."""
+    w, v = np.linalg.eigh(h.matrix)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def loop_he_average(ens, rho0, t):
+    """Reference: the mixture of unitary orbits at one time, one unitary per member."""
+    out = np.zeros((ens.dim, ens.dim), dtype=complex)
+    for p, h in zip(ens.probs, ens.hamiltonians):
+        u = loop_unitary(h, t)
+        out += p * (u @ rho0.matrix @ u.conj().T)
+    return DensityMatrix(0.5 * (out + out.conj().T))
+
+
+def loop_dephase_qubit(rho0, factor):
+    """Reference: one factor's dephased qubit state."""
+    m = rho0.matrix.copy()
+    m[1, 0] *= factor
+    m[0, 1] *= np.conj(factor)
+    return DensityMatrix(0.5 * (m + m.conj().T))
+
+
+def loop_joint_evolve_reduce(dil, rho0, t):
+    """Reference: the dilation at one time, from its own unitary of the joint Hamiltonian."""
+    d = dil.h_system.dim
+    u = loop_unitary(dil.h_joint, t)
+    jt = u @ dil.joint_initial(rho0).matrix @ u.conj().T
+    jt = 0.5 * (jt + jt.conj().T)
+    reduced = partial_trace(DensityMatrix(jt), (d, dil.env_dim), keep="s")
+    return reduced, _env_coherence(jt, d, dil.env_dim) <= 1e-10
+
+
+def time_sets():
+    """One, two and 21 times, holding t = 0 and a repeated time."""
+    t = np.linspace(0.0, 10.0, 20)
+    return [np.array([0.0]), np.array([2.5, 2.5]), np.append(t, t[7])]
+
+
 def gaussian_spectral(sigma=1.0, span=8.0, n=2001):
     om = np.linspace(-span * sigma, span * sigma, n)
     w = np.exp(-0.5 * (om / sigma) ** 2)
     return SpectralEnsemble(om, w / np.trapezoid(w, om))
+
+
+class TestStackedRoutes:
+    """Every route over an array of times equals its per-time reference bit for bit."""
+
+    @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
+    def test_he_average(self, k):
+        times = time_sets()[k]
+        rng = np.random.default_rng(k)
+        for ens, rho0 in ((random_qubit_ensemble(rng, 5), PLUS),
+                          (HamiltonianEnsemble(np.array([0.3, 0.7]),
+                                               tuple(HermitianOperator(np.diag(d))
+                                                     for d in ([1.0, 2.0, -1.0, 0.5],
+                                                               [0.0, -2.0, 3.0, 1.0]))),
+                           maximally_mixed(4))):
+            got = he_average(ens, rho0, times)
+            assert len(got) == times.size
+            for t, state in zip(times, got):
+                assert np.array_equal(state.matrix, loop_he_average(ens, rho0, t).matrix)
+
+    @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
+    def test_coherence_factor_and_dephase_qubit(self, k):
+        times = time_sets()[k]
+        ens = gaussian_spectral()
+        factors = _coherence_factor(ens.omega, ens.weights, times)
+        for t, f in zip(times, factors):
+            assert f == np.trapezoid(ens.weights * np.exp(1j * ens.omega * t), ens.omega)
+        got = dephase_qubit(PLUS, factors)
+        assert len(got) == times.size
+        for f, state in zip(factors, got):
+            assert np.array_equal(state.matrix, loop_dephase_qubit(PLUS, f).matrix)
+
+    @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
+    def test_dilation(self, k):
+        times = time_sets()[k]
+        rng = np.random.default_rng(10 + k)
+        for ens in (random_qubit_ensemble(rng, 4), gaussian_spectral().discretize(16)):
+            dil = dilate(ens)
+            reduced, classical = joint_evolve_reduce(dil, PLUS, times)
+            assert len(reduced) == times.size
+            ok = True
+            for t, state in zip(times, reduced):
+                ref, ref_ok = loop_joint_evolve_reduce(dil, PLUS, t)
+                assert np.array_equal(state.matrix, ref.matrix)
+                ok = ok and ref_ok
+            assert classical == ok
+
+    def test_factor_past_unit_modulus_rejected(self):
+        with pytest.raises(ValueError, match="exceeds unit modulus"):
+            dephase_qubit(PLUS, [1.0, 0.5 + 1.0j])
+
+    def test_dilation_memory_does_not_grow_with_times(self):
+        # a 64-bin dilation: its joint states are 128 x 128 complex, 256 KiB each
+        dil = dilate(gaussian_spectral().discretize(64))
+        peaks = []
+        for count in (21, 201):
+            times = np.linspace(0.0, 10.0, count)
+            tracemalloc.start()
+            try:
+                joint_evolve_reduce(dil, PLUS, times)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 128 * 128 * 16
 
 
 class TestHamiltonianEnsemble:
@@ -81,9 +189,10 @@ class TestHamiltonianEnsemble:
     def test_single_member_equals_unitary_orbit(self):
         rng = np.random.default_rng(2)
         ens = random_qubit_ensemble(rng, 1)
-        for t in (0.0, 0.7, 3.1):
+        times = (0.0, 0.7, 3.1)
+        for t, got in zip(times, he_average(ens, PLUS, times)):
             direct = unitary_orbit(PLUS, ens.hamiltonians[0], t)
-            assert trace_distance(he_average(ens, PLUS, t), direct) < 1e-14
+            assert trace_distance(got, direct) < 1e-14
 
     def test_two_member_dephasing_oracle(self):
         # oracle: sum the two literal 2x2 unitaries by hand
@@ -93,13 +202,12 @@ class TestHamiltonianEnsemble:
             (HermitianOperator(0.5 * omega_bar * PAULI_Z),
              HermitianOperator(-0.5 * omega_bar * PAULI_Z)),
         )
-        rng = np.random.default_rng(4)
-        for t in rng.uniform(0, 10, 5):
+        times = np.random.default_rng(4).uniform(0, 10, 5)
+        for t, got in zip(times, he_average(ens, PLUS, times)):
             u_plus = np.diag([np.exp(-0.5j * omega_bar * t), np.exp(0.5j * omega_bar * t)])
             u_minus = u_plus.conj()
             expected = 0.5 * (u_plus @ PLUS.matrix @ u_plus.conj().T
                               + u_minus @ PLUS.matrix @ u_minus.conj().T)
-            got = he_average(ens, PLUS, t)
             assert np.max(np.abs(got.matrix - expected)) < 1e-14
             assert abs(abs(got.matrix[1, 0])
                        - abs(PLUS.matrix[1, 0]) * abs(np.cos(omega_bar * t))) < 1e-14
@@ -107,8 +215,7 @@ class TestHamiltonianEnsemble:
     def test_unitality(self):
         rng = np.random.default_rng(9)
         ens = random_qubit_ensemble(rng, 5)
-        for t in (0.3, 2.0):
-            out = he_average(ens, maximally_mixed(2), t)
+        for out in he_average(ens, maximally_mixed(2), [0.3, 2.0]):
             assert trace_distance(out, maximally_mixed(2)) < 1e-12
 
 
@@ -350,17 +457,17 @@ class TestDilation:
     def test_reduction_matches_average(self):
         rng = np.random.default_rng(31)
         ens = random_qubit_ensemble(rng, 4)
-        dil = dilate(ens)
-        for t in np.linspace(0.0, 8.0, 9):
-            reduced, classical = joint_evolve_reduce(dil, PLUS, t)
-            assert classical
-            assert trace_distance(reduced, he_average(ens, PLUS, t)) < 1e-12
+        times = np.linspace(0.0, 8.0, 9)
+        reduced, classical = joint_evolve_reduce(dilate(ens), PLUS, times)
+        assert classical
+        for a, b in zip(reduced, he_average(ens, PLUS, times)):
+            assert trace_distance(a, b) < 1e-12
 
     def test_zero_time_returns_input(self):
         rng = np.random.default_rng(6)
         ens = random_qubit_ensemble(rng, 3)
-        reduced, _ = joint_evolve_reduce(dilate(ens), PLUS, 0.0)
-        assert trace_distance(reduced, PLUS) < 1e-14
+        reduced, _ = joint_evolve_reduce(dilate(ens), PLUS, [0.0])
+        assert trace_distance(reduced[0], PLUS) < 1e-14
 
     def test_env_coherence_matches_loop_bit_for_bit(self):
         rng = np.random.default_rng(41)
@@ -392,8 +499,8 @@ class TestDilation:
     def test_unitality(self):
         rng = np.random.default_rng(13)
         ens = random_qubit_ensemble(rng, 5)
-        reduced, _ = joint_evolve_reduce(dilate(ens), maximally_mixed(2), 1.7)
-        assert trace_distance(reduced, maximally_mixed(2)) < 1e-12
+        reduced, _ = joint_evolve_reduce(dilate(ens), maximally_mixed(2), [1.7])
+        assert trace_distance(reduced[0], maximally_mixed(2)) < 1e-12
 
 
 class TestCnot:
@@ -417,7 +524,7 @@ class TestCnot:
     def test_matches_ensemble_average(self):
         a, j, t = 0.6, 2.2, 1.1
         ens = cnot_ensemble(a, j)
-        assert trace_distance(cnot_mixture(a, j, t, PLUS), he_average(ens, PLUS, t)) < 1e-14
+        assert trace_distance(cnot_mixture(a, j, t, PLUS), he_average(ens, PLUS, [t])[0]) < 1e-14
 
     def test_weight_bounds(self):
         with pytest.raises(ValueError):

@@ -74,7 +74,7 @@ class TestForward:
         p /= np.trapezoid(p, omega)
         omega[k] += 0.3 * (omega[1] - omega[0])
         s = forward_ft((omega, p), grid)
-        direct = np.array([_coherence_factor(omega, p, t) for t in grid])
+        direct = np.array([_coherence_factor(omega, p, [t])[0] for t in grid])
         assert np.max(np.abs(s.values - direct)) < 1e-13
 
     def test_delta_spike_gives_pure_phase(self):

@@ -196,6 +196,34 @@ class TestEvolveUnitary:
             assert abs(out.purity() - rho.purity()) < 1e-12
 
 
+def loop_unitary(h, t):
+    """Reference: U = exp(-i h t) at one time, from its own eigendecomposition of h."""
+    w, v = np.linalg.eigh(h.matrix)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def time_sets():
+    """One, two and 21 times, holding t = 0 and a repeated time."""
+    t = np.linspace(0.0, 10.0, 20)
+    return [np.array([0.0]), np.array([2.5, 2.5]), np.append(t, t[7])]
+
+
+class TestUnitaryStack:
+    @pytest.mark.parametrize("dim", [1, 2, 4, 8])
+    @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
+    def test_stack_is_the_per_time_unitaries(self, dim, k):
+        times = time_sets()[k]
+        h = random_hermitian(np.random.default_rng(dim), dim)
+        stack = unitary_at(h, times)
+        assert stack.shape == (times.size, dim, dim)
+        for t, u in zip(times, stack):
+            assert np.array_equal(u, loop_unitary(h, t))
+
+    def test_scalar_time_gives_one_matrix(self):
+        h = random_hermitian(np.random.default_rng(3), 4)
+        assert np.array_equal(unitary_at(h, 1.7), loop_unitary(h, 1.7))
+
+
 class TestTraceDistance:
     def test_zero_on_equal(self):
         rho = maximally_mixed(3)
