@@ -26,6 +26,7 @@ from hens import (
     time_grid,
     trace_distance,
 )
+from hens.inversion import conjugate_frequency_grid
 
 plus = pure_state([1.0, 1.0])
 rng = np.random.default_rng(1)
@@ -47,16 +48,18 @@ for t in (0.5, 2.0, 8.0):
           f"joint state classically correlated: {classical}")
 
 # --- spectral disorder: exact, sampled, and master-equation routes --------
-omega = np.linspace(-30.0, 30.0, 4001)
-weights = (1.0 + np.abs(omega)) * np.exp(-np.abs(omega)) / 4.0
-spec = SpectralEnsemble(omega, weights)
-
+# the table lives on the time grid's conjugate frequencies, so the transform
+# to phi(t) is one exact FFT
 grid = time_grid(64.0, 1 << 14)
-series = forward_ft(spec, grid)
+omega = conjugate_frequency_grid(grid)
+weights = (1.0 + np.abs(omega)) * np.exp(-np.abs(omega)) / 4.0
+spec = SpectralEnsemble(omega, weights / np.trapezoid(weights, omega))
+
+series = forward_ft((spec.omega, spec.weights), grid)
 t_all, eps, gam = master_coeffs(series)
 i0 = int(np.searchsorted(t_all, 0.0))
 sub = slice(i0, i0 + 2 * 1024 + 1)
-t_out, states = propagate_master(plus, t_all[sub], eps[sub], gam[sub])
+t_out, factors = propagate_master(t_all[sub], eps[sub], gam[sub])
 
 print("\nspectral disorder, coherence |rho_du(t)| by three routes:")
 print("  t        exact      monte carlo   master eq")
@@ -65,7 +68,7 @@ for k in (0, 256, 1024):
     exact = abs(spectral_average(spec, plus, t).matrix[1, 0])
     sampled, stderr = mc_average(spec, plus, t, 200000, seed=42)
     mc = abs(sampled.matrix[1, 0])
-    master = abs(states[k].matrix[1, 0])
+    master = abs(factors[k] * plus.matrix[1, 0])
     print(f"  {t:6.3f}   {exact:.6f}   {mc:.6f}      {master:.6f}   (mc stderr {stderr:.1e})")
 
 # --- the CNOT mixture, the smallest ensemble of all -----------------------

@@ -601,8 +601,11 @@ def cmd_simulate(cfg: dict) -> None:
             raise ConfigError(str(exc))
         if last >= t_all.size:
             raise ConfigError("output times exceed the master-equation grid")
-        _, steps = propagate_master(rho0, t_all[:last + 1], eps[:last + 1], gam[:last + 1])
-        states["master"] = [steps[k] for k in k_idx]
+        try:
+            _, factors = propagate_master(t_all[:last + 1], eps[:last + 1], gam[:last + 1])
+        except ValueError as exc:  # a step factor past unit modulus: unresolved coefficients
+            raise ConfigError(str(exc), 3)
+        states["master"] = dephase_qubit(rho0, factors[k_idx])
         times = k_idx * stride
     if "he" in paths:
         try:

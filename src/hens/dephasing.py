@@ -38,8 +38,6 @@ from numpy.polynomial.legendre import leggauss, legvander
 from scipy.interpolate import CubicSpline
 from scipy.special import spherical_jn
 
-from .qdyn import hermitized_states
-
 SERIES_SYM_TOL = 1e-12
 SERIES_UNIT_TOL = 1e-12
 TAIL_EPS = 1e-12
@@ -542,13 +540,16 @@ def master_coeffs(series: DephasingSeries, t_min: float | None = None,
     return t[1:-1], 0.5 * np.imag(dlog), -0.5 * np.real(dlog)
 
 
-def propagate_master(rho0, times: np.ndarray, epsilon: np.ndarray, gamma: np.ndarray):
-    """Integrate the dephasing master equation across a coefficient grid.
+def propagate_master(times: np.ndarray, epsilon: np.ndarray, gamma: np.ndarray):
+    """Integrate the dephasing master equation's coherence across a coefficient grid.
 
     d rho/dt = -i eps(t) [sigma_z, rho] + gamma(t) (sigma_z rho sigma_z - rho) by classic
     RK4, steps spanning two grid intervals so every stage lands on a grid point.  The
     populations stay fixed and c = rho[1,0] obeys c' = (2i eps - 2 gamma) c, so each
-    step scales c by one factor.  Returns (times[::2], list of DensityMatrix).
+    step scales c by one factor.  Returns (times[::2], factors): factors[k] = c(t_k)/c(0),
+    with factors[0] = 1, for ``dephase_qubit`` to apply to a state.  A factor past unit
+    modulus (coefficients the grid does not resolve, as where phi crosses zero between
+    grid points) raises ValueError naming the first such time.
     """
     times = np.asarray(times, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
@@ -560,8 +561,6 @@ def propagate_master(rho0, times: np.ndarray, epsilon: np.ndarray, gamma: np.nda
     d = np.diff(times)
     if np.max(np.abs(d - d[0])) > 1e-9 * abs(d[0]):
         raise ValueError("coefficient grids are misaligned")
-    if rho0.dim != 2:
-        raise ValueError("qubit state expected")
     h = 2.0 * float(d[0])
     end = (times.size - 1) // 2 * 2  # the grid index of the last step's end
     a = 2j * epsilon - 2.0 * gamma
@@ -569,11 +568,14 @@ def propagate_master(rho0, times: np.ndarray, epsilon: np.ndarray, gamma: np.nda
     k2 = a1 * (1.0 + 0.5 * h * a0)
     k3 = a1 * (1.0 + 0.5 * h * k2)
     k4 = a2 * (1.0 + h * k3)
-    factors = np.cumprod(1.0 + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4))
-    states = np.repeat(rho0.matrix[None], factors.size + 1, axis=0)
-    states[1:, 1, 0] *= factors
-    states[1:, 0, 1] *= factors.conj()
-    return times[0 : end + 1 : 2], hermitized_states(states)
+    step = 1.0 + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    factors = np.cumprod(np.concatenate([[1.0], step]))
+    steps = times[0 : end + 1 : 2]
+    grown = np.abs(factors) > 1.0 + SERIES_UNIT_TOL
+    if grown.any():
+        raise ValueError("master-equation coherence factor exceeds unit modulus at t = %r"
+                         % float(steps[int(np.argmax(grown))]))
+    return steps, factors
 
 
 def extended_coherence(coh0: complex, pops, series: DephasingSeries) -> np.ndarray:

@@ -176,20 +176,14 @@ def spectral_average(ens: SpectralEnsemble, rho0: DensityMatrix, t: float) -> De
     return dephase_qubit(rho0, _coherence_factor(ens.omega, ens.weights, [t]))[0]
 
 
-def sample_frequencies(ens, n: int, seed: int) -> np.ndarray:
+def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF draws from ``ens.cdf()``, chunked into seeded substreams.
 
-    Accepts a SpectralEnsemble or a raw (omega, weights) pair, converted
-    through SpectralEnsemble; a pair it rejects raises ValueError("not a
-    probability distribution - cannot sample (<its reason>)").
+    ``ens`` is a SpectralEnsemble, whose construction already rejects a table
+    that is not a probability distribution.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if not isinstance(ens, SpectralEnsemble):
-        try:
-            ens = SpectralEnsemble(*ens)
-        except ValueError as exc:
-            raise ValueError(f"not a probability distribution - cannot sample ({exc})") from None
     omega, domega, cdf = ens.omega, ens.domega, ens.cdf()
     out = np.empty(n)  # before the substreams: an n too large to hold fails here
     children = np.random.SeedSequence(seed).spawn((n + MC_BLOCK - 1) // MC_BLOCK)
@@ -204,7 +198,7 @@ def sample_frequencies(ens, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def mc_average(ens, rho0: DensityMatrix, t: float, n: int, seed: int):
+def mc_average(ens: SpectralEnsemble, rho0: DensityMatrix, t: float, n: int, seed: int):
     """Monte Carlo estimate of the spectral average at one time t.
 
     Returns (state, stderr) where stderr is the standard error of the sampled

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dephasing import DephasingSeries, _extended_pair, _extended_values
 from .dephasing import ohmic_series  # noqa: F401  bench/spans.py wraps this name
-from .ensemble import SpectralEnsemble, _coherence_factor
+from .ensemble import _coherence_factor
 
 # Restarts of bochner_search drawn before their floors are evaluated.  Blocks of
 # 256, 512 and 1024 took the same time for 10000 restarts (2-core VM, BLAS at
@@ -86,28 +86,21 @@ def on_conjugate_grid(omega: np.ndarray, grid: np.ndarray) -> bool:
                 and np.max(np.abs(omega - conjugate)) <= 1e-9 * abs(conjugate[0]))
 
 
-def _as_omega_weights(dist):
-    if isinstance(dist, QuasiDistribution):
-        return dist.omega, dist.values
-    if isinstance(dist, SpectralEnsemble):
-        return dist.omega, dist.weights
-    omega, weights = dist
-    return np.asarray(omega, dtype=float), np.asarray(weights, dtype=float)
-
-
 def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     """Dephasing series phi(t) = int p(w) e^{i w t} dw of a real distribution.
 
-    Uses the exact FFT pair when the input lives on the conjugate grid of
-    ``grid``; off it, the times are the trapezoid sums of one
-    ``_coherence_factor`` call, for at most 2^28 (frequency, time) pairs.
-    The result is normalized by its t = 0 sample (the discrete mass of the
-    input, required to be 1 within 1e-6) so the series invariants hold for
-    any legal input.
+    ``dist`` is the pair (omega, weights) of frequencies and real weights;
+    complex weights raise ValueError.  Uses the exact FFT pair when the input
+    lives on the conjugate grid of ``grid``; off it, the times are the
+    trapezoid sums of one ``_coherence_factor`` call, for at most 2^28
+    (frequency, time) pairs.  The result is normalized by its t = 0 sample
+    (the discrete mass of the input, required to be 1 within 1e-6) so the
+    series invariants hold for any legal input.
     """
-    omega, weights = _as_omega_weights(dist)
+    omega, weights = dist
     if np.iscomplexobj(weights):
         raise ValueError("weights must be real")
+    omega, weights = np.asarray(omega, dtype=float), np.asarray(weights, dtype=float)
     grid = np.asarray(grid, dtype=float)
     n = grid.size
     domega = float(omega[1] - omega[0])
@@ -145,14 +138,12 @@ def inverse_ft(series: DephasingSeries) -> QuasiDistribution:
 
 
 def roundtrip_error(dist) -> float:
-    """L-infinity self-consistency of the transform pair on the input's grid."""
-    omega, weights = _as_omega_weights(dist)
-    n = omega.size
-    domega = float(omega[1] - omega[0])
-    dt = 2.0 * np.pi / (n * domega)
-    grid = (np.arange(n) - n // 2) * dt
-    series = forward_ft((omega, weights), grid)
-    back = inverse_ft(series)
+    """L-infinity self-consistency of the transform pair on the grid of ``dist`` =
+    (omega, weights), the pair ``forward_ft`` takes."""
+    omega, weights = dist
+    n = len(omega)
+    dt = 2.0 * np.pi / (n * float(omega[1] - omega[0]))
+    back = inverse_ft(forward_ft(dist, (np.arange(n) - n // 2) * dt))
     return float(np.max(np.abs(back.values - weights)))
 
 

@@ -390,6 +390,23 @@ class TestSimulate:
         assert "dephasing factor exceeds unit modulus" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_unresolved_master_factor_exits_three(self, tmp_path, capsys):
+        # a nonnegative bimodal table: phi(t) = e^{-0.045 t^2} cos 3t crosses zero between
+        # grid points near t = pi/6, so the coefficients there are not resolved and the
+        # RK4 factor leaves the unit disc (|f| = 1.012 at t = 0.586)
+        om = np.linspace(-8.0, 8.0, 257)
+        p = np.exp(-((om - 3.0) ** 2) / 0.18) + np.exp(-((om + 3.0) ** 2) / 0.18)
+        np.savetxt(tmp_path / "bimodal.csv", np.column_stack([om, p / np.trapezoid(p, om)]),
+                   delimiter=",")
+        rc = run("simulate", "--ensemble-kind", "spectral",
+                 "--ensemble-path", str(tmp_path / "bimodal.csv"), "--paths", "master",
+                 "--times-t-max", "6", "--times-count", "13", "--output-dir", str(tmp_path / "out"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "coherence factor exceeds unit modulus at t = 0.5859375" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("path", ["he", "dilation", "mc", "master"])
     def test_spectral_needs_a_qubit_rho0(self, tmp_path, capsys, path):
         write_inputs(tmp_path)
@@ -725,6 +742,40 @@ def test_dephase_exit_codes_hold_for_special_floats(tmp_path_factory):
                 f"--model-temperature={temperature!r}", f"--grid-t-max={t_max!r}"]
         if command == "witness":
             argv.append("--witness-restarts=5")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+def test_simulate_exit_codes_hold_for_spectral_tables(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # one or two Gaussians on a small uniform table; second < 0 gives a signed table
+    # (its mass stays >= 0.1 of the first's), second = 0 a single Gaussian
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.example(rows=257, centres=(3.0, -3.0), widths=(0.3, 0.3), second=1.0,
+                        t_max=6.0, count=13)  # phi crosses zero between grid points
+    @hypothesis.given(rows=st.sampled_from([64, 129]),
+                      centres=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                      widths=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
+                      second=st.sampled_from([0.0]) | st.floats(-0.9, 1.0),
+                      t_max=st.floats(0.5, 8.0), count=st.integers(1, 13))
+    def check(rows, centres, widths, second, t_max, count):
+        om = np.linspace(-8.0, 8.0, rows)
+        (c1, c2), (s1, s2) = centres, widths
+        p = (np.exp(-0.5 * ((om - c1) / s1) ** 2) / s1
+             + second * np.exp(-0.5 * ((om - c2) / s2) ** 2) / s2)
+        out = tmp_path_factory.mktemp("run")
+        np.savetxt(out / "table.csv", np.column_stack([om, p / np.trapezoid(p, om)]),
+                   delimiter=",")
+        argv = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path",
+                str(out / "table.csv"), "--paths", "he,master", f"--times-t-max={t_max!r}",
+                f"--times-count={count}", "--output-dir", str(out / "sim")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = main(argv)

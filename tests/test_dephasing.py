@@ -26,7 +26,8 @@ from hens.dephasing import (
     _gauss_legendre,
     _panel_edges,
 )
-from hens.qdyn import PAULI_Z, DensityMatrix, maximally_mixed, pure_state, trace_distance
+from hens.ensemble import dephase_qubit
+from hens.qdyn import PAULI_Z, DensityMatrix, maximally_mixed, pure_state
 
 OHMIC1 = SpectralDensityModel.ohmic(1.0)
 
@@ -476,58 +477,68 @@ def rk4_propagate_master(rho0, times, epsilon, gamma):
     return times[0 : 2 * n_steps + 1 : 2], states
 
 
+PLUS = pure_state([1.0, 1.0])
+
+
 def master_case(name):
-    """(rho0, times, epsilon, gamma) of a propagation case."""
+    """(times, epsilon, gamma) of a propagation case."""
     if name == "constant-drift":
         t = np.linspace(0.0, 5.0, 2001)
-        return pure_state([1.0, 1.0]), t, np.full(t.size, 0.4), np.zeros(t.size)
+        return t, np.full(t.size, 0.4), np.zeros(t.size)
     if name == "ohmic":
         series = ohmic_series(1.0, time_grid(20.0, 1 << 14))
         t_all, eps, gam = master_coeffs(series)
         i0 = int(np.searchsorted(t_all, 0.0))
         sub = slice(i0, i0 + 2 * 4096 + 1)
-        return pure_state([1.0, 1.0]), t_all[sub], eps[sub], gam[sub]
+        return t_all[sub], eps[sub], gam[sub]
     t = np.linspace(0.0, 5.0, 501)  # maximally mixed
-    return maximally_mixed(2), t, np.sin(t), 0.1 + 0.05 * np.cos(t)
+    return t, np.sin(t), 0.1 + 0.05 * np.cos(t)
 
 
 class TestPropagateMaster:
     def test_constant_drift_is_rotation(self):
-        rho0, t, eps, gam = master_case("constant-drift")
+        t, eps, gam = master_case("constant-drift")
         omega0 = 2.0 * eps[0]
-        t_out, states = propagate_master(rho0, t, eps, gam)
-        ratio = states[-1].matrix[1, 0] / rho0.matrix[1, 0]
-        assert abs(ratio - np.exp(1j * omega0 * t_out[-1])) < 1e-10
+        t_out, factors = propagate_master(t, eps, gam)
+        assert abs(factors[-1] - np.exp(1j * omega0 * t_out[-1])) < 1e-10
 
     def test_reproduces_ohmic_coherence(self):
-        rho0, t, eps, gam = master_case("ohmic")
-        t_out, states = propagate_master(rho0, t, eps, gam)
-        coh = np.array([s.matrix[1, 0] for s in states]) / rho0.matrix[1, 0]
+        t_out, factors = propagate_master(*master_case("ohmic"))
         exact = (1.0 + t_out**2) ** -2.0
-        assert np.max(np.abs(coh - exact) / exact) < 1e-5
-        pops = np.array([s.matrix[0, 0].real for s in states])
+        assert np.max(np.abs(factors - exact) / exact) < 1e-5
+        pops = np.array([s.matrix[0, 0].real for s in dephase_qubit(PLUS, factors)])
         assert np.max(np.abs(pops - 0.5)) < 1e-12
 
     def test_maximally_mixed_is_stationary(self):
-        _, states = propagate_master(*master_case("maximally-mixed"))
-        assert trace_distance(states[-1], maximally_mixed(2)) < 1e-12
+        _, factors = propagate_master(*master_case("maximally-mixed"))
+        mixed = maximally_mixed(2)
+        assert all(np.array_equal(s.matrix, mixed.matrix)
+                   for s in dephase_qubit(mixed, factors))
 
     @pytest.mark.parametrize("name", ["constant-drift", "ohmic", "maximally-mixed"])
     def test_matches_matrix_rk4(self, name):
         case = master_case(name)
-        t_out, states = propagate_master(*case)
-        t_ref, ref = rk4_propagate_master(*case)
-        assert np.array_equal(t_out, t_ref) and len(states) == len(ref)
-        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(states, ref)) <= 1e-12
+        t_out, factors = propagate_master(*case)
+        t_ref, ref = rk4_propagate_master(PLUS, *case)
+        assert np.array_equal(t_out, t_ref) and factors.size == len(ref)
+        assert factors[0] == 1.0
+        ratio = np.array([s.matrix[1, 0] for s in ref]) / PLUS.matrix[1, 0]
+        assert np.max(np.abs(factors - ratio)) <= 1e-12
+
+    def test_factor_past_unit_modulus_raises_at_its_time(self):
+        # a negative rate amplifies the coherence: the first step already grows it
+        t = np.linspace(0.0, 5.0, 11)
+        with pytest.raises(ValueError, match=r"exceeds unit modulus at t = 1\.0$"):
+            propagate_master(t, np.zeros(11), np.full(11, -0.1))
 
     def test_misaligned_grids_rejected(self):
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError, match="misaligned"):
-            propagate_master(maximally_mixed(2), t, np.zeros(11), np.zeros(10))
+            propagate_master(t, np.zeros(11), np.zeros(10))
         bad_t = t.copy()
         bad_t[5] += 0.01
         with pytest.raises(ValueError, match="misaligned"):
-            propagate_master(maximally_mixed(2), bad_t, np.zeros(11), np.zeros(11))
+            propagate_master(bad_t, np.zeros(11), np.zeros(11))
 
 
 class TestExtendedCoherence:

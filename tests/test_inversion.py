@@ -110,6 +110,14 @@ class TestForward:
         with pytest.raises(ValueError, match="mass"):
             forward_ft((OMEGA, 2.0 * gaussian(OMEGA)), GRID)
 
+    def test_complex_weights_rejected(self):
+        # the check must see the weights before a cast to float drops their imaginary part
+        weights = gaussian(OMEGA) * (1.0 + 1e-3j)
+        with pytest.raises(ValueError, match="weights must be real"):
+            forward_ft((OMEGA, weights), GRID)
+        with pytest.raises(ValueError, match="weights must be real"):
+            roundtrip_error((OMEGA, weights))
+
 
 class TestInverse:
     def test_ohmic_distribution_values(self):
