@@ -572,12 +572,16 @@ def cmd_simulate(cfg: dict) -> None:
 
     states: dict[str, list[DensityMatrix]] = {}
     if "master" in paths:  # spectral ensembles only, see _requested_paths
-        # without an explicit grid, use the conjugate of the input's
-        # frequency grid so the transform runs on the exact FFT pair
+        # without an explicit grid, a table in FFT layout (the conjugate of a
+        # time grid of its own size) keeps that grid, so the transform runs on
+        # the exact FFT pair; any other table gets the configured grid
+        grid = None
         n_om = omega.size
         if cfg["grid"]["t_max"] is None and n_om >= 4 and not (n_om & (n_om - 1)):
-            grid = time_grid(np.pi / (omega[1] - omega[0]), n_om)
-        else:
+            conjugate = time_grid(np.pi / (omega[1] - omega[0]), n_om)
+            if on_conjugate_grid(omega, conjugate):
+                grid = conjugate
+        if grid is None:
             grid = build_grid(cfg)
         if times.max() > grid[-1]:  # before the grid indices below can overflow
             raise ConfigError("output times exceed the master-equation grid")

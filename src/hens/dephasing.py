@@ -12,18 +12,22 @@ one vectorized pass), graded geometrically near w = 0 so that each
 panel lies at least two of its widths from the singularity of g.  At each t
 every panel wider than the oscillation bound pi / (4t) integrates the
 degree-15 Legendre interpolant of g against 1 - e^{i w t} exactly; the
-narrower panels and the panel touching w = 0 keep Gauss-Legendre.  One complex
-sum gives the even (1 - cos) integral and the odd sine integral, so the
-conventional and extended series and ``decoherence_exponent`` share one
-evaluator.  The extended two-qubit model builds its odd phase angle from
-int 4J/w^2 (w t - sin w t) dw and the T=0 exponent, a pair
+narrower panels and the panel touching w = 0 keep Gauss-Legendre.  The exact
+integrals take spherical Bessel functions from one three-term recurrence
+(``_spherical_j``).  One complex sum gives the even (1 - cos) integral and the
+odd sine integral, so the conventional and extended series and
+``decoherence_exponent`` share one evaluator.  The extended two-qubit model
+builds its odd phase angle from int 4J/w^2 (w t - sin w t) dw and the T=0
+exponent, a pair
 (``extended_exponents``) that serves every phase (``extended_series``, and
 the landscape's columns through the same values helper).
 Every series on a dense symmetric time grid comes from one adaptive spline:
 the exponent, or the extended model's (Phi, sine) pair as two columns of the
 same knots, is sampled at adaptively refined times and interpolated with a
-verified cubic spline.  The knot tolerance is weighted by e^{+Phi} because
-only e^{-Phi} * dPhi (and e^{-Phi} * d theta) reaches the series values.
+verified not-a-knot cubic spline (``_knot_spline``), evaluated once per pair
+of grid times +-t.  The knot tolerance is weighted by e^{+Phi} because only
+e^{-Phi} * dPhi (and e^{-Phi} * d theta) reaches the series values.  Both
+kernels are numpy code, so the module imports nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.interpolate import CubicSpline
-from scipy.special import spherical_jn
 
 SERIES_SYM_TOL = 1e-12
 SERIES_UNIT_TOL = 1e-12
@@ -54,6 +56,12 @@ _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j] * 4)  # i^n
 # a_n = sum_k g(x_k) _LEGENDRE[k, n]: the Legendre coefficients of the degree-15
 # interpolant of the values g(x_k) at the nodes
 _LEGENDRE = legvander(_GL_X, 15) * _GL_W[:, None] * (_DEGREES + 0.5)
+# _spherical_j's recurrence: the degree it starts down from, and the x above which it
+# runs upward instead; step k has the factor 2n + 1 at n = k + 1 (up) or n = 32 - k (down)
+MILLER_START = 32
+UPWARD_X = 16.0
+_UP_ODD = 2.0 * np.arange(1, MILLER_START + 1)[:, None] + 1.0
+_DOWN_ODD = _UP_ODD[::-1]
 
 
 class CoefficientSingularityError(ValueError):
@@ -62,6 +70,32 @@ class CoefficientSingularityError(ValueError):
     def __init__(self, t: float):
         super().__init__(f"coefficient singularity: dephasing factor vanishes near t = {t!r}")
         self.t = t
+
+
+def _spherical_j(x: np.ndarray) -> np.ndarray:
+    """Spherical Bessel functions j_0 .. j_15 at every x > pi/8, shape (x.size, 16).
+
+    Every x runs one three-term recurrence f_{n-1} + f_{n+1} = (2n + 1)/x f_n.  Above
+    UPWARD_X it runs upward from j_0 = sin x / x and j_1 = (j_0 - cos x) / x, stable
+    while n < x.  Below, it runs downward from f_33 = 0, f_32 = 1 (Miller's algorithm,
+    Gautschi 1967), and f_0 .. f_15 are scaled by the least-squares fit of (f_0, f_1)
+    to (j_0, j_1), which stays accurate where either one vanishes.  Starting at degree
+    28 instead of 32 misses by ~7e-12 near x = 16.
+    """
+    up = x > UPWARD_X
+    j0 = np.sin(x) / x
+    j1 = (j0 - np.cos(x)) / x
+    factors = list(np.where(up, _UP_ODD, _DOWN_ODD) / x)
+    f = np.empty((MILLER_START + 2, x.size))
+    f[0] = np.where(up, j0, 0.0)
+    f[1] = np.where(up, j1, 1.0)
+    rows = list(f)
+    for k, factor in enumerate(factors):
+        np.multiply(factor, rows[k + 1], out=rows[k + 2])
+        np.subtract(rows[k + 2], rows[k], out=rows[k + 2])
+    down = f[: MILLER_START - 15 : -1]  # f_0 .. f_15 of the downward recurrence
+    scale = (j0 * down[0] + j1 * down[1]) / (down[0] ** 2 + down[1] ** 2)
+    return np.where(up, f[:16], down * scale).T
 
 
 def _coth(x: np.ndarray) -> np.ndarray:
@@ -279,7 +313,7 @@ class _FilonRule:
             v[:n] = _GL_W * (2.0 * np.sin(0.5 * xk) ** 2 - 1j * np.sin(xk))
             if n < x.size:
                 x = x[n:]
-                mu = -2.0 * _I_POWERS * spherical_jn(_DEGREES, x[:, None])
+                mu = -2.0 * _I_POWERS * _spherical_j(x)
                 mu[:, 0] = 2.0 * (1.0 - np.sin(x) / x)  # x > pi/8: no cancellation
                 v[n:] = mu @ _LEGENDRE.T
             b = np.einsum("pk,pk->p", self.g[p:], v[self.width_of[p:]])
@@ -309,7 +343,8 @@ def _adaptive_curve(f, t_hi: float):
     interval is split when any column misses KNOT_TOL * e^{+Phi} (Phi at the
     midpoint, the weight capped at 1e16).  An interval is accepted without
     that check once Phi and its local estimate at the midpoint both reach
-    PHI_NEGLIGIBLE, or once it is no longer than t_hi * 2^-36.  The spline is
+    PHI_NEGLIGIBLE, or once it is no longer than t_hi * 2^-36.  The knots
+    number at least 33, more than the 4 that ``_knot_spline`` needs.  The spline is
     built in t / 2^e, with t_hi = m 2^e and 1/2 <= m < 1, so that its cubic
     coefficients (~ values / spacing^3) stay representable on any t_hi; the
     exact power-of-two scaling leaves every evaluated value unchanged.
@@ -355,16 +390,90 @@ def _adaptive_curve(f, t_hi: float):
     return lambda t: spline(np.ldexp(t, -e))
 
 
-def _knot_spline(ks: list[float], vals: dict, e: int) -> CubicSpline:
-    """Cubic spline through the knots ks, in the variable t / 2^e; a ValueError
-    names the exponent when it fails."""
+def _at_abs(curve, grid: np.ndarray) -> np.ndarray:
+    """curve(|t|) at every time of the grid.  On a grid whose times above its middle
+    negate those below it (as on ``time_grid``), only the first half and the middle
+    are evaluated, and the rest is their mirror image."""
+    m = grid.size // 2
+    mirrored = grid.ndim == 1 and grid.size % 2 == 0
+    if mirrored and np.array_equal(grid[m + 1 :], -grid[m - 1 : 0 : -1]):
+        half = curve(np.abs(grid[: m + 1]))
+        return np.concatenate([half, half[m - 1 : 0 : -1]])
+    return curve(np.abs(grid))
+
+
+def _knot_spline(ks: list[float], vals: dict, e: int):
+    """Not-a-knot cubic spline through the knots ks (at least 4), in the variable
+    u = t / 2^e, as a function of u; a ValueError names the exponent when it fails.
+
+    The knot slopes s_i solve a tridiagonal system (de Boor, *A Practical Guide to
+    Splines*): the rows dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
+    = 3 (dx_i m_{i-1} + dx_{i-1} m_i), with m the interval slopes, make the second
+    derivative continuous, and the end rows make the third derivative continuous at
+    the second and the second-to-last knot.  One sweep without pivoting solves it for
+    every column: once the first row is eliminated, the interior rows are diagonally
+    dominant and the last row's pivot stays positive, so every pivot is positive.
+    Values come from an interval search and Horner's rule; outside [ks[0], ks[-1]]
+    the end cubics continue.
+    """
+    x = np.ldexp(ks, -e)
+    y = np.array([vals[k] for k in ks], dtype=float)
     try:
         # slopes between knot values near the float limit overflow
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return CubicSpline(np.ldexp(ks, -e), [vals[k] for k in ks])
-    except (ValueError, FloatingPointError) as exc:
+            coeffs = _spline_coefficients(x, y.reshape(x.size, -1))
+    except FloatingPointError as exc:
         raise ValueError(f"decoherence exponent on [{ks[0]!r}, {ks[-1]!r}] is not "
                          f"representable in floating point ({exc})") from None
+    last = x.size - 2
+
+    def spline(u):
+        u = np.asarray(u, dtype=float)
+        i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, last)
+        h = u - x[i]
+        c = coeffs.take(i, axis=2)
+        out = ((c[:, 0] * h + c[:, 1]) * h + c[:, 2]) * h + c[:, 3]
+        return np.moveaxis(out, 0, -1).reshape(u.shape + y.shape[1:])
+
+    return spline
+
+
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cubic coefficients, shape (columns, 4, intervals), of the not-a-knot spline
+    through the columns of y (knots x, at least 4): on [x_i, x_{i+1}] the spline is
+    ((c0 h + c1) h + c2) h + c3 with h = u - x_i."""
+    n = x.size
+    dx = np.diff(x)
+    d = dx[:, None]
+    slope = np.diff(y, axis=0) / d
+    lower, diag, upper = np.empty(n), np.empty(n), np.empty(n)  # row i: s_{i-1}, s_i, s_{i+1}
+    rhs = np.empty(y.shape)
+    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
+    rhs[1:-1] = 3.0 * (d[1:] * slope[:-1] + d[:-1] * slope[1:])
+    w = x[2] - x[0]
+    diag[0], upper[0] = dx[1], w
+    rhs[0] = ((d[0] + 2.0 * w) * d[1] * slope[0] + d[0] ** 2 * slope[1]) / w
+    w = x[-1] - x[-3]
+    lower[-1], diag[-1] = w, dx[-2]
+    rhs[-1] = (d[-1] ** 2 * slope[-2] + (2.0 * w + d[-1]) * d[-2] * slope[-1]) / w
+    # pivots and multipliers of the sweep, shared by every column
+    lo, up = lower.tolist(), upper.tolist()
+    pivots, factors = [float(diag[0])], [0.0]
+    for i, di in enumerate(diag.tolist()[1:], 1):
+        factors.append(lo[i] / pivots[-1])
+        pivots.append(di - factors[-1] * up[i - 1])
+    s = np.empty(y.shape)
+    for col, b in enumerate(rhs.T.tolist()):
+        for i in range(1, n):
+            b[i] -= factors[i] * b[i - 1]
+        b[-1] /= pivots[-1]
+        for i in range(n - 2, -1, -1):
+            b[i] = (b[i] - up[i] * b[i + 1]) / pivots[i]
+        s[:, col] = b
+    if not np.all(np.isfinite(s)):  # the sweep runs on Python floats, which overflow silently
+        raise FloatingPointError("overflow encountered in the knot slopes")
+    t = (s[:-1] + s[1:] - 2.0 * slope) / d
+    return np.stack([t / d, (slope - s[:-1]) / d - t, s[:-1], y[:-1]], axis=1).T.copy()
 
 
 def time_grid(t_max: float, n: int) -> np.ndarray:
@@ -446,7 +555,7 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
     grid = np.asarray(grid, dtype=float)
     rule = _FilonRule(model)
     spline = _adaptive_curve(lambda x: rule.integrals(x)[0], float(np.max(np.abs(grid))))
-    exponent = np.clip(spline(np.abs(grid)), 0.0, None)
+    exponent = np.clip(_at_abs(spline, grid), 0.0, None)
     values = np.exp(1j * omega0 * grid - exponent)
     return DephasingSeries(grid, values)
 
@@ -459,7 +568,7 @@ def extended_exponents(model: SpectralDensityModel, grid: np.ndarray):
     grid = np.asarray(grid, dtype=float)
     rule = _FilonRule(model)
     spline = _adaptive_curve(rule.integrals, float(np.max(np.abs(grid))))
-    even, odd = spline(np.abs(grid)).T
+    even, odd = _at_abs(spline, grid).T
     return np.clip(even, 0.0, None), rule.inverse_frequency_mass * grid - np.sign(grid) * odd
 
 

@@ -298,6 +298,22 @@ class TestSimulate:
         cons = json.load(open(out / "consistency.json"))
         assert cons["pairwise_max_trace_distance"]["he_vs_master"] < 1e-4
 
+    def test_spectral_master_keeps_default_grid_off_fft_layout(self, tmp_path):
+        # 64 rows on [-8, 8] are not the conjugate of a 64-point time grid: that
+        # grid's steps (dt ~ 0.39) made RK4 leave the unit disc near t = 5.4
+        om = np.linspace(-8.0, 8.0, 64)
+        p = np.exp(-0.5 * (om - 2.0) ** 2)
+        np.savetxt(tmp_path / "gauss.csv", np.column_stack([om, p / np.trapezoid(p, om)]),
+                   delimiter=",")
+        out = tmp_path / "run"
+        rc = run("simulate", "--ensemble-kind", "spectral",
+                 "--ensemble-path", str(tmp_path / "gauss.csv"),
+                 "--paths", "he,master", "--times-t-max", "8", "--times-count", "9",
+                 "--output-dir", str(out))
+        assert rc == 0
+        cons = json.load(open(out / "consistency.json"))
+        assert cons["pairwise_max_trace_distance"]["he_vs_master"] < 1e-8
+
     def test_spectral_master_propagates_only_output_window(self, tmp_path):
         # phi of this 257-row table vanishes near |t| = 67.9, far beyond the output
         # times; 257 is not a power of two, so forward_ft sums directly
@@ -705,18 +721,41 @@ def test_count_past_its_bound_exits_two(tmp_path, capsys, path, value):
     assert not (tmp_path / "out").exists()
 
 
-def test_huge_temperature_ends(tmp_path):
-    # Phi ~ 1e30: intervals whose exponent is past e^{-Phi} < 1e-16 are accepted
-    # as they are instead of being split down to the refinement floor
+def src_env():
+    """The environment of a fresh interpreter that imports hens from this checkout."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_huge_temperature_ends(tmp_path):
+    # Phi ~ 1e30: intervals whose exponent is past e^{-Phi} < 1e-16 are accepted
+    # as they are instead of being split down to the refinement floor
     proc = subprocess.run([sys.executable, "-m", "hens.cli", "dephase", "--model-temperature",
                            "1e30", *SMALL_GRID, "--output-dir", str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=30)
+                          env=src_env(), capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
     _, data = read_csv(tmp_path / "phi.csv")
     assert np.all(data[data[:, 0] != 0.0, 3] == 0.0)
+
+
+def test_subcommands_never_import_scipy(tmp_path):
+    # every subcommand is a fresh process: importing scipy would cost more than the
+    # quadrature; the extended series reaches the Legendre moments of the Filon rule
+    runs = [["dephase", "--mode", "extended", "--grid-n", "256"], ["invert", "--grid-n", "256"]]
+    code = "\n".join([
+        "import sys",
+        "from hens.cli import main",
+        *(f"assert main({argv + ['--output-dir', str(tmp_path / argv[0])]!r}) == 0"
+          for argv in runs),
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "dephase" / "phi.csv").is_file() and (tmp_path / "invert" / "wp.csv").is_file()
 
 
 def test_dephase_exit_codes_hold_for_special_floats(tmp_path_factory):

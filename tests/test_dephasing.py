@@ -20,12 +20,16 @@ from hens.dephasing import (
     ohmic_series,
     propagate_master,
     time_grid,
+    UPWARD_X,
     _FilonRule,
     _coth,
     _cut,
     _gauss_legendre,
+    _knot_spline,
     _panel_edges,
+    _spherical_j,
 )
+from hens import dephasing
 from hens.ensemble import dephase_qubit
 from hens.qdyn import PAULI_Z, DensityMatrix, maximally_mixed, pure_state
 
@@ -265,6 +269,89 @@ class TestPanelNodes:
         # refused before any node array is allocated
         with pytest.raises(ValueError, match="panels"):
             decoherence_exponent(OHMIC1, 1e12)
+
+
+def spherical_j_reference(mp, x):
+    """j_0 .. j_15 at x from mpmath's sin and cos by the upward recurrence at 80 digits,
+    enough for the ~47 digits it loses at x = pi/8."""
+    with mp.workdps(80):
+        x = mp.mpf(float(x))
+        row = [mp.sin(x) / x, mp.sin(x) / x**2 - mp.cos(x) / x]
+        for n in range(1, 15):
+            row.append((2 * n + 1) / x * row[-1] - row[-2])
+        return [float(v) for v in row]
+
+
+def recorded_knots(monkeypatch, build):
+    """The (knots, values, exponent) that ``build()`` passes to ``_knot_spline``."""
+    calls = []
+
+    def record(ks, vals, e):
+        calls.append((list(ks), dict(vals), e))
+        return _knot_spline(ks, vals, e)
+
+    monkeypatch.setattr(dephasing, "_knot_spline", record)
+    build()
+    (call,) = calls
+    return call
+
+
+def geometric_knot_sets():
+    """Random knot sets of 4 to 1000 knots, each spacing a fixed ratio (at most 1.5,
+    and at most 1e6 over the set) times the previous one, with 1 or 2 value columns."""
+    rng = np.random.default_rng(11)
+    for n in [4, 5, 6, 7, 1000, *rng.integers(8, 1000, 60).tolist()]:
+        ratio = np.exp(rng.uniform(-1.0, 1.0) * min(math.log(1.5), math.log(1e6) / (n - 2)))
+        x = np.concatenate([[0.0], np.cumsum(ratio ** np.arange(n - 1))])
+        x *= rng.uniform(0.5, 1.0) / x[-1]
+        columns = int(rng.integers(1, 3))
+        if rng.random() < 0.5:
+            y = rng.standard_normal((n, columns))
+        else:
+            y = np.sin(np.outer(x, rng.uniform(1.0, 20.0, columns)))
+        yield x, (y[:, 0] if columns == 1 else y)
+
+
+class TestKernels:
+    """The numpy kernels of the quadrature against mpmath and scipy."""
+
+    def test_spherical_j_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        edge = [np.nextafter(UPWARD_X, 0.0), UPWARD_X, np.nextafter(UPWARD_X, 100.0)]
+        x = np.concatenate([np.geomspace(np.pi / 8.0, 1e4, 200), edge, [12.0]])
+        ref = np.array([spherical_j_reference(mp, v) for v in x])
+        assert np.max(np.abs(_spherical_j(x) - ref)) <= 4e-15
+        with mp.workdps(30):  # the reference is mpmath's Bessel function
+            for v in (np.pi / 8.0, 3.0, 12.0, UPWARD_X, 70.0):
+                ref = spherical_j_reference(mp, v)
+                for n in (0, 7, 15):
+                    exact = mp.sqrt(mp.pi / (2 * mp.mpf(v))) * mp.besselj(n + 0.5, v)
+                    assert abs(ref[n] - float(exact)) <= 1e-17 * max(1.0, abs(ref[n]))
+
+    @pytest.mark.parametrize("mode", ["extended", "conventional"])
+    def test_knot_spline_matches_scipy_on_recorded_knots(self, monkeypatch, mode):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        grid = time_grid(200.0, 1 << 16)
+        build = ((lambda: extended_exponents(OHMIC1, grid)) if mode == "extended"
+                 else (lambda: dephasing_conventional(OHMIC1, 0.0, grid)))
+        ks, vals, e = recorded_knots(monkeypatch, build)
+        x = np.ldexp(ks, -e)
+        y = np.array([vals[k] for k in ks])
+        assert y.ndim == (2 if mode == "extended" else 1)
+        u = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.ldexp(np.abs(grid), -e)])
+        got = _knot_spline(ks, vals, e)(u)
+        assert got.shape == u.shape + y.shape[1:]
+        ref = interpolate.CubicSpline(x, y)(u)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(y))
+
+    def test_knot_spline_matches_scipy_on_geometric_knots(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        for x, y in geometric_knot_sets():
+            ks = x.tolist()
+            u = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.linspace(0.0, x[-1], 999)])
+            got = _knot_spline(ks, dict(zip(ks, y)), 0)(u)
+            ref = interpolate.CubicSpline(x, y)(u)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(y)), x.size
 
 
 PHASE_GRID = time_grid(64.0, 1 << 12)  # dt = 1/32: t = 1 is a grid point
