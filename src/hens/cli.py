@@ -135,6 +135,9 @@ FIELDS = {
 # bounds of two-field products: the state entries one simulate route holds (as many
 # as times.count at its bound of 2 x 2 states) and the cells of a landscape, 8 B each
 STATE_ENTRIES, LANDSCAPE_CELLS = FIELDS["times.count"][3] * 4, COUNT_BYTES // 8
+# the key paths of the fields, and of the objects that hold them
+FIELD_KEYS = {tuple(path.split(".")) for path in FIELDS}
+SECTION_KEYS = {key[:i] for key in FIELD_KEYS for i in range(1, len(key))}
 TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 INT64 = np.iinfo(np.int64)
 
@@ -168,12 +171,40 @@ def _merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _object_once(pairs: list) -> dict:
+    """A JSON object of the config file, whose keys must differ: json.load would keep
+    the last of two equal keys and drop the other without a word."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"config key {repeated[0]!r} appears twice in one object")
+    return dict(pairs)
+
+
+def _unknown_key(loaded: dict, prefix: tuple = ()) -> str | None:
+    """The first key path of a config file that is neither a field of FIELDS nor an
+    object holding fields.  A field's value, a list or not, is not descended into."""
+    for key, value in loaded.items():
+        path = prefix + (key,)
+        if path in FIELD_KEYS:
+            continue
+        if path not in SECTION_KEYS:
+            return ".".join(path)
+        if isinstance(value, dict):
+            found = _unknown_key(value, path)
+            if found is not None:
+                return found
+    return None
+
+
 def load_config(args: argparse.Namespace) -> dict:
     """The defaults, overridden by the --config file, overridden by the flags.
 
-    Raises ConfigError naming the first field whose JSON type the table does
-    not allow, whose number is NaN, infinite or past the float range, or whose
-    integer is past the int64 range or, for a count, past the field's bound.
+    Raises ConfigError naming the first key of the file that is no field, or the
+    first field whose JSON type the table does not allow, whose number is NaN,
+    infinite or past the float range, or whose integer is past the int64 range
+    or, for a count, past the field's bound.  A field the subcommand does not
+    read is accepted, so that one file can serve every subcommand.
     """
     cfg: dict = {}
     for path, (default, _, _, _) in FIELDS.items():
@@ -183,11 +214,14 @@ def load_config(args: argparse.Namespace) -> dict:
     if config:
         try:
             with open(config) as fh:
-                loaded = json.load(fh)
+                loaded = json.load(fh, object_pairs_hook=_object_once)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {config}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
+        unknown = _unknown_key(loaded)
+        if unknown is not None:
+            raise ConfigError(f"unknown config field {unknown!r}")
         cfg = _merge(cfg, loaded)
     for path in FIELDS:
         node, key = _slot(cfg, path)
@@ -488,6 +522,9 @@ def _requested_paths(cfg: dict, kind: str) -> list[str]:
     bad = [p for p in paths if p not in ("he", "dilation", "mc", "master")]
     if bad:
         raise ConfigError(f"unknown simulation paths: {bad}")
+    repeated = sorted({p for p in paths if paths.count(p) > 1})
+    if repeated:
+        raise ConfigError(f"simulation paths named more than once: {repeated}")
     if kind != "spectral":
         unsupported = set(paths) & {"mc", "master"}
         if unsupported:

@@ -16,23 +16,24 @@ narrower panels and the panel touching w = 0 keep Gauss-Legendre.  The exact
 integrals take spherical Bessel functions from one three-term recurrence
 (``_spherical_j``).  One complex sum gives the even (1 - cos) integral and the
 odd sine integral, so the conventional and extended series and
-``decoherence_exponent`` share one evaluator.  The extended two-qubit model
-builds its odd phase angle from int 4J/w^2 (w t - sin w t) dw and the T=0
-exponent, a pair
-(``extended_exponents``) that serves every phase (``extended_series``, and
-the landscape's columns through the same values helper).
+``decoherence_exponent`` share one evaluator, which takes an array of times
+and works through them in blocks of (time, panel) pairs.  The extended
+two-qubit model builds its odd phase angle from int 4J/w^2 (w t - sin w t) dw
+and the T=0 exponent, a pair (``extended_exponents``) that serves every
+phase (``extended_series``, and the landscape's columns through the same
+values helper).
 Every series on a dense symmetric time grid comes from one adaptive spline:
 the exponent, or the extended model's (Phi, sine) pair as two columns of the
-same knots, is sampled at adaptively refined times and interpolated with a
-verified not-a-knot cubic spline (``_knot_spline``), evaluated once per pair
-of grid times +-t.  The knot tolerance is weighted by e^{+Phi} because only
+same knots, is sampled at adaptively refined times (refined level by level,
+one batched evaluation per level) and interpolated with a verified not-a-knot
+cubic spline (``_knot_spline``), evaluated once per pair of grid times +-t.
+The knot tolerance is weighted by e^{+Phi} because only
 e^{-Phi} * dPhi (and e^{-Phi} * d theta) reaches the series values.  Both
 kernels are numpy code, so the module imports nothing beyond numpy.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import math
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ SERIES_SYM_TOL = 1e-12
 SERIES_UNIT_TOL = 1e-12
 TAIL_EPS = 1e-12
 MAX_PANELS = 1 << 18  # panels of one partition, or of the w = 0 panel cut at one time
+BLOCK_PAIRS = 1 << 12  # (time, panel) pairs per block of the Filon rule: 64 KiB of complex128
 KNOT_TOL = 1e-9
 PHI_NEGLIGIBLE = 37.0  # e^{-37} < 1e-16: the series no longer resolves Phi or the phase
 
@@ -253,20 +255,23 @@ def _representable(t: float | None):
 class _FilonRule:
     """The frequency integrals of one model, from one sampling of g = 4 J/w^2 coth(w/2T).
 
-    ``integrals(t)`` returns (even, odd) = (int g (1 - cos w t) dw,
-    int g sin(w t) dw); coth = 1 at T = 0, where odd is the extended model's
-    sine integral.  g is sampled once at the 16 Gauss-Legendre nodes of every
-    panel of ``_graded(_panel_edges(model))``.  On a panel [c - h, c + h],
-    int g (1 - e^{iwt}) dw = h [(1 - e^{ict}) (G - B) + B], where G = int g dx
-    and B = int g (1 - e^{ihtx}) dx over x in [-1, 1] is a weighted sum of the
-    16 samples whose weights depend only on ht.  For a panel wider than the
-    oscillation bound pi / (4t) they integrate the degree-15 interpolant of g
+    ``integrals(ts)`` returns the arrays (even, odd) = (int g (1 - cos w t) dw,
+    int g sin(w t) dw) at every time of ts; coth = 1 at T = 0, where odd is the
+    extended model's sine integral.  g is sampled once at the 16 Gauss-Legendre
+    nodes of every panel of ``_graded(_panel_edges(model))``.  On a panel
+    [c - h, c + h], int g (1 - e^{iwt}) dw = h [(1 - e^{ict}) (G - B) + B], where
+    G = int g dx and B = int g (1 - e^{ihtx}) dx over x in [-1, 1] is a weighted
+    sum of the 16 samples whose weights depend only on ht.  For a panel wider than
+    the oscillation bound pi / (4t) they integrate the degree-15 interpolant of g
     exactly, through the Legendre moments int P_n(x) e^{ihtx} dx = 2 i^n j_n(ht)
-    (a Filon-type rule, so the cost of a time does not grow with t); a
-    narrower panel takes its Gauss-Legendre weights.  Weights are computed
-    once per distinct half-width.  g is singular at w = 0, so the panel
-    touching it is never integrated through moments: once it is wider than
-    the oscillation bound it is cut into Gauss-Legendre panels under the bound.
+    (a Filon-type rule, so the cost of a time does not grow with t); a narrower
+    panel takes its Gauss-Legendre weights.  The times are evaluated together in
+    blocks of at most BLOCK_PAIRS (time, panel) pairs: the panels are kept sorted
+    by half-width, the weights are built once per (time, distinct half-width) of a
+    block, and each half-width's panels take one matrix product of the block's
+    weights with their samples.  g is singular at w = 0, so the panel touching it
+    is never integrated through moments: at a time past its oscillation bound it
+    is cut into Gauss-Legendre panels under the bound, one time at a time.
     """
 
     def __init__(self, model: SpectralDensityModel):
@@ -274,14 +279,19 @@ class _FilonRule:
         with _representable(None):
             e = np.concatenate([[0.0], _graded(_panel_edges(model))])
             self.zero = e[1]  # the panel touching w = 0 is [0, zero]
-            self.c = 0.5 * (e[1:] + e[:-1])
-            self.h = 0.5 * (e[1:] - e[:-1])
-            self.widths, self.width_of = np.unique(self.h, return_inverse=True)
             nodes, weights = _gauss_legendre(e)
-            self.g = self._g(nodes)
-            self.g_sum = self.g @ _GL_W  # G of every panel
+            g = self._g(nodes)
             # int 4 J/w dw at T = 0, the linear-in-t part of the drift integral
-            self.inverse_frequency_mass = float(np.sum(self.g * nodes * weights))
+            self.inverse_frequency_mass = float(np.sum(g * nodes * weights))
+            h = 0.5 * (e[1:] - e[:-1])
+            order = np.argsort(h, kind="stable")  # panels of one half-width are a slice
+            self.c, self.h = 0.5 * (e[1:] + e[:-1])[order], h[order]
+            self.g = g[order].T.astype(complex)  # (16, panels), for the products with B's weights
+            self.g_sum = _GL_W @ self.g.real  # G of every panel
+            self.widths, first = np.unique(self.h, return_index=True)
+            self.slices = [slice(a, b) for a, b in zip(first, [*first[1:], h.size])]
+            self.zero_at = int(np.flatnonzero(order == 0)[0])
+            self.zero_width = int(np.searchsorted(self.widths, self.h[self.zero_at]))
 
     def _g(self, w: np.ndarray) -> np.ndarray:
         g = 4.0 * self.model.density(w) / w**2
@@ -289,58 +299,75 @@ class _FilonRule:
             g = g * _coth(w / (2.0 * self.model.temperature))
         return g
 
-    def integrals(self, t: float) -> tuple[float, float]:
-        s = math.copysign(1.0, t) if t != 0.0 else 0.0
-        t = abs(float(t))
-        if t == 0.0:
-            return 0.0, 0.0
-        cap = np.pi / (4.0 * t)
-        with _representable(t):
-            even = odd = 0.0
-            p = 0  # the first panel of the sum below
-            if self.zero > cap:
-                w, weights = _gauss_legendre(_cut(np.array([0.0, self.zero]),
-                                                  np.array([cap]), t))
-                gw = self._g(w) * weights
-                even = np.sum(gw * (2.0 * np.sin(0.5 * w * t) ** 2))
-                odd = np.sum(gw * np.sin(w * t))
-                p = 1
-            # the weights of B, one row per distinct half-width
-            x = self.widths * t
-            n = int(np.searchsorted(x, np.pi / 8.0, side="right"))
-            v = np.empty((x.size, 16), dtype=complex)
-            xk = x[:n, None] * _GL_X
-            v[:n] = _GL_W * (2.0 * np.sin(0.5 * xk) ** 2 - 1j * np.sin(xk))
-            if n < x.size:
-                x = x[n:]
-                mu = -2.0 * _I_POWERS * _spherical_j(x)
-                mu[:, 0] = 2.0 * (1.0 - np.sin(x) / x)  # x > pi/8: no cancellation
-                v[n:] = mu @ _LEGENDRE.T
-            b = np.einsum("pk,pk->p", self.g[p:], v[self.width_of[p:]])
-            ct = self.c[p:] * t
-            z = (2.0 * np.sin(0.5 * ct) ** 2 - 1j * np.sin(ct)) * (self.g_sum[p:] - b) + b
-            total = self.h[p:] @ z
-        return max(float(even + total.real), 0.0), s * float(odd - total.imag)
+    def integrals(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        ts = np.asarray(ts, dtype=float)
+        # each distinct |t| once, so that +-t get the same values
+        t, back = np.unique(np.abs(ts).ravel(), return_inverse=True)
+        even, odd = np.empty(t.size), np.empty(t.size)
+        step = max(1, BLOCK_PAIRS // self.h.size)
+        for lo in range(0, t.size, step):
+            part = slice(lo, lo + step)
+            even[part], odd[part] = self._block(t[part])
+        return (np.maximum(even, 0.0)[back].reshape(ts.shape),
+                np.sign(ts) * odd[back].reshape(ts.shape))
+
+    def _block(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(even, odd) at the times t >= 0 of one block."""
+        with _representable(float(t.max())):
+            # the weights of B, one row per (time, half-width)
+            x = t[:, None] * self.widths
+            moments = x > np.pi / 8.0
+            v = np.empty(x.shape + (16,), dtype=complex)
+            xk = x[~moments][:, None] * _GL_X
+            v[~moments] = _GL_W * (2.0 * np.sin(0.5 * xk) ** 2 - 1j * np.sin(xk))
+            if moments.any():
+                xm = x[moments]
+                mu = -2.0 * _I_POWERS * _spherical_j(xm)
+                mu[:, 0] = 2.0 * (1.0 - np.sin(xm) / xm)  # x > pi/8: no cancellation
+                v[moments] = mu @ _LEGENDRE.T
+            b = np.empty((t.size, self.h.size), dtype=complex)
+            for j, panels in enumerate(self.slices):
+                b[:, panels] = v[:, j] @ self.g[:, panels]
+            ct = t[:, None] * self.c
+            z = (2.0 * np.sin(0.5 * ct) ** 2 - 1j * np.sin(ct)) * (self.g_sum - b) + b
+            # the panel touching w = 0 at the times past its bound: from its own cut
+            past = np.flatnonzero(moments[:, self.zero_width])
+            z[past, self.zero_at] = 0.0
+            total = z @ self.h
+            even, odd = total.real, -total.imag
+            for i in past:
+                e, o = self._zero_panel(t[i])
+                even[i] += e
+                odd[i] += o
+        return even, odd
+
+    def _zero_panel(self, t: float) -> tuple[float, float]:
+        """(even, odd) of the panel [0, zero] at one time t past its oscillation bound."""
+        w, weights = _gauss_legendre(_cut(np.array([0.0, self.zero]),
+                                          np.array([np.pi / (4.0 * t)]), t))
+        gw = self._g(w) * weights
+        return np.sum(gw * (2.0 * np.sin(0.5 * w * t) ** 2)), np.sum(gw * np.sin(w * t))
 
 
 def decoherence_exponent(model: SpectralDensityModel, t):
     """Nonnegative exponent controlling |phi(t)| = e^{-Phi(t)}; even, Phi(0) = 0."""
     ts = np.asarray(t, dtype=float)
-    rule = _FilonRule(model)
-    out = np.array([rule.integrals(x)[0] for x in ts.ravel()])
-    return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
+    even = _FilonRule(model).integrals(ts)[0]
+    return float(even) if ts.ndim == 0 else even
 
 
 def _adaptive_curve(f, t_hi: float):
     """Cubic spline of f on [0, t_hi] from adaptively refined knots, as a function of t.
 
-    f(t) is the exponent Phi(t), or a tuple (Phi(t), ...) whose further
-    entries become further columns of the same knots and spline.  The base
-    knots are 32 uniform and 32 geometric intervals, without knots closer than
-    1e-9 t_hi to the previous one.  Every midpoint is checked against the
-    cubic through the four nearest knots (kept in a sorted list; the closed
-    Lagrange form of what a not-a-knot spline through them gives), and its
-    interval is split when any column misses KNOT_TOL * e^{+Phi} (Phi at the
+    f(ts) is the exponent Phi at the times ts, or a tuple (Phi, ...) of arrays
+    whose further entries become further columns of the same knots and spline.
+    The base knots are 32 uniform and 32 geometric intervals, without knots
+    closer than 1e-9 t_hi to the previous one.  The knots are refined level by
+    level, with one batched evaluation of f per level at the midpoints of that
+    level's intervals.  Every midpoint is checked against the cubic through the
+    four nearest knots known at the start of its level (the closed Lagrange form
+    of what a not-a-knot spline through them gives), and its interval is split
+    for the next level when any column misses KNOT_TOL * e^{+Phi} (Phi at the
     midpoint, the weight capped at 1e16).  An interval is accepted without
     that check once Phi and its local estimate at the midpoint both reach
     PHI_NEGLIGIBLE, or once it is no longer than t_hi * 2^-36.  The knots
@@ -355,38 +382,35 @@ def _adaptive_curve(f, t_hi: float):
     ]))
     xs = xs[np.concatenate([[True], np.diff(xs) > 1e-9 * t_hi])]
     xs = np.concatenate([[0.0], xs[xs > 0.0]])
-    vals = {float(x): np.asarray(f(float(x))) for x in xs}
-    ks = sorted(vals)
-    work = [(float(a), float(b)) for a, b in zip(xs[:-1], xs[1:])]
+    ys = np.asarray(f(xs)).T  # one row per knot: Phi, or (Phi, ...)
+    a, b = xs[:-1], xs[1:]
     floor = t_hi * 2.0 ** -36
-    while work:
-        a, b = work.pop()
+    while a.size:
         m = 0.5 * (a + b)
-        fm = np.asarray(f(m))
-        i = bisect.bisect_left(ks, m)
-        lo = max(0, i - 2)
-        hi = min(len(ks), lo + 4)
-        lo = max(0, hi - 4)
+        fm = np.asarray(f(m)).T
         # Lagrange form in u = (x - x0) / (x3 - x0), whose products cannot underflow
-        x0, x1, x2, x3 = ks[lo:hi]
+        lo = np.clip(np.searchsorted(xs, m) - 2, 0, xs.size - 4)
+        x0, x1, x2, x3 = (xs[lo + k] for k in range(4))
         span = x3 - x0
         u1, u2, s = (x1 - x0) / span, (x2 - x0) / span, (m - x0) / span
-        est = (vals[x0] * ((s - u1) * (s - u2) * (1.0 - s) / (u1 * u2))
-               + vals[x1] * (s * (s - u2) * (s - 1.0) / (u1 * (u1 - u2) * (u1 - 1.0)))
-               + vals[x2] * (s * (s - u1) * (s - 1.0) / (u2 * (u2 - u1) * (u2 - 1.0)))
-               + vals[x3] * (s * (s - u1) * (s - u2) / ((1.0 - u1) * (1.0 - u2))))
-        if m not in vals:
-            ks.insert(i, m)
-        vals[m] = fm
-        phi = fm.flat[0]
-        if min(phi, est.flat[0]) >= PHI_NEGLIGIBLE or (b - a) <= floor:
-            continue
-        tol = KNOT_TOL * min(math.exp(min(phi, PHI_NEGLIGIBLE)), 1e16)
-        if abs(est - fm).max() > tol:
-            work.append((a, m))
-            work.append((m, b))
+        y = ys.reshape(xs.size, -1)
+        est = (y[lo] * ((s - u1) * (s - u2) * (1.0 - s) / (u1 * u2))[:, None]
+               + y[lo + 1] * (s * (s - u2) * (s - 1.0) / (u1 * (u1 - u2) * (u1 - 1.0)))[:, None]
+               + y[lo + 2] * (s * (s - u1) * (s - 1.0) / (u2 * (u2 - u1) * (u2 - 1.0)))[:, None]
+               + y[lo + 3] * (s * (s - u1) * (s - u2) / ((1.0 - u1) * (1.0 - u2)))[:, None])
+        got = fm.reshape(m.size, -1)
+        phi = got[:, 0]
+        tol = KNOT_TOL * np.minimum(np.exp(np.minimum(phi, PHI_NEGLIGIBLE)), 1e16)
+        split = ((np.minimum(phi, est[:, 0]) < PHI_NEGLIGIBLE) & (b - a > floor)
+                 & (np.abs(est - got).max(axis=1) > tol))
+        # a midpoint that rounds onto a knot adds no knot
+        xs, first = np.unique(np.concatenate([xs, m]), return_index=True)
+        ys = np.concatenate([ys, fm])[first]
+        a, b = (np.stack([a[split], m[split]], axis=1).ravel(),
+                np.stack([m[split], b[split]], axis=1).ravel())
     e = math.frexp(t_hi)[1]
-    spline = _knot_spline(ks, vals, e)
+    ks = xs.tolist()
+    spline = _knot_spline(ks, dict(zip(ks, ys)), e)
     return lambda t: spline(np.ldexp(t, -e))
 
 

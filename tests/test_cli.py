@@ -96,6 +96,43 @@ class TestDephase:
         assert rc == 2
         assert capsys.readouterr().err.strip()
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"grid": {"nn": 64}, "modle": {"kind": "x"}, "typo": 1}, "grid.nn"),
+        ({"modle": {"kind": "x"}}, "modle"),
+        ({"grid": {"n": 256}, "typo": 1}, "typo"),
+        ({"ensemble": {"kind": "cnot", "member": []}}, "ensemble.member"),
+        ({"grid.n": 256}, "grid.n"),  # a dotted key is no path into the config
+    ])
+    def test_unknown_config_key_exits_two(self, tmp_path, capsys, doc, key):
+        # a misspelled key would otherwise run the defaults silently
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("dephase", "--config", str(cfg), "--output-dir", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert f"unknown config field {key!r}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_config_key_exits_two(self, tmp_path, capsys):
+        # json.load would keep only the last of the two objects
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"grid": {"n": 256}, "grid": {"t_max": 16.0}}')
+        assert run("dephase", "--config", str(cfg), "--output-dir", str(tmp_path / "out")) == 2
+        assert "config key 'grid' appears twice in one object" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_fields_of_other_subcommands_are_accepted(self, tmp_path):
+        # one config file serves every subcommand; list-valued fields are not descended into
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"t_max": 16.0, "n": 256},
+            "ensemble": {"kind": "discrete", "members": [[1.0, [[{"re": 0}, 0], [0, 0]]]]},
+            "rho0": [[{"a": 1}]], "times": {"list": [{"t": 0}]}, "paths": [{"he": 1}],
+            "witness": {"restarts": 5}, "phases": {"count": 8},
+        }))
+        assert run("dephase", "--config", str(cfg), "--output-dir", str(tmp_path / "out")) == 0
+        _, data = read_csv(tmp_path / "out" / "phi.csv")
+        assert data.shape == (256, 4)
+
     def test_json_output_format(self, tmp_path):
         out = tmp_path / "run"
         rc = run("dephase", "--grid-t-max", "16", "--grid-n", "256",
@@ -470,6 +507,16 @@ class TestSimulate:
                  "--output-dir", str(tmp_path))
         assert rc == 2
 
+    def test_repeated_path_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble": {"kind": "cnot"}, "paths": ["he", "he"]}))
+        assert run("simulate", "--config", str(cfg), "--output-dir", str(tmp_path / "a")) == 2
+        assert "simulation paths named more than once: ['he']" in capsys.readouterr().err
+        assert run("simulate", "--ensemble-kind", "cnot", "--paths", "he,dilation,dilation",
+                   "--output-dir", str(tmp_path / "b")) == 2
+        assert "['dilation']" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
 
 class TestReadTable:
     def test_model_table(self, tmp_path):
@@ -769,16 +816,22 @@ def test_dephase_exit_codes_hold_for_special_floats(tmp_path_factory):
     small = special | st.floats(-20.0, 20.0)
     model = small | st.sampled_from([1e300, -1e300, 1e-300])
 
-    @hypothesis.settings(max_examples=100, deadline=None, database=None)
-    @hypothesis.given(command=st.sampled_from(["dephase", "invert", "witness"]),
+    @hypothesis.settings(max_examples=130, deadline=None, database=None)
+    @hypothesis.example(command="landscape", omega0=0.0, phase=0.0, omega_c=1e300,
+                        temperature=0.0, t_max=5.0, mode="extended")
+    @hypothesis.example(command="landscape", omega0=0.0, phase=0.0, omega_c=1e-300,
+                        temperature=0.0, t_max=20.0, mode="extended")
+    @hypothesis.given(command=st.sampled_from(["dephase", "invert", "witness", "landscape"]),
                       omega0=special | st.floats(), phase=special | st.floats(),
                       omega_c=model, temperature=model, t_max=small,
                       mode=st.sampled_from(["conventional", "extended"]))
     def check(command, omega0, phase, omega_c, temperature, t_max, mode):
         out = tmp_path_factory.mktemp("run")
         argv = [command, "--mode", mode, "--grid-n", "256", "--output-dir", str(out),
-                f"--omega0={omega0!r}", f"--phase={phase!r}", f"--model-omega-c={omega_c!r}",
-                f"--model-temperature={temperature!r}", f"--grid-t-max={t_max!r}"]
+                f"--model-omega-c={omega_c!r}", f"--model-temperature={temperature!r}",
+                f"--grid-t-max={t_max!r}"]
+        if command != "landscape":  # the landscape sweeps every phase, with no splitting
+            argv += [f"--omega0={omega0!r}", f"--phase={phase!r}"]
         if command == "witness":
             argv.append("--witness-restarts=5")
         err = io.StringIO()

@@ -1,10 +1,12 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hens.dephasing import (
+    BLOCK_PAIRS,
     _GL_W,
     _GL_X,
     CoefficientSingularityError,
@@ -83,6 +85,9 @@ class TestDecoherenceExponent:
             a = decoherence_exponent(OHMIC1, t)
             assert a >= 0.0
             assert a == decoherence_exponent(OHMIC1, -t)
+        ts = rng.uniform(-20, 20, 40)
+        both = decoherence_exponent(OHMIC1, np.concatenate([ts, -ts]))
+        assert np.array_equal(both[:40], both[40:])
 
     def test_finite_temperature_against_mpmath(self):
         # independent oracle: arbitrary-precision quadrature of the same integrand
@@ -230,6 +235,9 @@ def oracle_models():
     return models + [uneven_table(0.0), uneven_table(0.05)]
 
 
+MIXED_TIMES = np.array([0.0, 1e-3, -1e-3, 0.37, -2.5, 9.0, 50.0, 200.0, 2e3, 1e4])
+
+
 class TestPanelNodes:
     @pytest.mark.parametrize("model", panel_models(), ids=lambda m: f"{m.kind}-T{m.temperature}")
     def test_matches_loop_reference(self, model):
@@ -243,14 +251,18 @@ class TestPanelNodes:
         f"ohmic{m.omega_c:g}" if m.table_omega is None else f"table{m.table_omega.size}")
         + f"-T{m.temperature:g}")
     def test_filon_rule_matches_gauss_legendre(self, model):
+        # one time per call, then every time in one call, with two more past the w = 0
+        # panel's bound (t > 1.6e3 for Ohmic at omega_c = 1) that no reference reaches
         rule = _FilonRule(model)
-        for t in (0.0, 1e-3, -1e-3, 0.37, -2.5, 9.0, 50.0, 200.0):
-            even, odd = rule.integrals(t)
+        batch = rule.integrals(MIXED_TIMES)
+        assert batch[0].shape == batch[1].shape == MIXED_TIMES.shape
+        for k, t in enumerate(MIXED_TIMES[:-2]):
             ref_even, ref_odd = gl_integrals(model, t)
-            assert abs(even - ref_even) < 1e-10
-            # at T > 0, coth makes int g sin(w t) dw diverge at w = 0: no reference
-            if model.temperature == 0.0:
-                assert abs(odd - ref_odd) < 1e-10
+            for even, odd in (rule.integrals(t), (batch[0][k], batch[1][k])):
+                assert abs(even - ref_even) < 1e-10
+                # at T > 0, coth makes int g sin(w t) dw diverge at w = 0: no reference
+                if model.temperature == 0.0:
+                    assert abs(odd - ref_odd) < 1e-10
 
     def test_filon_rule_matches_closed_forms(self):
         # 4 int e^{-w/wc} sin(w t)/w dw = 4 arctan(wc t)
@@ -264,6 +276,23 @@ class TestPanelNodes:
             even, odd = rule.integrals(t)
             assert abs(even - 2.0 * np.log1p(t * t)) < 1e-11
             assert abs(odd - 4.0 * np.arctan(t)) < 1e-11
+        assert np.max(MIXED_TIMES) > np.pi / (4.0 * rule.zero)
+        even, odd = rule.integrals(MIXED_TIMES)
+        assert np.max(np.abs(even - 2.0 * np.log1p(MIXED_TIMES**2))) < 1e-11
+        assert np.max(np.abs(odd - 4.0 * np.arctan(MIXED_TIMES))) < 1e-11
+
+    @pytest.mark.parametrize("model", [OHMIC1, uneven_table(0.05)],
+                             ids=["ohmic", "table-T0.05"])
+    def test_values_do_not_depend_on_blocks(self, model):
+        # more than three blocks of BLOCK_PAIRS (time, panel) pairs, then each half
+        # alone; sums may only change order where BLAS meets another row count
+        rule = _FilonRule(model)
+        per_block = BLOCK_PAIRS // rule.h.size
+        ts = np.concatenate([np.linspace(0.0, 300.0, 3 * per_block + 7), [2e3, 1e4]])
+        whole = np.array(rule.integrals(ts))
+        half = ts.size // 2
+        parts = np.concatenate([rule.integrals(ts[:half]), rule.integrals(ts[half:])], axis=1)
+        assert np.max(np.abs(parts - whole)) <= 1e-14 * np.max(np.abs(whole))
 
     def test_panel_count_is_bounded(self):
         # refused before any node array is allocated
@@ -371,6 +400,22 @@ def pointwise_phase(model, phase, t):
     even, odd = rule.integrals(t)
     drift = rule.inverse_frequency_mass * t - odd
     return math.cos(phase) * drift + np.sign(t) * math.sin(phase) * even
+
+
+def test_series_memory_is_bounded():
+    # the Filon rule's blocks of BLOCK_PAIRS (time, panel) pairs set this peak: 0.55 MiB
+    # at 2^12 pairs (0.38 MiB with one time per call), 0.98 MiB at 2^13, 1.73 MiB at 2^14
+    om = np.linspace(0.0, 40.0, 401)
+    model = SpectralDensityModel.tabulated(om, om * np.exp(-om))
+    grid = time_grid(5.0, 256)
+    dephasing_conventional(model, 0.0, grid)  # one-time allocations of a first call
+    tracemalloc.start()
+    try:
+        dephasing_conventional(model, 0.0, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2**20
 
 
 class TestExtendedPhase:
