@@ -174,10 +174,11 @@ def _merge(base: dict, extra: dict) -> dict:
 def _object_once(pairs: list) -> dict:
     """A JSON object of the config file, whose keys must differ: json.load would keep
     the last of two equal keys and drop the other without a word."""
-    keys = [key for key, _ in pairs]
-    repeated = sorted({key for key in keys if keys.count(key) > 1})
-    if repeated:
-        raise ConfigError(f"config key {repeated[0]!r} appears twice in one object")
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ConfigError(f"config key {key!r} appears twice in one object")
+        seen.add(key)
     return dict(pairs)
 
 
@@ -411,7 +412,10 @@ def cmd_invert(cfg: dict) -> None:
             raise ConfigError(str(exc), 3)
     else:
         series = build_series(cfg)
-    dist = inverse_ft(series)
+    try:
+        dist = inverse_ft(series)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     write_table(cfg, "wp", ["omega", "wp"], [dist.omega, dist.values])
     write_json(cfg, "diagnostics.json", {
         "norm": dist.norm,
@@ -433,7 +437,10 @@ def cmd_landscape(cfg: dict) -> None:
     window = (float(cfg["window"]["omega_lo"]), float(cfg["window"]["omega_hi"]))
     if not window[0] < window[1]:
         raise ConfigError("empty frequency window")
-    omega = conjugate_frequency_grid(grid)
+    try:
+        omega = conjugate_frequency_grid(grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     inside = int(np.count_nonzero((omega >= window[0]) & (omega <= window[1])))
     if inside * count > LANDSCAPE_CELLS:
         raise ConfigError(f"config fields 'grid.n' and 'phases.count' are out of range together: "

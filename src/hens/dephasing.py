@@ -46,6 +46,8 @@ SERIES_UNIT_TOL = 1e-12
 TAIL_EPS = 1e-12
 MAX_PANELS = 1 << 18  # panels of one partition, or of the w = 0 panel cut at one time
 BLOCK_PAIRS = 1 << 12  # (time, panel) pairs per block of the Filon rule: 64 KiB of complex128
+BLOCK_WEIGHTS = 1 << 14  # weights of B per block, 16 per (time, half-width): 256 KiB
+SHARED_PAIRS = 64  # (time, panel) pairs of one half-width in a block that get their own product
 KNOT_TOL = 1e-9
 PHI_NEGLIGIBLE = 37.0  # e^{-37} < 1e-16: the series no longer resolves Phi or the phase
 
@@ -265,13 +267,18 @@ class _FilonRule:
     the oscillation bound pi / (4t) they integrate the degree-15 interpolant of g
     exactly, through the Legendre moments int P_n(x) e^{ihtx} dx = 2 i^n j_n(ht)
     (a Filon-type rule, so the cost of a time does not grow with t); a narrower
-    panel takes its Gauss-Legendre weights.  The times are evaluated together in
-    blocks of at most BLOCK_PAIRS (time, panel) pairs: the panels are kept sorted
-    by half-width, the weights are built once per (time, distinct half-width) of a
-    block, and each half-width's panels take one matrix product of the block's
-    weights with their samples.  g is singular at w = 0, so the panel touching it
-    is never integrated through moments: at a time past its oscillation bound it
-    is cut into Gauss-Legendre panels under the bound, one time at a time.
+    panel takes its Gauss-Legendre weights.  ``_adaptive_curve`` passes all the
+    times of one refinement level at once (refined level by level, one batched
+    evaluation per level).  The times are evaluated together in blocks of at
+    most BLOCK_PAIRS (time, panel) pairs and BLOCK_WEIGHTS weights, which are
+    built once per (time, distinct half-width) of a block.  A half-width whose
+    panels make at least SHARED_PAIRS pairs of a block gives them one matrix
+    product of its weights with their samples; the panels of the other
+    half-widths (all of them on an irregular table, where every half-width has
+    one panel) take one product of their gathered weights.  g is singular at
+    w = 0, so the panel touching it is never integrated through moments: at a
+    time past its oscillation bound it is cut into Gauss-Legendre panels under
+    the bound, one time at a time.
     """
 
     def __init__(self, model: SpectralDensityModel):
@@ -283,15 +290,24 @@ class _FilonRule:
             g = self._g(nodes)
             # int 4 J/w dw at T = 0, the linear-in-t part of the drift integral
             self.inverse_frequency_mass = float(np.sum(g * nodes * weights))
-            h = 0.5 * (e[1:] - e[:-1])
-            order = np.argsort(h, kind="stable")  # panels of one half-width are a slice
-            self.c, self.h = 0.5 * (e[1:] + e[:-1])[order], h[order]
-            self.g = g[order].T.astype(complex)  # (16, panels), for the products with B's weights
-            self.g_sum = _GL_W @ self.g.real  # G of every panel
-            self.widths, first = np.unique(self.h, return_index=True)
-            self.slices = [slice(a, b) for a, b in zip(first, [*first[1:], h.size])]
+            c, h = 0.5 * (e[1:] + e[:-1]), 0.5 * (e[1:] - e[:-1])
+            self.widths, width_of, counts = np.unique(h, return_inverse=True,
+                                                      return_counts=True)
+            self.step = max(1, min(BLOCK_PAIRS // h.size,  # times per block
+                                   BLOCK_WEIGHTS // (16 * self.widths.size)))
+            shared = counts[width_of] * self.step >= SHARED_PAIRS
+            # the panels of the half-widths that few panels have first, then the
+            # panels of each shared half-width as one slice
+            order = np.lexsort((h, shared))
+            self.c, self.h, width_of = c[order], h[order], width_of[order]
+            self.g = g[order].astype(complex)  # for the products with B's weights
+            self.g_sum = self.g.real @ _GL_W  # G of every panel
+            self.unshared = width_of[: np.count_nonzero(~shared)]  # their columns of B's weights
+            starts = np.flatnonzero(np.diff(width_of, prepend=-1))
+            ends = [*starts[1:], h.size]
+            self.products = [(width_of[a], slice(a, b)) for a, b in zip(starts, ends)
+                             if a >= self.unshared.size]
             self.zero_at = int(np.flatnonzero(order == 0)[0])
-            self.zero_width = int(np.searchsorted(self.widths, self.h[self.zero_at]))
 
     def _g(self, w: np.ndarray) -> np.ndarray:
         g = 4.0 * self.model.density(w) / w**2
@@ -304,41 +320,52 @@ class _FilonRule:
         # each distinct |t| once, so that +-t get the same values
         t, back = np.unique(np.abs(ts).ravel(), return_inverse=True)
         even, odd = np.empty(t.size), np.empty(t.size)
-        step = max(1, BLOCK_PAIRS // self.h.size)
-        for lo in range(0, t.size, step):
-            part = slice(lo, lo + step)
-            even[part], odd[part] = self._block(t[part])
+        for lo in range(0, t.size, self.step):
+            part = slice(lo, lo + self.step)
+            try:
+                with _representable(None):
+                    even[part], odd[part] = self._block(t[part])
+            except ValueError:
+                # one time at a time, so that the error names the time that fails
+                for i in range(t.size)[part]:
+                    with _representable(float(t[i])):
+                        self._block(t[i : i + 1])
+                raise
         return (np.maximum(even, 0.0)[back].reshape(ts.shape),
                 np.sign(ts) * odd[back].reshape(ts.shape))
 
     def _block(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(even, odd) at the times t >= 0 of one block."""
-        with _representable(float(t.max())):
-            # the weights of B, one row per (time, half-width)
-            x = t[:, None] * self.widths
-            moments = x > np.pi / 8.0
-            v = np.empty(x.shape + (16,), dtype=complex)
-            xk = x[~moments][:, None] * _GL_X
-            v[~moments] = _GL_W * (2.0 * np.sin(0.5 * xk) ** 2 - 1j * np.sin(xk))
-            if moments.any():
-                xm = x[moments]
-                mu = -2.0 * _I_POWERS * _spherical_j(xm)
-                mu[:, 0] = 2.0 * (1.0 - np.sin(xm) / xm)  # x > pi/8: no cancellation
-                v[moments] = mu @ _LEGENDRE.T
-            b = np.empty((t.size, self.h.size), dtype=complex)
-            for j, panels in enumerate(self.slices):
-                b[:, panels] = v[:, j] @ self.g[:, panels]
-            ct = t[:, None] * self.c
-            z = (2.0 * np.sin(0.5 * ct) ** 2 - 1j * np.sin(ct)) * (self.g_sum - b) + b
-            # the panel touching w = 0 at the times past its bound: from its own cut
-            past = np.flatnonzero(moments[:, self.zero_width])
-            z[past, self.zero_at] = 0.0
-            total = z @ self.h
-            even, odd = total.real, -total.imag
-            for i in past:
-                e, o = self._zero_panel(t[i])
-                even[i] += e
-                odd[i] += o
+        # the weights of B, one row per (time, half-width)
+        x = t[:, None] * self.widths
+        moments = x > np.pi / 8.0
+        v = np.empty(x.shape + (16,), dtype=complex)
+        xk = x[~moments][:, None] * _GL_X
+        gl = np.empty(xk.shape, dtype=complex)  # _GL_W (1 - e^{i xk}), part by part
+        gl.real = 2.0 * _GL_W * np.sin(0.5 * xk) ** 2
+        gl.imag = -_GL_W * np.sin(xk)
+        v[~moments] = gl
+        if moments.any():
+            xm = x[moments]
+            mu = -2.0 * _I_POWERS * _spherical_j(xm)
+            mu[:, 0] = 2.0 * (1.0 - np.sin(xm) / xm)  # x > pi/8: no cancellation
+            v[moments] = mu @ _LEGENDRE.T
+        b = np.empty((t.size, self.h.size), dtype=complex)
+        r = self.unshared.size
+        b[:, :r] = np.einsum("tpk,pk->tp", v[:, self.unshared], self.g[:r])
+        for j, panels in self.products:
+            b[:, panels] = v[:, j] @ self.g[panels].T
+        ct = t[:, None] * self.c
+        z = (2.0 * np.sin(0.5 * ct) ** 2 - 1j * np.sin(ct)) * (self.g_sum - b) + b
+        # the panel touching w = 0 at the times past its bound: from its own cut
+        past = np.flatnonzero(t * self.h[self.zero_at] > np.pi / 8.0)
+        z[past, self.zero_at] = 0.0
+        total = z @ self.h
+        even, odd = total.real, -total.imag
+        for i in past:
+            e, o = self._zero_panel(t[i])
+            even[i] += e
+            odd[i] += o
         return even, odd
 
     def _zero_panel(self, t: float) -> tuple[float, float]:
@@ -409,8 +436,7 @@ def _adaptive_curve(f, t_hi: float):
         a, b = (np.stack([a[split], m[split]], axis=1).ravel(),
                 np.stack([m[split], b[split]], axis=1).ravel())
     e = math.frexp(t_hi)[1]
-    ks = xs.tolist()
-    spline = _knot_spline(ks, dict(zip(ks, ys)), e)
+    spline = _knot_spline(xs, ys, e)
     return lambda t: spline(np.ldexp(t, -e))
 
 
@@ -426,9 +452,10 @@ def _at_abs(curve, grid: np.ndarray) -> np.ndarray:
     return curve(np.abs(grid))
 
 
-def _knot_spline(ks: list[float], vals: dict, e: int):
-    """Not-a-knot cubic spline through the knots ks (at least 4), in the variable
-    u = t / 2^e, as a function of u; a ValueError names the exponent when it fails.
+def _knot_spline(ks: np.ndarray, ys: np.ndarray, e: int):
+    """Not-a-knot cubic spline through the values ys (one row, or one value, per knot)
+    at the increasing knots ks (at least 4), in the variable u = t / 2^e, as a
+    function of u; a ValueError names the exponent when it fails.
 
     The knot slopes s_i solve a tridiagonal system (de Boor, *A Practical Guide to
     Splines*): the rows dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
@@ -441,14 +468,14 @@ def _knot_spline(ks: list[float], vals: dict, e: int):
     the end cubics continue.
     """
     x = np.ldexp(ks, -e)
-    y = np.array([vals[k] for k in ks], dtype=float)
+    y = np.asarray(ys, dtype=float)
     try:
         # slopes between knot values near the float limit overflow
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             coeffs = _spline_coefficients(x, y.reshape(x.size, -1))
     except FloatingPointError as exc:
-        raise ValueError(f"decoherence exponent on [{ks[0]!r}, {ks[-1]!r}] is not "
-                         f"representable in floating point ({exc})") from None
+        raise ValueError(f"decoherence exponent on [{float(ks[0])!r}, {float(ks[-1])!r}] "
+                         f"is not representable in floating point ({exc})") from None
     last = x.size - 2
 
     def spline(u):

@@ -75,13 +75,23 @@ class BochnerReport:
 
 
 def conjugate_frequency_grid(times: np.ndarray) -> np.ndarray:
+    """The FFT conjugate frequencies of an evenly spaced time grid; a ValueError when
+    the time step is so small that they overflow."""
     dt = float(times[1] - times[0])
-    return 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(times.size, d=dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(times.size, d=dt))
+    if not np.all(np.isfinite(omega)):
+        raise ValueError(f"time step {dt!r} is too small: its conjugate frequencies "
+                         "are not representable in floating point")
+    return omega
 
 
 def on_conjugate_grid(omega: np.ndarray, grid: np.ndarray) -> bool:
     """True when omega is, point by point, the FFT conjugate of the symmetric time grid."""
-    conjugate = conjugate_frequency_grid(grid)
+    try:
+        conjugate = conjugate_frequency_grid(grid)
+    except ValueError:  # no finite omega is the conjugate of such a grid
+        return False
     return bool(omega.shape == conjugate.shape
                 and np.max(np.abs(omega - conjugate)) <= 1e-9 * abs(conjugate[0]))
 

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,17 @@ class TestDephase:
         assert run("dephase", "--config", str(cfg), "--output-dir", str(tmp_path / "out")) == 2
         assert "config key 'grid' appears twice in one object" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_repeated_key_in_a_large_object_exits_two(self, tmp_path, capsys):
+        # 10^5 keys, the last one repeated: a check that is linear in the keys of an
+        # object takes milliseconds here, one that compares every pair takes minutes
+        cfg = tmp_path / "cfg.json"
+        keys = ", ".join(f'"k{i}": 0' for i in range(100_000))
+        cfg.write_text(f'{{"rho0": [[{{{keys}, "k99999": 1}}]]}}')
+        start = time.perf_counter()
+        assert run("dephase", "--config", str(cfg), "--output-dir", str(tmp_path / "out")) == 2
+        assert time.perf_counter() - start < 10.0
+        assert "config key 'k99999' appears twice in one object" in capsys.readouterr().err
 
     def test_fields_of_other_subcommands_are_accepted(self, tmp_path):
         # one config file serves every subcommand; list-valued fields are not descended into
@@ -821,6 +833,11 @@ def test_dephase_exit_codes_hold_for_special_floats(tmp_path_factory):
                         temperature=0.0, t_max=5.0, mode="extended")
     @hypothesis.example(command="landscape", omega0=0.0, phase=0.0, omega_c=1e-300,
                         temperature=0.0, t_max=20.0, mode="extended")
+    # a subnormal t_max: the conjugate frequencies of its time step overflow
+    @hypothesis.example(command="landscape", omega0=0.0, phase=0.0, omega_c=1.0,
+                        temperature=0.0, t_max=2.2250738585e-313, mode="extended")
+    @hypothesis.example(command="invert", omega0=0.0, phase=0.0, omega_c=1.0,
+                        temperature=0.0, t_max=2.2250738585e-313, mode="conventional")
     @hypothesis.given(command=st.sampled_from(["dephase", "invert", "witness", "landscape"]),
                       omega0=special | st.floats(), phase=special | st.floats(),
                       omega_c=model, temperature=model, t_max=small,

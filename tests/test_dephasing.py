@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hens.dephasing import (
-    BLOCK_PAIRS,
     _GL_W,
     _GL_X,
     CoefficientSingularityError,
@@ -284,15 +283,38 @@ class TestPanelNodes:
     @pytest.mark.parametrize("model", [OHMIC1, uneven_table(0.05)],
                              ids=["ohmic", "table-T0.05"])
     def test_values_do_not_depend_on_blocks(self, model):
-        # more than three blocks of BLOCK_PAIRS (time, panel) pairs, then each half
-        # alone; sums may only change order where BLAS meets another row count
+        # more than three blocks, then each half alone; sums may only change order
+        # where BLAS meets another row count
         rule = _FilonRule(model)
-        per_block = BLOCK_PAIRS // rule.h.size
-        ts = np.concatenate([np.linspace(0.0, 300.0, 3 * per_block + 7), [2e3, 1e4]])
+        ts = np.concatenate([np.linspace(0.0, 300.0, 3 * rule.step + 7), [2e3, 1e4]])
         whole = np.array(rule.integrals(ts))
         half = ts.size // 2
         parts = np.concatenate([rule.integrals(ts[:half]), rule.integrals(ts[half:])], axis=1)
         assert np.max(np.abs(parts - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize(("model", "shared"),
+                             [(OHMIC1, True), (panel_models()[0], True), (uneven_table(0.05), False)],
+                             ids=["ohmic", "table", "uneven-T0.05"])
+    def test_shared_and_gathered_products_agree(self, monkeypatch, model, shared):
+        # every half-width its own product, then every panel's weights gathered
+        # into one product; the uneven table, whose half-widths hold one panel each,
+        # takes only the gathered one, so its panels make no Python-level loop
+        assert bool(_FilonRule(model).products) == shared
+        ts = np.concatenate([np.linspace(0.0, 300.0, 97), [2e3, 1e4]])
+        values = []
+        for pairs in (1, 1 << 62):
+            monkeypatch.setattr(dephasing, "SHARED_PAIRS", pairs)
+            values.append(np.array(_FilonRule(model).integrals(ts)))
+        assert np.max(np.abs(values[0] - values[1])) <= 1e-14 * np.max(np.abs(values[1]))
+
+    def test_error_names_the_time_that_fails(self, monkeypatch):
+        # 2e3 and 1e4 share a block, and only 2e3 overflows
+        rule = _FilonRule(OHMIC1)
+        zero_panel = rule._zero_panel
+        monkeypatch.setattr(rule, "_zero_panel", lambda t: (
+            (np.float64(1e308) * 10.0, 0.0) if t == 2e3 else zero_panel(t)))
+        with pytest.raises(ValueError, match=r"exponent at t = 2000\.0 is not representable"):
+            rule.integrals(np.array([1.0, 2e3, 1e4]))
 
     def test_panel_count_is_bounded(self):
         # refused before any node array is allocated
@@ -315,9 +337,9 @@ def recorded_knots(monkeypatch, build):
     """The (knots, values, exponent) that ``build()`` passes to ``_knot_spline``."""
     calls = []
 
-    def record(ks, vals, e):
-        calls.append((list(ks), dict(vals), e))
-        return _knot_spline(ks, vals, e)
+    def record(ks, ys, e):
+        calls.append((ks.copy(), ys.copy(), e))
+        return _knot_spline(ks, ys, e)
 
     monkeypatch.setattr(dephasing, "_knot_spline", record)
     build()
@@ -363,12 +385,11 @@ class TestKernels:
         grid = time_grid(200.0, 1 << 16)
         build = ((lambda: extended_exponents(OHMIC1, grid)) if mode == "extended"
                  else (lambda: dephasing_conventional(OHMIC1, 0.0, grid)))
-        ks, vals, e = recorded_knots(monkeypatch, build)
+        ks, y, e = recorded_knots(monkeypatch, build)
         x = np.ldexp(ks, -e)
-        y = np.array([vals[k] for k in ks])
         assert y.ndim == (2 if mode == "extended" else 1)
         u = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.ldexp(np.abs(grid), -e)])
-        got = _knot_spline(ks, vals, e)(u)
+        got = _knot_spline(ks, y, e)(u)
         assert got.shape == u.shape + y.shape[1:]
         ref = interpolate.CubicSpline(x, y)(u)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(y))
@@ -376,9 +397,8 @@ class TestKernels:
     def test_knot_spline_matches_scipy_on_geometric_knots(self):
         interpolate = pytest.importorskip("scipy.interpolate")
         for x, y in geometric_knot_sets():
-            ks = x.tolist()
             u = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.linspace(0.0, x[-1], 999)])
-            got = _knot_spline(ks, dict(zip(ks, y)), 0)(u)
+            got = _knot_spline(x, y, 0)(u)
             ref = interpolate.CubicSpline(x, y)(u)
             assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(y)), x.size
 
@@ -403,7 +423,7 @@ def pointwise_phase(model, phase, t):
 
 
 def test_series_memory_is_bounded():
-    # the Filon rule's blocks of BLOCK_PAIRS (time, panel) pairs set this peak: 0.55 MiB
+    # the Filon rule's blocks of (time, panel) pairs set this peak: 0.55 MiB
     # at 2^12 pairs (0.38 MiB with one time per call), 0.98 MiB at 2^13, 1.73 MiB at 2^14
     om = np.linspace(0.0, 40.0, 401)
     model = SpectralDensityModel.tabulated(om, om * np.exp(-om))
