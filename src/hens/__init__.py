@@ -29,9 +29,7 @@ from .ensemble import (
     dilate,
     he_average,
     joint_evolve_reduce,
-    mc_average,
     sample_frequencies,
-    spectral_average,
 )
 from .dephasing import (
     CoefficientSingularityError,
@@ -40,7 +38,6 @@ from .dephasing import (
     decoherence_exponent,
     dephasing_conventional,
     dephasing_extended,
-    extended_coherence,
     extended_exponents,
     extended_series,
     master_coeffs,
@@ -84,7 +81,6 @@ __all__ = [
     "dephasing_conventional",
     "dephasing_extended",
     "dilate",
-    "extended_coherence",
     "extended_exponents",
     "extended_series",
     "forward_ft",
@@ -93,7 +89,6 @@ __all__ = [
     "joint_evolve_reduce",
     "master_coeffs",
     "maximally_mixed",
-    "mc_average",
     "negativity_landscape",
     "ohmic_series",
     "partial_trace",
@@ -101,7 +96,6 @@ __all__ = [
     "pure_state",
     "roundtrip_error",
     "sample_frequencies",
-    "spectral_average",
     "tensor",
     "time_grid",
     "trace_distance",

@@ -16,7 +16,6 @@ carrying its code.
 from __future__ import annotations
 
 import argparse
-import copy
 import itertools
 import json
 import math
@@ -135,9 +134,8 @@ FIELDS = {
 # bounds of two-field products: the state entries one simulate route holds (as many
 # as times.count at its bound of 2 x 2 states) and the cells of a landscape, 8 B each
 STATE_ENTRIES, LANDSCAPE_CELLS = FIELDS["times.count"][3] * 4, COUNT_BYTES // 8
-# the key paths of the fields, and of the objects that hold them
-FIELD_KEYS = {tuple(path.split(".")) for path in FIELDS}
-SECTION_KEYS = {key[:i] for key in FIELD_KEYS for i in range(1, len(key))}
+# the paths of the objects that hold fields: every prefix of a field path ending at a dot
+SECTIONS = {path[:i] for path in FIELDS for i, c in enumerate(path) if c == "."}
 TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
 INT64 = np.iinfo(np.int64)
 
@@ -147,28 +145,8 @@ def _types(path: str) -> tuple:
     return types or (type(default),)
 
 
-def _slot(cfg: dict, path: str) -> tuple[dict, str]:
-    """The object holding the field at a dotted path, and the field's key in it."""
-    *parents, key = path.split(".")
-    for p in parents:
-        cfg = cfg.setdefault(p, {})
-    return cfg, key
-
-
 def _fmt(x) -> str:
     return f"{float(x):.16e}"
-
-
-def _merge(base: dict, extra: dict) -> dict:
-    out = copy.deepcopy(base)
-    for k, v in extra.items():
-        if isinstance(out.get(k), dict):
-            if not isinstance(v, dict):
-                raise ConfigError(f"config field {k!r} must be an object")
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = copy.deepcopy(v)
-    return out
 
 
 def _object_once(pairs: list) -> dict:
@@ -182,24 +160,29 @@ def _object_once(pairs: list) -> dict:
     return dict(pairs)
 
 
-def _unknown_key(loaded: dict, prefix: tuple = ()) -> str | None:
-    """The first key path of a config file that is neither a field of FIELDS nor an
-    object holding fields.  A field's value, a list or not, is not descended into."""
+def _file_fields(loaded: dict, prefix: str, cfg: dict) -> list[str]:
+    """Set in cfg each field of a config file object, keyed by its FIELDS path, and
+    return the path of each object of fields that the file gives another value.
+    Raises ConfigError naming the first key path, in file order, that is neither a
+    field nor an object of fields; a key holding a dot is neither.  A field's value,
+    a list or not, is not descended into."""
+    not_objects = []
     for key, value in loaded.items():
-        path = prefix + (key,)
-        if path in FIELD_KEYS:
-            continue
-        if path not in SECTION_KEYS:
-            return ".".join(path)
-        if isinstance(value, dict):
-            found = _unknown_key(value, path)
-            if found is not None:
-                return found
-    return None
+        path = prefix + key
+        if "." in key or path not in FIELDS and path not in SECTIONS:
+            raise ConfigError(f"unknown config field {path!r}")
+        if path in FIELDS:
+            cfg[path] = value
+        elif isinstance(value, dict):
+            not_objects += _file_fields(value, path + ".", cfg)
+        else:
+            not_objects.append(path)
+    return not_objects
 
 
 def load_config(args: argparse.Namespace) -> dict:
-    """The defaults, overridden by the --config file, overridden by the flags.
+    """The defaults, overridden by the --config file, overridden by the flags, as a
+    flat dict keyed by the FIELDS paths (each flag's argparse dest).
 
     Raises ConfigError naming the first key of the file that is no field, or the
     first field whose JSON type the table does not allow, whose number is NaN,
@@ -207,10 +190,7 @@ def load_config(args: argparse.Namespace) -> dict:
     or, for a count, past the field's bound.  A field the subcommand does not
     read is accepted, so that one file can serve every subcommand.
     """
-    cfg: dict = {}
-    for path, (default, _, _, _) in FIELDS.items():
-        node, key = _slot(cfg, path)
-        node[key] = default
+    cfg = {path: field[0] for path, field in FIELDS.items()}
     config = getattr(args, "config", None)
     if config:
         try:
@@ -220,16 +200,14 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {config}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = _unknown_key(loaded)
-        if unknown is not None:
-            raise ConfigError(f"unknown config field {unknown!r}")
-        cfg = _merge(cfg, loaded)
+        not_objects = _file_fields(loaded, "", cfg)
+        if not_objects:
+            raise ConfigError(f"config field {not_objects[0]!r} must be an object")
     for path in FIELDS:
-        node, key = _slot(cfg, path)
         value = getattr(args, path, None)
         if value is not None:
-            node[key] = value
-        value = node[key]
+            cfg[path] = value
+        value = cfg[path]
         if value is None and FIELDS[path][0] is None:
             continue
         kinds = _types(path)
@@ -250,26 +228,26 @@ def load_config(args: argparse.Namespace) -> dict:
 
 
 def build_model(cfg: dict) -> SpectralDensityModel:
-    m = cfg["model"]
+    kind, temperature = cfg["model.kind"], cfg["model.temperature"]
     try:
-        if m["kind"] == "ohmic_exp_cutoff":
-            return SpectralDensityModel.ohmic(m["omega_c"], temperature=m["temperature"])
-        if m["kind"] == "tabulated":
-            if not m.get("path"):
+        if kind == "ohmic_exp_cutoff":
+            return SpectralDensityModel.ohmic(cfg["model.omega_c"], temperature=temperature)
+        if kind == "tabulated":
+            if not cfg["model.path"]:
                 raise ConfigError("tabulated model needs model.path")
-            table = read_table(m["path"], 2)
+            table = read_table(cfg["model.path"], 2)
             return SpectralDensityModel.tabulated(table[:, 0], table[:, 1],
-                                                  temperature=m["temperature"])
+                                                  temperature=temperature)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"bad spectral density model: {exc}")
-    raise ConfigError(f"unknown model kind {m['kind']!r}")
+    raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def build_grid(cfg: dict, omega_scale: float = 1.0) -> np.ndarray:
-    g = cfg["grid"]
-    t_max = g["t_max"] if g["t_max"] is not None else 200.0 / omega_scale
+    t_max = cfg["grid.t_max"]
     try:
-        return time_grid(float(t_max), int(g["n"]))
+        return time_grid(float(200.0 / omega_scale if t_max is None else t_max),
+                         int(cfg["grid.n"]))
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}")
 
@@ -289,14 +267,14 @@ def build_series(cfg: dict) -> DephasingSeries:
 
 
 def _out_dir(cfg: dict) -> str:
-    d = cfg["output"]["dir"]
+    d = cfg["output.dir"]
     try:
         os.makedirs(d, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {d}: {exc}")
     if not os.access(d, os.W_OK):
         raise ConfigError(f"output directory {d} is not writable")
-    if cfg["output"]["format"] not in ("csv", "json"):
+    if cfg["output.format"] not in ("csv", "json"):
         raise ConfigError("output.format must be 'csv' or 'json'")
     return d
 
@@ -322,7 +300,7 @@ def write_table(cfg: dict, stem: str, header: list[str], columns: list[np.ndarra
     d = _out_dir(cfg)
     table = np.column_stack(columns)
     fields = ["%.16e"] * table.shape[1]  # the format of _fmt
-    if cfg["output"]["format"] == "csv":
+    if cfg["output.format"] == "csv":
         path = os.path.join(d, stem + ".csv")
         head, row, sep, tail = ",".join(header) + "\n", ",".join(fields) + "\n", "", ""
     else:
@@ -404,8 +382,8 @@ def read_table(path: str, columns: int) -> np.ndarray:
 
 
 def cmd_invert(cfg: dict) -> None:
-    if cfg["series"]["path"]:
-        data = read_table(cfg["series"]["path"], 3)
+    if cfg["series.path"]:
+        data = read_table(cfg["series.path"], 3)
         try:
             series = DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2])
         except ValueError as exc:
@@ -429,12 +407,12 @@ def cmd_landscape(cfg: dict) -> None:
     model = build_model(cfg)
     if cfg["mode"] != "extended":
         raise ConfigError("landscape requires mode = extended")
-    count = int(cfg["phases"]["count"])
+    count = int(cfg["phases.count"])
     if count < 1:
         raise ConfigError("phases.count must be positive")
     phases = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     grid = build_grid(cfg, model.omega_scale())
-    window = (float(cfg["window"]["omega_lo"]), float(cfg["window"]["omega_hi"]))
+    window = (float(cfg["window.omega_lo"]), float(cfg["window.omega_hi"]))
     if not window[0] < window[1]:
         raise ConfigError("empty frequency window")
     try:
@@ -457,14 +435,13 @@ def cmd_landscape(cfg: dict) -> None:
 
 def cmd_witness(cfg: dict) -> None:
     series = build_series(cfg)
-    w = cfg["witness"]
-    stop = w["stop_below"]
+    stop = cfg["witness.stop_below"]
     try:
         report, used = bochner_search(
             series,
-            restarts=int(w["restarts"]),
+            restarts=int(cfg["witness.restarts"]),
             seed=int(cfg["seed"]),
-            max_size=int(w["max_set_size"]),
+            max_size=int(cfg["witness.max_set_size"]),
             stop_below=None if stop is None else float(stop),
         )
     except ValueError as exc:
@@ -540,41 +517,41 @@ def _requested_paths(cfg: dict, kind: str) -> list[str]:
 
 
 def _output_times(cfg: dict) -> np.ndarray:
-    t = cfg["times"]
-    if t["list"] is not None:
-        if not t["list"]:
+    listed, t_max, count = cfg["times.list"], cfg["times.t_max"], cfg["times.count"]
+    if listed is not None:
+        if not listed:
             raise ConfigError("config field 'times.list' is empty")
-        times = np.array([_number(x, "times.list") for x in t["list"]])
+        times = np.array([_number(x, "times.list") for x in listed])
     else:
-        if not 0.0 < t["t_max"] or t["count"] < 1:
+        if not 0.0 < t_max or count < 1:
             raise ConfigError("times.t_max must be positive and times.count >= 1")
-        times = np.linspace(0.0, float(t["t_max"]), int(t["count"]))
+        times = np.linspace(0.0, float(t_max), int(count))
     if not np.all((times >= 0) & np.isfinite(times)):
         raise ConfigError("output times must be finite and nonnegative")
     return times
 
 
 def cmd_simulate(cfg: dict) -> None:
-    ens_cfg = cfg["ensemble"]
-    kind = ens_cfg["kind"]
+    kind = cfg["ensemble.kind"]
     if kind not in ("discrete", "spectral", "cnot"):
         raise ConfigError("ensemble.kind must be discrete, spectral or cnot")
     rho0 = _parse_rho0(cfg["rho0"])
     times = _output_times(cfg)
     paths = _requested_paths(cfg, kind)
-    seed, bins, samples = int(cfg["seed"]), int(ens_cfg["bins"]), int(cfg["mc"]["samples"])
+    seed, bins, samples = int(cfg["seed"]), int(cfg["ensemble.bins"]), int(cfg["mc.samples"])
     if bins < 1 or samples < 1:
         raise ConfigError("ensemble.bins and mc.samples must be positive")
 
     flags: dict[str, object] = {"weights_nonnegative": True}
     if kind == "spectral":
-        if not ens_cfg["path"]:
+        table = cfg["ensemble.path"]
+        if not table:
             raise ConfigError("spectral ensemble needs ensemble.path")
-        omega, weights = read_table(ens_cfg["path"], 2)[:, :2].T
+        omega, weights = read_table(table, 2)[:, :2].T
         try:
             require_uniform_grid(omega)
         except ValueError as exc:
-            raise ConfigError(f"{ens_cfg['path']}: {exc}")
+            raise ConfigError(f"{table}: {exc}")
         mass = float(np.trapezoid(weights, omega))
         if abs(mass - 1.0) > 1e-3:
             raise ConfigError("spectral weights are not normalized")
@@ -589,12 +566,12 @@ def cmd_simulate(cfg: dict) -> None:
         if "dilation" in paths:
             ens = spectral.discretize(bins)
     elif kind == "cnot":
-        a, j = float(ens_cfg["a"]), float(ens_cfg["j"])
+        a, j = float(cfg["ensemble.a"]), float(cfg["ensemble.j"])
         if not 0.0 <= a <= 1.0:
             raise ConfigError("cnot mixing weight must lie in [0, 1]")
         ens = cnot_ensemble(a, j)
     else:
-        members = ens_cfg.get("members")
+        members = cfg["ensemble.members"]
         if not members:
             raise ConfigError("discrete ensemble needs members [[p, matrix], ...]")
         try:
@@ -608,7 +585,7 @@ def cmd_simulate(cfg: dict) -> None:
     if rho0.dim != dim:
         raise ConfigError("rho0 dimension differs from the ensemble")
     if times.size * dim * dim > STATE_ENTRIES:
-        fields = ("times.count" if cfg["times"]["list"] is None else "times.list",
+        fields = ("times.count" if cfg["times.list"] is None else "times.list",
                   "ensemble.members" if kind == "discrete" else "ensemble.kind")
         raise ConfigError("config fields %r and %r are out of range together: %d times of "
                           "%d x %d states (at most %d entries)"
@@ -621,7 +598,7 @@ def cmd_simulate(cfg: dict) -> None:
         # the exact FFT pair; any other table gets the configured grid
         grid = None
         n_om = omega.size
-        if cfg["grid"]["t_max"] is None and n_om >= 4 and not (n_om & (n_om - 1)):
+        if cfg["grid.t_max"] is None and n_om >= 4 and not (n_om & (n_om - 1)):
             conjugate = time_grid(np.pi / (omega[1] - omega[0]), n_om)
             if on_conjugate_grid(omega, conjugate):
                 grid = conjugate
@@ -655,18 +632,19 @@ def cmd_simulate(cfg: dict) -> None:
             raise ConfigError(str(exc), 3)
         states["master"] = dephase_qubit(rho0, factors[k_idx])
         times = k_idx * stride
-    if "he" in paths:
-        try:
+    try:  # a phase w t past the float range, or a signed table's factor past unit modulus
+        if "he" in paths:
             states["he"] = (dephase_qubit(rho0, _coherence_factor(omega, weights, times))
                             if kind == "spectral" else he_average(ens, rho0, times))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    if "dilation" in paths:
-        states["dilation"], flags["classical_ok"] = joint_evolve_reduce(dilate(ens), rho0, times)
-    if "mc" in paths:  # spectral ensembles only, see _requested_paths
-        means, stderrs = mc_coherence(sample_frequencies(spectral, samples, seed), times)
-        states["mc"] = dephase_qubit(rho0, means)
-        flags["mc_max_stderr"] = float(stderrs.max())
+        if "dilation" in paths:
+            states["dilation"], flags["classical_ok"] = joint_evolve_reduce(dilate(ens), rho0,
+                                                                            times)
+        if "mc" in paths:  # spectral ensembles only, see _requested_paths
+            means, stderrs = mc_coherence(sample_frequencies(spectral, samples, seed), times)
+            states["mc"] = dephase_qubit(rho0, means)
+            flags["mc_max_stderr"] = float(stderrs.max())
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
     emitted = [p for p in ("he", "dilation", "mc", "master") if p in states]
     header, columns = ["t"], [np.asarray(times)]

@@ -243,13 +243,13 @@ def _graded(e: np.ndarray) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _representable(t: float | None):
-    """Turn an overflow, a division by zero or a NaN into a ValueError naming the exponent."""
+def _representable(where: str = ""):
+    """Turn an overflow, a division by zero or a NaN into a ValueError naming the
+    exponent and, when given, where it fails (" at t = ...", " on [a, b]")."""
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        where = "" if t is None else f" at t = {t!r}"
         raise ValueError(f"decoherence exponent{where} is not representable "
                          f"in floating point ({exc})") from None
 
@@ -283,7 +283,7 @@ class _FilonRule:
 
     def __init__(self, model: SpectralDensityModel):
         self.model = model
-        with _representable(None):
+        with _representable():
             e = np.concatenate([[0.0], _graded(_panel_edges(model))])
             self.zero = e[1]  # the panel touching w = 0 is [0, zero]
             nodes, weights = _gauss_legendre(e)
@@ -323,12 +323,12 @@ class _FilonRule:
         for lo in range(0, t.size, self.step):
             part = slice(lo, lo + self.step)
             try:
-                with _representable(None):
+                with _representable():
                     even[part], odd[part] = self._block(t[part])
             except ValueError:
                 # one time at a time, so that the error names the time that fails
                 for i in range(t.size)[part]:
-                    with _representable(float(t[i])):
+                    with _representable(f" at t = {float(t[i])!r}"):
                         self._block(t[i : i + 1])
                 raise
         return (np.maximum(even, 0.0)[back].reshape(ts.shape),
@@ -469,13 +469,9 @@ def _knot_spline(ks: np.ndarray, ys: np.ndarray, e: int):
     """
     x = np.ldexp(ks, -e)
     y = np.asarray(ys, dtype=float)
-    try:
-        # slopes between knot values near the float limit overflow
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            coeffs = _spline_coefficients(x, y.reshape(x.size, -1))
-    except FloatingPointError as exc:
-        raise ValueError(f"decoherence exponent on [{float(ks[0])!r}, {float(ks[-1])!r}] "
-                         f"is not representable in floating point ({exc})") from None
+    # slopes between knot values near the float limit overflow
+    with _representable(f" on [{float(ks[0])!r}, {float(ks[-1])!r}]"):
+        coeffs = _spline_coefficients(x, y.reshape(x.size, -1))
     last = x.size - 2
 
     def spline(u):
@@ -736,14 +732,3 @@ def propagate_master(times: np.ndarray, epsilon: np.ndarray, gamma: np.ndarray):
         raise ValueError("master-equation coherence factor exceeds unit modulus at t = %r"
                          % float(steps[int(np.argmax(grown))]))
     return steps, factors
-
-
-def extended_coherence(coh0: complex, pops, series: DephasingSeries) -> np.ndarray:
-    """System-qubit coherence when the second qubit starts with populations pops.
-
-    coh(t) = coh0 * (p_up * phi(t) + p_down * conj(phi(t))).
-    """
-    p_up, p_down = float(pops[0]), float(pops[1])
-    if abs(p_up + p_down - 1.0) > 1e-10 or p_up < -1e-12 or p_down < -1e-12:
-        raise ValueError("invalid populations")
-    return coh0 * (p_up * series.values + p_down * np.conj(series.values))

@@ -21,6 +21,7 @@ from .qdyn import (
     PAULI_Z,
     hermitized_states,
     partial_trace,
+    require_finite_phases,
     tensor,
     unitary_at,
 )
@@ -152,7 +153,9 @@ def he_average(ens: HamiltonianEnsemble, rho0: DensityMatrix, times) -> list[Den
 
 
 def _coherence_factor(omega: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
-    """Trapezoid sum of weights * e^{i omega t} over the grid at each time."""
+    """Trapezoid sum of weights * e^{i omega t} over the grid at each time.  A phase
+    omega t past the float range raises ValueError."""
+    require_finite_phases(omega, times)
     return np.array([np.trapezoid(weights * np.exp(1j * omega * t), omega)
                      for t in np.asarray(times, dtype=float)], dtype=complex)
 
@@ -169,11 +172,6 @@ def dephase_qubit(rho0: DensityMatrix, factors) -> list[DensityMatrix]:
     m[:, 1, 0] *= factors
     m[:, 0, 1] *= factors.conj()
     return hermitized_states(m)
-
-
-def spectral_average(ens: SpectralEnsemble, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """Averaged qubit state under spectral disorder at one time (populations untouched)."""
-    return dephase_qubit(rho0, _coherence_factor(ens.omega, ens.weights, [t]))[0]
 
 
 def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
@@ -198,18 +196,6 @@ def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def mc_average(ens: SpectralEnsemble, rho0: DensityMatrix, t: float, n: int, seed: int):
-    """Monte Carlo estimate of the spectral average at one time t.
-
-    Returns (state, stderr) where stderr is the standard error of the sampled
-    coherence factor.  Deterministic for a fixed seed.  The factor is
-    ``mc_coherence(draws, [t])``: one exponential per draw, so its error is the
-    rounding of w*t in e^{iwt}.
-    """
-    zbar, stderr = mc_coherence(sample_frequencies(ens, n, seed), [t])
-    return dephase_qubit(rho0, zbar)[0], float(stderr[0])
-
-
 def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
     """Sample means of e^{iwt} over the drawn frequencies w at each time, and their stderrs.
 
@@ -226,10 +212,13 @@ def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
 
     Per time the blocks accumulate S = sum z and Q = sum |z|^2; the mean is S/n
     and the variance (Q - n|mean|^2)/(n - 1), floored at 0 (exactly 0 at t = 0
-    and for n = 1).  Returns (means, stderrs) in the caller's order of times.
+    and for n = 1).  Returns (means, stderrs) in the caller's order of times.  A
+    phase w t past the float range raises ValueError.
     """
     draws = np.asarray(draws, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    # every |t|, and every gap between the sorted times, is at most this span
+    require_finite_phases(draws, float(times.max(initial=0.0)) - float(times.min(initial=0.0)))
     n = draws.size
     order = np.argsort(times, kind="stable")
     sums = np.zeros(times.size, dtype=complex)
@@ -279,7 +268,9 @@ class Dilation:
     def __post_init__(self):
         d = self.h_system.dim
         centered = sum(p * v.matrix for p, v in zip(self.probs, self.couplings))
-        if float(np.max(np.abs(centered))) > PROB_TOL:
+        # the rounding of the mean Hamiltonian grows with the couplings' entries
+        scale = max(1.0, *(float(np.max(np.abs(v.matrix))) for v in self.couplings))
+        if float(np.max(np.abs(centered))) > PROB_TOL * scale:
             raise ValueError("couplings are not centered")
         if _env_coherence(self.h_joint.matrix, d, self.env_dim) > PROB_TOL:
             raise ValueError("joint Hamiltonian is not environment-diagonal")
@@ -314,14 +305,17 @@ def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, times):
     One eigendecomposition serves every time; each joint state is validated and
     reduced before the next is formed.  Returns (one reduced state per time,
     classical_ok), True when no joint state's environment-off-diagonal block passes 1e-10.
+    A phase w t past the float range raises ValueError.
     """
     d = dil.h_system.dim
     if rho0.dim != d:
         raise DimensionError("state dimension differs from the dilation system")
     joint0 = dil.joint_initial(rho0).matrix
     w, v = np.linalg.eigh(dil.h_joint.matrix)
+    times = np.asarray(times, dtype=float)
+    require_finite_phases(w, times)
     reduced, classical = [], True
-    for t in np.asarray(times, dtype=float):
+    for t in times:
         u = (v * np.exp(-1j * w * t)) @ v.conj().T
         jt = hermitized_states(u @ joint0 @ u.conj().T)[0]
         reduced.append(partial_trace(jt, (d, dil.env_dim), keep="s"))

@@ -75,9 +75,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 def hermitized_states(m: np.ndarray) -> list[DensityMatrix]:
     """A validated DensityMatrix of 0.5 (m + m^H) for each matrix m of a (..., d, d) array."""
@@ -124,9 +121,23 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
     return hermitized_states(out)[0]
 
 
+def require_finite_phases(w, times) -> None:
+    """Raise ValueError unless every phase w t of the frequencies w at the times lies
+    within the float range, where e^{-iwt} would turn it into NaN.  The largest
+    phase is max|w| max|t|: the error names its two factors."""
+    # max|x| from two reductions, which allocate nothing (np.abs(x) would copy the draws)
+    w_max, t_max = (max(float(np.max(x, initial=0.0)), -float(np.min(x, initial=0.0)))
+                    for x in (w, times))
+    if not np.isfinite(w_max * t_max):  # Python floats: an overflow is inf, silently
+        raise ValueError(f"phase |w t| = {w_max!r} * {t_max!r} is not representable "
+                         "in floating point")
+
+
 def unitary_at(h: HermitianOperator, times) -> np.ndarray:
-    """U = exp(-i h t) from one eigendecomposition of h: a (T, d, d) stack for T times."""
+    """U = exp(-i h t) from one eigendecomposition of h: a (T, d, d) stack for T times.
+    A phase w t past the float range raises ValueError."""
     w, v = np.linalg.eigh(h.matrix)
+    require_finite_phases(w, times)
     return (v * np.exp(-1j * np.multiply.outer(times, w))[..., None, :]) @ v.conj().T
 
 

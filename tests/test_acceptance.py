@@ -12,7 +12,7 @@ from hens.cli import main as cli_main
 from hens.dephasing import SpectralDensityModel, decoherence_exponent, master_coeffs, \
     ohmic_series, propagate_master, time_grid
 from hens.ensemble import HamiltonianEnsemble, SpectralEnsemble, dilate, he_average, \
-    joint_evolve_reduce, mc_average
+    joint_evolve_reduce, mc_coherence, sample_frequencies
 from hens.inversion import bochner_search, bochner_witness, conjugate_frequency_grid, \
     inverse_ft, negativity_landscape, roundtrip_error
 from hens.qdyn import HermitianOperator, PAULI_X, pure_state, trace_distance
@@ -154,11 +154,9 @@ def test_criterion_8_monte_carlo_and_sampling_impossibility(tmp_path):
     ens = SpectralEnsemble(omega, wp_ohmic(omega))
     n = 100000
     bound = 5.0 / np.sqrt(n)
-    errs = []
-    for t in (0.5, 1.0, 2.0):
-        state, _ = mc_average(ens, PLUS, t, n, seed=20240101)
-        phi_mc = state.matrix[1, 0] / PLUS.matrix[1, 0]
-        errs.append(abs(phi_mc - (1.0 + t * t) ** -2.0))
+    times = np.array([0.5, 1.0, 2.0])
+    phi_mc, _ = mc_coherence(sample_frequencies(ens, n, seed=20240101), times)
+    errs = np.abs(phi_mc - (1.0 + times * times) ** -2.0)
     inv = tmp_path / "inv"
     rc_inv = cli_main(["invert", "--mode", "extended", "--phase", str(np.pi / 4),
                        "--output-dir", str(inv)])

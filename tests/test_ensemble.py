@@ -17,10 +17,8 @@ from hens.ensemble import (
     dilate,
     he_average,
     joint_evolve_reduce,
-    mc_average,
     mc_coherence,
     sample_frequencies,
-    spectral_average,
 )
 from hens.qdyn import (
     DensityMatrix,
@@ -219,6 +217,18 @@ class TestHamiltonianEnsemble:
             assert trace_distance(out, maximally_mixed(2)) < 1e-12
 
 
+def spectral_average(ens, rho0, t):
+    """Averaged qubit state under spectral disorder at one time (populations untouched)."""
+    return dephase_qubit(rho0, _coherence_factor(ens.omega, ens.weights, [t]))[0]
+
+
+def mc_average(ens, rho0, t, n, seed):
+    """Monte Carlo estimate of the spectral average at one time t: (state, stderr of
+    the sampled coherence factor)."""
+    zbar, stderr = mc_coherence(sample_frequencies(ens, n, seed), [t])
+    return dephase_qubit(rho0, zbar)[0], float(stderr[0])
+
+
 class TestSpectralEnsemble:
     def test_validation(self):
         om = np.linspace(-1, 1, 11)
@@ -352,6 +362,16 @@ def assert_matches_reference(draws, times, mean_tol=1e-14, stderr_rtol=1e-12):
 
 
 class TestMonteCarloAllTimes:
+    def test_phase_past_the_float_range_raises(self):
+        ens = gaussian_spectral()
+        for estimate in (lambda t: mc_coherence(sample_frequencies(ens, 100, seed=1), t),
+                         lambda t: _coherence_factor(ens.omega, ens.weights, t)):
+            with pytest.raises(ValueError, match="not representable"):
+                estimate([0.0, 1e308])
+        # each phase is finite, but the step between the two times is not
+        with pytest.raises(ValueError, match="not representable"):
+            mc_coherence([0.5, -0.5], [-1e308, 1e308])
+
     @pytest.mark.parametrize("times", [np.linspace(0, 10, 21), np.linspace(0, 10, 101),
                                        np.linspace(0, 7, 21),
                                        [3.0, 0.0, 1.5, 3.0, 0.7, 0.0, 9.25, 1.5],
@@ -416,6 +436,19 @@ class TestMonteCarloAllTimes:
 
 
 class TestDilation:
+    def test_large_couplings_are_centered(self):
+        # the mean Hamiltonian 0.3 J sigma_x / 2 rounds by ~J eps: more than an absolute 1e-10
+        ens = cnot_ensemble(0.3, 1e10)
+        times = [0.0, 1e-10, 3e-10]
+        reduced, classical = joint_evolve_reduce(dilate(ens), PLUS, times)
+        assert classical
+        for got, want in zip(reduced, he_average(ens, PLUS, times)):
+            assert trace_distance(got, want) < 1e-12
+
+    def test_phase_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="not representable"):
+            joint_evolve_reduce(dilate(cnot_ensemble(0.5, 1e308)), PLUS, [0.0, 10.0])
+
     def test_single_member(self):
         ens = HamiltonianEnsemble(np.array([1.0]), (HermitianOperator(PAULI_Z),))
         dil = dilate(ens)
