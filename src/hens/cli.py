@@ -45,9 +45,9 @@ from .ensemble import (
     dilate,
     he_average,
     joint_evolve_reduce,
-    mc_coherence,
     require_uniform_grid,
-    sample_frequencies,
+    sample_frequencies,  # noqa: F401  bench/spans.py wraps this name
+    sampled_coherence,
 )
 from .inversion import (
     bochner_search,
@@ -123,7 +123,7 @@ FIELDS = {
     # and its stacked copy: 1 KiB per time
     "times.count": (21, None, {"metavar": "N"}, COUNT_BYTES // 1024),
     "times.list": (None, (list,), None, None),
-    # a float draw: 8 B
+    # a float draw, were all held at once (8 B); the mc route holds one MC_BLOCK of them
     "mc.samples": (100000, None, {"metavar": "N"}, COUNT_BYTES // 8),
     "paths": (None, (str, list),
               {"metavar": "LIST", "help": "comma-joined subset of he,dilation,mc,master"}, None),
@@ -531,6 +531,50 @@ def _output_times(cfg: dict) -> np.ndarray:
     return times
 
 
+def _master_route(cfg: dict, omega: np.ndarray, weights: np.ndarray, rho0: DensityMatrix,
+                  times: np.ndarray) -> tuple[list[DensityMatrix], np.ndarray]:
+    """The master route's states, and the output times moved onto its step grid.
+    Its grid-sized arrays are released on return, before any later route runs."""
+    # without an explicit grid, a table in FFT layout (the conjugate of a
+    # time grid of its own size) keeps that grid, so the transform runs on
+    # the exact FFT pair; any other table gets the configured grid
+    grid = None
+    n_om = omega.size
+    if cfg["grid.t_max"] is None and n_om >= 4 and not (n_om & (n_om - 1)):
+        conjugate = time_grid(np.pi / (omega[1] - omega[0]), n_om)
+        if on_conjugate_grid(omega, conjugate):
+            grid = conjugate
+    if grid is None:
+        grid = build_grid(cfg)
+    if times.max() > grid[-1]:  # before the grid indices below can overflow
+        raise ConfigError("output times exceed the master-equation grid")
+    dt = float(grid[1] - grid[0])
+    stride = 2.0 * dt
+    k_idx = np.rint(times / stride).astype(int)
+    # grid points 0..last, at least one RK4 step; the centered
+    # differences there reach from -dt to (last + 1) dt
+    last = max(2 * int(k_idx.max()), 2)
+    if not on_conjugate_grid(omega, grid):
+        # direct summation costs one row per time: sum only the smallest
+        # symmetric power-of-two subgrid that holds that reach
+        half = min(grid.size, 1 << (2 * last + 3).bit_length()) // 2
+        grid = grid[grid.size // 2 - half : grid.size // 2 + half]
+    try:
+        series = forward_ft((omega, weights), grid)
+        t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
+    except CoefficientSingularityError as exc:
+        raise ConfigError(str(exc), 3)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if last >= t_all.size:
+        raise ConfigError("output times exceed the master-equation grid")
+    try:
+        _, factors = propagate_master(t_all[:last + 1], eps[:last + 1], gam[:last + 1])
+    except ValueError as exc:  # a step factor past unit modulus: unresolved coefficients
+        raise ConfigError(str(exc), 3)
+    return dephase_qubit(rho0, factors[k_idx]), k_idx * stride
+
+
 def cmd_simulate(cfg: dict) -> None:
     kind = cfg["ensemble.kind"]
     if kind not in ("discrete", "spectral", "cnot"):
@@ -593,45 +637,7 @@ def cmd_simulate(cfg: dict) -> None:
 
     states: dict[str, list[DensityMatrix]] = {}
     if "master" in paths:  # spectral ensembles only, see _requested_paths
-        # without an explicit grid, a table in FFT layout (the conjugate of a
-        # time grid of its own size) keeps that grid, so the transform runs on
-        # the exact FFT pair; any other table gets the configured grid
-        grid = None
-        n_om = omega.size
-        if cfg["grid.t_max"] is None and n_om >= 4 and not (n_om & (n_om - 1)):
-            conjugate = time_grid(np.pi / (omega[1] - omega[0]), n_om)
-            if on_conjugate_grid(omega, conjugate):
-                grid = conjugate
-        if grid is None:
-            grid = build_grid(cfg)
-        if times.max() > grid[-1]:  # before the grid indices below can overflow
-            raise ConfigError("output times exceed the master-equation grid")
-        dt = float(grid[1] - grid[0])
-        stride = 2.0 * dt
-        k_idx = np.rint(times / stride).astype(int)
-        # grid points 0..last, at least one RK4 step; the centered
-        # differences there reach from -dt to (last + 1) dt
-        last = max(2 * int(k_idx.max()), 2)
-        if not on_conjugate_grid(omega, grid):
-            # direct summation costs one row per time: sum only the smallest
-            # symmetric power-of-two subgrid that holds that reach
-            half = min(grid.size, 1 << (2 * last + 3).bit_length()) // 2
-            grid = grid[grid.size // 2 - half : grid.size // 2 + half]
-        try:
-            series = forward_ft((omega, weights), grid)
-            t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
-        except CoefficientSingularityError as exc:
-            raise ConfigError(str(exc), 3)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-        if last >= t_all.size:
-            raise ConfigError("output times exceed the master-equation grid")
-        try:
-            _, factors = propagate_master(t_all[:last + 1], eps[:last + 1], gam[:last + 1])
-        except ValueError as exc:  # a step factor past unit modulus: unresolved coefficients
-            raise ConfigError(str(exc), 3)
-        states["master"] = dephase_qubit(rho0, factors[k_idx])
-        times = k_idx * stride
+        states["master"], times = _master_route(cfg, omega, weights, rho0, times)
     try:  # a phase w t past the float range, or a signed table's factor past unit modulus
         if "he" in paths:
             states["he"] = (dephase_qubit(rho0, _coherence_factor(omega, weights, times))
@@ -640,7 +646,7 @@ def cmd_simulate(cfg: dict) -> None:
             states["dilation"], flags["classical_ok"] = joint_evolve_reduce(dilate(ens), rho0,
                                                                             times)
         if "mc" in paths:  # spectral ensembles only, see _requested_paths
-            means, stderrs = mc_coherence(sample_frequencies(spectral, samples, seed), times)
+            means, stderrs = sampled_coherence(spectral, samples, seed, times)
             states["mc"] = dephase_qubit(rho0, means)
             flags["mc_max_stderr"] = float(stderrs.max())
     except ValueError as exc:

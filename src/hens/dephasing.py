@@ -302,11 +302,15 @@ class _FilonRule:
             self.c, self.h, width_of = c[order], h[order], width_of[order]
             self.g = g[order].astype(complex)  # for the products with B's weights
             self.g_sum = self.g.real @ _GL_W  # G of every panel
-            self.unshared = width_of[: np.count_nonzero(~shared)]  # their columns of B's weights
+            self.n_unshared = r = int(np.count_nonzero(~shared))
+            self.unshared = width_of[:r]  # their columns of B's weights
+            if r and np.all(np.diff(self.unshared) == 1):
+                # one run of consecutive half-widths (every irregular table): read as a
+                # view, not gathered into a copy of all the weights
+                self.unshared = slice(int(self.unshared[0]), int(self.unshared[0]) + r)
             starts = np.flatnonzero(np.diff(width_of, prepend=-1))
             ends = [*starts[1:], h.size]
-            self.products = [(width_of[a], slice(a, b)) for a, b in zip(starts, ends)
-                             if a >= self.unshared.size]
+            self.products = [(width_of[a], slice(a, b)) for a, b in zip(starts, ends) if a >= r]
             self.zero_at = int(np.flatnonzero(order == 0)[0])
 
     def _g(self, w: np.ndarray) -> np.ndarray:
@@ -351,7 +355,7 @@ class _FilonRule:
             mu[:, 0] = 2.0 * (1.0 - np.sin(xm) / xm)  # x > pi/8: no cancellation
             v[moments] = mu @ _LEGENDRE.T
         b = np.empty((t.size, self.h.size), dtype=complex)
-        r = self.unshared.size
+        r = self.n_unshared
         b[:, :r] = np.einsum("tpk,pk->tp", v[:, self.unshared], self.g[:r])
         for j, panels in self.products:
             b[:, panels] = v[:, j] @ self.g[panels].T
@@ -719,15 +723,18 @@ def propagate_master(times: np.ndarray, epsilon: np.ndarray, gamma: np.ndarray):
         raise ValueError("coefficient grids are misaligned")
     h = 2.0 * float(d[0])
     end = (times.size - 1) // 2 * 2  # the grid index of the last step's end
-    a = 2j * epsilon - 2.0 * gamma
-    a0, a1, a2 = a[0:end:2], a[1:end:2], a[2:end + 1:2]  # each step's start, middle, end
-    k2 = a1 * (1.0 + 0.5 * h * a0)
-    k3 = a1 * (1.0 + 0.5 * h * k2)
-    k4 = a2 * (1.0 + h * k3)
-    step = 1.0 + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
-    factors = np.cumprod(np.concatenate([[1.0], step]))
+    # coefficients far past the grid's resolution overflow to inf or NaN factors,
+    # which fail the modulus test below like any other factor past 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = 2j * epsilon - 2.0 * gamma
+        a0, a1, a2 = a[0:end:2], a[1:end:2], a[2:end + 1:2]  # each step's start, middle, end
+        k2 = a1 * (1.0 + 0.5 * h * a0)
+        k3 = a1 * (1.0 + 0.5 * h * k2)
+        k4 = a2 * (1.0 + h * k3)
+        step = 1.0 + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+        factors = np.cumprod(np.concatenate([[1.0], step]))
+        grown = ~(np.abs(factors) <= 1.0 + SERIES_UNIT_TOL)  # NaN too
     steps = times[0 : end + 1 : 2]
-    grown = np.abs(factors) > 1.0 + SERIES_UNIT_TOL
     if grown.any():
         raise ValueError("master-equation coherence factor exceeds unit modulus at t = %r"
                          % float(steps[int(np.argmax(grown))]))

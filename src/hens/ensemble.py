@@ -174,6 +174,17 @@ def dephase_qubit(rho0: DensityMatrix, factors) -> list[DensityMatrix]:
     return hermitized_states(m)
 
 
+def _draw_block(ens: SpectralEnsemble, cdf: np.ndarray, streams: np.random.SeedSequence,
+                size: int) -> np.ndarray:
+    """``size`` inverse-CDF draws from the next substream spawned from ``streams``."""
+    u = np.random.default_rng(streams.spawn(1)[0]).random(size)
+    # left edge on ties / flat CDF runs
+    idx = np.clip(np.searchsorted(cdf, u, side="left"), 1, cdf.size - 1)
+    seg = cdf[idx] - cdf[idx - 1]
+    frac = np.where(seg > 0, (u - cdf[idx - 1]) / np.where(seg > 0, seg, 1.0), 0.0)
+    return ens.omega[idx - 1] + frac * ens.domega
+
+
 def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF draws from ``ens.cdf()``, chunked into seeded substreams.
 
@@ -182,18 +193,55 @@ def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    omega, domega, cdf = ens.omega, ens.domega, ens.cdf()
-    out = np.empty(n)  # before the substreams: an n too large to hold fails here
-    children = np.random.SeedSequence(seed).spawn((n + MC_BLOCK - 1) // MC_BLOCK)
-    for i, child in enumerate(children):
-        block = out[i * MC_BLOCK:(i + 1) * MC_BLOCK]
-        u = np.random.default_rng(child).random(block.size)
-        # left edge on ties / flat CDF runs
-        idx = np.clip(np.searchsorted(cdf, u, side="left"), 1, cdf.size - 1)
-        seg = cdf[idx] - cdf[idx - 1]
-        frac = np.where(seg > 0, (u - cdf[idx - 1]) / np.where(seg > 0, seg, 1.0), 0.0)
-        block[:] = omega[idx - 1] + frac * domega
+    cdf, streams = ens.cdf(), np.random.SeedSequence(seed)
+    out = np.empty(n)  # before any draw: an n too large to hold fails here
+    for start in range(0, n, MC_BLOCK):
+        block = out[start:start + MC_BLOCK]
+        block[:] = _draw_block(ens, cdf, streams, block.size)
     return out
+
+
+def _accumulate_block(w: np.ndarray, times: np.ndarray, order: np.ndarray,
+                      sums: np.ndarray, squares: np.ndarray) -> None:
+    """Add one block of draws w to the running sums S and Q of ``mc_coherence``."""
+    z = np.ones(w.size, dtype=complex)
+    prev, step_gap = 0.0, None
+    for k in order:
+        t = times[k]
+        gap = t - prev
+        prev = t
+        if gap:
+            if step_gap is None or abs(gap - step_gap) > np.spacing(abs(t)):
+                step, step_gap = np.exp(1j * w * gap), gap
+            z *= step
+        sums[k] += z.sum()
+        squares[k] += np.vdot(z, z).real
+
+
+def _coherence_estimates(blocks, times) -> tuple[np.ndarray, np.ndarray]:
+    """``mc_coherence`` of the draws in all the arrays that ``blocks`` yields, taken one
+    array at a time."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    # every |t|, and every gap between the sorted times, is at most this span
+    span = float(times.max(initial=0.0)) - float(times.min(initial=0.0))
+    order = np.argsort(times, kind="stable")
+    sums = np.zeros(times.size, dtype=complex)
+    squares = np.zeros(times.size)
+    n, w_lo, w_hi = 0, 0.0, 0.0
+    for w in blocks:
+        n += w.size
+        # the draws' extremes so far, reduced as require_finite_phases reduces them
+        w_lo, w_hi = float(np.min(w, initial=w_lo)), float(np.max(w, initial=w_hi))
+        # a phase past the float range raises below, once later blocks have
+        # completed the max|w| that the error names
+        if np.isfinite(max(w_hi, -w_lo) * span):
+            _accumulate_block(w, times, order, sums, squares)
+    require_finite_phases((w_lo, w_hi), span)
+    means = sums / n
+    if n < 2:
+        return means, np.zeros(times.size)
+    var = np.maximum(squares - n * (means.real ** 2 + means.imag ** 2), 0.0) / (n - 1)
+    return means, np.sqrt(var / n)
 
 
 def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
@@ -216,32 +264,21 @@ def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
     phase w t past the float range raises ValueError.
     """
     draws = np.asarray(draws, dtype=float)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    # every |t|, and every gap between the sorted times, is at most this span
-    require_finite_phases(draws, float(times.max(initial=0.0)) - float(times.min(initial=0.0)))
-    n = draws.size
-    order = np.argsort(times, kind="stable")
-    sums = np.zeros(times.size, dtype=complex)
-    squares = np.zeros(times.size)
-    for start in range(0, n, MC_BLOCK):
-        w = draws[start:start + MC_BLOCK]
-        z = np.ones(w.size, dtype=complex)
-        prev, step_gap = 0.0, None
-        for k in order:
-            t = times[k]
-            gap = t - prev
-            prev = t
-            if gap:
-                if step_gap is None or abs(gap - step_gap) > np.spacing(abs(t)):
-                    step, step_gap = np.exp(1j * w * gap), gap
-                z *= step
-            sums[k] += z.sum()
-            squares[k] += np.vdot(z, z).real
-    means = sums / n
-    if n < 2:
-        return means, np.zeros(times.size)
-    var = np.maximum(squares - n * (means.real ** 2 + means.imag ** 2), 0.0) / (n - 1)
-    return means, np.sqrt(var / n)
+    return _coherence_estimates(
+        (draws[start:start + MC_BLOCK] for start in range(0, draws.size, MC_BLOCK)), times)
+
+
+def sampled_coherence(ens: SpectralEnsemble, n: int, seed: int,
+                      times) -> tuple[np.ndarray, np.ndarray]:
+    """``mc_coherence(sample_frequencies(ens, n, seed), times)``, bit for bit, drawing
+    and estimating one seeded MC_BLOCK substream at a time: it holds one block of
+    draws whatever n is.  A phase w t past the float range raises the same
+    ValueError, once every block is drawn."""
+    if n < 1:
+        raise ValueError("need at least one sample")
+    cdf, streams = ens.cdf(), np.random.SeedSequence(seed)
+    return _coherence_estimates((_draw_block(ens, cdf, streams, min(MC_BLOCK, n - start))
+                                 for start in range(0, n, MC_BLOCK)), times)
 
 
 def _env_coherence(matrix: np.ndarray, d: int, env_dim: int) -> float:

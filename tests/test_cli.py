@@ -6,6 +6,8 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +474,42 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("edge", [1e300, 1e305])
+    def test_overflowing_master_factor_exits_three(self, tmp_path, capsys, edge):
+        # |w| up to the edge: the RK4 step factors overflow to inf, and their product
+        # to NaN, which must fail the unit-modulus test without a numpy warning
+        om = np.linspace(-edge, edge, 5)
+        np.savetxt(tmp_path / "huge.csv", np.column_stack([om, np.full(5, 0.5 / edge)]),
+                   delimiter=",")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("simulate", "--ensemble-kind", "spectral",
+                     "--ensemble-path", str(tmp_path / "huge.csv"), "--paths", "master",
+                     "--output-dir", str(tmp_path / "out"))
+        assert rc == 3
+        assert not caught
+        err = capsys.readouterr().err
+        assert "coherence factor exceeds unit modulus at t = " in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_mc_route_memory_does_not_grow_with_samples(self, tmp_path):
+        write_inputs(tmp_path)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert run("simulate", "--ensemble-kind", "spectral",
+                           "--ensemble-path", str(tmp_path / "dist.csv"), "--paths", "mc",
+                           "--mc-samples", str(samples),
+                           "--output-dir", str(tmp_path / str(samples))) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # a first call's one-time set-up is no part of the route
+        # all 2^20 draws alone would take 8 MiB
+        assert abs(peak(1 << 20) - peak(1 << 17)) < 1 << 19
+
     @pytest.mark.parametrize("path", ["he", "dilation", "mc", "master"])
     def test_spectral_needs_a_qubit_rho0(self, tmp_path, capsys, path):
         write_inputs(tmp_path)
@@ -902,6 +940,51 @@ def test_simulate_exit_codes_hold_for_spectral_tables(tmp_path_factory):
             rc = main(argv)
         assert rc in (0, 2, 3, 4)
         assert "Traceback" not in err.getvalue()
+
+    check()
+
+
+def test_model_table_exit_codes_hold(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # few distinct finite values, so that duplicate and unsorted omega come often
+    entry = (st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]) | st.floats(-5.0, 5.0)
+             | st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 5e-324, -0.0]))
+    # a row of one or three entries makes the table ragged
+    row = st.lists(entry, min_size=2, max_size=2) | st.lists(entry, min_size=1, max_size=3)
+    # and tables that the model takes, from w = 0, so that the default t_max = 200 / width
+    # keeps w t within 200 and each run short
+    knots = st.lists(st.integers(1, 10), min_size=1, max_size=2, unique=True)
+    sound = st.builds(lambda ks, js: [[k / 2.0, j] for k, j in zip([0, *sorted(ks)], js)],
+                      knots, st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3))
+    commands = [["dephase"], ["invert", "--mode", "extended"],
+                ["landscape", "--phases-count", "4"]]
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    # unsorted, but distinct and spanning a positive width: only the model's check stops it
+    @hypothesis.example(command=commands[0], temperature=0.0,
+                        rows=[[0.0, 0.0], [2.0, 1.0], [1.0, 1.0]], header=False, sep=" ")
+    @hypothesis.given(command=st.sampled_from(commands), temperature=st.sampled_from([0.0, 0.5]),
+                      rows=st.lists(row, max_size=3) | sound, header=st.booleans(),
+                      sep=st.sampled_from([",", " "]))
+    def check(command, temperature, rows, header, sep):
+        out = tmp_path_factory.mktemp("run")
+        lines = [sep.join(["omega", "J"])] if header else []
+        lines += [sep.join(repr(float(x)) for x in r) for r in rows]
+        (out / "j.txt").write_text("".join(line + "\n" for line in lines))
+        argv = [*command, "--model-kind", "tabulated", "--model-path", str(out / "j.txt"),
+                "--grid-n", "64", f"--model-temperature={temperature!r}",
+                "--output-dir", str(out / "out")]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(argv)
+        assert rc in (0, 2, 3, 4)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+        if rc == 0:  # a table J(omega): strictly increasing omega, nothing negative
+            table = np.array([r[:2] for r in rows])
+            assert np.all(np.diff(table[:, 0]) > 0) and np.all(table >= 0)
 
     check()
 

@@ -306,6 +306,16 @@ class TestPanelNodes:
             values.append(np.array(_FilonRule(model).integrals(ts)))
         assert np.max(np.abs(values[0] - values[1])) <= 1e-14 * np.max(np.abs(values[1]))
 
+    def test_one_run_of_half_widths_is_read_as_a_view(self):
+        # the uneven table's half-widths are all distinct: its weights are sliced, not
+        # gathered, and the values are the gathered product's bit for bit
+        rule = _FilonRule(uneven_table(0.0))
+        assert isinstance(rule.unshared, slice)
+        ts = np.concatenate([np.linspace(0.0, 300.0, 97), [2e3, 1e4]])
+        view = np.array(rule.integrals(ts))
+        rule.unshared = np.arange(rule.unshared.start, rule.unshared.stop)
+        assert np.array_equal(np.array(rule.integrals(ts)), view)
+
     def test_error_names_the_time_that_fails(self, monkeypatch):
         # 2e3 and 1e4 share a block, and only 2e3 overflows
         rule = _FilonRule(OHMIC1)

@@ -19,6 +19,7 @@ from hens.ensemble import (
     joint_evolve_reduce,
     mc_coherence,
     sample_frequencies,
+    sampled_coherence,
 )
 from hens.qdyn import (
     DensityMatrix,
@@ -28,6 +29,7 @@ from hens.qdyn import (
     maximally_mixed,
     partial_trace,
     pure_state,
+    require_finite_phases,
     trace_distance,
     unitary_at,
 )
@@ -433,6 +435,54 @@ class TestMonteCarloAllTimes:
     def test_sampler_fills_blocks_as_the_substreams_draw(self, n):
         ens = gaussian_spectral()
         assert np.array_equal(sample_frequencies(ens, n, seed=4), reference_draws(ens, n, seed=4))
+
+
+class TestSampledCoherence:
+    """The streamed route: each seeded block drawn and added to the sums in turn."""
+
+    # t = 0, repeats and an unsorted order
+    TIMES = [2.0, 0.0, 0.5, 3.0, 0.5, 0.0, 9.25]
+
+    @pytest.mark.parametrize("n", [1, 2, MC_BLOCK, MC_BLOCK + 1, 1_000_000])
+    def test_equals_the_composed_calls(self, n):
+        ens = gaussian_spectral()
+        means, stderrs = sampled_coherence(ens, n, 21, self.TIMES)
+        ref_means, ref_stderrs = mc_coherence(sample_frequencies(ens, n, 21), self.TIMES)
+        assert np.array_equal(means, ref_means)
+        assert np.array_equal(stderrs, ref_stderrs)
+
+    def test_phase_past_the_float_range_raises_the_same_error(self):
+        # |w| up to 1e300 at t = 1e10: the error names the max|w| of all the draws,
+        # which at this seed lies in the second block, not the first
+        ens = SpectralEnsemble(np.linspace(-1e300, 1e300, 5), np.full(5, 0.5e-300))
+        n, times = 2 * MC_BLOCK + 3, [0.0, 1e10]
+        draws = sample_frequencies(ens, n, 3)
+        assert np.argmax(np.abs(draws)) // MC_BLOCK == 1
+        with pytest.raises(ValueError) as whole:
+            require_finite_phases(draws, 1e10)
+        for estimate in (lambda: sampled_coherence(ens, n, 3, times),
+                         lambda: mc_coherence(draws, times)):
+            with pytest.raises(ValueError, match="not representable") as raised:
+                estimate()
+            assert str(raised.value) == str(whole.value)
+
+    def test_needs_a_sample(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            sampled_coherence(gaussian_spectral(), 0, 1, [1.0])
+
+    def test_memory_holds_one_block(self):
+        ens, times = gaussian_spectral(), np.linspace(0.0, 10.0, 21)
+        peaks = []
+        for n in (1 << 17, 1 << 20):
+            tracemalloc.start()
+            try:
+                sampled_coherence(ens, n, 5, times)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # all 2^20 draws alone would take 8 MiB
+        assert peaks[1] <= 5 << 20
+        assert abs(peaks[1] - peaks[0]) <= 1 << 18
 
 
 class TestDilation:
