@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -370,10 +371,14 @@ def read_table(path: str, columns: int) -> np.ndarray:
             skip = 0
         except ValueError:
             skip = 1
-        data = np.loadtxt(path, delimiter="," if "," in first else None,
-                          skiprows=skip, ndmin=2)
+        with warnings.catch_warnings():  # an empty table is reported below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter="," if "," in first else None,
+                              skiprows=skip, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read table {path}: {exc}")
+    if data.shape[0] == 0:
+        raise ConfigError(f"{path} holds no rows")
     if data.shape[1] < columns:
         raise ConfigError(f"{path}: expected at least {columns} columns")
     if not np.all(np.isfinite(data)):
@@ -475,7 +480,7 @@ def _parse_matrix(entries, field: str) -> np.ndarray:
     try:
         return np.array([[scal(v) for v in row] for row in entries], dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad matrix: {exc}")
+        raise ConfigError(f"config field {field!r} holds a bad matrix: {exc}")
 
 
 def _parse_rho0(value) -> DensityMatrix:
@@ -618,6 +623,10 @@ def cmd_simulate(cfg: dict) -> None:
         members = cfg["ensemble.members"]
         if not members:
             raise ConfigError("discrete ensemble needs members [[p, matrix], ...]")
+        for m in members:
+            if not (isinstance(m, list) and len(m) == 2):
+                raise ConfigError(f"config field 'ensemble.members' holds [p, matrix] pairs, "
+                                  f"not {m!r}")
         try:
             probs = [_number(m[0], "ensemble.members") for m in members]
             hams = tuple(HermitianOperator(_parse_matrix(m[1], "ensemble.members"))

@@ -22,12 +22,13 @@ two-qubit model builds its odd phase angle from int 4J/w^2 (w t - sin w t) dw
 and the T=0 exponent, a pair (``extended_exponents``) that serves every
 phase (``extended_series``, and the landscape's columns through the same
 values helper).
-Every series on a dense symmetric time grid comes from one adaptive spline:
-the exponent, or the extended model's (Phi, sine) pair as two columns of the
-same knots, is sampled at adaptively refined times (refined level by level,
-one batched evaluation per level) and interpolated with a verified not-a-knot
-cubic spline (``_knot_spline``), evaluated once per pair of grid times +-t.
-The knot tolerance is weighted by e^{+Phi} because only
+Every series on a symmetric time grid comes from one set of knots that are
+grid times (``_on_grid``): the exponent, or the extended model's (Phi, sine)
+pair as two columns of the same knots, is evaluated at the grid's |t| that
+adaptive refinement picks (level by level, one batched evaluation per level,
+each |t| at most once), and the other |t| are read from a verified not-a-knot
+cubic spline (``_knot_spline``) through the knots; one value serves each pair
+of grid times +-t.  The knot tolerance is weighted by e^{+Phi} because only
 e^{-Phi} * dPhi (and e^{-Phi} * d theta) reaches the series values.  Both
 kernels are numpy code, so the module imports nothing beyond numpy.
 """
@@ -267,7 +268,7 @@ class _FilonRule:
     the oscillation bound pi / (4t) they integrate the degree-15 interpolant of g
     exactly, through the Legendre moments int P_n(x) e^{ihtx} dx = 2 i^n j_n(ht)
     (a Filon-type rule, so the cost of a time does not grow with t); a narrower
-    panel takes its Gauss-Legendre weights.  ``_adaptive_curve`` passes all the
+    panel takes its Gauss-Legendre weights.  ``_on_grid`` passes all the
     times of one refinement level at once (refined level by level, one batched
     evaluation per level).  The times are evaluated together in blocks of at
     most BLOCK_PAIRS (time, panel) pairs and BLOCK_WEIGHTS weights, which are
@@ -387,73 +388,65 @@ def decoherence_exponent(model: SpectralDensityModel, t):
     return float(even) if ts.ndim == 0 else even
 
 
-def _adaptive_curve(f, t_hi: float):
-    """Cubic spline of f on [0, t_hi] from adaptively refined knots, as a function of t.
+def _on_grid(f, grid: np.ndarray) -> np.ndarray:
+    """f(|t|) at every time t of a series grid, from knots that are grid times.
 
     f(ts) is the exponent Phi at the times ts, or a tuple (Phi, ...) of arrays
-    whose further entries become further columns of the same knots and spline.
-    The base knots are 32 uniform and 32 geometric intervals, without knots
-    closer than 1e-9 t_hi to the previous one.  The knots are refined level by
-    level, with one batched evaluation of f per level at the midpoints of that
-    level's intervals.  Every midpoint is checked against the cubic through the
-    four nearest knots known at the start of its level (the closed Lagrange form
-    of what a not-a-knot spline through them gives), and its interval is split
-    for the next level when any column misses KNOT_TOL * e^{+Phi} (Phi at the
-    midpoint, the weight capped at 1e16).  An interval is accepted without
-    that check once Phi and its local estimate at the midpoint both reach
-    PHI_NEGLIGIBLE, or once it is no longer than t_hi * 2^-36.  The knots
-    number at least 33, more than the 4 that ``_knot_spline`` needs.  The spline is
-    built in t / 2^e, with t_hi = m 2^e and 1/2 <= m < 1, so that its cubic
-    coefficients (~ values / spacing^3) stay representable on any t_hi; the
-    exact power-of-two scaling leaves every evaluated value unchanged.
+    whose further entries become further columns of the same knots.  The grid's
+    distinct |t| are j dt, j = 0 .. n/2, and the knots are a subset of these
+    positions j: at first those nearest to 33 uniform and 33 geometric points on
+    [0, n/2].  Level by level, one batched evaluation of f takes the middle
+    position (i + j) // 2 of every interval (i, j) with a grid time strictly
+    inside it.  Each middle value is checked against the cubic through the four
+    nearest knots known at the start of its level (the closed Lagrange form of
+    what a not-a-knot spline through them gives), and its interval is split for
+    the next level when any column misses KNOT_TOL * e^{+Phi} (Phi at the middle
+    time, the weight capped at 1e16) while Phi or its local estimate there is
+    below PHI_NEGLIGIBLE.  So f sees each |t| at most once.  The |t| that are not
+    knots (none on grids of up to 64 times) are read from a not-a-knot cubic
+    spline through the knots (``_knot_spline``), built in t / 2^e with
+    t_max = m 2^e, 1/2 <= m < 1, so that its cubic coefficients
+    (~ values / spacing^3) stay representable on any t_max.
     """
-    xs = np.unique(np.concatenate([
-        np.linspace(0.0, t_hi, 33),
-        np.geomspace(t_hi * 2.0 ** -12, t_hi, 33),
-    ]))
-    xs = xs[np.concatenate([[True], np.diff(xs) > 1e-9 * t_hi])]
-    xs = np.concatenate([[0.0], xs[xs > 0.0]])
-    ys = np.asarray(f(xs)).T  # one row per knot: Phi, or (Phi, ...)
-    a, b = xs[:-1], xs[1:]
-    floor = t_hi * 2.0 ** -36
-    while a.size:
-        m = 0.5 * (a + b)
-        fm = np.asarray(f(m)).T
-        # Lagrange form in u = (x - x0) / (x3 - x0), whose products cannot underflow
-        lo = np.clip(np.searchsorted(xs, m) - 2, 0, xs.size - 4)
-        x0, x1, x2, x3 = (xs[lo + k] for k in range(4))
-        span = x3 - x0
-        u1, u2, s = (x1 - x0) / span, (x2 - x0) / span, (m - x0) / span
-        y = ys.reshape(xs.size, -1)
-        est = (y[lo] * ((s - u1) * (s - u2) * (1.0 - s) / (u1 * u2))[:, None]
-               + y[lo + 1] * (s * (s - u2) * (s - 1.0) / (u1 * (u1 - u2) * (u1 - 1.0)))[:, None]
-               + y[lo + 2] * (s * (s - u1) * (s - 1.0) / (u2 * (u2 - u1) * (u2 - 1.0)))[:, None]
-               + y[lo + 3] * (s * (s - u1) * (s - u2) / ((1.0 - u1) * (1.0 - u2)))[:, None])
+    _require_series_grid(grid)
+    half = grid.size // 2
+    t = np.append(np.abs(grid[half:]), -grid[0])  # t[j] = j dt
+    base = np.concatenate([np.linspace(0.0, half, 33), np.geomspace(half * 2.0 ** -12, half, 33)])
+    ks = np.unique(np.rint(base).astype(np.int64))
+    first = np.asarray(f(t[ks])).T  # one row per knot: Phi, or (Phi, ...)
+    y = np.empty(t.shape + first.shape[1:])
+    y[ks] = first
+    known = np.zeros(t.size, dtype=bool)
+    known[ks] = True
+    a, b = ks[:-1], ks[1:]
+    while (inside := b - a > 1).any():
+        a, b = a[inside], b[inside]
+        m = (a + b) // 2
+        fm = np.asarray(f(t[m])).T
+        # Lagrange form in u = (k - k0) / (k3 - k0) over the positions of a uniform grid
+        ks = np.flatnonzero(known)
+        lo = np.clip(np.searchsorted(ks, m) - 2, 0, ks.size - 4)
+        k0, k1, k2, k3 = (ks[lo + i] for i in range(4))
+        span = k3 - k0
+        u1, u2, s = (k1 - k0) / span, (k2 - k0) / span, (m - k0) / span
+        yk = y.reshape(t.size, -1)
+        est = (yk[k0] * ((s - u1) * (s - u2) * (1.0 - s) / (u1 * u2))[:, None]
+               + yk[k1] * (s * (s - u2) * (s - 1.0) / (u1 * (u1 - u2) * (u1 - 1.0)))[:, None]
+               + yk[k2] * (s * (s - u1) * (s - 1.0) / (u2 * (u2 - u1) * (u2 - 1.0)))[:, None]
+               + yk[k3] * (s * (s - u1) * (s - u2) / ((1.0 - u1) * (1.0 - u2)))[:, None])
         got = fm.reshape(m.size, -1)
         phi = got[:, 0]
         tol = KNOT_TOL * np.minimum(np.exp(np.minimum(phi, PHI_NEGLIGIBLE)), 1e16)
-        split = ((np.minimum(phi, est[:, 0]) < PHI_NEGLIGIBLE) & (b - a > floor)
+        split = ((np.minimum(phi, est[:, 0]) < PHI_NEGLIGIBLE)
                  & (np.abs(est - got).max(axis=1) > tol))
-        # a midpoint that rounds onto a knot adds no knot
-        xs, first = np.unique(np.concatenate([xs, m]), return_index=True)
-        ys = np.concatenate([ys, fm])[first]
-        a, b = (np.stack([a[split], m[split]], axis=1).ravel(),
-                np.stack([m[split], b[split]], axis=1).ravel())
-    e = math.frexp(t_hi)[1]
-    spline = _knot_spline(xs, ys, e)
-    return lambda t: spline(np.ldexp(t, -e))
-
-
-def _at_abs(curve, grid: np.ndarray) -> np.ndarray:
-    """curve(|t|) at every time of the grid.  On a grid whose times above its middle
-    negate those below it (as on ``time_grid``), only the first half and the middle
-    are evaluated, and the rest is their mirror image."""
-    m = grid.size // 2
-    mirrored = grid.ndim == 1 and grid.size % 2 == 0
-    if mirrored and np.array_equal(grid[m + 1 :], -grid[m - 1 : 0 : -1]):
-        half = curve(np.abs(grid[: m + 1]))
-        return np.concatenate([half, half[m - 1 : 0 : -1]])
-    return curve(np.abs(grid))
+        y[m] = fm
+        known[m] = True
+        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
+    if not known.all():
+        ks, rest = np.flatnonzero(known), np.flatnonzero(~known)
+        e = math.frexp(t[-1])[1]
+        y[rest] = _knot_spline(t[ks], y[ks], e)(np.ldexp(t[rest], -e))
+    return np.concatenate([y[:0:-1], y[:-1]])
 
 
 def _knot_spline(ks: np.ndarray, ys: np.ndarray, e: int):
@@ -605,21 +598,19 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
     """Series exp(i omega0 t - Phi(t)) on the given symmetric grid."""
     grid = np.asarray(grid, dtype=float)
     rule = _FilonRule(model)
-    spline = _adaptive_curve(lambda x: rule.integrals(x)[0], float(np.max(np.abs(grid))))
-    exponent = np.clip(_at_abs(spline, grid), 0.0, None)
+    exponent = np.clip(_on_grid(lambda x: rule.integrals(x)[0], grid), 0.0, None)
     values = np.exp(1j * omega0 * grid - exponent)
     return DephasingSeries(grid, values)
 
 
 def extended_exponents(model: SpectralDensityModel, grid: np.ndarray):
-    """(Phi, drift) of the extended model (T = 0) on the grid, from one spline: the
+    """(Phi, drift) of the extended model (T = 0) on the grid, from one set of knots: the
     decoherence exponent and int 4J/w^2 (w t - sin w t) dw, for ``extended_series``."""
     if model.temperature != 0.0:
         raise ValueError("extended model implemented at T=0 only")
     grid = np.asarray(grid, dtype=float)
     rule = _FilonRule(model)
-    spline = _adaptive_curve(rule.integrals, float(np.max(np.abs(grid))))
-    even, odd = _at_abs(spline, grid).T
+    even, odd = _on_grid(rule.integrals, grid).T
     return np.clip(even, 0.0, None), rule.inverse_frequency_mass * grid - np.sign(grid) * odd
 
 

@@ -721,6 +721,8 @@ def bad_field(command, field, value, *flags):
     pytest.param(["simulate", "--config", "{d}/dict_member.json"], id="dict-member"),
     bad_field("simulate", "ensemble.a", "x", "--ensemble-kind", "cnot"),
     bad_field("simulate", "ensemble.members", 3, "--ensemble-kind", "discrete"),
+    bad_field("simulate", "ensemble.members", [5], "--ensemble-kind", "discrete"),
+    bad_field("simulate", "ensemble.members", [[1.0]], "--ensemble-kind", "discrete"),
     bad_field("simulate", "seed", None, "--ensemble-kind", "cnot"),
     bad_field("simulate", "mc.samples", "x", *SPECTRAL[1:], "--paths", "mc"),
     bad_field("simulate", "mc.samples", 2.5, *SPECTRAL[1:], "--paths", "mc"),
@@ -952,8 +954,7 @@ def test_model_table_exit_codes_hold(tmp_path_factory):
              | st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300, 5e-324, -0.0]))
     # a row of one or three entries makes the table ragged
     row = st.lists(entry, min_size=2, max_size=2) | st.lists(entry, min_size=1, max_size=3)
-    # and tables that the model takes, from w = 0, so that the default t_max = 200 / width
-    # keeps w t within 200 and each run short
+    # and tables that the model takes, from w = 0 (a band far from w = 0 is an example)
     knots = st.lists(st.integers(1, 10), min_size=1, max_size=2, unique=True)
     sound = st.builds(lambda ks, js: [[k / 2.0, j] for k, j in zip([0, *sorted(ks)], js)],
                       knots, st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3))
@@ -964,6 +965,16 @@ def test_model_table_exit_codes_hold(tmp_path_factory):
     # unsorted, but distinct and spanning a positive width: only the model's check stops it
     @hypothesis.example(command=commands[0], temperature=0.0,
                         rows=[[0.0, 0.0], [2.0, 1.0], [1.0, 1.0]], header=False, sep=" ")
+    # an empty table and a header-only one
+    @hypothesis.example(command=commands[0], temperature=0.0, rows=[], header=False, sep=" ")
+    @hypothesis.example(command=commands[1], temperature=0.0, rows=[], header=True, sep=",")
+    # a narrow band far from w = 0, where the default t_max = 200 / width puts w t near 3500
+    @hypothesis.example(command=commands[0], temperature=0.0, rows=[[4.07, 1.0], [4.32, 1.0]],
+                        header=False, sep=" ")
+    @hypothesis.example(command=commands[1], temperature=0.0, rows=[[4.07, 1.0], [4.32, 1.0]],
+                        header=False, sep=" ")
+    @hypothesis.example(command=commands[2], temperature=0.0, rows=[[4.07, 1.0], [4.32, 1.0]],
+                        header=False, sep=" ")
     @hypothesis.given(command=st.sampled_from(commands), temperature=st.sampled_from([0.0, 0.5]),
                       rows=st.lists(row, max_size=3) | sound, header=st.booleans(),
                       sep=st.sampled_from([",", " "]))
@@ -980,11 +991,67 @@ def test_model_table_exit_codes_hold(tmp_path_factory):
             warnings.simplefilter("always")
             rc = main(argv)
         assert rc in (0, 2, 3, 4)
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert "Traceback" not in err.getvalue() and "RuntimeWarning" not in err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if not rows:
+            assert rc == 2 and "holds no rows" in err.getvalue()
         if rc == 0:  # a table J(omega): strictly increasing omega, nothing negative
             table = np.array([r[:2] for r in rows])
             assert np.all(np.diff(table[:, 0]) > 0) and np.all(table >= 0)
+
+    check()
+
+
+def test_discrete_ensembles_hold_the_exit_codes(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def mostly(common, rare, k):
+        """common, but rare one draw in k"""
+        return st.sampled_from(range(k)).flatmap(lambda i: rare if i == 0 else common)
+
+    number = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-2.0, 2.0)
+    odd = st.sampled_from([np.nan, np.inf, -0.5, 1e-300, "1", None]) | st.lists(number, max_size=3)
+    # a number or an [re, im] pair, and rarely NaN, a string, null or a list of another length
+    entry = mostly(number | st.lists(number, min_size=2, max_size=2), odd, 12)
+
+    def square(n):
+        return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+    hermitian2 = st.builds(lambda a, b, re, im: [[a, [re, im]], [[re, -im], b]],
+                           number, number, number, number)
+    # mostly 2 x 2, else 0 to 3 rows, square or ragged
+    matrix = mostly(hermitian2 | square(2), st.integers(0, 3).flatmap(square)
+                    | st.lists(st.lists(entry, max_size=3), max_size=3), 4)
+
+    @st.composite
+    def members(draw):
+        k = draw(st.integers(0, 3))
+        return [[draw(mostly(st.just(1.0 / k), odd, 6)), draw(matrix)] for _ in range(k)]
+
+    rho0 = mostly(st.sampled_from(["plus", "up", "down", "mixed"]),
+                  st.sampled_from(["sideways", [[2.0, 0.0], [0.0, -1.0]]]) | matrix, 5)
+
+    def hermitian(m):
+        a = np.array([[complex(*v) if isinstance(v, list) else v for v in row] for row in m])
+        return np.allclose(a, a.conj().T)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(members=members(), rho0=rho0)
+    def check(members, rho0):
+        out = tmp_path_factory.mktemp("run")
+        doc = {"ensemble": {"kind": "discrete", "members": members}, "rho0": rho0}
+        (out / "config.json").write_text(json.dumps(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["simulate", "--config", str(out / "config.json"), "--times-count", "3",
+                       "--output-dir", str(out / "sim")])
+        assert rc in (0, 2, 3, 4)
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        if rc == 0:  # every member a Hermitian matrix
+            assert all(hermitian(m) for _, m in members)
 
     check()
 

@@ -431,11 +431,16 @@ def pointwise_phase(model, phase, t):
     return math.cos(phase) * drift + np.sign(t) * math.sin(phase) * even
 
 
+def table_401(temperature):
+    """An Ohmic J tabulated at 401 knots on [0, 40]."""
+    om = np.linspace(0.0, 40.0, 401)
+    return SpectralDensityModel.tabulated(om, om * np.exp(-om), temperature)
+
+
 def test_series_memory_is_bounded():
     # the Filon rule's blocks of (time, panel) pairs set this peak: 0.55 MiB
     # at 2^12 pairs (0.38 MiB with one time per call), 0.98 MiB at 2^13, 1.73 MiB at 2^14
-    om = np.linspace(0.0, 40.0, 401)
-    model = SpectralDensityModel.tabulated(om, om * np.exp(-om))
+    model = table_401(0.0)
     grid = time_grid(5.0, 256)
     dephasing_conventional(model, 0.0, grid)  # one-time allocations of a first call
     tracemalloc.start()
@@ -445,6 +450,59 @@ def test_series_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * 2**20
+
+
+NARROW_TABLE = SpectralDensityModel.tabulated(np.array([4.07, 4.32]), np.array([1.0, 1.0]))
+NARROW_GRID = time_grid(200.0 / 0.25, 64)  # the CLI's default t_max = 200 / table width
+
+
+def filon_times(monkeypatch):
+    """The times that ``_FilonRule.integrals`` receives, one array per call."""
+    calls = []
+    integrals = _FilonRule.integrals
+
+    def record(self, ts):
+        calls.append(np.array(ts, dtype=float).ravel())
+        return integrals(self, ts)
+
+    monkeypatch.setattr(_FilonRule, "integrals", record)
+    return calls
+
+
+def conventional(model, grid):
+    return dephasing_conventional(model, 0.0, grid)
+
+
+class TestGridKnots:
+    """The series' knots are grid times, each evaluated at most once."""
+
+    @pytest.mark.parametrize("build,model,grid", [
+        # 401 table knots on a grid of 129 distinct |t|, and a narrow band far from w = 0
+        pytest.param(conventional, table_401(0.0), time_grid(5.0, 256), id="table"),
+        pytest.param(conventional, table_401(0.5), time_grid(5.0, 256), id="table-warm"),
+        pytest.param(conventional, NARROW_TABLE, NARROW_GRID, id="narrow-conventional"),
+        pytest.param(extended_exponents, NARROW_TABLE, NARROW_GRID, id="narrow-extended"),
+    ])
+    def test_each_grid_time_at_most_once(self, monkeypatch, build, model, grid):
+        calls = filon_times(monkeypatch)
+        build(model, grid)
+        times = np.concatenate(calls)
+        distinct = np.unique(np.abs(grid))
+        assert np.isin(times, distinct).all()
+        assert np.unique(times).size == times.size <= distinct.size
+
+    @pytest.mark.parametrize("model", [OHMIC1, NARROW_TABLE], ids=["ohmic", "narrow"])
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_small_grids_hold_the_filon_values(self, model, n):
+        # every |t| is a knot: the series are the rule's values, bit for bit
+        grid = NARROW_GRID if n == 64 and model is NARROW_TABLE else time_grid(3.0, n)
+        rule = _FilonRule(model)
+        even, odd = rule.integrals(np.abs(grid))
+        series = dephasing_conventional(model, 0.7, grid)
+        assert np.array_equal(series.values, np.exp(1j * 0.7 * grid - even))
+        exponent, drift = extended_exponents(model, grid)
+        assert np.array_equal(exponent, even)
+        assert np.array_equal(drift, rule.inverse_frequency_mass * grid - np.sign(grid) * odd)
 
 
 class TestExtendedPhase:
@@ -549,7 +607,7 @@ class TestSeriesConstruction:
             assert abs(s.values[k] - exact) < 1e-9
 
     def test_tiny_time_grid(self):
-        # knots ~1e-152 apart: the midpoint check's products must not underflow
+        # knots ~1e-152 apart: the spline's cubic coefficients must stay representable
         g = time_grid(1e-150, 256)
         for s in (dephasing_conventional(OHMIC1, 0.0, g), dephasing_extended(OHMIC1, 0.3, g)):
             assert np.max(np.abs(s.values - 1.0)) < 1e-12
