@@ -23,6 +23,7 @@ from .qdyn import (
 from .ensemble import (
     Dilation,
     HamiltonianEnsemble,
+    SamplingError,
     SpectralEnsemble,
     cnot_ensemble,
     cnot_mixture,
@@ -34,6 +35,7 @@ from .ensemble import (
 from .dephasing import (
     CoefficientSingularityError,
     DephasingSeries,
+    NumericalError,
     SpectralDensityModel,
     decoherence_exponent,
     dephasing_conventional,
@@ -67,10 +69,12 @@ __all__ = [
     "DimensionError",
     "HamiltonianEnsemble",
     "HermitianOperator",
+    "NumericalError",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
     "QuasiDistribution",
+    "SamplingError",
     "SpectralDensityModel",
     "SpectralEnsemble",
     "bochner_search",

@@ -9,8 +9,10 @@ digits.
 
 Exit codes: 0 success, 2 config error, 3 numerical-precondition failure,
 4 sampling impossibility (negative quasi-distribution weights).  ``main()`` is
-the one place that sets them: every failure below it raises ``ConfigError``
-carrying its code.
+the one place that sets them, from the class of the error that reaches it:
+``NumericalError`` exits 3, ``SamplingError`` 4, and ``ConfigError`` or any
+other ``ValueError`` 2.  Below ``main`` an error is caught only to read outside
+input or to name the config field or table that the library's message lacks.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import warnings
 import numpy as np
 
 from .dephasing import (
-    CoefficientSingularityError,
     DephasingSeries,
+    NumericalError,
     SpectralDensityModel,
     dephasing_conventional,
     dephasing_extended,
@@ -39,6 +41,7 @@ from .dephasing import (
 from .ensemble import (
     NEGATIVE_TOL,
     HamiltonianEnsemble,
+    SamplingError,
     SpectralEnsemble,
     _coherence_factor,
     cnot_ensemble,
@@ -65,12 +68,8 @@ TABLE_BLOCK = 4096  # rows of a table formatted per call
 
 
 class ConfigError(Exception):
-    """A failure that ``main`` reports as ``hens <cmd>: <message>``, exiting with
-    ``code``: 2 config error, 3 numerical precondition, 4 sampling impossibility."""
-
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A bad config or input file, which ``main`` reports as ``hens <cmd>: <message>``,
+    exiting 2."""
 
 
 # Every config field: path -> (default, the JSON types it takes when the default
@@ -230,40 +229,29 @@ def load_config(args: argparse.Namespace) -> dict:
 
 def build_model(cfg: dict) -> SpectralDensityModel:
     kind, temperature = cfg["model.kind"], cfg["model.temperature"]
-    try:
-        if kind == "ohmic_exp_cutoff":
-            return SpectralDensityModel.ohmic(cfg["model.omega_c"], temperature=temperature)
-        if kind == "tabulated":
-            if not cfg["model.path"]:
-                raise ConfigError("tabulated model needs model.path")
-            table = read_table(cfg["model.path"], 2)
-            return SpectralDensityModel.tabulated(table[:, 0], table[:, 1],
-                                                  temperature=temperature)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"bad spectral density model: {exc}")
+    if kind == "ohmic_exp_cutoff":
+        return SpectralDensityModel.ohmic(cfg["model.omega_c"], temperature=temperature)
+    if kind == "tabulated":
+        if not cfg["model.path"]:
+            raise ConfigError("tabulated model needs model.path")
+        table = read_table(cfg["model.path"], 2)
+        return SpectralDensityModel.tabulated(table[:, 0], table[:, 1], temperature=temperature)
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
 def build_grid(cfg: dict, omega_scale: float = 1.0) -> np.ndarray:
     t_max = cfg["grid.t_max"]
-    try:
-        return time_grid(float(200.0 / omega_scale if t_max is None else t_max),
-                         int(cfg["grid.n"]))
-    except ValueError as exc:
-        raise ConfigError(f"bad grid: {exc}")
+    return time_grid(float(200.0 / omega_scale if t_max is None else t_max), int(cfg["grid.n"]))
 
 
 def build_series(cfg: dict) -> DephasingSeries:
     model = build_model(cfg)
     grid = build_grid(cfg, model.omega_scale())
     omega0, phase = float(cfg["omega0"]), float(cfg["phase"])
-    try:
-        if cfg["mode"] == "conventional":
-            return dephasing_conventional(model, omega0, grid)
-        if cfg["mode"] == "extended":
-            return dephasing_extended(model, phase, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if cfg["mode"] == "conventional":
+        return dephasing_conventional(model, omega0, grid)
+    if cfg["mode"] == "extended":
+        return dephasing_extended(model, phase, grid)
     raise ConfigError(f"unknown mode {cfg['mode']!r}")
 
 
@@ -389,16 +377,10 @@ def read_table(path: str, columns: int) -> np.ndarray:
 def cmd_invert(cfg: dict) -> None:
     if cfg["series.path"]:
         data = read_table(cfg["series.path"], 3)
-        try:
-            series = DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2])
-        except ValueError as exc:
-            raise ConfigError(str(exc), 3)
+        series = DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2])
     else:
         series = build_series(cfg)
-    try:
-        dist = inverse_ft(series)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    dist = inverse_ft(series)
     write_table(cfg, "wp", ["omega", "wp"], [dist.omega, dist.values])
     write_json(cfg, "diagnostics.json", {
         "norm": dist.norm,
@@ -420,20 +402,14 @@ def cmd_landscape(cfg: dict) -> None:
     window = (float(cfg["window.omega_lo"]), float(cfg["window.omega_hi"]))
     if not window[0] < window[1]:
         raise ConfigError("empty frequency window")
-    try:
-        omega = conjugate_frequency_grid(grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    omega = conjugate_frequency_grid(grid)
     inside = int(np.count_nonzero((omega >= window[0]) & (omega <= window[1])))
     if inside * count > LANDSCAPE_CELLS:
         raise ConfigError(f"config fields 'grid.n' and 'phases.count' are out of range together: "
                           f"{inside} window frequencies x {count} phases (at most "
                           f"{LANDSCAPE_CELLS} cells)")
-    try:
-        exponent, drift = extended_exponents(model, grid)
-        omega, phases, cells = negativity_landscape(exponent, drift, phases, window, grid)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    exponent, drift = extended_exponents(model, grid)
+    omega, phases, cells = negativity_landscape(exponent, drift, phases, window, grid)
     header = ["omega"] + [f"phi={_fmt(p)}" for p in phases]
     write_table(cfg, "landscape", header, [omega] + [cells[:, j] for j in range(phases.size)])
 
@@ -441,16 +417,13 @@ def cmd_landscape(cfg: dict) -> None:
 def cmd_witness(cfg: dict) -> None:
     series = build_series(cfg)
     stop = cfg["witness.stop_below"]
-    try:
-        report, used = bochner_search(
-            series,
-            restarts=int(cfg["witness.restarts"]),
-            seed=int(cfg["seed"]),
-            max_size=int(cfg["witness.max_set_size"]),
-            stop_below=None if stop is None else float(stop),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    report, used = bochner_search(
+        series,
+        restarts=int(cfg["witness.restarts"]),
+        seed=int(cfg["seed"]),
+        max_size=int(cfg["witness.max_set_size"]),
+        stop_below=None if stop is None else float(stop),
+    )
     write_json(cfg, "bochner.json", {
         "times": list(report.times),
         "min_eigenvalue": report.min_eigenvalue,
@@ -496,8 +469,9 @@ def _parse_rho0(value) -> DensityMatrix:
                 raise ConfigError(f"unknown rho0 preset {value!r}")
             return presets[value]()
         return DensityMatrix(_parse_matrix(value, "rho0"))
-    except ValueError as exc:
-        raise ConfigError(f"bad rho0: {exc}")
+    except ValueError as exc:  # add the name; the class still picks the exit code
+        exc.args = (f"bad rho0: {exc}",)
+        raise
 
 
 def _requested_paths(cfg: dict, kind: str) -> list[str]:
@@ -564,19 +538,11 @@ def _master_route(cfg: dict, omega: np.ndarray, weights: np.ndarray, rho0: Densi
         # symmetric power-of-two subgrid that holds that reach
         half = min(grid.size, 1 << (2 * last + 3).bit_length()) // 2
         grid = grid[grid.size // 2 - half : grid.size // 2 + half]
-    try:
-        series = forward_ft((omega, weights), grid)
-        t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
-    except CoefficientSingularityError as exc:
-        raise ConfigError(str(exc), 3)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    series = forward_ft((omega, weights), grid)
+    t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
     if last >= t_all.size:
         raise ConfigError("output times exceed the master-equation grid")
-    try:
-        _, factors = propagate_master(t_all[:last + 1], eps[:last + 1], gam[:last + 1])
-    except ValueError as exc:  # a step factor past unit modulus: unresolved coefficients
-        raise ConfigError(str(exc), 3)
+    _, factors = propagate_master(t_all[:last + 1], eps[:last + 1], gam[:last + 1])
     return dephase_qubit(rho0, factors[k_idx]), k_idx * stride
 
 
@@ -599,18 +565,15 @@ def cmd_simulate(cfg: dict) -> None:
         omega, weights = read_table(table, 2)[:, :2].T
         try:
             require_uniform_grid(omega)
-        except ValueError as exc:
-            raise ConfigError(f"{table}: {exc}")
+        except ValueError as exc:  # add the name; the class still picks the exit code
+            exc.args = (f"{table}: {exc}",)
+            raise
         mass = float(np.trapezoid(weights, omega))
         if abs(mass - 1.0) > 1e-3:
             raise ConfigError("spectral weights are not normalized")
         weights = weights / mass
-        negative = bool(np.min(weights) < -NEGATIVE_TOL)
-        flags["weights_nonnegative"] = not negative
-        if negative and ({"mc", "dilation"} & set(paths)):
-            raise ConfigError("not a probability distribution - cannot sample "
-                              "(negative weights; a nonclassicality signal)", 4)
-        if {"mc", "dilation"} & set(paths):
+        flags["weights_nonnegative"] = bool(np.min(weights) >= -NEGATIVE_TOL)
+        if {"mc", "dilation"} & set(paths):  # a signed table raises SamplingError
             spectral = SpectralEnsemble(omega, weights)
         if "dilation" in paths:
             ens = spectral.discretize(bins)
@@ -632,8 +595,9 @@ def cmd_simulate(cfg: dict) -> None:
             hams = tuple(HermitianOperator(_parse_matrix(m[1], "ensemble.members"))
                          for m in members)
             ens = HamiltonianEnsemble(probs, hams)
-        except (TypeError, ValueError, LookupError) as exc:
-            raise ConfigError(f"bad ensemble: {exc}")
+        except ValueError as exc:  # add the name; the class still picks the exit code
+            exc.args = (f"bad ensemble: {exc}",)
+            raise
     dim = 2 if kind == "spectral" else ens.dim  # a spectral ensemble acts on one qubit
     if rho0.dim != dim:
         raise ConfigError("rho0 dimension differs from the ensemble")
@@ -647,19 +611,15 @@ def cmd_simulate(cfg: dict) -> None:
     states: dict[str, list[DensityMatrix]] = {}
     if "master" in paths:  # spectral ensembles only, see _requested_paths
         states["master"], times = _master_route(cfg, omega, weights, rho0, times)
-    try:  # a phase w t past the float range, or a signed table's factor past unit modulus
-        if "he" in paths:
-            states["he"] = (dephase_qubit(rho0, _coherence_factor(omega, weights, times))
-                            if kind == "spectral" else he_average(ens, rho0, times))
-        if "dilation" in paths:
-            states["dilation"], flags["classical_ok"] = joint_evolve_reduce(dilate(ens), rho0,
-                                                                            times)
-        if "mc" in paths:  # spectral ensembles only, see _requested_paths
-            means, stderrs = sampled_coherence(spectral, samples, seed, times)
-            states["mc"] = dephase_qubit(rho0, means)
-            flags["mc_max_stderr"] = float(stderrs.max())
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    if "he" in paths:
+        states["he"] = (dephase_qubit(rho0, _coherence_factor(omega, weights, times))
+                        if kind == "spectral" else he_average(ens, rho0, times))
+    if "dilation" in paths:
+        states["dilation"], flags["classical_ok"] = joint_evolve_reduce(dilate(ens), rho0, times)
+    if "mc" in paths:  # spectral ensembles only, see _requested_paths
+        means, stderrs = sampled_coherence(spectral, samples, seed, times)
+        states["mc"] = dephase_qubit(rho0, means)
+        flags["mc_max_stderr"] = float(stderrs.max())
 
     emitted = [p for p in ("he", "dilation", "mc", "master") if p in states]
     header, columns = ["t"], [np.asarray(times)]
@@ -717,13 +677,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the only place that reports a failure and sets the exit code."""
+    """Run one subcommand; the only place that reports a failure and picks the exit code,
+    from the failure's class."""
     args = make_parser().parse_args(argv)
     try:
         args.func(load_config(args))
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"hens {args.command}: {exc}", file=sys.stderr)
-        return exc.code
+        return 3 if isinstance(exc, NumericalError) else 4 if isinstance(exc, SamplingError) else 2
     return 0
 
 

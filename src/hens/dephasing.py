@@ -69,7 +69,11 @@ _UP_ODD = 2.0 * np.arange(1, MILLER_START + 1)[:, None] + 1.0
 _DOWN_ODD = _UP_ODD[::-1]
 
 
-class CoefficientSingularityError(ValueError):
+class NumericalError(ValueError):
+    """A valid input on which a numerical precondition fails (the CLI exits 3)."""
+
+
+class CoefficientSingularityError(NumericalError):
     """The dephasing factor vanishes where a log-derivative is required."""
 
     def __init__(self, t: float):
@@ -537,6 +541,18 @@ def symmetry_residual(values: np.ndarray) -> float:
     return float(np.max(np.abs(tail - np.conj(tail[::-1]))))
 
 
+def uniform_step(grid: np.ndarray, message: str) -> float:
+    """The step d_0 of a uniform, increasing grid of two or more points; ValueError(message)
+    unless every spacing d is positive with |d - d_0| <= 1e-9 |d_0|.  The one rule of
+    uniformity for series times, spectral tables and master coefficients: relative, so
+    it holds a step of any size to the same standard."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a spacing past the float range fails
+        d = np.diff(grid)
+        if not (d.size and np.min(d) > 0 and np.max(np.abs(d - d[0])) <= 1e-9 * d[0]):
+            raise ValueError(message)
+    return float(d[0])
+
+
 def _require_series_grid(t: np.ndarray) -> None:
     """ValueError unless t is a finite, uniform, increasing 2^k >= 4 grid centered on t = 0."""
     n = t.size
@@ -544,9 +560,7 @@ def _require_series_grid(t: np.ndarray) -> None:
         raise ValueError("times must be a power-of-two grid")
     if not np.all(np.isfinite(t)):
         raise ValueError("times must be finite")
-    d = np.diff(t)
-    if np.min(d) <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * d[0]:
-        raise ValueError("time grid must be uniform and increasing")
+    uniform_step(t, "time grid must be uniform and increasing")
     if abs(t[n // 2]) > 1e-12 * max(abs(t[-1]), 1.0):
         raise ValueError("time grid must be centered on t = 0")
 
@@ -700,7 +714,7 @@ def propagate_master(times: np.ndarray, epsilon: np.ndarray, gamma: np.ndarray):
     step scales c by one factor.  Returns (times[::2], factors): factors[k] = c(t_k)/c(0),
     with factors[0] = 1, for ``dephase_qubit`` to apply to a state.  A factor past unit
     modulus (coefficients the grid does not resolve, as where phi crosses zero between
-    grid points) raises ValueError naming the first such time.
+    grid points) raises NumericalError naming the first such time.
     """
     times = np.asarray(times, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
@@ -709,10 +723,7 @@ def propagate_master(times: np.ndarray, epsilon: np.ndarray, gamma: np.ndarray):
         raise ValueError("coefficient grids are misaligned")
     if times.size < 3:
         raise ValueError("need at least three grid points")
-    d = np.diff(times)
-    if np.max(np.abs(d - d[0])) > 1e-9 * abs(d[0]):
-        raise ValueError("coefficient grids are misaligned")
-    h = 2.0 * float(d[0])
+    h = 2.0 * uniform_step(times, "coefficient grids are misaligned")
     end = (times.size - 1) // 2 * 2  # the grid index of the last step's end
     # coefficients far past the grid's resolution overflow to inf or NaN factors,
     # which fail the modulus test below like any other factor past 1
@@ -727,6 +738,6 @@ def propagate_master(times: np.ndarray, epsilon: np.ndarray, gamma: np.ndarray):
         grown = ~(np.abs(factors) <= 1.0 + SERIES_UNIT_TOL)  # NaN too
     steps = times[0 : end + 1 : 2]
     if grown.any():
-        raise ValueError("master-equation coherence factor exceeds unit modulus at t = %r"
-                         % float(steps[int(np.argmax(grown))]))
+        raise NumericalError("master-equation coherence factor exceeds unit modulus at t = %r"
+                             % float(steps[int(np.argmax(grown))]))
     return steps, factors

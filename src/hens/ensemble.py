@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dephasing import SERIES_UNIT_TOL
+from .dephasing import SERIES_UNIT_TOL, uniform_step
 from .qdyn import (
     DensityMatrix,
     DimensionError,
@@ -30,6 +30,11 @@ PROB_TOL = 1e-10
 MASS_TOL = 1e-8
 NEGATIVE_TOL = 1e-6  # deeper spectral weight dips are negativity, shallower ones noise
 MC_BLOCK = 1 << 16  # draws per sampler substream and per Monte Carlo estimator block
+
+
+class SamplingError(ValueError):
+    """Weights that are no probability distribution, so no ensemble can be sampled from
+    them: the nonclassicality signal (the CLI exits 4)."""
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,7 @@ def require_uniform_grid(omega: np.ndarray) -> None:
     """Raise ValueError unless omega is a uniform increasing 1-d grid of two or more points."""
     if omega.ndim != 1 or omega.size < 2:
         raise ValueError("omega grid must be a 1-d array of at least two points")
-    d = np.diff(omega)
-    if np.min(d) <= 0 or np.max(np.abs(d - d[0])) > 1e-9 * max(abs(d[0]), 1.0):
-        raise ValueError("omega grid must be uniform and increasing")
+    uniform_step(omega, "omega grid must be uniform and increasing")
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class SpectralEnsemble:
     The weight array is renormalized to exact unit trapezoid mass at
     construction; inputs off by more than 1e-8 are rejected.  Dips shallower
     than 1e-6 (inverse-transform noise) are clipped to zero; anything deeper
-    is genuine negativity and is rejected.
+    is genuine negativity and raises SamplingError.
     """
 
     omega: np.ndarray
@@ -101,7 +104,8 @@ class SpectralEnsemble:
             raise ValueError("omega grid and weights must be finite")
         require_uniform_grid(om)
         if np.min(w) < -NEGATIVE_TOL:
-            raise ValueError("negative weights")
+            raise SamplingError("not a probability distribution - cannot sample "
+                                "(negative weights; a nonclassicality signal)")
         mass = float(np.trapezoid(w, om))
         if abs(mass - 1.0) > MASS_TOL:
             raise ValueError("weights are not normalized to unit mass")

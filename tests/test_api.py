@@ -14,6 +14,13 @@ def test_all_names_resolve_once():
     assert [name for name in hens.__all__ if not hasattr(hens, name)] == []
 
 
+def test_error_classes_are_value_errors():
+    # a library caller that catches ValueError still catches every class the CLI maps
+    assert issubclass(hens.NumericalError, ValueError)
+    assert issubclass(hens.SamplingError, ValueError)
+    assert issubclass(hens.CoefficientSingularityError, hens.NumericalError)
+
+
 def test_readme_module_table_lists_all():
     # rows "| `hens.<module>` | contents | `Name`, `name`, ... |"
     listed = []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hens.cli import COMMANDS, COMMON, FIELDS, load_config, main, make_parser, read_table
-from hens.dephasing import SpectralDensityModel
+from hens.dephasing import SpectralDensityModel, time_grid
 from hens.ensemble import SpectralEnsemble, sample_frequencies
 from hens.qdyn import PAULI_X, pure_state
 
@@ -184,7 +184,7 @@ class TestInvert:
         diag = json.load(open(b / "diagnostics.json"))
         assert abs(diag["norm"] - 1.0) < 1e-6
 
-    def test_corrupt_series_exits_three(self, tmp_path, capsys):
+    def test_corrupt_series_exits_two(self, tmp_path, capsys):
         a = tmp_path / "a"
         assert run("dephase", "--grid-t-max", "16", "--grid-n", "256",
                    "--output-dir", str(a)) == 0
@@ -194,7 +194,7 @@ class TestInvert:
         (a / "phi.csv").write_text("\n".join(lines) + "\n")
         rc = run("invert", "--series-path", str(a / "phi.csv"),
                  "--output-dir", str(tmp_path / "b"))
-        assert rc == 3
+        assert rc == 2  # a series table is input like any other table
         assert "symmetric" in capsys.readouterr().err
 
 
@@ -443,15 +443,17 @@ class TestSimulate:
         assert cons["weights_nonnegative"] is False
         assert cons["pairwise_max_trace_distance"]["he_vs_master"] < 1e-4
 
-    @pytest.mark.parametrize("path", ["he", "master"])
+    @pytest.mark.parametrize("path", ["he", "master", "series"])
     def test_factor_past_unit_modulus_exits_two(self, tmp_path, capsys, path):
-        # weights N(0, 1) + 0.5 sin 3w: unit mass, dips to -0.5, and |phi(3)| ~ 4
-        om = np.linspace(-8.0, 8.0, 257)
-        p = np.exp(-0.5 * om**2) / np.sqrt(2.0 * np.pi) + 0.5 * np.sin(3.0 * om)
-        np.savetxt(tmp_path / "signed.csv", np.column_stack([om, p]), delimiter=",")
-        rc = run("simulate", "--ensemble-kind", "spectral",
-                 "--ensemble-path", str(tmp_path / "signed.csv"), "--paths", path,
-                 "--times-t-max", "6", "--times-count", "7", "--output-dir", str(tmp_path / "out"))
+        # one check, one code: a series table past unit modulus exits 2 from invert, as a
+        # signed spectral table does from the he and master routes
+        write_inputs(tmp_path)
+        argv = (["invert", "--series-path", str(tmp_path / "grown_series.csv")]
+                if path == "series" else
+                ["simulate", "--ensemble-kind", "spectral", "--ensemble-path",
+                 str(tmp_path / "signed.csv"), "--paths", path, "--times-t-max", "6",
+                 "--times-count", "7"])
+        rc = run(*argv, "--output-dir", str(tmp_path / "out"))
         assert rc == 2
         err = capsys.readouterr().err
         assert "dephasing factor exceeds unit modulus" in err and "Traceback" not in err
@@ -592,6 +594,21 @@ def write_inputs(d):
     p = np.exp(-0.5 * om**2)
     np.savetxt(d / "uneven_dist.csv", np.column_stack([om, p / np.trapezoid(p, om)]),
                delimiter=",")
+    # spacings alternating 1e-10 and 9e-10: 8e-10 apart, far past 1e-9 of the step
+    om = np.cumsum(np.tile([1e-10, 9e-10], 33))[:65]
+    np.savetxt(d / "alternating_dist.csv",
+               np.column_stack([om, np.full(65, 1.0 / (om[-1] - om[0]))]), delimiter=",")
+    # weights N(0, 1) + 0.5 sin 3w: unit mass, dips to -0.5, and |phi(3)| ~ 4
+    om = np.linspace(-8.0, 8.0, 257)
+    p = np.exp(-0.5 * om**2) / np.sqrt(2.0 * np.pi) + 0.5 * np.sin(3.0 * om)
+    np.savetxt(d / "signed.csv", np.column_stack([om, p]), delimiter=",")
+    # a sound series, but for |phi| = 1.5 at t = +-4, and with t = -7 moved to -6.9
+    t = time_grid(8.0, 16)
+    phi = np.exp(-0.01 * t**2)
+    phi[[4, 12]] = 1.5
+    np.savetxt(d / "grown_series.csv", np.column_stack([t, phi, 0.0 * t]), delimiter=",")
+    t[1] += 0.1
+    np.savetxt(d / "uneven_series.csv", np.column_stack([t, phi, 0.0 * t]), delimiter=",")
     (d / "nan_dist.csv").write_text("omega,p\n0,nan\n1,1\n")
     (d / "nan_j.txt").write_text("0 0\n1 nan\n2 0\n")
     (d / "nan_series.csv").write_text("t,re_phi,im_phi\n0,nan,0\n")
@@ -613,7 +630,9 @@ BAD_VALUE_MESSAGES = {
     "empty-times-list": "'times.list' is empty",
     "no-paths": "'paths'",
     "uneven-grid-dilation": "uniform and increasing",
-    "uneven-grid-he-mc": "uniform and increasing",
+    "uneven-grid-he-mc": "omega grid must be uniform and increasing",
+    "alternating-grid": "omega grid must be uniform and increasing",
+    "uneven-series": "time grid must be uniform and increasing",
     "huge-phases-count": "config field 'phases.count' is out of range",
     "huge-times-count": "config field 'times.count' is out of range",
     "huge-times-list": "config field 'times.list' is out of range",
@@ -687,6 +706,12 @@ def bad_field(command, field, value, *flags):
     pytest.param([*SPECTRAL, "--paths", "dilation", "--ensemble-bins", "0"], id="zero-bins"),
     pytest.param([*UNEVEN, "--paths", "dilation"], id="uneven-grid-dilation"),
     pytest.param([*UNEVEN, "--paths", "he,mc"], id="uneven-grid-he-mc"),
+    # one rule of uniformity, whatever the step: relative to it, these spacings are far apart
+    pytest.param(["simulate", "--ensemble-kind", "spectral", "--ensemble-path",
+                  "{d}/alternating_dist.csv", "--paths", "he,mc", "--times-t-max", "1e8",
+                  "--mc-samples", "100000"], id="alternating-grid"),
+    # one check, one code: an uneven series table exits 2 as an uneven spectral table does
+    pytest.param(["invert", "--series-path", "{d}/uneven_series.csv"], id="uneven-series"),
     pytest.param(["landscape", "--model-temperature", "0.5", *SMALL_GRID],
                  id="landscape-thermal"),
     # the 256-point default grid's frequencies end near |omega| = 2
@@ -998,6 +1023,63 @@ def test_model_table_exit_codes_hold(tmp_path_factory):
         if rc == 0:  # a table J(omega): strictly increasing omega, nothing negative
             table = np.array([r[:2] for r in rows])
             assert np.all(np.diff(table[:, 0]) > 0) and np.all(table >= 0)
+
+    check()
+
+
+def test_series_table_exit_codes_hold(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    value = (st.sampled_from([np.nan, np.inf, -np.inf, 1e300, -1e300, 1e-300])
+             | st.floats(-2.0, 2.0))
+    # an edit of a sound table (what, row, value): set a t, a real or an imaginary part
+    # (phi(0) != 1 at the centre row, asymmetric phi elsewhere), scale phi at +-t (|phi|
+    # past 1), shift every t (off centre), repeat the previous t, or keep `row` rows
+    edit = st.tuples(st.sampled_from(["t", "re", "im", "scale", "shift", "repeat", "cut"]),
+                     st.integers(0, 16), value)
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None)
+    @hypothesis.given(n=st.sampled_from([4, 8, 16]), t_max=st.floats(0.5, 20.0),
+                      decay=st.floats(0.0, 1.0), omega0=st.floats(-3.0, 3.0),
+                      edits=st.lists(edit, max_size=2), header=st.booleans(),
+                      sep=st.sampled_from([",", " "]))
+    def check(n, t_max, decay, omega0, edits, header, sep):
+        # a sound series in dephase's layout: t, re_phi, im_phi, abs_phi
+        t = time_grid(t_max, n)
+        phi = np.exp(1j * omega0 * t - decay * t * t)
+        table = np.column_stack([t, phi.real, phi.imag, np.abs(phi)])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 or inf - inf: a NaN entry
+            for what, row, x in edits:
+                k = row % n
+                if what == "cut":
+                    table = table[:row]
+                elif k >= len(table):
+                    continue
+                elif what in ("t", "re", "im"):
+                    table[k, ["t", "re", "im"].index(what)] = x
+                elif what == "scale":
+                    table[[k, -k], 1:3] *= x  # phi(-t) = conj(phi(t)) still holds
+                elif what == "shift":
+                    table[:, 0] += x
+                else:
+                    table[k, 0] = table[k - 1, 0]
+        out = tmp_path_factory.mktemp("run")
+        lines = [sep.join(["t", "re_phi", "im_phi", "abs_phi"])] if header else []
+        lines += [sep.join(repr(float(x)) for x in r) for r in table]
+        (out / "phi.csv").write_text("".join(line + "\n" for line in lines))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["invert", "--series-path", str(out / "phi.csv"),
+                       "--output-dir", str(out / "out")])
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+        assert rc in (0, 2)  # a rejected series table is bad input
+        if not edits:
+            assert rc == 0
+        if rc == 0:  # a power-of-two table within the unit disc
+            assert len(table) in (4, 8, 16)
+            assert np.max(np.abs(table[:, 1] + 1j * table[:, 2])) <= 1.0 + 1e-12
 
     check()
 

@@ -10,6 +10,7 @@ from hens.dephasing import (
     _GL_X,
     CoefficientSingularityError,
     DephasingSeries,
+    NumericalError,
     SpectralDensityModel,
     decoherence_exponent,
     dephasing_conventional,
@@ -747,7 +748,7 @@ class TestPropagateMaster:
     def test_factor_past_unit_modulus_raises_at_its_time(self):
         # a negative rate amplifies the coherence: the first step already grows it
         t = np.linspace(0.0, 5.0, 11)
-        with pytest.raises(ValueError, match=r"exceeds unit modulus at t = 1\.0$"):
+        with pytest.raises(NumericalError, match=r"exceeds unit modulus at t = 1\.0$"):
             propagate_master(t, np.zeros(11), np.full(11, -0.1))
 
     def test_misaligned_grids_rejected(self):

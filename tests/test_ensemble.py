@@ -8,6 +8,7 @@ from hens.ensemble import (
     MC_BLOCK,
     Dilation,
     HamiltonianEnsemble,
+    SamplingError,
     SpectralEnsemble,
     _coherence_factor,
     _env_coherence,
@@ -239,10 +240,14 @@ class TestSpectralEnsemble:
         dipped = w.copy()
         dipped[3] -= 0.6  # mass-neutral dip/bump pair
         dipped[7] += 0.6
-        with pytest.raises(ValueError, match="negative"):
+        with pytest.raises(SamplingError, match="cannot sample"):
             SpectralEnsemble(om, dipped)
         with pytest.raises(ValueError, match="uniform"):
             SpectralEnsemble(np.concatenate([om[:5], om[6:]]), np.ones(10) / 2.0)
+        # spacings alternating 1e-10 and 9e-10: uneven, however small the step
+        alternating = np.cumsum(np.tile([1e-10, 9e-10], 6))[:11]
+        with pytest.raises(ValueError, match="uniform"):
+            SpectralEnsemble(alternating, np.ones(11) / (alternating[-1] - alternating[0]))
         with pytest.raises(ValueError, match="normalized"):
             SpectralEnsemble(om, 3.0 * w)
 
