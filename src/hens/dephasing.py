@@ -543,12 +543,17 @@ def symmetry_residual(values: np.ndarray) -> float:
 
 def uniform_step(grid: np.ndarray, message: str) -> float:
     """The step d_0 of a uniform, increasing grid of two or more points; ValueError(message)
-    unless every spacing d is positive with |d - d_0| <= 1e-9 |d_0|.  The one rule of
-    uniformity for series times, spectral tables and master coefficients: relative, so
-    it holds a step of any size to the same standard."""
+    unless every spacing d is positive with |d - d_0| <= 1e-9 |d_0| + 2 ulp(max |t|).  The
+    one rule of uniformity for series times, spectral tables and master coefficients:
+    relative, so it holds a step of any size to the same standard, plus the rounding no
+    float grid avoids (each point is off by up to half an ulp of the largest |t|, so two
+    spacings differ by up to two: 2e-9 to 4e-9 of the step at 2^24 points)."""
     with np.errstate(over="ignore", invalid="ignore"):  # a spacing past the float range fails
         d = np.diff(grid)
-        if not (d.size and np.min(d) > 0 and np.max(np.abs(d - d[0])) <= 1e-9 * d[0]):
+        if not (d.size and np.min(d) > 0):
+            raise ValueError(message)
+        slack = 2.0 * np.spacing(max(abs(grid[0]), abs(grid[-1])))
+        if not np.max(np.abs(d - d[0])) <= 1e-9 * d[0] + slack:
             raise ValueError(message)
     return float(d[0])
 

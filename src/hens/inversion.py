@@ -5,10 +5,15 @@ Discrete realization of the continuum pair
     phi(t)   = int p(w) e^{+i w t} dw
     wp(w)    = (1/2pi) int phi(t) e^{-i w t} dt
 
-on conjugate grids (dw = 2pi / (N dt)) via FFTs with fftshift bookkeeping, plus
-the diagnostics that decide whether the recovered distribution is a legitimate
-probability density: normalization, realness, negativity, and the Gram-matrix
-positive-definiteness witness.
+on conjugate grids (dw = 2pi / (N dt)), plus the diagnostics that decide
+whether the recovered distribution is a legitimate probability density:
+normalization, realness, negativity, and the Gram-matrix positive-definiteness
+witness.  Both directions use the conjugate symmetry phi(-t) = conj(phi(t)) of
+a real distribution's series: the forward transform is one ``np.fft.ihfft``
+mirrored by conjugation, and every spectrum is one ``np.fft.hfft`` of the
+t >= 0 half (``_half_spectrum``).  The sample at t = -t_max has no partner on
+the grid, so a series' spectrum is real only up to the realness residual, the
+transform of the series' anti-Hermitian part.
 """
 
 from __future__ import annotations
@@ -32,8 +37,12 @@ GRAM_ENTRIES = 1 << 12  # Gram-matrix entries per eigvalsh call: 64 KiB of compl
 class QuasiDistribution:
     """Real distribution on a uniform frequency grid plus legitimacy diagnostics.
 
-    negativity = -int min(values, 0) dw; realness_residual is the largest
-    imaginary part discarded during inversion.
+    negativity = -int min(values, 0) dw.  realness_residual is the largest
+    imaginary part of the spectrum, which ``inverse_ft`` leaves out of
+    ``values``: (dt/2pi) max |transform of the series' anti-Hermitian part|.
+    For a series the package builds it is the truncation term
+    (dt/2pi) |Im phi(-t_max)| of the grid's unpaired edge sample; a series
+    read from a file adds its own departure from phi(-t) = conj(phi(t)).
     """
 
     omega: np.ndarray
@@ -115,7 +124,9 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     n = grid.size
     domega = float(omega[1] - omega[0])
     if on_conjugate_grid(omega, grid):
-        values = domega * n * np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(weights)))
+        # phi(j dt) for j = 0 .. n/2, mirrored by conjugation: exactly conjugate-symmetric
+        half = domega * n * np.fft.ihfft(np.fft.ifftshift(weights))
+        values = np.concatenate([np.conj(half[:0:-1]), half[:-1]])
     else:
         if omega.size * n > 1 << 28:
             raise ValueError(
@@ -126,25 +137,51 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     mass = float(np.real(values[n // 2]))
     if abs(mass - 1.0) > 1e-6:
         raise ValueError("input mass differs from 1 beyond tolerance")
-    return DephasingSeries(grid, values / mass)
+    values /= mass
+    return DephasingSeries(grid, values)
 
 
-def _spectrum(values: np.ndarray, dt: float) -> np.ndarray:
-    """(dt/2pi) sum_n values_n e^{-i w_k t_n} on the conjugate grid of a symmetric time grid."""
-    return dt / (2.0 * np.pi) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
+def _half_spectrum(half: np.ndarray, dt: float) -> np.ndarray:
+    """(dt/2pi) sum_n phi(t_n) e^{-i w_k t_n} on the conjugate grid of a symmetric
+    n-point time grid, for the Hermitian series given by its half.
+
+    ``half`` holds phi(j dt) for j = 0 .. n/2 - 1, then the edge sample phi(-t_max);
+    the series is read as phi(-t) = conj(phi(t)), of which only the real parts of
+    phi(0) and phi(-t_max) count.  One ``np.fft.hfft`` of length n: the spectrum is
+    real.
+    """
+    return dt / (2.0 * np.pi) * np.fft.fftshift(np.fft.hfft(half, 2 * (half.size - 1)))
+
+
+def _series_spectrum(values: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
+    """(real spectrum, realness residual) of a series' samples on a symmetric grid.
+
+    Over the index pairs (j, -j) of the FFT's period, where t = -t_max pairs with
+    itself, the samples split into a Hermitian part H and an anti-Hermitian part A.
+    The spectrum is ``_half_spectrum`` of H; the transform of A is i times
+    ``_half_spectrum`` of -iA, and the residual is the largest modulus of that.
+    """
+    n0 = values.size // 2
+    x = np.append(values[n0:], values[0])  # phi(j dt), j < n/2, then phi(-t_max)
+    y = np.conj(values[n0::-1])  # conj phi(-j dt), j = 0 .. n/2
+    spectrum = _half_spectrum(0.5 * (x + y), dt)
+    residual = float(np.max(np.abs(_half_spectrum(-0.5j * (x - y), dt))))
+    return spectrum, residual
 
 
 def inverse_ft(series: DephasingSeries) -> QuasiDistribution:
     """Recover the simulating (quasi-)distribution of a dephasing series.
 
     wp(w_k) = (dt/2pi) sum_n phi(t_n) e^{-i w_k t_n} on the conjugate grid
-    dw = 2pi/(N dt); the imaginary residual is recorded, never silently lost.
+    dw = 2pi/(N dt).  ``values`` is the transform of the series' Hermitian part,
+    one ``np.fft.hfft`` of its t >= 0 half; the transform of the anti-Hermitian
+    part is imaginary, and its largest modulus is recorded as
+    ``realness_residual``, never silently lost.  For a series the package builds
+    that part is only the unpaired edge sample's Im phi(-t_max).
     """
     omega = conjugate_frequency_grid(series.times)
-    spectrum = _spectrum(series.values, series.dt)
-    return QuasiDistribution.from_samples(
-        omega, spectrum.real, realness_residual=float(np.max(np.abs(spectrum.imag)))
-    )
+    spectrum, residual = _series_spectrum(series.values, series.dt)
+    return QuasiDistribution.from_samples(omega, spectrum, realness_residual=residual)
 
 
 def roundtrip_error(dist) -> float:
@@ -274,6 +311,8 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
         raise ValueError(f"frequency window [{lo!r}, {hi!r}] holds no frequency of the grid, "
                          f"whose frequencies span {span}")
     dt = float(grid[1] - grid[0])
-    cols = [np.minimum(_spectrum(_extended_values(grid, exponent, drift, p), dt).real[mask], 0.0)
+    half = np.append(np.arange(grid.size // 2, grid.size), 0)  # t = j dt, j < n/2; -t_max
+    grid, exponent, drift = grid[half], exponent[half], drift[half]
+    cols = [np.minimum(_half_spectrum(_extended_values(grid, exponent, drift, p), dt)[mask], 0.0)
             for p in phases]
     return omega, phases, np.column_stack(cols)

@@ -21,6 +21,7 @@ from hens.dephasing import (
     ohmic_series,
     propagate_master,
     time_grid,
+    uniform_step,
     UPWARD_X,
     _FilonRule,
     _coth,
@@ -606,6 +607,20 @@ class TestSeriesConstruction:
             t = g[k]
             exact = np.exp(-1j * pointwise_phase(model, 0.7, t) - _FilonRule(model).integrals(t)[0])
             assert abs(s.values[k] - exact) < 1e-9
+
+    @pytest.mark.parametrize("t_max, n", [(77.7, 1 << 24), (0.3, 1 << 24), (1000.0 / 3.0, 1 << 24),
+                                          (123.456, 1 << 25)])
+    def test_rounded_large_grids_are_uniform(self, t_max, n):
+        # the last 65,536 rows of time_grid(t_max, n), by its own arithmetic (the whole
+        # grid would hold n int64 and n float64); their rounding alone moves the spacings
+        # past 1e-9 of the step, and the grid is still the package's own uniform grid
+        rows = (np.arange(n - (1 << 16), n) - n // 2) * (2.0 * t_max / n)
+        d = np.diff(rows)
+        assert np.max(np.abs(d - d[0])) > 1e-9 * d[0]
+        assert uniform_step(rows, "uneven") == d[0]
+        small = 1 << 12
+        assert np.array_equal(time_grid(t_max, small)[-8:],
+                              (np.arange(small - 8, small) - small // 2) * (2.0 * t_max / small))
 
     def test_tiny_time_grid(self):
         # knots ~1e-152 apart: the spline's cubic coefficients must stay representable

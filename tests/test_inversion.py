@@ -9,14 +9,18 @@ from hens.dephasing import (
     DephasingSeries,
     SpectralDensityModel,
     extended_exponents,
+    dephasing_extended,
     extended_series,
     ohmic_series,
+    symmetry_residual,
     time_grid,
 )
 from hens.ensemble import _coherence_factor
+import hens.inversion
 from hens.inversion import (
     WITNESS_BLOCK,
     _gram_floors,
+    _series_spectrum,
     bochner_search,
     bochner_witness,
     conjugate_frequency_grid,
@@ -106,6 +110,16 @@ class TestForward:
         i = np.abs(GRID) < 20
         assert np.max(np.abs(np.abs(s.values[i]) - np.exp(-lam * np.abs(GRID[i])))) < 5e-3
 
+    def test_conjugate_grid_series_is_exactly_symmetric(self):
+        p = wp_ohmic(OMEGA)
+        s = forward_ft((OMEGA, p), GRID)
+        assert symmetry_residual(s.values) == 0.0
+        assert s.values[GRID.size // 2] == 1.0
+        # oracle: the full complex inverse FFT of the shifted weights
+        full = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(p)))
+        full /= full[GRID.size // 2].real
+        assert np.max(np.abs(s.values - full)) < 1e-14
+
     def test_mass_validation(self):
         with pytest.raises(ValueError, match="mass"):
             forward_ft((OMEGA, 2.0 * gaussian(OMEGA)), GRID)
@@ -141,6 +155,81 @@ class TestInverse:
         dist = inverse_ft(ohmic_series(1.0, GRID))
         dt = GRID[1] - GRID[0]
         assert abs(dist.domega - 2.0 * np.pi / (GRID.size * dt)) < 1e-12
+
+
+def oracle_spectrum(values, dt):
+    """Reference: the full complex FFT of the ifftshifted series."""
+    return dt / (2.0 * np.pi) * np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values)))
+
+
+def test_series_spectrum_matches_the_full_fft():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(k=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+                      part=st.sampled_from(["none", "edge", "interior"]),
+                      scale=st.sampled_from([1e-12, 1e-3, 1.0]), dt=st.floats(1e-3, 1e3))
+    def check(k, seed, part, scale, dt):
+        n = 1 << k
+        rng = np.random.default_rng(seed)
+        z, w = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        # in FFT order, conj of the entry at index -j; the parts are then put in time order
+        z_mirror, w_mirror = np.conj(np.roll(z[::-1], 1)), np.conj(np.roll(w[::-1], 1))
+        values = np.fft.fftshift(0.5 * (z + z_mirror))  # exactly Hermitian
+        if part == "edge":  # as for a package series: only phi(-t_max) breaks the symmetry
+            values[0] += 1j * scale
+        elif part == "interior":
+            values += scale * np.fft.fftshift(0.5 * (w - w_mirror))
+        spectrum, residual = _series_spectrum(values, dt)
+        oracle = oracle_spectrum(values, dt)
+        tol = 1e-13 * np.sum(np.abs(values)) * dt / (2.0 * np.pi)
+        assert np.max(np.abs(spectrum - oracle.real)) <= tol
+        assert abs(residual - np.max(np.abs(oracle.imag))) <= tol
+        if part == "none":
+            assert residual == 0.0
+
+    check()
+
+
+@pytest.mark.parametrize("series", [
+    pytest.param(lambda: ohmic_series(1.0, GRID), id="ohmic"),
+    pytest.param(lambda: ohmic_series(1.0, GRID, phase=np.pi / 4), id="ohmic-extended"),
+    pytest.param(lambda: dephasing_extended(SpectralDensityModel.ohmic(1.0), 0.0,
+                                            time_grid(50.0, 1 << 12)), id="quadrature-extended")])
+def test_residual_is_the_edge_truncation_term(series):
+    s = series()
+    edge = s.dt / (2.0 * np.pi) * abs(s.values[0].imag)
+    assert inverse_ft(s).realness_residual == pytest.approx(edge, rel=1e-14, abs=0.0)
+
+
+def test_spectra_take_one_half_length_transform(monkeypatch, ohmic_pair):
+    grid = time_grid(20.0, 1 << 10)
+    exponent, drift = ohmic_pair(grid)
+    phases = [0.0, 0.3, np.pi / 4]
+    series = extended_series(grid, exponent, drift, 0.3)
+    omega = conjugate_frequency_grid(grid)
+    calls = {"evaluated": [], "full": 0}
+    evaluate, fft, ifft = hens.inversion._extended_values, np.fft.fft, np.fft.ifft
+
+    def recording(g, *args):
+        calls["evaluated"].append(np.asarray(g).size)
+        return evaluate(g, *args)
+
+    def full(transform):
+        def recorded(*args, **kwargs):
+            calls["full"] += 1
+            return transform(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(hens.inversion, "_extended_values", recording)
+    monkeypatch.setattr(np.fft, "fft", full(fft))
+    monkeypatch.setattr(np.fft, "ifft", full(ifft))
+    negativity_landscape(exponent, drift, phases, (-10.0, 10.0), grid)
+    assert calls["evaluated"] == [grid.size // 2 + 1] * len(phases)
+    inverse_ft(series)
+    forward_ft((omega, wp_ohmic(omega)), grid)
+    assert calls["full"] == 0
 
 
 class TestRoundtrip:
