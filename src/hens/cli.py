@@ -76,8 +76,9 @@ class ConfigError(Exception):
 # does not show them, the argparse options of its flag --<path in kebab case>,
 # or None for a field read only from the config file, and for a count the
 # largest value it takes).  A null default keeps null allowed; a number field
-# also takes an integer; no field takes a boolean.  A count's bound keeps the
-# array it sizes within COUNT_BYTES: the bytes of one unit are noted beside it.
+# also takes an integer; no field takes a boolean.  A count is at least 1, and its
+# bound keeps the array it sizes within COUNT_BYTES: the bytes of one unit are noted
+# beside it.
 COUNT_BYTES = 1 << 30
 FIELDS = {
     "model.kind": ("ohmic_exp_cutoff", None, {"choices": ["ohmic_exp_cutoff", "tabulated"]},
@@ -185,10 +186,11 @@ def load_config(args: argparse.Namespace) -> dict:
     flat dict keyed by the FIELDS paths (each flag's argparse dest).
 
     Raises ConfigError naming the first key of the file that is no field, or the
-    first field whose JSON type the table does not allow, whose number is NaN,
-    infinite or past the float range, or whose integer is past the int64 range
-    or, for a count, past the field's bound.  A field the subcommand does not
-    read is accepted, so that one file can serve every subcommand.
+    first field whose JSON type the table does not allow, whose string is not one
+    of its flag's choices, whose number is NaN, infinite or past the float range,
+    or whose integer is past the int64 range or, for a count, outside 1 .. its
+    bound.  A field the subcommand does not read is accepted, so that one file
+    can serve every subcommand.
     """
     cfg = {path: field[0] for path, field in FIELDS.items()}
     config = getattr(args, "config", None)
@@ -215,12 +217,17 @@ def load_config(args: argparse.Namespace) -> dict:
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise ConfigError(f"config field {path!r} must be "
                               + " or ".join(TYPE_NAMES[k] for k in kinds))
+        choices = (FIELDS[path][2] or {}).get("choices")
+        if choices and value not in choices:
+            raise ConfigError(f"config field {path!r} must be " + " or ".join(map(repr, choices)))
         # NaN fails this comparison, and so do ±inf and integers past the float range
         if float in kinds and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"config field {path!r} must be finite")
-        # counts and seeds reach numpy as int64, and a count stays within its bound:
-        # a larger one fails here, allocating nothing
+        # counts and seeds reach numpy as int64, and a count stays within 1 .. its
+        # bound: a larger one fails here, allocating nothing
         bound = FIELDS[path][3]
+        if bound is not None and value < 1:
+            raise ConfigError(f"config field {path!r} is out of range (at least 1)")
         if int in kinds and not INT64.min <= value <= (INT64.max if bound is None else bound):
             raise ConfigError(f"config field {path!r} is out of range"
                               + ("" if bound is None else f" (at most {bound})"))
@@ -228,15 +235,13 @@ def load_config(args: argparse.Namespace) -> dict:
 
 
 def build_model(cfg: dict) -> SpectralDensityModel:
-    kind, temperature = cfg["model.kind"], cfg["model.temperature"]
-    if kind == "ohmic_exp_cutoff":
-        return SpectralDensityModel.ohmic(cfg["model.omega_c"], temperature=temperature)
-    if kind == "tabulated":
+    temperature = cfg["model.temperature"]
+    if cfg["model.kind"] == "tabulated":
         if not cfg["model.path"]:
             raise ConfigError("tabulated model needs model.path")
         table = read_table(cfg["model.path"], 2)
         return SpectralDensityModel.tabulated(table[:, 0], table[:, 1], temperature=temperature)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    return SpectralDensityModel.ohmic(cfg["model.omega_c"], temperature=temperature)
 
 
 def build_grid(cfg: dict, omega_scale: float = 1.0) -> np.ndarray:
@@ -248,11 +253,9 @@ def build_series(cfg: dict) -> DephasingSeries:
     model = build_model(cfg)
     grid = build_grid(cfg, model.omega_scale())
     omega0, phase = float(cfg["omega0"]), float(cfg["phase"])
-    if cfg["mode"] == "conventional":
-        return dephasing_conventional(model, omega0, grid)
     if cfg["mode"] == "extended":
         return dephasing_extended(model, phase, grid)
-    raise ConfigError(f"unknown mode {cfg['mode']!r}")
+    return dephasing_conventional(model, omega0, grid)
 
 
 def _out_dir(cfg: dict) -> str:
@@ -263,8 +266,6 @@ def _out_dir(cfg: dict) -> str:
         raise ConfigError(f"cannot create output directory {d}: {exc}")
     if not os.access(d, os.W_OK):
         raise ConfigError(f"output directory {d} is not writable")
-    if cfg["output.format"] not in ("csv", "json"):
-        raise ConfigError("output.format must be 'csv' or 'json'")
     return d
 
 
@@ -392,11 +393,7 @@ def cmd_invert(cfg: dict) -> None:
 
 def cmd_landscape(cfg: dict) -> None:
     model = build_model(cfg)
-    if cfg["mode"] != "extended":
-        raise ConfigError("landscape requires mode = extended")
     count = int(cfg["phases.count"])
-    if count < 1:
-        raise ConfigError("phases.count must be positive")
     phases = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     grid = build_grid(cfg, model.omega_scale())
     window = (float(cfg["window.omega_lo"]), float(cfg["window.omega_hi"]))
@@ -502,8 +499,8 @@ def _output_times(cfg: dict) -> np.ndarray:
             raise ConfigError("config field 'times.list' is empty")
         times = np.array([_number(x, "times.list") for x in listed])
     else:
-        if not 0.0 < t_max or count < 1:
-            raise ConfigError("times.t_max must be positive and times.count >= 1")
+        if not 0.0 < t_max:
+            raise ConfigError("times.t_max must be positive")
         times = np.linspace(0.0, float(t_max), int(count))
     if not np.all((times >= 0) & np.isfinite(times)):
         raise ConfigError("output times must be finite and nonnegative")
@@ -548,14 +545,12 @@ def _master_route(cfg: dict, omega: np.ndarray, weights: np.ndarray, rho0: Densi
 
 def cmd_simulate(cfg: dict) -> None:
     kind = cfg["ensemble.kind"]
-    if kind not in ("discrete", "spectral", "cnot"):
-        raise ConfigError("ensemble.kind must be discrete, spectral or cnot")
+    if kind is None:
+        raise ConfigError("simulate needs ensemble.kind")
     rho0 = _parse_rho0(cfg["rho0"])
     times = _output_times(cfg)
     paths = _requested_paths(cfg, kind)
     seed, bins, samples = int(cfg["seed"]), int(cfg["ensemble.bins"]), int(cfg["mc.samples"])
-    if bins < 1 or samples < 1:
-        raise ConfigError("ensemble.bins and mc.samples must be positive")
 
     flags: dict[str, object] = {"weights_nonnegative": True}
     if kind == "spectral":
@@ -638,9 +633,9 @@ def cmd_simulate(cfg: dict) -> None:
 
 
 COMMON = ("output.dir", "output.format", "seed")
-MODEL = ("model.kind", "model.omega_c", "model.temperature", "model.path", "mode",
-         "grid.t_max", "grid.n")
-SERIES = MODEL + ("omega0", "phase")  # the system parameters of one dephasing series
+MODEL = ("model.kind", "model.omega_c", "model.temperature", "model.path", "grid.t_max",
+         "grid.n")
+SERIES = MODEL + ("mode", "omega0", "phase")  # the system parameters of one dephasing series
 # subcommand -> (handler, help, fields that take a flag, in help order)
 COMMANDS = {
     "dephase": (cmd_dephase, "emit the dephasing factor phi(t)", SERIES),
@@ -671,8 +666,6 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + path.replace(".", "-").replace("_", "-"), dest=path,
                            type=_types(path)[0], **FIELDS[path][2])
         p.set_defaults(func=handler)
-    # the landscape sweeps the extended model's phases; --mode conventional exits 2
-    sub.choices["landscape"].set_defaults(mode="extended")
     return parser
 
 

@@ -526,8 +526,8 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def time_grid(t_max: float, n: int) -> np.ndarray:
     """Symmetric uniform grid t_k = (k - n/2) * dt, dt = 2 t_max / n; n a power of two."""
-    n = int(n)
-    if n < 4 or n & (n - 1):
+    n, size = int(n), n
+    if n != size or n < 4 or n & (n - 1):
         raise ValueError("grid size must be a power of two, at least 4")
     if not (math.isfinite(t_max) and t_max > 0.0):
         raise ValueError("t_max must be finite and positive")

@@ -264,10 +264,12 @@ def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
 
     Per time the blocks accumulate S = sum z and Q = sum |z|^2; the mean is S/n
     and the variance (Q - n|mean|^2)/(n - 1), floored at 0 (exactly 0 at t = 0
-    and for n = 1).  Returns (means, stderrs) in the caller's order of times.  A
-    phase w t past the float range raises ValueError.
+    and for n = 1).  Returns (means, stderrs) in the caller's order of times.  No
+    draws, or a phase w t past the float range, raises ValueError.
     """
     draws = np.asarray(draws, dtype=float)
+    if not draws.size:
+        raise ValueError("need at least one sample")
     return _coherence_estimates(
         (draws[start:start + MC_BLOCK] for start in range(0, draws.size, MC_BLOCK)), times)
 

@@ -105,21 +105,32 @@ def on_conjugate_grid(omega: np.ndarray, grid: np.ndarray) -> bool:
                 and np.max(np.abs(omega - conjugate)) <= 1e-9 * abs(conjugate[0]))
 
 
+def _distribution(dist) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (omega, weights) of a real distribution as float arrays; ValueError for
+    complex weights, or unless both are finite and 1-d, of one size of at least 2."""
+    omega, weights = dist
+    if np.iscomplexobj(weights):
+        raise ValueError("weights must be real")
+    omega, weights = np.asarray(omega, dtype=float), np.asarray(weights, dtype=float)
+    if not (omega.ndim == 1 and omega.size >= 2 and weights.shape == omega.shape
+            and np.all(np.isfinite(omega)) and np.all(np.isfinite(weights))):
+        raise ValueError("omega grid and weights must be matching finite 1-d arrays")
+    return omega, weights
+
+
 def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     """Dephasing series phi(t) = int p(w) e^{i w t} dw of a real distribution.
 
-    ``dist`` is the pair (omega, weights) of frequencies and real weights;
-    complex weights raise ValueError.  Uses the exact FFT pair when the input
-    lives on the conjugate grid of ``grid``; off it, the times are the
+    ``dist`` is the pair (omega, weights) of frequencies and real weights,
+    matching finite 1-d arrays of two or more points; any other pair raises
+    ValueError.  Uses the exact FFT pair when the input lives on the conjugate
+    grid of ``grid``; off it, the times are the
     trapezoid sums of one ``_coherence_factor`` call, for at most 2^28
     (frequency, time) pairs.  The result is normalized by its t = 0 sample
     (the discrete mass of the input, required to be 1 within 1e-6) so the
     series invariants hold for any legal input.
     """
-    omega, weights = dist
-    if np.iscomplexobj(weights):
-        raise ValueError("weights must be real")
-    omega, weights = np.asarray(omega, dtype=float), np.asarray(weights, dtype=float)
+    omega, weights = _distribution(dist)
     grid = np.asarray(grid, dtype=float)
     n = grid.size
     domega = float(omega[1] - omega[0])
@@ -187,10 +198,10 @@ def inverse_ft(series: DephasingSeries) -> QuasiDistribution:
 def roundtrip_error(dist) -> float:
     """L-infinity self-consistency of the transform pair on the grid of ``dist`` =
     (omega, weights), the pair ``forward_ft`` takes."""
-    omega, weights = dist
-    n = len(omega)
+    omega, weights = _distribution(dist)
+    n = omega.size
     dt = 2.0 * np.pi / (n * float(omega[1] - omega[0]))
-    back = inverse_ft(forward_ft(dist, (np.arange(n) - n // 2) * dt))
+    back = inverse_ft(forward_ft((omega, weights), (np.arange(n) - n // 2) * dt))
     return float(np.max(np.abs(back.values - weights)))
 
 
@@ -296,10 +307,13 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
     is then ``inverse_ft``'s spectrum of that phase's series, kept as min(wp, 0)
     on the requested frequency window.  Returns (omega, phases, matrix) with
     matrix shape (len(omega), len(phases)).  Raises ValueError for a pair or
-    phase ``extended_series`` rejects, or a window without grid frequencies.
+    phase ``extended_series`` rejects, no phases, or a window without grid
+    frequencies.
     """
     grid, exponent, drift = _extended_pair(grid, exponent, drift)
     phases = np.asarray(phases, dtype=float)
+    if phases.ndim != 1 or not phases.size:
+        raise ValueError("phases must be a nonempty 1-d array")
     if not np.all(np.isfinite(phases)):
         raise ValueError("phases must be finite")
     lo, hi = float(omega_window[0]), float(omega_window[1])

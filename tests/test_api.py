@@ -1,10 +1,12 @@
-"""The package's public names: ``hens.__all__`` and README's module table agree."""
+"""README's tables agree with the code: its module table with ``hens.__all__``, and its
+count-bound table with the counts of ``hens.cli.FIELDS``."""
 
 import importlib
 import re
 from pathlib import Path
 
 import hens
+from hens.cli import FIELDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -32,3 +34,11 @@ def test_readme_module_table_lists_all():
             assert [n for n in names if not hasattr(module, n)] == [], row.group(1)
             listed += names
     assert sorted(listed) == sorted(hens.__all__)
+
+
+def test_readme_count_table_lists_the_bounds():
+    # rows "| `<count field>` | <bound>[ (2^k)] | one unit allocates |"
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| (\d+)\b", README.read_text(), re.M)
+    counts = {path: field[3] for path, field in FIELDS.items() if field[3] is not None}
+    assert len(rows) == len(counts)
+    assert {path: int(bound) for path, bound in rows} == counts

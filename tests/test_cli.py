@@ -241,17 +241,23 @@ class TestLandscape:
         assert "65536 window frequencies x 4096 phases" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
-    def test_conventional_mode_rejected(self, tmp_path):
-        rc = run("landscape", "--mode", "conventional", "--output-dir", str(tmp_path))
-        assert rc == 2
-
-    @pytest.mark.parametrize("flag", ["--phase", "--omega0"])
+    @pytest.mark.parametrize("flag", ["--phase", "--omega0", "--mode"])
     def test_series_flags_rejected(self, tmp_path, capsys, flag):
-        # the landscape sweeps every phase and has no level splitting
+        # the landscape sweeps every phase of the extended model and has no level splitting
         with pytest.raises(SystemExit) as exc:
             run("landscape", flag, "1.3", "--output-dir", str(tmp_path))
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_mode_in_the_file_is_not_read(self, tmp_path):
+        # a file that serves dephase too: its mode leaves the landscape as it is
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "conventional"}))
+        args = ["landscape", "--phases-count", "4", *SMALL_GRID]
+        assert run(*args, "--output-dir", str(tmp_path / "a")) == 0
+        assert run(*args, "--config", str(cfg), "--output-dir", str(tmp_path / "b")) == 0
+        landscape = (tmp_path / "a" / "landscape.csv").read_bytes()
+        assert (tmp_path / "b" / "landscape.csv").read_bytes() == landscape
 
 
 class TestWitness:
@@ -637,6 +643,9 @@ BAD_VALUE_MESSAGES = {
     "huge-times-count": "config field 'times.count' is out of range",
     "huge-times-list": "config field 'times.list' is out of range",
     "huge-seed": "config field 'seed' is out of range",
+    "zero-restarts": "config field 'witness.restarts' is out of range (at least 1)",
+    "zero-samples": "config field 'mc.samples' is out of range (at least 1)",
+    "zero-bins": "config field 'ensemble.bins' is out of range (at least 1)",
     # the eigenvalue's last digits depend on LAPACK; the time does not
     "huge-phase-dilation": " * 10.0 is not representable in floating point",
     "huge-phase-he": " * 10000000000.0 is not representable in floating point",
@@ -654,7 +663,7 @@ def bad_field(command, field, value, *flags):
     for key in reversed(field.split(".")):
         doc = {key: doc}
     case = f"{field}={json.dumps(value)}"
-    BAD_VALUE_MESSAGES[case] = repr(field)
+    BAD_VALUE_MESSAGES[case] = f"config field {field!r}"
     return pytest.param([command, "--config", doc, *flags], id=case)
 
 
@@ -758,6 +767,16 @@ def bad_field(command, field, value, *flags):
     bad_field("dephase", "grid.n", None),
     bad_field("dephase", "model.path", 3, "--model-kind", "tabulated", *SMALL_GRID),
     bad_field("invert", "series.path", 3),
+    # a value outside a field's choices, from a subcommand that reads the field
+    # and from one that does not: one outcome wherever the file is used
+    bad_field("dephase", "model.kind", "lorentzian", *SMALL_GRID),
+    bad_field("simulate", "model.kind", "drude", "--ensemble-kind", "cnot"),
+    bad_field("witness", "mode", "hybrid", *SMALL_GRID),
+    bad_field("landscape", "mode", "both", *SMALL_GRID),
+    bad_field("simulate", "ensemble.kind", "quantum"),
+    bad_field("invert", "ensemble.kind", "classical", *SMALL_GRID),
+    bad_field("dephase", "output.format", "xml", *SMALL_GRID),
+    bad_field("simulate", "output.format", "tsv", "--ensemble-kind", "cnot"),
 ])
 def test_bad_values_exit_two(tmp_path, capsys, request, argv):
     write_inputs(tmp_path)
@@ -816,21 +835,26 @@ def test_flag_sets_exactly_its_field(command, path):
     assert str(field_value(cfg, path)) == text
 
 
+def set_by(source, tmp_path, path, value):
+    """argv running the first subcommand that takes path's flag, with the field set to
+    value by that flag or by a config file."""
+    command = next(c for c, p in FLAGS if p == path)
+    if source == "flag":
+        return [command, f"{flag(path)}={value!r}"]
+    doc = value
+    for key in reversed(path.split(".")):
+        doc = {key: doc}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    return [command, "--config", str(config)]
+
+
 @pytest.mark.parametrize("source", ["flag", "json"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400],
                          ids=["nan", "inf", "-inf", "huge-int"])
 @pytest.mark.parametrize("path", FLOAT_FIELDS)
 def test_non_finite_number_exits_two(tmp_path, capsys, path, value, source):
-    command = next(c for c, p in FLAGS if p == path)
-    if source == "flag":
-        argv = [command, f"{flag(path)}={value!r}"]
-    else:
-        doc = value
-        for key in reversed(path.split(".")):
-            doc = {key: doc}
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(doc))
-        argv = [command, "--config", str(config)]
+    argv = set_by(source, tmp_path, path, value)
     assert run(*argv, "--output-dir", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert f"config field {path!r} must be finite" in err and "Traceback" not in err
@@ -838,6 +862,18 @@ def test_non_finite_number_exits_two(tmp_path, capsys, path, value, source):
 
 
 COUNT_FIELDS = [path for path in FIELDS if FIELDS[path][3] is not None]
+
+
+@pytest.mark.parametrize("source", ["flag", "json"])
+@pytest.mark.parametrize("path", COUNT_FIELDS)
+def test_count_of_zero_exits_two(tmp_path, capsys, path, source):
+    argv = set_by(source, tmp_path, path, 0)
+    extra = ["--ensemble-kind", "cnot"] if argv[0] == "simulate" else []
+    assert run(*argv, *extra, "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert f"config field {path!r} is out of range (at least 1)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["past", 10**15, 2**40])
@@ -921,11 +957,11 @@ def test_dephase_exit_codes_hold_for_special_floats(tmp_path_factory):
                       mode=st.sampled_from(["conventional", "extended"]))
     def check(command, omega0, phase, omega_c, temperature, t_max, mode):
         out = tmp_path_factory.mktemp("run")
-        argv = [command, "--mode", mode, "--grid-n", "256", "--output-dir", str(out),
+        argv = [command, "--grid-n", "256", "--output-dir", str(out),
                 f"--model-omega-c={omega_c!r}", f"--model-temperature={temperature!r}",
                 f"--grid-t-max={t_max!r}"]
-        if command != "landscape":  # the landscape sweeps every phase, with no splitting
-            argv += [f"--omega0={omega0!r}", f"--phase={phase!r}"]
+        if command != "landscape":  # the landscape sweeps the extended model's phases
+            argv += ["--mode", mode, f"--omega0={omega0!r}", f"--phase={phase!r}"]
         if command == "witness":
             argv.append("--witness-restarts=5")
         err = io.StringIO()

@@ -548,6 +548,9 @@ class TestSeriesConstruction:
         assert np.allclose(np.diff(g), 100.0 / (1 << 10))
         with pytest.raises(ValueError):
             time_grid(50.0, 1000)  # not a power of two
+        assert np.array_equal(time_grid(8.0, 16.0), time_grid(8.0, 16))
+        with pytest.raises(ValueError, match="power of two"):
+            time_grid(8.0, 16.5)  # not an integer, though int() would give 16
 
     def test_invariants_enforced(self):
         g = time_grid(10.0, 64)

@@ -474,6 +474,8 @@ class TestSampledCoherence:
     def test_needs_a_sample(self):
         with pytest.raises(ValueError, match="at least one sample"):
             sampled_coherence(gaussian_spectral(), 0, 1, [1.0])
+        with pytest.raises(ValueError, match="at least one sample"):
+            mc_coherence(np.array([]), [1.0])
 
     def test_memory_holds_one_block(self):
         ens, times = gaussian_spectral(), np.linspace(0.0, 10.0, 21)

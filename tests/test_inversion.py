@@ -132,6 +132,22 @@ class TestForward:
         with pytest.raises(ValueError, match="weights must be real"):
             roundtrip_error((OMEGA, weights))
 
+    @pytest.mark.parametrize("case", ["one-point", "nan-weights", "inf-omega", "rows"])
+    def test_malformed_pair_rejected(self, case):
+        omega, weights = OMEGA.copy(), gaussian(OMEGA)
+        if case == "one-point":
+            omega, weights = omega[:1], weights[:1]
+        elif case == "nan-weights":
+            weights[3] = np.nan
+        elif case == "inf-omega":
+            omega[-1] = np.inf
+        else:
+            omega, weights = omega[None], weights[None]
+        for transform in (lambda: forward_ft((omega, weights), GRID),
+                          lambda: roundtrip_error((omega, weights))):
+            with pytest.raises(ValueError, match="matching finite 1-d arrays"):
+                transform()
+
 
 class TestInverse:
     def test_ohmic_distribution_values(self):
@@ -516,6 +532,10 @@ class TestLandscape:
         # GRID's frequencies end near |omega| = 514
         with pytest.raises(ValueError, match="holds no frequency of the grid"):
             negativity_landscape(*ohmic_pair(GRID), [0.0], (1000.0, 2000.0), GRID)
+
+    def test_no_phases_rejected(self, ohmic_pair):
+        with pytest.raises(ValueError, match="phases must be a nonempty"):
+            negativity_landscape(*ohmic_pair(GRID), [], (-10.0, 10.0), GRID)
 
     def test_two_pi_periodic(self, ohmic_pair):
         phases = np.array([np.pi / 4, np.pi / 4 + 2.0 * np.pi])
