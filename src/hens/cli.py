@@ -655,12 +655,13 @@ COMMANDS = {
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hens",
+        allow_abbrev=False,
         description="Simulate qubit dephasing with Hamiltonian ensembles and "
                     "witness nonclassicality of the dynamics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, text, fields) in COMMANDS.items():
-        p = sub.add_parser(name, help=text)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", metavar="FILE", help="JSON config file")
         for path in COMMON + fields:
             p.add_argument("--" + path.replace(".", "-").replace("_", "-"), dest=path,

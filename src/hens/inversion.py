@@ -14,6 +14,12 @@ mirrored by conjugation, and every spectrum is one ``np.fft.hfft`` of the
 t >= 0 half (``_half_spectrum``).  The sample at t = -t_max has no partner on
 the grid, so a series' spectrum is real only up to the realness residual, the
 transform of the series' anti-Hermitian part.
+
+The extended model at phase p + pi has the conjugate series conj phi_p(t), whose
+distribution is the mirror image wp_p(-w); ``negativity_landscape`` evaluates
+only one phase of each such pair.  ``bochner_search`` draws its restarts' set
+sizes and indices from two seeded streams, in blocks whose size does not change
+the draws.
 """
 
 from __future__ import annotations
@@ -256,14 +262,17 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
     """Randomized search for a Gram matrix with a negative floor.
 
     Time sets of size 2..max_size are drawn uniformly from the grid points in
-    [0, t_max / 4], a quarter of the series span: per restart one draw of the
-    size, then one of the indices.  The restarts are drawn WITNESS_BLOCK at a
-    time; a block's sets are grouped by size and each group's floors come from
-    one stacked ``eigvalsh`` (``_gram_floors``), so memory does not grow with
-    ``restarts``.  The draws, the floors and the result are those of one
-    ``bochner_witness`` call per restart: the best report is the first restart
-    that reaches the smallest floor, and with ``stop_below`` the search ends at
-    the first restart whose floor is below it, counted in the restarts used.
+    [0, t_max / 4], a quarter of the series span.  The set sizes come from the
+    first child of ``np.random.SeedSequence(seed).spawn(2)`` and the indices
+    from the second, each stream read in restart order.  The restarts are drawn
+    WITNESS_BLOCK at a time, one ``integers`` call for a block's sizes and one
+    for all its indices, so the draws do not depend on WITNESS_BLOCK; a block's
+    sets are grouped by size and each group's floors come from one stacked
+    ``eigvalsh`` (``_gram_floors``), so memory does not grow with ``restarts``.
+    The draws, the floors and the result are those of one ``bochner_witness``
+    call per restart: the best report is the first restart that reaches the
+    smallest floor, and with ``stop_below`` the search ends at the first
+    restart whose floor is below it, counted in the restarts used.
     Returns (best report, restarts used).  Raises ValueError unless
     restarts >= 1 and max_size >= 2.
     """
@@ -273,24 +282,24 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
         raise ValueError("max_size must be at least 2")
     k_hi = int(0.25 * series.t_max / series.dt)
     n0 = series.n // 2
-    rng = np.random.default_rng(seed)
+    size_rng, index_rng = (np.random.default_rng(s)
+                           for s in np.random.SeedSequence(seed).spawn(2))
     best_floor, best_k, used = np.inf, None, 0
     while used < restarts:
-        sets = []
-        for _ in range(min(WITNESS_BLOCK, restarts - used)):
-            size = int(rng.integers(2, max_size + 1))
-            sets.append(rng.integers(0, k_hi + 1, size))
-        sizes = np.array([k.size for k in sets])
-        floors = np.empty(len(sets))
+        sizes = size_rng.integers(2, max_size + 1, min(WITNESS_BLOCK, restarts - used))
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        indices = index_rng.integers(0, k_hi + 1, int(ends[-1]))
+        floors = np.empty(sizes.size)
         for size in np.unique(sizes):
             at = np.flatnonzero(sizes == size)
-            floors[at] = _gram_floors(series.values, np.array([sets[i] for i in at]))
+            floors[at] = _gram_floors(series.values, indices[starts[at, None] + np.arange(size)])
         below = np.flatnonzero(floors < stop_below) if stop_below is not None else []
         if len(below):
             floors = floors[:below[0] + 1]
         i = int(np.argmin(floors))  # the first restart at the block's smallest floor
         if floors[i] < best_floor:
-            best_floor, best_k = floors[i], sets[i]
+            best_floor, best_k = floors[i], indices[starts[i]:ends[i]]
         used += floors.size
         if len(below):
             break
@@ -305,10 +314,16 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
     ``(exponent, drift)`` is the extended model's pair on the grid (see
     ``extended_exponents``).  The pair and phases are checked once; each column
     is then ``inverse_ft``'s spectrum of that phase's series, kept as min(wp, 0)
-    on the requested frequency window.  Returns (omega, phases, matrix) with
-    matrix shape (len(omega), len(phases)).  Raises ValueError for a pair or
-    phase ``extended_series`` rejects, no phases, or a window without grid
-    frequencies.
+    on the requested frequency window.  Phase p + pi only flips the sign of
+    theta, so its series is conj phi_p(t) and its distribution is wp(-w): a
+    phase q whose distance (q - p) mod 2pi from an earlier phase p lies within
+    8 ulp(2pi) (about 7.1e-15) of pi is not evaluated, and its column is p's
+    spectrum read at -w: index (n - k) mod n of the fftshifted spectrum, where
+    the Nyquist frequency maps onto itself by the DFT's periodicity.  Only
+    evaluated phases are partners, and only window columns are kept.  Returns
+    (omega, phases, matrix) with matrix shape (len(omega), len(phases)).
+    Raises ValueError for a pair or phase ``extended_series`` rejects, no
+    phases, or a window without grid frequencies.
     """
     grid, exponent, drift = _extended_pair(grid, exponent, drift)
     phases = np.asarray(phases, dtype=float)
@@ -324,9 +339,22 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
         span = [float(omega_full[0]), float(omega_full[-1])]
         raise ValueError(f"frequency window [{lo!r}, {hi!r}] holds no frequency of the grid, "
                          f"whose frequencies span {span}")
-    dt = float(grid[1] - grid[0])
-    half = np.append(np.arange(grid.size // 2, grid.size), 0)  # t = j dt, j < n/2; -t_max
+    n, dt = grid.size, float(grid[1] - grid[0])
+    half = np.append(np.arange(n // 2, n), 0)  # t = j dt, j < n/2; -t_max
     grid, exponent, drift = grid[half], exponent[half], drift[half]
-    cols = [np.minimum(_half_spectrum(_extended_values(grid, exponent, drift, p), dt)[mask], 0.0)
-            for p in phases]
-    return omega, phases, np.column_stack(cols)
+    window = np.flatnonzero(mask)
+    mirror = (n - window) % n  # the index of -w on the fftshifted grid
+    # partner[j]: the earlier evaluated phase that phase j mirrors, or -1 to evaluate j
+    pair_tol = 8.0 * np.spacing(2.0 * np.pi)
+    partner = np.full(phases.size, -1)
+    for j in range(1, phases.size):
+        earlier = np.flatnonzero(partner[:j] < 0)
+        near = np.abs(np.mod(phases[j] - phases[earlier], 2.0 * np.pi) - np.pi) <= pair_tol
+        if near.any():
+            partner[j] = earlier[np.argmax(near)]
+    cells = np.empty((window.size, phases.size))
+    for j in np.flatnonzero(partner < 0):
+        spectrum = _half_spectrum(_extended_values(grid, exponent, drift, phases[j]), dt)
+        cells[:, j] = np.minimum(spectrum[window], 0.0)
+        cells[:, partner == j] = np.minimum(spectrum[mirror], 0.0)[:, None]
+    return omega, phases, cells

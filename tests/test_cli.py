@@ -249,6 +249,17 @@ class TestLandscape:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["--phases", "4", "--window-omega-h", "3"],
+                                      ["--mode", "extended"]], ids=["prefixes", "removed-mode"])
+    def test_only_full_flag_names_are_accepted(self, tmp_path, capsys, args):
+        # a prefix of a flag is no flag, and --mode prefixes several of landscape's flags
+        with pytest.raises(SystemExit) as exc:
+            run("landscape", *args, "--output-dir", str(tmp_path))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " + " ".join(args) in err
+        assert "ambiguous" not in err
+
     def test_mode_in_the_file_is_not_read(self, tmp_path):
         # a file that serves dephase too: its mode leaves the landscape as it is
         cfg = tmp_path / "cfg.json"
@@ -818,6 +829,14 @@ FLOAT_FIELDS = [path for path in FIELDS if float in field_types(path)]
 
 def flag(path):
     return "--" + path.replace(".", "-").replace("_", "-")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_flag_prefixes_are_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        make_parser().parse_args([command, "--output-d", "out"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --output-d out" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,path", FLAGS, ids=[f"{c}-{p}" for c, p in FLAGS])

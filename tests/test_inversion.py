@@ -339,11 +339,12 @@ def loop_search(series, restarts, seed, max_size, stop_below):
     """
     k_hi = int(0.25 * series.t_max / series.dt)
     n0 = series.n // 2
-    rng = np.random.default_rng(seed)
+    size_rng, index_rng = (np.random.default_rng(s)
+                           for s in np.random.SeedSequence(seed).spawn(2))
     best = None
     for used in range(1, restarts + 1):
-        size = int(rng.integers(2, max_size + 1))
-        times = series.times[n0 + rng.integers(0, k_hi + 1, size)]
+        size = int(size_rng.integers(2, max_size + 1))
+        times = series.times[n0 + index_rng.integers(0, k_hi + 1, size)]
         rep = bochner_witness(series, times)
         if best is None or rep.min_eigenvalue < best.min_eigenvalue:
             best = rep
@@ -382,10 +383,18 @@ class TestStackedSearch:
     def test_acceptance_seeds_keep_their_restart_counts(self):
         # criterion 5 (seed 1234) and demo 02 (seed 7)
         series = extended_ohmic()
-        for seed, used in ((1234, 52), (7, 361)):
+        for seed, used in ((1234, 361), (7, 126)):
             report, got = bochner_search(series, 10000, seed, stop_below=-1e-3)
             assert got == used
             assert report.min_eigenvalue < -1e-3
+
+    @pytest.mark.parametrize("stop_below", [None, -1e-3], ids=["no-stop", "stop-1e-3"])
+    def test_draws_do_not_depend_on_the_block(self, monkeypatch, stop_below):
+        series = extended_ohmic()
+        want = bochner_search(series, 1000, 5, stop_below=stop_below)
+        for block in (1, 7, 256, 10000):
+            monkeypatch.setattr(hens.inversion, "WITNESS_BLOCK", block)
+            assert_same_search(bochner_search(series, 1000, 5, stop_below=stop_below), want)
 
     def test_cli_writes_the_per_restart_result(self, tmp_path):
         args = ["witness", "--mode", "extended", "--phase", str(np.pi / 2),
@@ -461,6 +470,8 @@ def tabulated_pair(grid):
 # 0, pi/2, pi and 3 pi/2 among them
 LANDSCAPE_PHASES = np.concatenate([np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False),
                                    [0.3, 2.5, -1.0, 9.0]])
+# column -> the column whose phase is pi less, whose spectrum it mirrors
+MIRRORED = {4: 0, 5: 1, 6: 2, 7: 3}
 
 
 def corrupted(case, grid, exponent, drift):
@@ -499,8 +510,45 @@ class TestLandscape:
             exponent, drift = tabulated_pair(grid)
         window = (-10.0, 10.0)
         _, _, cells = negativity_landscape(exponent, drift, LANDSCAPE_PHASES, window, grid)
-        assert np.array_equal(cells, series_columns(grid, exponent, drift, LANDSCAPE_PHASES,
-                                                    window))
+        want = series_columns(grid, exponent, drift, LANDSCAPE_PHASES, window)
+        direct = [j for j in range(LANDSCAPE_PHASES.size) if j not in MIRRORED]
+        assert np.array_equal(cells[:, direct], want[:, direct])
+        # phase p + pi reads p's spectrum at -omega, index (n - k) mod n
+        omega = conjugate_frequency_grid(grid)
+        at = (grid.size - np.flatnonzero((omega >= window[0]) & (omega <= window[1]))) % grid.size
+        for q, p in MIRRORED.items():
+            partner = inverse_ft(extended_series(grid, exponent, drift, LANDSCAPE_PHASES[p]))
+            assert np.array_equal(cells[:, q], np.minimum(partner.values[at], 0.0))
+            assert np.max(np.abs(cells[:, q] - want[:, q])) <= 1e-15
+
+    def test_mirrored_phases_are_not_evaluated(self, monkeypatch, ohmic_pair):
+        grid = time_grid(20.0, 1 << 10)
+        pair = ohmic_pair(grid)
+        evaluate, calls = hens.inversion._extended_values, []
+
+        def recording(*args):
+            calls.append(args[-1])  # the phase
+            return evaluate(*args)
+
+        monkeypatch.setattr(hens.inversion, "_extended_values", recording)
+        for phases, evaluated in (
+                (np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False), 32),
+                (LANDSCAPE_PHASES, 8),
+                (np.linspace(0.0, 2.0 * np.pi, 63, endpoint=False), 63)):
+            calls.clear()
+            negativity_landscape(*pair, phases, (-10.0, 10.0), grid)
+            assert len(calls) == evaluated
+
+    def test_mirrored_column_matches_the_closed_form(self):
+        # the window is asymmetric, so pi/4's column at -omega lies outside it
+        window = (-3.0, 7.0)
+        exponent, drift = extended_exponents(SpectralDensityModel.ohmic(1.0), GRID)
+        _, _, cells = negativity_landscape(exponent, drift, [np.pi / 4, 5 * np.pi / 4],
+                                           window, GRID)
+        dist = inverse_ft(ohmic_series(1.0, GRID, phase=5 * np.pi / 4))
+        expected = np.minimum(dist.values[(dist.omega >= -3.0) & (dist.omega <= 7.0)], 0.0)
+        assert np.min(expected) < -1e-3
+        assert np.max(np.abs(cells[:, 1] - expected)) <= 1e-9
 
     @pytest.mark.parametrize("case, match", [
         ("nan-exponent", "finite"), ("inf-exponent", "finite"), ("nan-drift", "finite"),
