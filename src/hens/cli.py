@@ -74,12 +74,14 @@ class ConfigError(Exception):
 
 # Every config field: path -> (default, the JSON types it takes when the default
 # does not show them, the argparse options of its flag --<path in kebab case>,
-# or None for a field read only from the config file, and for a count the
-# largest value it takes).  A null default keeps null allowed; a number field
-# also takes an integer; no field takes a boolean.  A count is at least 1, and its
-# bound keeps the array it sizes within COUNT_BYTES: the bytes of one unit are noted
-# beside it.
+# or None for a field read only from the config file, and for an integer field
+# the (floor, bound) of its values).  A null default keeps null allowed; a number
+# field also takes an integer; no field takes a boolean.  A count is at least 1, and
+# its bound keeps the array it sizes within COUNT_BYTES: the bytes of one unit are
+# noted beside it.  The seed is at least 0, as numpy's seeds are, and reaches numpy
+# as an int64.
 COUNT_BYTES = 1 << 30
+INT64 = np.iinfo(np.int64)
 FIELDS = {
     "model.kind": ("ohmic_exp_cutoff", None, {"choices": ["ohmic_exp_cutoff", "tabulated"]},
                    None),
@@ -93,16 +95,18 @@ FIELDS = {
               {"metavar": "RAD", "help": "relative coupling phase of the extended model"}, None),
     "grid.t_max": (None, (float,), {"metavar": "T"}, None),
     # a row of dephase's four float columns per point: 32 B
-    "grid.n": (65536, None, {"metavar": "POW2"}, COUNT_BYTES // 32),
+    "grid.n": (65536, None, {"metavar": "POW2"}, (1, COUNT_BYTES // 32)),
     "window.omega_lo": (-10.0, None, {"metavar": "W"}, None),
     "window.omega_hi": (10.0, None, {"metavar": "W"}, None),
     # a landscape cell in each of the TABLE_BLOCK rows formatted at once, as a Python
     # float in a list and a tuple plus its 24 characters of text: 64 B each
-    "phases.count": (64, None, {"metavar": "N"}, COUNT_BYTES // (64 * TABLE_BLOCK)),
+    "phases.count": (64, None, {"metavar": "N"},
+                     (1, COUNT_BYTES // (64 * TABLE_BLOCK))),
     # a floor per restart, were all held at once: 8 B
-    "witness.restarts": (10000, None, {"metavar": "N"}, COUNT_BYTES // 8),
+    "witness.restarts": (10000, None, {"metavar": "N"}, (1, COUNT_BYTES // 8)),
     # a Gram matrix of s x s complex entries: 16 s^2 B
-    "witness.max_set_size": (8, None, {"metavar": "N"}, math.isqrt(COUNT_BYTES // 16)),
+    "witness.max_set_size": (8, None, {"metavar": "N"},
+                             (1, math.isqrt(COUNT_BYTES // 16))),
     "witness.stop_below": (None, (float,), {
         "metavar": "EIG", "help": "stop once an eigenvalue below this is found"}, None),
     "series.path": (None, (str,),
@@ -117,28 +121,27 @@ FIELDS = {
     # the dilation's joint Hamiltonian of (2 bins)^2 complex entries: 64 bins^2 B
     "ensemble.bins": (32, None,
                       {"metavar": "N", "help": "bins for discretizing a spectral ensemble"},
-                      math.isqrt(COUNT_BYTES // 64)),
+                      (1, math.isqrt(COUNT_BYTES // 64))),
     "rho0": ("plus", (str, list), {"help": "plus | up | down | mixed"}, None),
     "times.t_max": (10.0, None, {"metavar": "T"}, None),
     # a 2 x 2 complex state held as its own array (~180 B) by each of four routes,
     # and its stacked copy: 1 KiB per time
-    "times.count": (21, None, {"metavar": "N"}, COUNT_BYTES // 1024),
+    "times.count": (21, None, {"metavar": "N"}, (1, COUNT_BYTES // 1024)),
     "times.list": (None, (list,), None, None),
     # a float draw, were all held at once (8 B); the mc route holds one MC_BLOCK of them
-    "mc.samples": (100000, None, {"metavar": "N"}, COUNT_BYTES // 8),
+    "mc.samples": (100000, None, {"metavar": "N"}, (1, COUNT_BYTES // 8)),
     "paths": (None, (str, list),
               {"metavar": "LIST", "help": "comma-joined subset of he,dilation,mc,master"}, None),
-    "seed": (12345, None, {"metavar": "INT"}, None),
+    "seed": (12345, None, {"metavar": "INT"}, (0, INT64.max)),
     "output.dir": (".", None, {"metavar": "DIR", "help": "output directory"}, None),
     "output.format": ("csv", None, {"choices": ["csv", "json"]}, None),
 }
 # bounds of two-field products: the state entries one simulate route holds (as many
 # as times.count at its bound of 2 x 2 states) and the cells of a landscape, 8 B each
-STATE_ENTRIES, LANDSCAPE_CELLS = FIELDS["times.count"][3] * 4, COUNT_BYTES // 8
+STATE_ENTRIES, LANDSCAPE_CELLS = FIELDS["times.count"][3][1] * 4, COUNT_BYTES // 8
 # the paths of the objects that hold fields: every prefix of a field path ending at a dot
 SECTIONS = {path[:i] for path in FIELDS for i, c in enumerate(path) if c == "."}
 TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list"}
-INT64 = np.iinfo(np.int64)
 
 
 def _types(path: str) -> tuple:
@@ -188,9 +191,9 @@ def load_config(args: argparse.Namespace) -> dict:
     Raises ConfigError naming the first key of the file that is no field, or the
     first field whose JSON type the table does not allow, whose string is not one
     of its flag's choices, whose number is NaN, infinite or past the float range,
-    or whose integer is past the int64 range or, for a count, outside 1 .. its
-    bound.  A field the subcommand does not read is accepted, so that one file
-    can serve every subcommand.
+    or whose integer is outside its floor and bound (1 .. its bound for a count,
+    0 .. the int64 maximum for the seed).  A field the subcommand does not read is
+    accepted, so that one file can serve every subcommand.
     """
     cfg = {path: field[0] for path, field in FIELDS.items()}
     config = getattr(args, "config", None)
@@ -223,14 +226,14 @@ def load_config(args: argparse.Namespace) -> dict:
         # NaN fails this comparison, and so do ±inf and integers past the float range
         if float in kinds and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"config field {path!r} must be finite")
-        # counts and seeds reach numpy as int64, and a count stays within 1 .. its
-        # bound: a larger one fails here, allocating nothing
-        bound = FIELDS[path][3]
-        if bound is not None and value < 1:
-            raise ConfigError(f"config field {path!r} is out of range (at least 1)")
-        if int in kinds and not INT64.min <= value <= (INT64.max if bound is None else bound):
-            raise ConfigError(f"config field {path!r} is out of range"
-                              + ("" if bound is None else f" (at most {bound})"))
+        # an integer stays within its floor and bound: a count past its bound fails
+        # here, allocating nothing
+        if FIELDS[path][3] is not None:
+            floor, bound = FIELDS[path][3]
+            if value < floor:
+                raise ConfigError(f"config field {path!r} is out of range (at least {floor})")
+            if value > bound:
+                raise ConfigError(f"config field {path!r} is out of range (at most {bound})")
     return cfg
 
 

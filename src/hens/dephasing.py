@@ -24,13 +24,15 @@ phase (``extended_series``, and the landscape's columns through the same
 values helper).
 Every series on a symmetric time grid comes from one set of knots that are
 grid times (``_on_grid``): the exponent, or the extended model's (Phi, sine)
-pair as two columns of the same knots, is evaluated at the grid's |t| that
+pair as two rows of the same knots, is evaluated at the grid's |t| that
 adaptive refinement picks (level by level, one batched evaluation per level,
-each |t| at most once), and the other |t| are read from a verified not-a-knot
-cubic spline (``_knot_spline``) through the knots; one value serves each pair
-of grid times +-t.  The knot tolerance is weighted by e^{+Phi} because only
-e^{-Phi} * dPhi (and e^{-Phi} * d theta) reaches the series values.  Both
-kernels are numpy code, so the module imports nothing beyond numpy.
+each |t| at most once).  One interpolant both checks each new knot and fills
+the other |t|: on each interval between knots, the quintic through the
+KNOT_STENCIL = 6 knots nearest it, in integer grid positions
+(``_local_quintic``).  One value serves each pair of grid times +-t.  The knot
+tolerance is weighted by e^{+Phi} because only e^{-Phi} * dPhi (and
+e^{-Phi} * d theta) reaches the series values.  Both kernels, the rule and the
+interpolant, are numpy code, so the module imports nothing beyond numpy.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ BLOCK_PAIRS = 1 << 12  # (time, panel) pairs per block of the Filon rule: 64 KiB
 BLOCK_WEIGHTS = 1 << 14  # weights of B per block, 16 per (time, half-width): 256 KiB
 SHARED_PAIRS = 64  # (time, panel) pairs of one half-width in a block that get their own product
 KNOT_TOL = 1e-9
+KNOT_STENCIL = 6  # knots of each interval's interpolant in the series fill: a local quintic
 PHI_NEGLIGIBLE = 37.0  # e^{-37} < 1e-16: the series no longer resolves Phi or the phase
 
 GRADE = 1.5  # b / a <= 1.5: a panel [a, b] lies at least two of its widths from w = 0
@@ -395,133 +398,77 @@ def decoherence_exponent(model: SpectralDensityModel, t):
 def _on_grid(f, grid: np.ndarray) -> np.ndarray:
     """f(|t|) at every time t of a series grid, from knots that are grid times.
 
-    f(ts) is the exponent Phi at the times ts, or a tuple (Phi, ...) of arrays
-    whose further entries become further columns of the same knots.  The grid's
-    distinct |t| are j dt, j = 0 .. n/2, and the knots are a subset of these
-    positions j: at first those nearest to 33 uniform and 33 geometric points on
-    [0, n/2].  Level by level, one batched evaluation of f takes the middle
-    position (i + j) // 2 of every interval (i, j) with a grid time strictly
-    inside it.  Each middle value is checked against the cubic through the four
-    nearest knots known at the start of its level (the closed Lagrange form of
-    what a not-a-knot spline through them gives), and its interval is split for
-    the next level when any column misses KNOT_TOL * e^{+Phi} (Phi at the middle
-    time, the weight capped at 1e16) while Phi or its local estimate there is
-    below PHI_NEGLIGIBLE.  So f sees each |t| at most once.  The |t| that are not
-    knots (none on grids of up to 64 times) are read from a not-a-knot cubic
-    spline through the knots (``_knot_spline``), built in t / 2^e with
-    t_max = m 2^e, 1/2 <= m < 1, so that its cubic coefficients
-    (~ values / spacing^3) stay representable on any t_max.
+    f(ts) returns a sequence of arrays at the times ts: the exponent Phi, then any
+    further quantities taken at the same knots.  The result holds one row per
+    array, with one value per grid time.  The grid's distinct |t| are j dt,
+    j = 0 .. n/2, and the knots are a subset of these positions j: at first those
+    nearest to 33 uniform and 33 geometric points on [0, n/2].  Level by level,
+    one batched evaluation of f takes the middle position (i + j) // 2 of every
+    interval (i, j) with a grid time strictly inside it.  Each middle value is
+    checked against ``_local_quintic`` through the knots known at the start of its
+    level, and its interval is split for the next level when any row misses
+    KNOT_TOL * e^{+Phi} (Phi at the middle time, the weight capped at 1e16) while
+    Phi or its estimate there is below PHI_NEGLIGIBLE.  So f sees each |t| at most
+    once.  The positions that are not knots (none on grids of up to 64 times) are
+    read from the same interpolant through all the knots.
     """
     _require_series_grid(grid)
     half = grid.size // 2
     t = np.append(np.abs(grid[half:]), -grid[0])  # t[j] = j dt
     base = np.concatenate([np.linspace(0.0, half, 33), np.geomspace(half * 2.0 ** -12, half, 33)])
     ks = np.unique(np.rint(base).astype(np.int64))
-    first = np.asarray(f(t[ks])).T  # one row per knot: Phi, or (Phi, ...)
-    y = np.empty(t.shape + first.shape[1:])
-    y[ks] = first
+    first = np.asarray(f(t[ks]))
+    y = np.empty((first.shape[0], t.size))
+    y[:, ks] = first
     known = np.zeros(t.size, dtype=bool)
     known[ks] = True
     a, b = ks[:-1], ks[1:]
     while (inside := b - a > 1).any():
         a, b = a[inside], b[inside]
         m = (a + b) // 2
-        fm = np.asarray(f(t[m])).T
-        # Lagrange form in u = (k - k0) / (k3 - k0) over the positions of a uniform grid
         ks = np.flatnonzero(known)
-        lo = np.clip(np.searchsorted(ks, m) - 2, 0, ks.size - 4)
-        k0, k1, k2, k3 = (ks[lo + i] for i in range(4))
-        span = k3 - k0
-        u1, u2, s = (k1 - k0) / span, (k2 - k0) / span, (m - k0) / span
-        yk = y.reshape(t.size, -1)
-        est = (yk[k0] * ((s - u1) * (s - u2) * (1.0 - s) / (u1 * u2))[:, None]
-               + yk[k1] * (s * (s - u2) * (s - 1.0) / (u1 * (u1 - u2) * (u1 - 1.0)))[:, None]
-               + yk[k2] * (s * (s - u1) * (s - 1.0) / (u2 * (u2 - u1) * (u2 - 1.0)))[:, None]
-               + yk[k3] * (s * (s - u1) * (s - u2) / ((1.0 - u1) * (1.0 - u2)))[:, None])
-        got = fm.reshape(m.size, -1)
-        phi = got[:, 0]
+        est = _local_quintic(ks, y[:, ks], m)
+        got = np.asarray(f(t[m]))
+        phi = got[0]
         tol = KNOT_TOL * np.minimum(np.exp(np.minimum(phi, PHI_NEGLIGIBLE)), 1e16)
-        split = ((np.minimum(phi, est[:, 0]) < PHI_NEGLIGIBLE)
-                 & (np.abs(est - got).max(axis=1) > tol))
-        y[m] = fm
+        split = ((np.minimum(phi, est[0]) < PHI_NEGLIGIBLE)
+                 & (np.abs(est - got).max(axis=0) > tol))
+        y[:, m] = got
         known[m] = True
         a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
     if not known.all():
         ks, rest = np.flatnonzero(known), np.flatnonzero(~known)
-        e = math.frexp(t[-1])[1]
-        y[rest] = _knot_spline(t[ks], y[ks], e)(np.ldexp(t[rest], -e))
-    return np.concatenate([y[:0:-1], y[:-1]])
+        y[:, rest] = _local_quintic(ks, y[:, ks], rest)
+    return np.concatenate([y[:, :0:-1], y[:, :-1]], axis=1)
 
 
-def _knot_spline(ks: np.ndarray, ys: np.ndarray, e: int):
-    """Not-a-knot cubic spline through the values ys (one row, or one value, per knot)
-    at the increasing knots ks (at least 4), in the variable u = t / 2^e, as a
-    function of u; a ValueError names the exponent when it fails.
+def _local_quintic(ks: np.ndarray, ys: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Values at the integer positions ``at`` of the local interpolant through the
+    rows of ys, one column per knot of the increasing integer knots ks (at least
+    KNOT_STENCIL of them); a ValueError names the exponent when it fails.
 
-    The knot slopes s_i solve a tridiagonal system (de Boor, *A Practical Guide to
-    Splines*): the rows dx_i s_{i-1} + 2 (dx_{i-1} + dx_i) s_i + dx_{i-1} s_{i+1}
-    = 3 (dx_i m_{i-1} + dx_{i-1} m_i), with m the interval slopes, make the second
-    derivative continuous, and the end rows make the third derivative continuous at
-    the second and the second-to-last knot.  One sweep without pivoting solves it for
-    every column: once the first row is eliminated, the interior rows are diagonally
-    dominant and the last row's pivot stays positive, so every pivot is positive.
-    Values come from an interval search and Horner's rule; outside [ks[0], ks[-1]]
-    the end cubics continue.
+    On each interval between knots it is the polynomial through the KNOT_STENCIL
+    knots nearest the interval, a quintic through its two ends and the two knots
+    beyond each end, shifted inward at the ends of ks (local Lagrange interpolation;
+    Berrut & Trefethen, SIAM Review 2004).  The Newton coefficients (divided
+    differences) of every stencil are computed once, and each position takes one
+    Horner pass of its stencil's Newton form.  Knots are integers, so no spacing is
+    below 1 and no divided difference exceeds twice the largest value: nothing
+    needs rescaling.
     """
-    x = np.ldexp(ks, -e)
-    y = np.asarray(ys, dtype=float)
-    # slopes between knot values near the float limit overflow
-    with _representable(f" on [{float(ks[0])!r}, {float(ks[-1])!r}]"):
-        coeffs = _spline_coefficients(x, y.reshape(x.size, -1))
-    last = x.size - 2
-
-    def spline(u):
-        u = np.asarray(u, dtype=float)
-        i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, last)
-        h = u - x[i]
-        c = coeffs.take(i, axis=2)
-        out = ((c[:, 0] * h + c[:, 1]) * h + c[:, 2]) * h + c[:, 3]
-        return np.moveaxis(out, 0, -1).reshape(u.shape + y.shape[1:])
-
-    return spline
-
-
-def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cubic coefficients, shape (columns, 4, intervals), of the not-a-knot spline
-    through the columns of y (knots x, at least 4): on [x_i, x_{i+1}] the spline is
-    ((c0 h + c1) h + c2) h + c3 with h = u - x_i."""
-    n = x.size
-    dx = np.diff(x)
-    d = dx[:, None]
-    slope = np.diff(y, axis=0) / d
-    lower, diag, upper = np.empty(n), np.empty(n), np.empty(n)  # row i: s_{i-1}, s_i, s_{i+1}
-    rhs = np.empty(y.shape)
-    lower[1:-1], diag[1:-1], upper[1:-1] = dx[1:], 2.0 * (dx[:-1] + dx[1:]), dx[:-1]
-    rhs[1:-1] = 3.0 * (d[1:] * slope[:-1] + d[:-1] * slope[1:])
-    w = x[2] - x[0]
-    diag[0], upper[0] = dx[1], w
-    rhs[0] = ((d[0] + 2.0 * w) * d[1] * slope[0] + d[0] ** 2 * slope[1]) / w
-    w = x[-1] - x[-3]
-    lower[-1], diag[-1] = w, dx[-2]
-    rhs[-1] = (d[-1] ** 2 * slope[-2] + (2.0 * w + d[-1]) * d[-2] * slope[-1]) / w
-    # pivots and multipliers of the sweep, shared by every column
-    lo, up = lower.tolist(), upper.tolist()
-    pivots, factors = [float(diag[0])], [0.0]
-    for i, di in enumerate(diag.tolist()[1:], 1):
-        factors.append(lo[i] / pivots[-1])
-        pivots.append(di - factors[-1] * up[i - 1])
-    s = np.empty(y.shape)
-    for col, b in enumerate(rhs.T.tolist()):
-        for i in range(1, n):
-            b[i] -= factors[i] * b[i - 1]
-        b[-1] /= pivots[-1]
-        for i in range(n - 2, -1, -1):
-            b[i] = (b[i] - up[i] * b[i + 1]) / pivots[i]
-        s[:, col] = b
-    if not np.all(np.isfinite(s)):  # the sweep runs on Python floats, which overflow silently
-        raise FloatingPointError("overflow encountered in the knot slopes")
-    t = (s[:-1] + s[1:] - 2.0 * slope) / d
-    return np.stack([t / d, (slope - s[:-1]) / d - t, s[:-1], y[:-1]], axis=1).T.copy()
+    with _representable():
+        stencils = np.arange(KNOT_STENCIL)[:, None] + np.arange(ks.size - KNOT_STENCIL + 1)
+        x = ks[stencils]  # (KNOT_STENCIL, stencils)
+        # (KNOT_STENCIL, rows, stencils), turned into the divided differences in place
+        c = np.ascontiguousarray(ys[:, stencils].swapaxes(0, 1))
+        for j in range(1, KNOT_STENCIL):
+            c[j:] = (c[j:] - c[j - 1 : -1]) / (x[j:] - x[:-j])[:, None]
+        s = np.clip(np.searchsorted(ks, at) - KNOT_STENCIL // 2, 0, ks.size - KNOT_STENCIL)
+        out = c[-1].take(s, axis=1)
+        for j in range(KNOT_STENCIL - 2, -1, -1):
+            out *= at - x[j].take(s)
+            out += c[j].take(s, axis=1)
+    return out
 
 
 def time_grid(t_max: float, n: int) -> np.ndarray:
@@ -617,7 +564,7 @@ def dephasing_conventional(model: SpectralDensityModel, omega0: float,
     """Series exp(i omega0 t - Phi(t)) on the given symmetric grid."""
     grid = np.asarray(grid, dtype=float)
     rule = _FilonRule(model)
-    exponent = np.clip(_on_grid(lambda x: rule.integrals(x)[0], grid), 0.0, None)
+    exponent = np.clip(_on_grid(lambda x: rule.integrals(x)[:1], grid)[0], 0.0, None)
     values = np.exp(1j * omega0 * grid - exponent)
     return DephasingSeries(grid, values)
 
@@ -629,7 +576,7 @@ def extended_exponents(model: SpectralDensityModel, grid: np.ndarray):
         raise ValueError("extended model implemented at T=0 only")
     grid = np.asarray(grid, dtype=float)
     rule = _FilonRule(model)
-    even, odd = _on_grid(rule.integrals, grid).T
+    even, odd = _on_grid(rule.integrals, grid)
     return np.clip(even, 0.0, None), rule.inverse_frequency_mass * grid - np.sign(grid) * odd
 
 

@@ -695,7 +695,7 @@ def bad_field(command, field, value, *flags):
                  id="tiny-omega-c"),
     pytest.param(["dephase", "--model-temperature", "1e-300", "--grid-n", "256"],
                  id="tiny-temperature"),
-    # knot exponents ~1e302: their spline slopes overflow
+    # g = 4 J/w^2 coth(w/2T) ~ 8 T J/w^3 overflows on the panels nearest w = 0
     pytest.param(["dephase", "--model-temperature", "1e300", *SMALL_GRID],
                  id="huge-temperature"),
     # the ratio of the graded panels' edges overflows
@@ -806,7 +806,7 @@ def test_bad_values_exit_two(tmp_path, capsys, request, argv):
 
 
 def test_tiny_t_max_extended_series(tmp_path):
-    # knots ~1e-202 apart: the spline is built on knots rescaled by a power of two
+    # grid times ~1e-202 apart: the fill interpolates in integer grid positions
     rc = run("dephase", "--mode", "extended", "--grid-t-max", "1e-200", "--grid-n", "256",
              "--output-dir", str(tmp_path))
     assert rc == 0
@@ -880,7 +880,7 @@ def test_non_finite_number_exits_two(tmp_path, capsys, path, value, source):
     assert not (tmp_path / "out").exists()
 
 
-COUNT_FIELDS = [path for path in FIELDS if FIELDS[path][3] is not None]
+COUNT_FIELDS = [path for path in FIELDS if FIELDS[path][3] and FIELDS[path][3][0] == 1]
 
 
 @pytest.mark.parametrize("source", ["flag", "json"])
@@ -895,12 +895,31 @@ def test_count_of_zero_exits_two(tmp_path, capsys, path, source):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("source", ["flag", "json"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_negative_seed_exits_two(tmp_path, capsys, command, source):
+    # numpy takes no negative seed: every subcommand refuses one before its work,
+    # whether or not it draws, and the floor itself passes
+    assert load_config(make_parser().parse_args([command, "--seed", "0"]))["seed"] == 0
+    if source == "flag":
+        argv = [command, "--seed", "-1"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({"seed": -3}))
+        argv = [command, "--config", str(tmp_path / "config.json")]
+    extra = ["--ensemble-kind", "cnot"] if command == "simulate" else []
+    assert run(*argv, *extra, "--output-dir", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert "config field 'seed' is out of range (at least 0)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("value", ["past", 10**15, 2**40])
 @pytest.mark.parametrize("path", COUNT_FIELDS)
 def test_count_past_its_bound_exits_two(tmp_path, capsys, path, value):
     # refused before anything is allocated; the bound itself passes the boundary
     command = next(c for c, p in FLAGS if p == path)
-    bound = FIELDS[path][3]
+    bound = FIELDS[path][3][1]
     value = bound + 1 if value == "past" else value
     extra = ["--ensemble-kind", "cnot"] if command == "simulate" else []
     assert load_config(make_parser().parse_args([command, flag(path), str(bound)]))

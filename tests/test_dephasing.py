@@ -1,6 +1,8 @@
+import bisect
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +24,13 @@ from hens.dephasing import (
     propagate_master,
     time_grid,
     uniform_step,
+    KNOT_STENCIL,
     UPWARD_X,
     _FilonRule,
     _coth,
     _cut,
     _gauss_legendre,
-    _knot_spline,
+    _local_quintic,
     _panel_edges,
     _spherical_j,
 )
@@ -344,38 +347,70 @@ def spherical_j_reference(mp, x):
         return [float(v) for v in row]
 
 
-def recorded_knots(monkeypatch, build):
-    """The (knots, values, exponent) that ``build()`` passes to ``_knot_spline``."""
+def recorded_fill(monkeypatch, build):
+    """The (knots, values) through which ``build()`` fills the grid's other positions:
+    those of its last call of ``_local_quintic``."""
     calls = []
 
-    def record(ks, ys, e):
-        calls.append((ks.copy(), ys.copy(), e))
-        return _knot_spline(ks, ys, e)
+    def record(ks, ys, at):
+        calls.append((ks.copy(), ys.copy()))
+        return _local_quintic(ks, ys, at)
 
-    monkeypatch.setattr(dephasing, "_knot_spline", record)
+    monkeypatch.setattr(dephasing, "_local_quintic", record)
     build()
-    (call,) = calls
-    return call
+    return calls[-1]
 
 
 def geometric_knot_sets():
-    """Random knot sets of 4 to 1000 knots, each spacing a fixed ratio (at most 1.5,
-    and at most 1e6 over the set) times the previous one, with 1 or 2 value columns."""
+    """Random sets of 6 to 1000 increasing integer knots, each spacing about a fixed ratio
+    (at most 1.5, and at most 1e6 over the set) times the previous one and none below 2,
+    with 1 or 2 rows of values."""
     rng = np.random.default_rng(11)
-    for n in [4, 5, 6, 7, 1000, *rng.integers(8, 1000, 60).tolist()]:
+    for n in [6, 7, 8, 1000, *rng.integers(9, 1000, 60).tolist()]:
         ratio = np.exp(rng.uniform(-1.0, 1.0) * min(math.log(1.5), math.log(1e6) / (n - 2)))
-        x = np.concatenate([[0.0], np.cumsum(ratio ** np.arange(n - 1))])
-        x *= rng.uniform(0.5, 1.0) / x[-1]
-        columns = int(rng.integers(1, 3))
+        steps = ratio ** np.arange(n - 1)
+        x = np.concatenate([[0.0], np.cumsum(steps * rng.uniform(2.0, 9.0) / steps.min())])
+        ks = np.rint(x).astype(np.int64) + int(rng.integers(0, 1000))
+        rows = int(rng.integers(1, 3))
         if rng.random() < 0.5:
-            y = rng.standard_normal((n, columns))
+            ys = rng.standard_normal((rows, n))
         else:
-            y = np.sin(np.outer(x, rng.uniform(1.0, 20.0, columns)))
-        yield x, (y[:, 0] if columns == 1 else y)
+            ys = np.sin(np.outer(rng.uniform(1.0, 20.0, rows), (ks - ks[0]) / (ks[-1] - ks[0])))
+        yield ks, ys
+
+
+def exact_local_lagrange(ks, ys, at):
+    """Reference for ``_local_quintic`` in exact rational arithmetic: at each integer
+    position p, the Lagrange polynomial through the KNOT_STENCIL knots nearest p's interval
+    [ks[i], ks[i + 1]] (ks[i - 2] .. ks[i + 3], shifted inward at the ends of ks),
+    taking each value as the exact rational that its float is, rounded once at the end.
+    Also returns, per position, sum_j |l_j(p)| max_j |y_j| (the Lebesgue function times
+    the stencil's largest value), the scale of the float evaluation's rounding."""
+    ks = [int(k) for k in ks]
+    rows = [[Fraction(float(v)) for v in row] for row in ys]
+    out, scale = np.empty((len(rows), len(at))), np.empty((len(rows), len(at)))
+    for q, p in enumerate(int(p) for p in at):
+        lo = min(max(bisect.bisect_right(ks, p) - 3, 0), len(ks) - KNOT_STENCIL)
+        nodes = range(lo, lo + KNOT_STENCIL)
+        weights = [math.prod(Fraction(p - ks[m], ks[j] - ks[m]) for m in nodes if m != j)
+                   for j in nodes]
+        for r, row in enumerate(rows):
+            out[r, q] = float(sum(w * row[j] for w, j in zip(weights, nodes)))
+            scale[r, q] = float(sum(map(abs, weights)) * max(abs(row[j]) for j in nodes))
+    return out, scale
+
+
+def interval_positions(ks):
+    """The integer positions next to each end and in the middle of every interval of ks
+    that holds one."""
+    a, b = ks[:-1], ks[1:]
+    inside = b - a > 1
+    a, b = a[inside], b[inside]
+    return np.unique(np.concatenate([a + 1, (a + b) // 2, b - 1]))
 
 
 class TestKernels:
-    """The numpy kernels of the quadrature against mpmath and scipy."""
+    """The numpy kernels of the quadrature against mpmath and exact rational arithmetic."""
 
     def test_spherical_j_matches_mpmath(self):
         mp = pytest.importorskip("mpmath")
@@ -391,27 +426,28 @@ class TestKernels:
                     assert abs(ref[n] - float(exact)) <= 1e-17 * max(1.0, abs(ref[n]))
 
     @pytest.mark.parametrize("mode", ["extended", "conventional"])
-    def test_knot_spline_matches_scipy_on_recorded_knots(self, monkeypatch, mode):
-        interpolate = pytest.importorskip("scipy.interpolate")
+    def test_local_quintic_matches_exact_lagrange_on_recorded_knots(self, monkeypatch, mode):
         grid = time_grid(200.0, 1 << 16)
         build = ((lambda: extended_exponents(OHMIC1, grid)) if mode == "extended"
                  else (lambda: dephasing_conventional(OHMIC1, 0.0, grid)))
-        ks, y, e = recorded_knots(monkeypatch, build)
-        x = np.ldexp(ks, -e)
-        assert y.ndim == (2 if mode == "extended" else 1)
-        u = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.ldexp(np.abs(grid), -e)])
-        got = _knot_spline(ks, y, e)(u)
-        assert got.shape == u.shape + y.shape[1:]
-        ref = interpolate.CubicSpline(x, y)(u)
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(y))
+        ks, ys = recorded_fill(monkeypatch, build)
+        assert ys.shape == ((2 if mode == "extended" else 1), ks.size)
+        at = interval_positions(ks)
+        exact, scale = exact_local_lagrange(ks, ys, at)
+        got = _local_quintic(ks, ys, at)
+        assert got.shape == exact.shape
+        assert np.all(np.abs(got - exact) <= 1e-14 * scale)
+        # at the knots themselves each value comes back
+        assert np.max(np.abs(_local_quintic(ks, ys, ks) - ys)) <= 1e-14 * np.max(np.abs(ys))
 
-    def test_knot_spline_matches_scipy_on_geometric_knots(self):
-        interpolate = pytest.importorskip("scipy.interpolate")
-        for x, y in geometric_knot_sets():
-            u = np.concatenate([x, 0.5 * (x[1:] + x[:-1]), np.linspace(0.0, x[-1], 999)])
-            got = _knot_spline(x, y, 0)(u)
-            ref = interpolate.CubicSpline(x, y)(u)
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(y)), x.size
+    def test_local_quintic_matches_exact_lagrange_on_geometric_knots(self):
+        rng = np.random.default_rng(12)
+        for ks, ys in geometric_knot_sets():
+            at = interval_positions(ks)
+            at = np.sort(rng.choice(at, min(at.size, 60), replace=False))
+            exact, scale = exact_local_lagrange(ks, ys, at)
+            got = _local_quintic(ks, ys, at)
+            assert np.all(np.abs(got - exact) <= 1e-14 * scale), ks.size
 
 
 PHASE_GRID = time_grid(64.0, 1 << 12)  # dt = 1/32: t = 1 is a grid point
@@ -492,6 +528,15 @@ class TestGridKnots:
         distinct = np.unique(np.abs(grid))
         assert np.isin(times, distinct).all()
         assert np.unique(times).size == times.size <= distinct.size
+
+    @pytest.mark.parametrize("build", [
+        conventional, lambda model, grid: dephasing_extended(model, np.pi / 4, grid),
+    ], ids=["conventional", "extended"])
+    def test_default_series_take_few_evaluations(self, monkeypatch, build):
+        # the CLI's default Ohmic grid: 261 and 279 times, of 32,769 distinct |t|
+        calls = filon_times(monkeypatch)
+        build(OHMIC1, time_grid(200.0, 1 << 16))
+        assert sum(c.size for c in calls) <= 300
 
     @pytest.mark.parametrize("model", [OHMIC1, NARROW_TABLE], ids=["ohmic", "narrow"])
     @pytest.mark.parametrize("n", [4, 64])
@@ -601,7 +646,7 @@ class TestSeriesConstruction:
             assert ext.values[g.size // 2] == 1.0
 
     def test_tabulated_extended_matches_pointwise_phase(self):
-        # many table intervals: Phi and the sine integral are two columns of one spline
+        # many table intervals: Phi and the sine integral are two rows of one fill
         om = np.linspace(0.0, 20.0, 201)
         model = SpectralDensityModel.tabulated(om, om * np.exp(-om))
         g = time_grid(10.0, 256)
@@ -626,7 +671,7 @@ class TestSeriesConstruction:
                               (np.arange(small - 8, small) - small // 2) * (2.0 * t_max / small))
 
     def test_tiny_time_grid(self):
-        # knots ~1e-152 apart: the spline's cubic coefficients must stay representable
+        # grid times ~1e-152 apart: the fill works on integer positions, not on times
         g = time_grid(1e-150, 256)
         for s in (dephasing_conventional(OHMIC1, 0.0, g), dephasing_extended(OHMIC1, 0.3, g)):
             assert np.max(np.abs(s.values - 1.0)) < 1e-12
@@ -634,7 +679,7 @@ class TestSeriesConstruction:
     @pytest.mark.parametrize("phase", [None, np.pi / 4])
     def test_default_grid_matches_closed_form(self, phase):
         # 2^16 points on [-200, 200): base knots at t = 25 once nearly coincided,
-        # and the spline through that pair set the series' worst error (~1.5e-9)
+        # and the interpolant through that pair set the series' worst error (~1.5e-9)
         g = time_grid(200.0, 1 << 16)
         exact = ohmic_series(1.0, g, phase=phase)
         quad = (dephasing_conventional(OHMIC1, 0.0, g) if phase is None
