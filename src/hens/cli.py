@@ -27,6 +27,7 @@ import warnings
 
 import numpy as np
 
+from ._cells import fmt, format_rows
 from .dephasing import (
     DephasingSeries,
     NumericalError,
@@ -64,7 +65,7 @@ from .inversion import (
 from .qdyn import DensityMatrix, HermitianOperator, maximally_mixed, pure_state, trace_distance
 
 
-TABLE_BLOCK = 4096  # rows of a table formatted per call
+TABLE_CELLS = 4096  # cells of a table formatted per block, unless one row holds more
 
 
 class ConfigError(Exception):
@@ -98,10 +99,10 @@ FIELDS = {
     "grid.n": (65536, None, {"metavar": "POW2"}, (1, COUNT_BYTES // 32)),
     "window.omega_lo": (-10.0, None, {"metavar": "W"}, None),
     "window.omega_hi": (10.0, None, {"metavar": "W"}, None),
-    # a landscape cell in each of the TABLE_BLOCK rows formatted at once, as a Python
-    # float in a list and a tuple plus its 24 characters of text: 64 B each
-    "phases.count": (64, None, {"metavar": "N"},
-                     (1, COUNT_BYTES // (64 * TABLE_BLOCK))),
+    # a cell of a landscape row, which write_table formats whole as one block of
+    # ~160 B of text and work arrays per cell: the bound keeps a row (its omega and
+    # the phases) near the TABLE_CELLS cells of a block
+    "phases.count": (64, None, {"metavar": "N"}, (1, TABLE_CELLS)),
     # a floor per restart, were all held at once: 8 B
     "witness.restarts": (10000, None, {"metavar": "N"}, (1, COUNT_BYTES // 8)),
     # a Gram matrix of s x s complex entries: 16 s^2 B
@@ -147,10 +148,6 @@ TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a li
 def _types(path: str) -> tuple:
     default, types, _, _ = FIELDS[path]
     return types or (type(default),)
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.16e}"
 
 
 def _object_once(pairs: list) -> dict:
@@ -273,13 +270,13 @@ def _out_dir(cfg: dict) -> str:
 
 
 def _write_atomic(path: str, parts) -> None:
-    """Write the strings of ``parts`` to path, which holds all of them or is untouched."""
+    """Write the bytes of ``parts`` to path, which holds all of them or is untouched."""
     d, name = os.path.split(path)
     tmp = os.path.join(d, f".tmp-{os.getpid()}-{os.urandom(4).hex()}-{name}")
     # mode 0o666 lets the umask decide the final permissions
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
@@ -289,25 +286,29 @@ def _write_atomic(path: str, parts) -> None:
 
 
 def write_table(cfg: dict, stem: str, header: list[str], columns: list[np.ndarray]) -> str:
-    """Emit named columns as CSV or JSON per output.format."""
+    """Emit named columns as CSV or JSON per output.format, every number as fmt
+    writes it."""
     d = _out_dir(cfg)
-    table = np.column_stack(columns)
-    fields = ["%.16e"] * table.shape[1]  # the format of _fmt
+    n = len(columns[0])
     if cfg["output.format"] == "csv":
         path = os.path.join(d, stem + ".csv")
-        head, row, sep, tail = ",".join(header) + "\n", ",".join(fields) + "\n", "", ""
+        head, cell_sep, row_sep, tail = ",".join(header) + "\n", b",", b"\n", b""
+        cut = 0
     else:
         path = os.path.join(d, stem + ".json")
-        head = '{\n  "columns": %s,\n  "rows": [\n' % json.dumps(header)
-        row, sep, tail = "    [" + ", ".join(fields) + "]", ",\n", "\n  ]\n}\n"
+        head = '{\n  "columns": %s,\n  "rows": [\n' % json.dumps(header) + "    [" * (n > 0)
+        cell_sep, row_sep, tail = b", ", b"],\n    [", b"\n  ]\n}\n"
+        cut = len(row_sep) - 1  # the last row ends in "]"
+    rows = max(1, TABLE_CELLS // len(columns))
 
     def text():
-        # one %-template per block of rows, filled in one call; a block at a
-        # time keeps the text held in memory small
-        yield head
-        for i in range(0, len(table), TABLE_BLOCK):
-            block = table[i:i + TABLE_BLOCK]
-            yield (sep if i else "") + sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+        # blocks of whole rows, at most TABLE_CELLS cells unless one row is wider:
+        # the kernel's arrays and the text held at once stay small
+        yield head.encode()
+        for i in range(0, n, rows):
+            block = np.stack([np.asarray(c[i:i + rows], dtype=float) for c in columns], axis=1)
+            out = format_rows(block, cell_sep, row_sep)
+            yield out[:out.size - cut] if i + rows >= n else out
         yield tail
 
     _write_atomic(path, text())
@@ -316,7 +317,7 @@ def write_table(cfg: dict, stem: str, header: list[str], columns: list[np.ndarra
 
 def write_json(cfg: dict, name: str, obj) -> str:
     path = os.path.join(_out_dir(cfg), name)
-    _write_atomic(path, [_json_text(obj, 0) + "\n"])
+    _write_atomic(path, [(_json_text(obj, 0) + "\n").encode()])
     return path
 
 
@@ -333,7 +334,7 @@ def _json_text(obj, indent: int) -> str:
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return pad + _fmt(obj)
+        return pad + fmt(obj)
     if obj is None:
         return pad + "null"
     return pad + json.dumps(obj)
@@ -410,7 +411,7 @@ def cmd_landscape(cfg: dict) -> None:
                           f"{LANDSCAPE_CELLS} cells)")
     exponent, drift = extended_exponents(model, grid)
     omega, phases, cells = negativity_landscape(exponent, drift, phases, window, grid)
-    header = ["omega"] + [f"phi={_fmt(p)}" for p in phases]
+    header = ["omega"] + [f"phi={fmt(p)}" for p in phases]
     write_table(cfg, "landscape", header, [omega] + [cells[:, j] for j in range(phases.size)])
 
 

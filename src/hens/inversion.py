@@ -262,7 +262,9 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
     """Randomized search for a Gram matrix with a negative floor.
 
     Time sets of size 2..max_size are drawn uniformly from the grid points in
-    [0, t_max / 4], a quarter of the series span.  The set sizes come from the
+    [0, t_max / 4], a quarter of the series span, and a time drawn twice in a set
+    counts once: each set is evaluated on its distinct times, in the order of
+    their first draws, so no report holds a time twice.  The set sizes come from the
     first child of ``np.random.SeedSequence(seed).spawn(2)`` and the indices
     from the second, each stream read in restart order.  The restarts are drawn
     WITNESS_BLOCK at a time, one ``integers`` call for a block's sizes and one
@@ -287,9 +289,16 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
     best_floor, best_k, used = np.inf, None, 0
     while used < restarts:
         sizes = size_rng.integers(2, max_size + 1, min(WITNESS_BLOCK, restarts - used))
+        indices = index_rng.integers(0, k_hi + 1, int(sizes.sum()))
+        # a time drawn twice in one set adds a copy of its row: the set keeps the
+        # first draw of each time, and joins the stack of its distinct size
+        owner = np.repeat(np.arange(sizes.size), sizes)
+        _, first = np.unique(owner * (k_hi + 1) + indices, return_index=True)
+        first.sort()
+        indices = indices[first]
+        sizes = np.bincount(owner[first], minlength=sizes.size)
         ends = np.cumsum(sizes)
         starts = ends - sizes
-        indices = index_rng.integers(0, k_hi + 1, int(ends[-1]))
         floors = np.empty(sizes.size)
         for size in np.unique(sizes):
             at = np.flatnonzero(sizes == size)

@@ -331,7 +331,8 @@ def extended_ohmic():
 
 
 def loop_search(series, restarts, seed, max_size, stop_below):
-    """Reference: the per-restart search, one ``bochner_witness`` call per restart.
+    """Reference: the per-restart search, one ``bochner_witness`` call per restart on
+    the distinct times of its draw, in the order of their first draws.
 
     Yields (best report, restarts used) after each restart it runs, so a search
     of R restarts returns the R-th pair, or the last one if the loop stopped
@@ -344,7 +345,8 @@ def loop_search(series, restarts, seed, max_size, stop_below):
     best = None
     for used in range(1, restarts + 1):
         size = int(size_rng.integers(2, max_size + 1))
-        times = series.times[n0 + index_rng.integers(0, k_hi + 1, size)]
+        drawn = index_rng.integers(0, k_hi + 1, size)
+        times = series.times[n0 + np.array(list(dict.fromkeys(drawn.tolist())))]
         rep = bochner_witness(series, times)
         if best is None or rep.min_eigenvalue < best.min_eigenvalue:
             best = rep
@@ -395,6 +397,24 @@ class TestStackedSearch:
         for block in (1, 7, 256, 10000):
             monkeypatch.setattr(hens.inversion, "WITNESS_BLOCK", block)
             assert_same_search(bochner_search(series, 1000, 5, stop_below=stop_below), want)
+
+    def test_reported_sets_hold_each_time_once(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # nine grid points in the search window: most sets of four or more draw a
+        # time twice, and every set of ten or more does
+        series = ohmic_series(1.0, time_grid(10.0, 64))
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None)
+        @hypothesis.given(seed=st.integers(0, 2**32 - 1), max_size=st.integers(2, 12),
+                          restarts=st.integers(1, 40))
+        def check(seed, max_size, restarts):
+            got = bochner_search(series, restarts, seed, max_size=max_size)
+            report = got[0]
+            assert np.unique(report.times).size == report.times.size == report.matrix_dim
+            assert_same_search(got, list(loop_search(series, restarts, seed, max_size, None))[-1])
+
+        check()
 
     def test_cli_writes_the_per_restart_result(self, tmp_path):
         args = ["witness", "--mode", "extended", "--phase", str(np.pi / 2),
