@@ -160,8 +160,14 @@ def _coherence_factor(omega: np.ndarray, weights: np.ndarray, times) -> np.ndarr
     """Trapezoid sum of weights * e^{i omega t} over the grid at each time.  A phase
     omega t past the float range raises ValueError."""
     require_finite_phases(omega, times)
-    return np.array([np.trapezoid(weights * np.exp(1j * omega * t), omega)
-                     for t in np.asarray(times, dtype=float)], dtype=complex)
+    times = np.asarray(times, dtype=float)
+    iw, d = 1j * omega, np.diff(omega)
+    out = np.empty(times.size, dtype=complex)
+    for k, t in enumerate(times):
+        y = weights * np.exp(iw * t)
+        # np.trapezoid's own arithmetic, with the grid's factors taken out of the loop
+        out[k] = (d * (y[1:] + y[:-1]) / 2.0).sum()
+    return out
 
 
 def dephase_qubit(rho0: DensityMatrix, factors) -> list[DensityMatrix]:
@@ -178,19 +184,57 @@ def dephase_qubit(rho0: DensityMatrix, factors) -> list[DensityMatrix]:
     return hermitized_states(m)
 
 
+def _cdf_index(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, keys, side="left")`` for ascending keys, from one merge.
+
+    Only the points cdf[lo:hi], from the smallest key's index to the largest
+    key's, can fall between two keys.  A point lies below every key past the
+    keys at or under it, so the running sum of where the points land counts
+    the points below each key.
+    """
+    lo, hi = np.searchsorted(cdf, keys[[0, -1]])
+    landings = np.searchsorted(keys, cdf[lo:hi], side="right")
+    idx = np.cumsum(np.bincount(landings, minlength=keys.size + 1)[:keys.size])
+    idx += lo
+    return idx
+
+
 def _draw_block(ens: SpectralEnsemble, cdf: np.ndarray, streams: np.random.SeedSequence,
                 size: int) -> np.ndarray:
-    """``size`` inverse-CDF draws from the next substream spawned from ``streams``."""
+    """``size`` inverse-CDF draws from the next substream spawned from ``streams``.
+
+    The uniforms are sorted once, their CDF indices come from one merge
+    (``_cdf_index``), and the draws are computed in sorted order and scattered
+    back: each draw depends only on its own uniform, so the block equals a
+    per-draw ``searchsorted`` bit for bit.
+    """
     u = np.random.default_rng(streams.spawn(1)[0]).random(size)
-    # left edge on ties / flat CDF runs
-    idx = np.clip(np.searchsorted(cdf, u, side="left"), 1, cdf.size - 1)
-    seg = cdf[idx] - cdf[idx - 1]
-    frac = np.where(seg > 0, (u - cdf[idx - 1]) / np.where(seg > 0, seg, 1.0), 0.0)
-    return ens.omega[idx - 1] + frac * ens.domega
+    order = np.argsort(u)
+    u = u[order]
+    # in place from here on: a block holds at most five arrays of its size
+    # left edge on ties / flat CDF runs; idx is the segment's left grid point
+    idx = _cdf_index(cdf, u)
+    np.clip(idx, 1, cdf.size - 1, out=idx)
+    idx -= 1
+    left = cdf[idx]
+    seg = cdf[1:][idx]
+    seg -= left
+    u -= left
+    # only the key 0.0 on a leading zero run reaches a flat segment, and its u - left is 0
+    np.divide(u, seg, out=u, where=seg > 0)
+    u *= ens.domega
+    # idx is in range, so "clip" clips nothing; "raise" would copy through a buffer
+    u += np.take(ens.omega, idx, out=left, mode="clip")
+    seg[order] = u
+    return seg
 
 
 def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF draws from ``ens.cdf()``, chunked into seeded substreams.
+
+    Each MC_BLOCK substream is one ``_draw_block``: its uniforms are sorted once
+    and merged against the CDF, which gives the same draws as searching each
+    uniform on its own.
 
     ``ens`` is a SpectralEnsemble, whose construction already rejects a table
     that is not a probability distribution.
@@ -357,9 +401,10 @@ def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, times):
     w, v = np.linalg.eigh(dil.h_joint.matrix)
     times = np.asarray(times, dtype=float)
     require_finite_phases(w, times)
+    vh = v.conj().T
     reduced, classical = [], True
     for t in times:
-        u = (v * np.exp(-1j * w * t)) @ v.conj().T
+        u = (v * np.exp(-1j * w * t)) @ vh
         jt = hermitized_states(u @ joint0 @ u.conj().T)[0]
         reduced.append(partial_trace(jt, (d, dil.env_dim), keep="s"))
         classical = classical and _env_coherence(jt.matrix, d, dil.env_dim) <= 1e-10

@@ -10,6 +10,7 @@ from hens.ensemble import (
     HamiltonianEnsemble,
     SamplingError,
     SpectralEnsemble,
+    _cdf_index,
     _coherence_factor,
     _env_coherence,
     cnot_ensemble,
@@ -352,6 +353,83 @@ def reference_draws(ens, n, seed):
     return np.concatenate(chunks)
 
 
+def normalized(om, w):
+    return SpectralEnsemble(om, w / np.trapezoid(w, om))
+
+
+def sampler_tables():
+    """Spectral tables whose CDFs have flat runs, gaps, a single step or two points."""
+    om = np.linspace(-1.0, 1.0, 11)
+    bumps = np.linspace(-4.0, 4.0, 161)
+    gap = np.exp(-8.0 * (np.abs(bumps) - 2.5) ** 2)
+    gap[np.abs(bumps) < 1.0] = 0.0
+    delta = np.zeros(41)
+    delta[17] = 1.0
+    # the bench's layout: the conjugate grid of 65536 times on [-200, 200)
+    n = 1 << 16
+    fft = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=400.0 / n))
+    return {
+        "flat-runs": normalized(om, np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 2.0,
+                                              0.0, 0.0, 0.0])),
+        "zero-gap": normalized(bumps, gap),
+        "delta": normalized(np.linspace(-2.0, 2.0, 41), delta),
+        "two-points": normalized(np.array([-0.5, 0.5]), np.ones(2)),
+        "fft-grid": normalized(fft, (1.0 + np.abs(fft)) * np.exp(-np.abs(fft)) / 4.0),
+    }
+
+
+def cdf_keys(cdf):
+    """Sorted key sets: every knot value (0.0 and repeats among them), 0.0 alone, one
+    key, neighbours of the knots and a block of uniforms."""
+    rng = np.random.default_rng(8)
+    knots = np.unique(cdf)
+    near = np.concatenate([np.nextafter(knots, -1.0), np.nextafter(knots, 2.0)])
+    uniforms = rng.random(MC_BLOCK)
+    mixed = np.concatenate([np.repeat(knots, 3), near, uniforms[:1000], [0.0, 0.0]])
+    return {
+        "knots": cdf,
+        "zero": np.array([0.0]),
+        "single": uniforms[:1],
+        "repeats": np.repeat(rng.choice(knots, 5), 4),
+        "near-knots": near,
+        "uniforms": uniforms,
+        "mixed": mixed,
+    }
+
+
+class TestCdfIndex:
+    """The sorted-merge search equals a left searchsorted on every key."""
+
+    @pytest.mark.parametrize("table", list(sampler_tables()))
+    def test_equals_searchsorted_left(self, table):
+        cdf = sampler_tables()[table].cdf()
+        for name, keys in cdf_keys(cdf).items():
+            keys = np.sort(keys)
+            assert np.array_equal(_cdf_index(cdf, keys),
+                                  np.searchsorted(cdf, keys, side="left")), name
+
+    def test_random_tables_and_keys(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, database=None)
+        @hypothesis.given(weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                           min_size=2, max_size=30),
+                          picks=st.lists(st.integers(0, 29), max_size=20),
+                          floats=st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                          max_size=20))
+        def check(weights, picks, floats):
+            weights = np.array(weights)
+            hypothesis.assume(weights.sum() > 0.0)
+            om = np.linspace(0.0, 1.0, weights.size)
+            cdf = normalized(om, weights).cdf()
+            keys = np.sort(np.concatenate([cdf[np.array(picks, dtype=int) % cdf.size],
+                                           floats, [0.0]]))
+            assert np.array_equal(_cdf_index(cdf, keys), np.searchsorted(cdf, keys, side="left"))
+
+        check()
+
+
 def skewed_draws(n, seed=11):
     # an off-center, bimodal p(omega): the means stay far from 0 and 1
     om = np.linspace(-6.0, 10.0, 3201)
@@ -436,9 +514,13 @@ class TestMonteCarloAllTimes:
         assert abs(state.matrix[1, 0] - 0.5 * zbar) < 1e-15
         assert abs(stderr - ref_stderr) <= 1e-12 * ref_stderr
 
-    @pytest.mark.parametrize("n", [1, MC_BLOCK, MC_BLOCK + 1, 1_000_000])
-    def test_sampler_fills_blocks_as_the_substreams_draw(self, n):
-        ens = gaussian_spectral()
+    # the Gaussian table's cases keep their plain ids, [n]
+    @pytest.mark.parametrize("table, n", [
+        pytest.param(table, n, id=str(n) if table == "gaussian" else f"{table}-{n}")
+        for table in ("gaussian", *sampler_tables())
+        for n in (1, MC_BLOCK, MC_BLOCK + 1, 1_000_000)])
+    def test_sampler_fills_blocks_as_the_substreams_draw(self, table, n):
+        ens = gaussian_spectral() if table == "gaussian" else sampler_tables()[table]
         assert np.array_equal(sample_frequencies(ens, n, seed=4), reference_draws(ens, n, seed=4))
 
 
