@@ -51,7 +51,7 @@ try:
 
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 3.2))
     mask = np.abs(grid) <= 10
-    ax1.plot(grid[mask], series.values[mask].real)
+    ax1.plot(grid[mask], series.full()[mask].real)
     ax1.set_xlabel("t")
     ax1.set_ylabel("Re phi(t)")
     for wc, color in ((1.0, "tab:blue"), (3.0, "tab:red")):

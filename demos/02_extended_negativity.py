@@ -27,7 +27,7 @@ ext = ohmic_series(1.0, grid, phase=np.pi / 2)
 rng = np.random.default_rng(17)
 worst = np.inf
 for _ in range(200):
-    times = conv.times[conv.n // 2 + rng.integers(0, int(50.0 / conv.dt), 6)]
+    times = grid[conv.n // 2 + rng.integers(0, int(50.0 / conv.dt), 6)]
     worst = min(worst, bochner_witness(conv, times).min_eigenvalue)
 print(f"\nconventional factor: Gram floor over 200 random time sets = {worst:+.2e}")
 print("  (never negative - the factor is positive definite)")

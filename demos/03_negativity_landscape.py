@@ -14,7 +14,8 @@ from hens import SpectralDensityModel, extended_exponents, negativity_landscape,
 phases = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
 grid = time_grid(t_max=200.0, n=1 << 16)
 exponent, drift = extended_exponents(SpectralDensityModel.ohmic(1.0), grid)
-omega, phases, cells = negativity_landscape(exponent, drift, phases, (-10.0, 10.0), grid)
+omega, phases, cells = negativity_landscape(exponent, drift, phases, (-10.0, 10.0),
+                                            grid[1] - grid[0])
 
 per_phase = -np.trapezoid(np.minimum(cells, 0.0), omega, axis=0)
 k_max = int(np.argmax(per_phase))

@@ -95,7 +95,8 @@ FIELDS = {
     "phase": (0.0, None,
               {"metavar": "RAD", "help": "relative coupling phase of the extended model"}, None),
     "grid.t_max": (None, (float,), {"metavar": "T"}, None),
-    # a row of dephase's four float columns per point: 32 B
+    # a row of phi.csv's four float columns per point, 32 B; a run holds more, measured
+    # as a child's peak RSS per point: dephase 52 B, invert 64 B, landscape (8 phases) 88 B
     "grid.n": (65536, None, {"metavar": "POW2"}, (1, COUNT_BYTES // 32)),
     "window.omega_lo": (-10.0, None, {"metavar": "W"}, None),
     "window.omega_hi": (10.0, None, {"metavar": "W"}, None),
@@ -120,7 +121,7 @@ FIELDS = {
     "ensemble.a": (0.5, None, {"metavar": "A", "help": "cnot mixing weight"}, None),
     "ensemble.j": (1.0, None, {"metavar": "J", "help": "cnot coupling strength"}, None),
     # the dilation's joint Hamiltonian of (2 bins)^2 complex entries: 64 bins^2 B
-    "ensemble.bins": (32, None,
+    "ensemble.bins": (128, None,
                       {"metavar": "N", "help": "bins for discretizing a spectral ensemble"},
                       (1, math.isqrt(COUNT_BYTES // 64))),
     "rho0": ("plus", (str, list), {"help": "plus | up | down | mixed"}, None),
@@ -249,13 +250,13 @@ def build_grid(cfg: dict, omega_scale: float = 1.0) -> np.ndarray:
     return time_grid(float(200.0 / omega_scale if t_max is None else t_max), int(cfg["grid.n"]))
 
 
-def build_series(cfg: dict) -> DephasingSeries:
+def build_series(cfg: dict) -> tuple[np.ndarray, DephasingSeries]:
     model = build_model(cfg)
     grid = build_grid(cfg, model.omega_scale())
     omega0, phase = float(cfg["omega0"]), float(cfg["phase"])
     if cfg["mode"] == "extended":
-        return dephasing_extended(model, phase, grid)
-    return dephasing_conventional(model, omega0, grid)
+        return grid, dephasing_extended(model, phase, grid)
+    return grid, dephasing_conventional(model, omega0, grid)
 
 
 def _out_dir(cfg: dict) -> str:
@@ -341,12 +342,10 @@ def _json_text(obj, indent: int) -> str:
 
 
 def cmd_dephase(cfg: dict) -> None:
-    series = build_series(cfg)
-    write_table(
-        cfg, "phi",
-        ["t", "re_phi", "im_phi", "abs_phi"],
-        [series.times, series.values.real, series.values.imag, np.abs(series.values)],
-    )
+    grid, series = build_series(cfg)
+    values = series.full()
+    write_table(cfg, "phi", ["t", "re_phi", "im_phi", "abs_phi"],
+                [grid, values.real, values.imag, np.abs(values)])
 
 
 def read_table(path: str, columns: int) -> np.ndarray:
@@ -382,9 +381,9 @@ def read_table(path: str, columns: int) -> np.ndarray:
 def cmd_invert(cfg: dict) -> None:
     if cfg["series.path"]:
         data = read_table(cfg["series.path"], 3)
-        series = DephasingSeries(data[:, 0], data[:, 1] + 1j * data[:, 2])
+        series = DephasingSeries.from_samples(data[:, 0], data[:, 1] + 1j * data[:, 2])
     else:
-        series = build_series(cfg)
+        _, series = build_series(cfg)
     dist = inverse_ft(series)
     write_table(cfg, "wp", ["omega", "wp"], [dist.omega, dist.values])
     write_json(cfg, "diagnostics.json", {
@@ -403,20 +402,21 @@ def cmd_landscape(cfg: dict) -> None:
     window = (float(cfg["window.omega_lo"]), float(cfg["window.omega_hi"]))
     if not window[0] < window[1]:
         raise ConfigError("empty frequency window")
-    omega = conjugate_frequency_grid(grid)
+    omega = conjugate_frequency_grid(grid.size, grid[1] - grid[0])
     inside = int(np.count_nonzero((omega >= window[0]) & (omega <= window[1])))
     if inside * count > LANDSCAPE_CELLS:
         raise ConfigError(f"config fields 'grid.n' and 'phases.count' are out of range together: "
                           f"{inside} window frequencies x {count} phases (at most "
                           f"{LANDSCAPE_CELLS} cells)")
     exponent, drift = extended_exponents(model, grid)
-    omega, phases, cells = negativity_landscape(exponent, drift, phases, window, grid)
+    omega, phases, cells = negativity_landscape(exponent, drift, phases, window,
+                                                grid[1] - grid[0])
     header = ["omega"] + [f"phi={fmt(p)}" for p in phases]
     write_table(cfg, "landscape", header, [omega] + [cells[:, j] for j in range(phases.size)])
 
 
 def cmd_witness(cfg: dict) -> None:
-    series = build_series(cfg)
+    grid, series = build_series(cfg)
     stop = cfg["witness.stop_below"]
     report, used = bochner_search(
         series,
@@ -426,7 +426,7 @@ def cmd_witness(cfg: dict) -> None:
         stop_below=None if stop is None else float(stop),
     )
     write_json(cfg, "bochner.json", {
-        "times": list(report.times),
+        "times": list(grid[series.n // 2 + np.rint(report.times / series.dt).astype(int)]),
         "min_eigenvalue": report.min_eigenvalue,
         "matrix_dim": report.matrix_dim,
         "restarts_used": used,
@@ -522,7 +522,7 @@ def _master_route(cfg: dict, omega: np.ndarray, weights: np.ndarray, rho0: Densi
     n_om = omega.size
     if cfg["grid.t_max"] is None and n_om >= 4 and not (n_om & (n_om - 1)):
         conjugate = time_grid(np.pi / (omega[1] - omega[0]), n_om)
-        if on_conjugate_grid(omega, conjugate):
+        if on_conjugate_grid(omega, n_om, conjugate[1] - conjugate[0]):
             grid = conjugate
     if grid is None:
         grid = build_grid(cfg)
@@ -534,16 +534,16 @@ def _master_route(cfg: dict, omega: np.ndarray, weights: np.ndarray, rho0: Densi
     # grid points 0..last, at least one RK4 step; the centered
     # differences there reach from -dt to (last + 1) dt
     last = max(2 * int(k_idx.max()), 2)
-    if not on_conjugate_grid(omega, grid):
+    if not on_conjugate_grid(omega, grid.size, dt):
         # direct summation costs one row per time: sum only the smallest
         # symmetric power-of-two subgrid that holds that reach
         half = min(grid.size, 1 << (2 * last + 3).bit_length()) // 2
         grid = grid[grid.size // 2 - half : grid.size // 2 + half]
     series = forward_ft((omega, weights), grid)
-    t_all, eps, gam = master_coeffs(series, -1.5 * dt, (last + 1.5) * dt)
-    if last >= t_all.size:
+    _, eps, gam = master_coeffs(series, (last + 0.5) * dt)
+    if last >= eps.size:
         raise ConfigError("output times exceed the master-equation grid")
-    _, factors = propagate_master(t_all[:last + 1], eps[:last + 1], gam[:last + 1])
+    _, factors = propagate_master(grid[grid.size // 2:][:last + 1], eps, gam)
     return dephase_qubit(rho0, factors[k_idx]), k_idx * stride
 
 

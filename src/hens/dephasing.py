@@ -22,15 +22,14 @@ two-qubit model builds its odd phase angle from int 4J/w^2 (w t - sin w t) dw
 and the T=0 exponent, a pair (``extended_exponents``) that serves every
 phase (``extended_series``, and the landscape's columns through the same
 values helper).
-Every series on a symmetric time grid comes from one set of knots that are
-grid times (``_on_grid``): the exponent, or the extended model's (Phi, sine)
-pair as two rows of the same knots, is evaluated at the grid's |t| that
-adaptive refinement picks (level by level, one batched evaluation per level,
-each |t| at most once).  One interpolant both checks each new knot and fills
-the other |t|: on each interval between knots, the quintic through the
-KNOT_STENCIL = 6 knots nearest it, in integer grid positions
-(``_local_quintic``).  One value serves each pair of grid times +-t.  The knot
-tolerance is weighted by e^{+Phi} because only e^{-Phi} * dPhi (and
+Every series holds the t >= 0 half of a symmetric grid (``DephasingSeries``), from
+one set of knots that are grid times (``_on_grid``): the exponent, or the
+extended model's (Phi, sine) pair as two rows of the same knots, is evaluated at
+the half's |t| that adaptive refinement picks (level by level, one batched
+evaluation per level, each |t| at most once).  One interpolant both checks each
+new knot and fills the other |t|: on each interval between knots, the quintic
+through the KNOT_STENCIL = 6 knots nearest it, in integer grid positions
+(``_local_quintic``).  The knot tolerance is weighted by e^{+Phi} because only e^{-Phi} * dPhi (and
 e^{-Phi} * d theta) reaches the series values.  Both kernels, the rule and the
 interpolant, are numpy code, so the module imports nothing beyond numpy.
 """
@@ -395,13 +394,13 @@ def decoherence_exponent(model: SpectralDensityModel, t):
     return float(even) if ts.ndim == 0 else even
 
 
-def _on_grid(f, grid: np.ndarray) -> np.ndarray:
-    """f(|t|) at every time t of a series grid, from knots that are grid times.
+def _on_grid(f, t: np.ndarray) -> np.ndarray:
+    """f(|t|) at every time t of a series' half layout, from knots that are grid times.
 
     f(ts) returns a sequence of arrays at the times ts: the exponent Phi, then any
     further quantities taken at the same knots.  The result holds one row per
-    array, with one value per grid time.  The grid's distinct |t| are j dt,
-    j = 0 .. n/2, and the knots are a subset of these positions j: at first those
+    array, with one value per time of t (``_half_grid``), whose |t| are j dt,
+    j = 0 .. n/2.  The knots are a subset of these positions j: at first those
     nearest to 33 uniform and 33 geometric points on [0, n/2].  Level by level,
     one batched evaluation of f takes the middle position (i + j) // 2 of every
     interval (i, j) with a grid time strictly inside it.  Each middle value is
@@ -412,12 +411,10 @@ def _on_grid(f, grid: np.ndarray) -> np.ndarray:
     once.  The positions that are not knots (none on grids of up to 64 times) are
     read from the same interpolant through all the knots.
     """
-    _require_series_grid(grid)
-    half = grid.size // 2
-    t = np.append(np.abs(grid[half:]), -grid[0])  # t[j] = j dt
+    half = t.size - 1
     base = np.concatenate([np.linspace(0.0, half, 33), np.geomspace(half * 2.0 ** -12, half, 33)])
     ks = np.unique(np.rint(base).astype(np.int64))
-    first = np.asarray(f(t[ks]))
+    first = np.asarray(f(np.abs(t[ks])))  # |t[j]| = j dt
     y = np.empty((first.shape[0], t.size))
     y[:, ks] = first
     known = np.zeros(t.size, dtype=bool)
@@ -428,7 +425,7 @@ def _on_grid(f, grid: np.ndarray) -> np.ndarray:
         m = (a + b) // 2
         ks = np.flatnonzero(known)
         est = _local_quintic(ks, y[:, ks], m)
-        got = np.asarray(f(t[m]))
+        got = np.asarray(f(np.abs(t[m])))
         phi = got[0]
         tol = KNOT_TOL * np.minimum(np.exp(np.minimum(phi, PHI_NEGLIGIBLE)), 1e16)
         split = ((np.minimum(phi, est[0]) < PHI_NEGLIGIBLE)
@@ -439,7 +436,7 @@ def _on_grid(f, grid: np.ndarray) -> np.ndarray:
     if not known.all():
         ks, rest = np.flatnonzero(known), np.flatnonzero(~known)
         y[:, rest] = _local_quintic(ks, y[:, ks], rest)
-    return np.concatenate([y[:, :0:-1], y[:, :-1]], axis=1)
+    return y
 
 
 def _local_quintic(ks: np.ndarray, ys: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -482,12 +479,6 @@ def time_grid(t_max: float, n: int) -> np.ndarray:
     return (np.arange(n) - n // 2) * dt
 
 
-def symmetry_residual(values: np.ndarray) -> float:
-    """max |v(-t) - conj(v(t))| over the grid's exact +-t index pairs."""
-    tail = values[1:]
-    return float(np.max(np.abs(tail - np.conj(tail[::-1]))))
-
-
 def uniform_step(grid: np.ndarray, message: str) -> float:
     """The step d_0 of a uniform, increasing grid of two or more points; ValueError(message)
     unless every spacing d is positive with |d - d_0| <= 1e-9 |d_0| + 2 ulp(max |t|).  The
@@ -517,106 +508,148 @@ def _require_series_grid(t: np.ndarray) -> None:
         raise ValueError("time grid must be centered on t = 0")
 
 
+def _half_grid(grid) -> tuple[np.ndarray, float]:
+    """The times grid[n/2:] and grid[0] = -t_max of a series grid's half layout, and the
+    grid's own step grid[1] - grid[0]; ValueError unless ``_require_series_grid`` passes."""
+    grid = np.asarray(grid, dtype=float)
+    _require_series_grid(grid)
+    return np.append(grid[grid.size // 2:], grid[0]), float(grid[1] - grid[0])
+
+
+def _series_size(half: np.ndarray) -> None:
+    """ValueError unless the half layout is 1-d, of n/2 + 1 samples, n a power of two >= 4."""
+    n = 2 * (half.size - 1)
+    if half.ndim != 1 or n < 4 or n & (n - 1):
+        raise ValueError("a series holds n/2 + 1 samples of a power-of-two grid of n >= 4")
+
+
+def _half_spectrum(half: np.ndarray, dt: float) -> np.ndarray:
+    """(dt/2pi) sum_n phi(t_n) e^{-i w_k t_n} on the conjugate grid, for the Hermitian
+    series of a half layout, of which only the real parts of phi(0) and phi(-t_max)
+    count: one ``np.fft.hfft`` of length n, so the spectrum is real."""
+    return dt / (2.0 * np.pi) * np.fft.fftshift(np.fft.hfft(half, 2 * (half.size - 1)))
+
+
 @dataclass(frozen=True)
 class DephasingSeries:
-    """Complex dephasing factor phi(t) on a symmetric uniform time grid.
-
-    Invariants: conjugate symmetry phi(-t) = conj(phi(t)), phi(0) = 1, and
-    |phi(t)| <= 1 (the coherence can never exceed its initial value).
+    """Complex dephasing factor phi(t) on the grid t_k = (k - n/2) dt, k < n, held as
+    ``half``: phi(j dt) for j < n/2, then the unpaired edge sample phi(-t_max); every
+    other t < 0 reads phi(-t) = conj(phi(t)).  Invariants: phi(0) = 1 and |phi| <= 1 (the
+    coherence can never exceed its initial value).  ``realness_residual`` is the largest
+    modulus of the transform of the anti-Hermitian part: by default the half's,
+    (dt/2pi)(|Im phi(0)| + |Im phi(-t_max)|); ``from_samples`` stores its samples'.
     """
 
-    times: np.ndarray
-    values: np.ndarray
+    dt: float
+    half: np.ndarray
+    realness_residual: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).copy()
-        v = np.asarray(self.values, dtype=complex).copy()
-        n = t.size
+        dt, half = float(self.dt), np.array(self.half, dtype=complex)
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError("time step must be finite and positive")
+        _series_size(half)
+        if not np.all(np.isfinite(half)):
+            raise ValueError("dephasing factor values must be finite")
+        if abs(half[0] - 1.0) > SERIES_UNIT_TOL:
+            raise ValueError("dephasing factor must equal 1 at t = 0")
+        if float(np.max(np.abs(half))) > 1.0 + SERIES_UNIT_TOL:
+            raise ValueError("dephasing factor exceeds unit modulus")
+        residual = self.realness_residual
+        if residual is None:
+            residual = dt / (2.0 * np.pi) * (abs(half[0].imag) + abs(half[-1].imag))
+        half.setflags(write=False)
+        for name, value in (("dt", dt), ("half", half), ("realness_residual", float(residual))):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_samples(cls, times, values) -> "DephasingSeries":
+        """The series of finite samples on a whole symmetric grid, the one check of their
+        symmetry: max |v(-t) - conj(v(t))| <= SERIES_SYM_TOL.  Over the FFT's index pairs
+        (j, -j), t = -t_max pairing with itself, they split into a Hermitian part, which
+        the series keeps, and an anti-Hermitian A, whose transform is i ``_half_spectrum``
+        of -iA."""
+        t = np.asarray(times, dtype=float)
+        v = np.asarray(values, dtype=complex)
         _require_series_grid(t)
         if v.shape != t.shape or not np.all(np.isfinite(v)):
             raise ValueError("values must be finite, one per time")
-        if abs(v[n // 2] - 1.0) > SERIES_UNIT_TOL:
-            raise ValueError("dephasing factor must equal 1 at t = 0")
-        if float(np.max(np.abs(v))) > 1.0 + SERIES_UNIT_TOL:
+        if float(np.max(np.abs(v))) > 1.0 + SERIES_UNIT_TOL:  # H drops the edge's Im
             raise ValueError("dephasing factor exceeds unit modulus")
-        if symmetry_residual(v) > SERIES_SYM_TOL:
+        n0, dt = t.size // 2, float(t[1] - t[0])
+        x = np.append(v[n0:], v[0])  # phi(j dt), j < n/2, then phi(-t_max)
+        y = np.conj(v[n0::-1])  # conj phi(-j dt), j = 0 .. n/2
+        if np.max(np.abs(x[:-1] - y[:-1])) > SERIES_SYM_TOL:
             raise ValueError("series not conjugate-symmetric")
-        t.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "values", v)
+        residual = float(np.max(np.abs(_half_spectrum(-0.5j * (x - y), dt))))
+        return cls(dt, 0.5 * (x + y), residual)
 
     @property
     def n(self) -> int:
-        return self.times.size
+        return 2 * (self.half.size - 1)
 
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def t_max(self) -> float:
-        return -float(self.times[0])
+    def full(self) -> np.ndarray:
+        """The n values in grid order; the conjugate's Im is 0 - Im, so a real value keeps +0."""
+        n0 = self.n // 2
+        v = np.concatenate([self.half[n0:], self.half[1:n0][::-1], self.half[:n0]])
+        np.subtract(0.0, v.imag[1:n0], out=v.imag[1:n0])
+        return v
 
 
 def dephasing_conventional(model: SpectralDensityModel, omega0: float,
                            grid: np.ndarray) -> DephasingSeries:
     """Series exp(i omega0 t - Phi(t)) on the given symmetric grid."""
-    grid = np.asarray(grid, dtype=float)
+    t, dt = _half_grid(grid)
     rule = _FilonRule(model)
-    exponent = np.clip(_on_grid(lambda x: rule.integrals(x)[:1], grid)[0], 0.0, None)
-    values = np.exp(1j * omega0 * grid - exponent)
-    return DephasingSeries(grid, values)
+    exponent = np.clip(_on_grid(lambda x: rule.integrals(x)[:1], t)[0], 0.0, None)
+    return DephasingSeries(dt, np.exp(1j * omega0 * t - exponent))
 
 
 def extended_exponents(model: SpectralDensityModel, grid: np.ndarray):
-    """(Phi, drift) of the extended model (T = 0) on the grid, from one set of knots: the
-    decoherence exponent and int 4J/w^2 (w t - sin w t) dw, for ``extended_series``."""
+    """(Phi, drift) of the extended model (T = 0) on the grid's half layout, from one set of
+    knots: the decoherence exponent and int 4J/w^2 (w t - sin w t) dw."""
     if model.temperature != 0.0:
         raise ValueError("extended model implemented at T=0 only")
-    grid = np.asarray(grid, dtype=float)
+    t, _ = _half_grid(grid)
     rule = _FilonRule(model)
-    even, odd = _on_grid(rule.integrals, grid)
-    return np.clip(even, 0.0, None), rule.inverse_frequency_mass * grid - np.sign(grid) * odd
+    even, odd = _on_grid(rule.integrals, t)
+    return np.clip(even, 0.0, None), rule.inverse_frequency_mass * t - np.sign(t) * odd
 
 
-def _extended_values(grid, exponent, drift, phase: float) -> np.ndarray:
-    """exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi."""
-    theta = math.cos(phase) * drift + np.sign(grid) * math.sin(phase) * exponent
+def _extended_values(exponent, drift, phase: float) -> np.ndarray:
+    """exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi, on a half."""
+    sign = np.concatenate([[0.0], np.ones(exponent.size - 2), [-1.0]])  # t = 0, t > 0, -t_max
+    theta = math.cos(phase) * drift + sign * math.sin(phase) * exponent
     return np.exp(-1j * theta - exponent)
 
 
-def extended_series(grid, exponent, drift, phase: float) -> DephasingSeries:
+def extended_series(dt: float, exponent, drift, phase: float) -> DephasingSeries:
     """Series exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi."""
-    return DephasingSeries(grid, _extended_values(grid, exponent, drift, phase))
+    return DephasingSeries(dt, _extended_values(exponent, drift, phase))
 
 
-def _extended_pair(grid, exponent, drift):
-    """(grid, Phi, drift) as float arrays that ``extended_series`` accepts at every finite
-    phase.  ValueError unless the grid passes the series' grid rules and, within the
-    series' tolerances, Phi >= 0, Phi is even and the drift odd (Phi + i drift is
-    conjugate-symmetric) and both are 0 at t = 0; both must be finite, with a finite sum
+def _extended_pair(exponent, drift):
+    """(Phi, drift) of a half layout as float arrays that ``extended_series`` accepts at every
+    finite phase.  ValueError unless the half layouts match and, within the series'
+    tolerances, Phi >= 0 and both are 0 at t = 0; both must be finite, with a finite sum
     of their largest magnitudes, which bounds theta."""
-    grid, exponent, drift = (np.asarray(a, dtype=float) for a in (grid, exponent, drift))
-    _require_series_grid(grid)
-    if exponent.shape != grid.shape or drift.shape != grid.shape:
-        raise ValueError("exponent and drift must match the time grid")
+    exponent, drift = (np.asarray(a, dtype=float) for a in (exponent, drift))
+    if drift.shape != exponent.shape:
+        raise ValueError("exponent and drift must match the time grid, and each other")
+    _series_size(exponent)
     if not math.isfinite(float(np.max(np.abs(exponent))) + float(np.max(np.abs(drift)))):
         raise ValueError("exponent and drift must be finite")
     if float(np.min(exponent)) < -SERIES_UNIT_TOL:
         raise ValueError("exponent must be nonnegative")
-    pair = exponent + 1j * drift
-    if abs(pair[grid.size // 2]) > SERIES_UNIT_TOL:
+    if abs(complex(exponent[0], drift[0])) > SERIES_UNIT_TOL:
         raise ValueError("exponent and drift must vanish at t = 0")
-    if symmetry_residual(pair) > SERIES_SYM_TOL:
-        raise ValueError("exponent must be even and drift odd")
-    return grid, exponent, drift
+    return exponent, drift
 
 
 def dephasing_extended(model: SpectralDensityModel, phase: float,
                        grid: np.ndarray) -> DephasingSeries:
     """Series exp(-i theta_phase(t) - Phi(t)) of the extended model (T = 0)."""
-    return extended_series(grid, *extended_exponents(model, grid), phase)
+    return extended_series(_half_grid(grid)[1], *extended_exponents(model, grid), phase)
 
 
 def ohmic_series(omega_c: float, grid: np.ndarray, phase: float | None = None) -> DephasingSeries:
@@ -625,30 +658,27 @@ def ohmic_series(omega_c: float, grid: np.ndarray, phase: float | None = None) -
     Conventional: (1 + wc^2 t^2)^-2.  Extended (phase given):
     exp[-i 4 cos(phase) (wc t - arctan wc t)] * (1 + wc^2 t^2)^{-2(1 + i sign(t) sin(phase))}.
     """
-    grid = np.asarray(grid, dtype=float)
-    x = omega_c * grid
+    t, dt = _half_grid(grid)
+    x = omega_c * t
     log1p = np.log1p(x * x)
     if phase is None:
-        return DephasingSeries(grid, np.exp(-2.0 * log1p).astype(complex))
-    return extended_series(grid, 2.0 * log1p, 4.0 * (x - np.arctan(x)), phase)
+        return DephasingSeries(dt, np.exp(-2.0 * log1p).astype(complex))
+    return extended_series(dt, 2.0 * log1p, 4.0 * (x - np.arctan(x)), phase)
 
 
-def master_coeffs(series: DephasingSeries, t_min: float | None = None,
-                  t_max: float | None = None):
+def master_coeffs(series: DephasingSeries, t_max: float | None = None):
     """Effective-energy and decoherence-rate series from the log-derivative of phi.
 
-    Returns (t, epsilon, gamma) on interior grid points of the requested
-    window, with epsilon = Im[d/dt ln phi]/2 and gamma = -Re[d/dt ln phi]/2.
-    Centered differences with phase unwrapping along the grid.
+    Returns (t, epsilon, gamma) at t = j dt for j = 0 .. min(n/2 - 2, t_max / dt),
+    with epsilon = Im[d/dt ln phi]/2 and gamma = -Re[d/dt ln phi]/2.  Centered
+    differences with phase unwrapping along the samples from t = -dt, conj phi(dt).
     """
-    t = series.times
-    v = series.values
-    lo = 0 if t_min is None else int(np.searchsorted(t, t_min))
-    hi = t.size if t_max is None else int(np.searchsorted(t, t_max, side="right"))
-    if hi - lo < 3:
+    n0 = series.n // 2
+    m = n0 - 2 if t_max is None else math.floor(min(n0 - 2, t_max / series.dt))
+    if m < 0:
         raise ValueError("window too small for centered differences")
-    t = t[lo:hi]
-    v = v[lo:hi]
+    v = np.concatenate([np.conj(series.half[1:2]), series.half[:m + 2]])
+    t = np.arange(-1, m + 2) * series.dt
     mags = np.abs(v)
     if np.min(mags) <= 1e-14:
         raise CoefficientSingularityError(float(t[int(np.argmin(mags))]))

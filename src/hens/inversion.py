@@ -8,12 +8,12 @@ Discrete realization of the continuum pair
 on conjugate grids (dw = 2pi / (N dt)), plus the diagnostics that decide
 whether the recovered distribution is a legitimate probability density:
 normalization, realness, negativity, and the Gram-matrix positive-definiteness
-witness.  Both directions use the conjugate symmetry phi(-t) = conj(phi(t)) of
-a real distribution's series: the forward transform is one ``np.fft.ihfft``
-mirrored by conjugation, and every spectrum is one ``np.fft.hfft`` of the
-t >= 0 half (``_half_spectrum``).  The sample at t = -t_max has no partner on
-the grid, so a series' spectrum is real only up to the realness residual, the
-transform of the series' anti-Hermitian part.
+witness.  All of them read the t >= 0 half a ``DephasingSeries`` holds, by the
+symmetry phi(-t) = conj(phi(t)) of a real distribution's series: the forward
+transform is one ``np.fft.ihfft``, every spectrum one ``np.fft.hfft`` of the
+half (``_half_spectrum``), and a Gram matrix takes a negative lag's conjugate.
+The sample at t = -t_max has no partner on the grid, so a series' spectrum is
+real only up to the realness residual, the transform of its anti-Hermitian part.
 
 The extended model at phase p + pi has the conjugate series conj phi_p(t), whose
 distribution is the mirror image wp_p(-w); ``negativity_landscape`` evaluates
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dephasing import DephasingSeries, _extended_pair, _extended_values
+from .dephasing import DephasingSeries, _extended_pair, _extended_values, _half_grid
+from .dephasing import _half_spectrum
 from .dephasing import ohmic_series  # noqa: F401  bench/spans.py wraps this name
 from .ensemble import _coherence_factor
 
@@ -89,22 +90,24 @@ class BochnerReport:
     matrix_dim: int
 
 
-def conjugate_frequency_grid(times: np.ndarray) -> np.ndarray:
-    """The FFT conjugate frequencies of an evenly spaced time grid; a ValueError when
-    the time step is so small that they overflow."""
-    dt = float(times[1] - times[0])
+def conjugate_frequency_grid(n: int, dt: float) -> np.ndarray:
+    """The FFT conjugate frequencies of n times dt apart; a ValueError unless dt is finite
+    and positive, or when it is so small that they overflow."""
+    dt = float(dt)
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"time step {dt!r} must be finite and positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(times.size, d=dt))
+        omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=dt))
     if not np.all(np.isfinite(omega)):
         raise ValueError(f"time step {dt!r} is too small: its conjugate frequencies "
                          "are not representable in floating point")
     return omega
 
 
-def on_conjugate_grid(omega: np.ndarray, grid: np.ndarray) -> bool:
-    """True when omega is, point by point, the FFT conjugate of the symmetric time grid."""
+def on_conjugate_grid(omega: np.ndarray, n: int, dt: float) -> bool:
+    """True when omega is, point by point, the FFT conjugate of n times dt apart."""
     try:
-        conjugate = conjugate_frequency_grid(grid)
+        conjugate = conjugate_frequency_grid(n, dt)
     except ValueError:  # no finite omega is the conjugate of such a grid
         return False
     return bool(omega.shape == conjugate.shape
@@ -130,75 +133,44 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     ``dist`` is the pair (omega, weights) of frequencies and real weights,
     matching finite 1-d arrays of two or more points; any other pair raises
     ValueError.  Uses the exact FFT pair when the input lives on the conjugate
-    grid of ``grid``; off it, the times are the
+    grid of ``grid``; off it, the n/2 + 1 times of the series' half are the
     trapezoid sums of one ``_coherence_factor`` call, for at most 2^28
-    (frequency, time) pairs.  The result is normalized by its t = 0 sample
+    (frequency, grid time) pairs.  The result is normalized by its t = 0 sample
     (the discrete mass of the input, required to be 1 within 1e-6) so the
     series invariants hold for any legal input.
     """
     omega, weights = _distribution(dist)
-    grid = np.asarray(grid, dtype=float)
-    n = grid.size
-    domega = float(omega[1] - omega[0])
-    if on_conjugate_grid(omega, grid):
-        # phi(j dt) for j = 0 .. n/2, mirrored by conjugation: exactly conjugate-symmetric
-        half = domega * n * np.fft.ihfft(np.fft.ifftshift(weights))
-        values = np.concatenate([np.conj(half[:0:-1]), half[:-1]])
+    t, dt = _half_grid(grid)
+    n = 2 * (t.size - 1)
+    if on_conjugate_grid(omega, n, dt):
+        # phi(j dt) for j = 0 .. n/2; the last becomes the edge sample phi(-t_max)
+        half = float(omega[1] - omega[0]) * n * np.fft.ihfft(np.fft.ifftshift(weights))
+        half[-1] = np.conj(half[-1])
     else:
         if omega.size * n > 1 << 28:
             raise ValueError(
                 "grids too large for direct summation; use conjugate grids for the FFT path"
             )
-        values = _coherence_factor(omega, weights, grid)
+        half = _coherence_factor(omega, weights, t)
 
-    mass = float(np.real(values[n // 2]))
+    mass = float(np.real(half[0]))
     if abs(mass - 1.0) > 1e-6:
         raise ValueError("input mass differs from 1 beyond tolerance")
-    values /= mass
-    return DephasingSeries(grid, values)
-
-
-def _half_spectrum(half: np.ndarray, dt: float) -> np.ndarray:
-    """(dt/2pi) sum_n phi(t_n) e^{-i w_k t_n} on the conjugate grid of a symmetric
-    n-point time grid, for the Hermitian series given by its half.
-
-    ``half`` holds phi(j dt) for j = 0 .. n/2 - 1, then the edge sample phi(-t_max);
-    the series is read as phi(-t) = conj(phi(t)), of which only the real parts of
-    phi(0) and phi(-t_max) count.  One ``np.fft.hfft`` of length n: the spectrum is
-    real.
-    """
-    return dt / (2.0 * np.pi) * np.fft.fftshift(np.fft.hfft(half, 2 * (half.size - 1)))
-
-
-def _series_spectrum(values: np.ndarray, dt: float) -> tuple[np.ndarray, float]:
-    """(real spectrum, realness residual) of a series' samples on a symmetric grid.
-
-    Over the index pairs (j, -j) of the FFT's period, where t = -t_max pairs with
-    itself, the samples split into a Hermitian part H and an anti-Hermitian part A.
-    The spectrum is ``_half_spectrum`` of H; the transform of A is i times
-    ``_half_spectrum`` of -iA, and the residual is the largest modulus of that.
-    """
-    n0 = values.size // 2
-    x = np.append(values[n0:], values[0])  # phi(j dt), j < n/2, then phi(-t_max)
-    y = np.conj(values[n0::-1])  # conj phi(-j dt), j = 0 .. n/2
-    spectrum = _half_spectrum(0.5 * (x + y), dt)
-    residual = float(np.max(np.abs(_half_spectrum(-0.5j * (x - y), dt))))
-    return spectrum, residual
+    half /= mass
+    return DephasingSeries(dt, half)
 
 
 def inverse_ft(series: DephasingSeries) -> QuasiDistribution:
     """Recover the simulating (quasi-)distribution of a dephasing series.
 
     wp(w_k) = (dt/2pi) sum_n phi(t_n) e^{-i w_k t_n} on the conjugate grid
-    dw = 2pi/(N dt).  ``values`` is the transform of the series' Hermitian part,
-    one ``np.fft.hfft`` of its t >= 0 half; the transform of the anti-Hermitian
-    part is imaginary, and its largest modulus is recorded as
-    ``realness_residual``, never silently lost.  For a series the package builds
-    that part is only the unpaired edge sample's Im phi(-t_max).
+    dw = 2pi/(N dt).  ``values`` is one ``np.fft.hfft`` of the series' half; the
+    transform of the anti-Hermitian part is imaginary, and its largest modulus,
+    the series' ``realness_residual``, is recorded, never silently lost.
     """
-    omega = conjugate_frequency_grid(series.times)
-    spectrum, residual = _series_spectrum(series.values, series.dt)
-    return QuasiDistribution.from_samples(omega, spectrum, realness_residual=residual)
+    return QuasiDistribution.from_samples(conjugate_frequency_grid(series.n, series.dt),
+                                          _half_spectrum(series.half, series.dt),
+                                          realness_residual=series.realness_residual)
 
 
 def roundtrip_error(dist) -> float:
@@ -211,22 +183,22 @@ def roundtrip_error(dist) -> float:
     return float(np.max(np.abs(back.values - weights)))
 
 
-def _gram_floors(values: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _gram_floors(half: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of the Gram matrix [phi(t_j - t_l)] of each row of ``k``.
 
-    ``values`` are a series' samples and ``k`` an (R, s) stack of index sets, each
-    index counted in grid steps from t = 0, whose pairwise differences stay on
-    the grid.  Entry (j, l) of row r is ``values[n/2 + k[r, j] - k[r, l]]``; each
-    matrix is symmetrized to 0.5 (m + m^H) and the stack goes to ``eigvalsh`` at
-    most GRAM_ENTRIES matrix entries at a time.
+    ``half`` is a series' half layout and ``k`` an (R, s) stack of index sets, each
+    index counted in grid steps from t = 0, whose differences d = k[r, j] - k[r, l]
+    stay below n/2 in modulus.  Entry (j, l) of row r is ``half[d]``, or
+    ``conj(half[-d])`` for d < 0, so each matrix is exactly Hermitian; the stack
+    goes to ``eigvalsh`` at most GRAM_ENTRIES matrix entries at a time.
     """
-    n0 = values.size // 2
     step = max(1, GRAM_ENTRIES // k.shape[1] ** 2)
     floors = np.empty(k.shape[0])
     for lo in range(0, k.shape[0], step):
         part = k[lo:lo + step]
-        m = values[n0 + part[:, :, None] - part[:, None, :]]
-        m = 0.5 * (m + m.conj().swapaxes(1, 2))
+        lag = part[:, :, None] - part[:, None, :]
+        m = half[np.abs(lag)]
+        np.conjugate(m, out=m, where=lag < 0)
         floors[lo:lo + step] = np.linalg.eigvalsh(m)[:, 0]
     return floors
 
@@ -248,11 +220,11 @@ def bochner_witness(series: DephasingSeries, times) -> BochnerReport:
     if not (np.all((k >= -n0) & (k < n0)) and np.ptp(k) < n0):
         raise ValueError("time outside the series grid")
     k = k.astype(int)
-    if np.max(np.abs(series.times[n0 + k] - times)) > 1e-9 * series.dt:
+    if np.max(np.abs(k * series.dt - times)) > 1e-9 * series.dt:
         raise ValueError("time off the series grid")
     return BochnerReport(
         times=times,
-        min_eigenvalue=float(_gram_floors(series.values, k[None])[0]),
+        min_eigenvalue=float(_gram_floors(series.half, k[None])[0]),
         matrix_dim=times.size,
     )
 
@@ -261,8 +233,8 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
                    max_size: int = 8, stop_below: float | None = None):
     """Randomized search for a Gram matrix with a negative floor.
 
-    Time sets of size 2..max_size are drawn uniformly from the grid points in
-    [0, t_max / 4], a quarter of the series span, and a time drawn twice in a set
+    Time sets of size 2..max_size are drawn uniformly from the grid points j dt in
+    [0, t_max / 4], j <= n/8, a quarter of the series span, and a time drawn twice in a set
     counts once: each set is evaluated on its distinct times, in the order of
     their first draws, so no report holds a time twice.  The set sizes come from the
     first child of ``np.random.SeedSequence(seed).spawn(2)`` and the indices
@@ -282,8 +254,7 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
         raise ValueError("restarts must be at least 1")
     if max_size < 2:
         raise ValueError("max_size must be at least 2")
-    k_hi = int(0.25 * series.t_max / series.dt)
-    n0 = series.n // 2
+    k_hi = series.n // 8
     size_rng, index_rng = (np.random.default_rng(s)
                            for s in np.random.SeedSequence(seed).spawn(2))
     best_floor, best_k, used = np.inf, None, 0
@@ -302,7 +273,7 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
         floors = np.empty(sizes.size)
         for size in np.unique(sizes):
             at = np.flatnonzero(sizes == size)
-            floors[at] = _gram_floors(series.values, indices[starts[at, None] + np.arange(size)])
+            floors[at] = _gram_floors(series.half, indices[starts[at, None] + np.arange(size)])
         below = np.flatnonzero(floors < stop_below) if stop_below is not None else []
         if len(below):
             floors = floors[:below[0] + 1]
@@ -312,16 +283,16 @@ def bochner_search(series: DephasingSeries, restarts: int, seed: int,
         used += floors.size
         if len(below):
             break
-    report = BochnerReport(times=series.times[n0 + best_k], min_eigenvalue=float(best_floor),
+    report = BochnerReport(times=best_k * series.dt, min_eigenvalue=float(best_floor),
                            matrix_dim=best_k.size)
     return report, used
 
 
-def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray):
+def negativity_landscape(exponent, drift, phases, omega_window, dt: float):
     """Negative part of the recovered extended-model distribution over (w, phase).
 
-    ``(exponent, drift)`` is the extended model's pair on the grid (see
-    ``extended_exponents``).  The pair and phases are checked once; each column
+    ``(exponent, drift)`` is the extended model's half pair on a grid of step dt
+    (see ``extended_exponents``).  The pair, dt and phases are checked once; each column
     is then ``inverse_ft``'s spectrum of that phase's series, kept as min(wp, 0)
     on the requested frequency window.  Phase p + pi only flips the sign of
     theta, so its series is conj phi_p(t) and its distribution is wp(-w): a
@@ -334,23 +305,21 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
     Raises ValueError for a pair or phase ``extended_series`` rejects, no
     phases, or a window without grid frequencies.
     """
-    grid, exponent, drift = _extended_pair(grid, exponent, drift)
+    exponent, drift = _extended_pair(exponent, drift)
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or not phases.size:
         raise ValueError("phases must be a nonempty 1-d array")
     if not np.all(np.isfinite(phases)):
         raise ValueError("phases must be finite")
     lo, hi = float(omega_window[0]), float(omega_window[1])
-    omega_full = conjugate_frequency_grid(grid)
+    n, dt = 2 * (exponent.size - 1), float(dt)
+    omega_full = conjugate_frequency_grid(n, dt)
     mask = (omega_full >= lo) & (omega_full <= hi)
     omega = omega_full[mask]
     if not omega.size:
         span = [float(omega_full[0]), float(omega_full[-1])]
         raise ValueError(f"frequency window [{lo!r}, {hi!r}] holds no frequency of the grid, "
                          f"whose frequencies span {span}")
-    n, dt = grid.size, float(grid[1] - grid[0])
-    half = np.append(np.arange(n // 2, n), 0)  # t = j dt, j < n/2; -t_max
-    grid, exponent, drift = grid[half], exponent[half], drift[half]
     window = np.flatnonzero(mask)
     mirror = (n - window) % n  # the index of -w on the fftshifted grid
     # partner[j]: the earlier evaluated phase that phase j mirrors, or -1 to evaluate j
@@ -363,7 +332,7 @@ def negativity_landscape(exponent, drift, phases, omega_window, grid: np.ndarray
             partner[j] = earlier[np.argmax(near)]
     cells = np.empty((window.size, phases.size))
     for j in np.flatnonzero(partner < 0):
-        spectrum = _half_spectrum(_extended_values(grid, exponent, drift, phases[j]), dt)
+        spectrum = _half_spectrum(_extended_values(exponent, drift, phases[j]), dt)
         cells[:, j] = np.minimum(spectrum[window], 0.0)
         cells[:, partner == j] = np.minimum(spectrum[mirror], 0.0)[:, None]
     return omega, phases, cells

@@ -568,6 +568,18 @@ class TestSimulate:
         assert (a / "state.csv").read_bytes() == (b / "state.csv").read_bytes()
         assert (a / "consistency.json").read_bytes() == (b / "consistency.json").read_bytes()
 
+    def test_default_dilation_resolves_the_default_times(self, tmp_path):
+        # invert's default table has its distribution's width 1 at omega_c = 1; equal bins
+        # of width D revive at t = 2 pi / D, so 32 bins (D = 1) revived inside the default
+        # times up to 10 and read he_vs_dilation 0.456; 128 bins read 3.3e-4
+        assert run("invert", "--output-dir", str(tmp_path / "inv")) == 0
+        assert run("simulate", "--ensemble-kind", "spectral",
+                   "--ensemble-path", str(tmp_path / "inv" / "wp.csv"),
+                   "--output-dir", str(tmp_path / "sim")) == 0
+        cons = json.load(open(tmp_path / "sim" / "consistency.json"))
+        assert cons["pairwise_max_trace_distance"]["he_vs_dilation"] <= 1e-3
+        assert cons["classical_ok"] is True
+
     def test_unknown_kind_exits_two(self, tmp_path):
         assert run("simulate", "--output-dir", str(tmp_path)) == 2
 

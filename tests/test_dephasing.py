@@ -451,8 +451,8 @@ class TestKernels:
 
 
 PHASE_GRID = time_grid(64.0, 1 << 12)  # dt = 1/32: t = 1 is a grid point
-PHASE_T0 = PHASE_GRID.size // 2
-PHASE_T1 = PHASE_T0 + 32
+PHASE_DT = PHASE_GRID[1] - PHASE_GRID[0]
+PHASE_T1 = 32  # t = 1 in the half layout
 
 
 @functools.cache
@@ -488,6 +488,24 @@ def test_series_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * 2**20
+
+
+@pytest.mark.parametrize("k", [16, 18])
+def test_series_holds_its_half(k):
+    # a series keeps n/2 + 1 complex samples: 8 B per grid point, where whole times and
+    # values took 24 B
+    grid = time_grid(200.0, 1 << k)
+    for build in (lambda: dephasing_conventional(OHMIC1, 0.0, grid),
+                  lambda: ohmic_series(1.0, grid, phase=np.pi / 4)):
+        build(), build()  # one-time allocations of the first calls
+        tracemalloc.start()
+        try:
+            series = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert series.n == grid.size
+        assert held / grid.size <= 8.1
 
 
 NARROW_TABLE = SpectralDensityModel.tabulated(np.array([4.07, 4.32]), np.array([1.0, 1.0]))
@@ -544,12 +562,13 @@ class TestGridKnots:
         # every |t| is a knot: the series are the rule's values, bit for bit
         grid = NARROW_GRID if n == 64 and model is NARROW_TABLE else time_grid(3.0, n)
         rule = _FilonRule(model)
-        even, odd = rule.integrals(np.abs(grid))
+        t = np.append(grid[grid.size // 2:], grid[0])  # the half layout
+        even, odd = rule.integrals(np.abs(t))
         series = dephasing_conventional(model, 0.7, grid)
-        assert np.array_equal(series.values, np.exp(1j * 0.7 * grid - even))
+        assert np.array_equal(series.half, np.exp(1j * 0.7 * t - even))
         exponent, drift = extended_exponents(model, grid)
         assert np.array_equal(exponent, even)
-        assert np.array_equal(drift, rule.inverse_frequency_mass * grid - np.sign(grid) * odd)
+        assert np.array_equal(drift, rule.inverse_frequency_mass * t - np.sign(t) * odd)
 
 
 class TestExtendedPhase:
@@ -558,24 +577,29 @@ class TestExtendedPhase:
 
     def test_zero_time(self):
         exponent, drift = ohmic_phase_pair()
-        assert exponent[PHASE_T0] == 0.0 and drift[PHASE_T0] == 0.0
-        assert extended_series(PHASE_GRID, exponent, drift, 0.3).values[PHASE_T0] == 1.0
+        assert exponent[0] == 0.0 and drift[0] == 0.0
+        assert extended_series(PHASE_DT, exponent, drift, 0.3).half[0] == 1.0
 
     def test_cosine_part_reference(self):
         # 4 (wc t - arctan wc t) at wc = t = 1
-        s = extended_series(PHASE_GRID, *ohmic_phase_pair(), 0.0)
-        assert abs(-np.angle(s.values[PHASE_T1]) - (4.0 - np.pi)) < 1e-9
+        s = extended_series(PHASE_DT, *ohmic_phase_pair(), 0.0)
+        assert abs(-np.angle(s.half[PHASE_T1]) - (4.0 - np.pi)) < 1e-9
 
     def test_sine_part_equals_zero_temperature_exponent(self):
-        s = extended_series(PHASE_GRID, *ohmic_phase_pair(), np.pi / 2)
-        assert abs(-np.angle(s.values[PHASE_T1]) - 2.0 * np.log(2.0)) < 1e-9
+        s = extended_series(PHASE_DT, *ohmic_phase_pair(), np.pi / 2)
+        assert abs(-np.angle(s.half[PHASE_T1]) - 2.0 * np.log(2.0)) < 1e-9
 
     def test_odd(self):
-        # arg phi(t) + arg phi(-t) = -(theta(t) + theta(-t)) modulo 2 pi
-        v = extended_series(PHASE_GRID, *ohmic_phase_pair(), 0.9).values
-        rng = np.random.default_rng(7)
-        for k in rng.integers(4, 321, 5):  # t in [0.125, 10]
-            assert abs(np.angle(v[PHASE_T0 + k] * v[PHASE_T0 - k])) < 1e-12
+        # the edge sample phi(-t_max) is evaluated, not mirrored: theta is odd there too,
+        # sign(t) = -1 and the drift integral at t < 0
+        s = extended_series(PHASE_DT, *ohmic_phase_pair(), 0.9)
+        t = PHASE_GRID[0]
+        exact = np.exp(-1j * pointwise_phase(OHMIC1, 0.9, t) - _FilonRule(OHMIC1).integrals(t)[0])
+        assert abs(s.half[-1] - exact) < 1e-12
+        # every other t < 0 is read as phi(-t) = conj(phi(t))
+        v = s.full()
+        n0 = PHASE_GRID.size // 2
+        assert np.array_equal(v[n0 - 1:0:-1], np.conj(s.half[1:n0]))
 
     def test_finite_temperature_rejected(self):
         warm = SpectralDensityModel.ohmic(1.0, temperature=0.5)
@@ -600,18 +624,42 @@ class TestSeriesConstruction:
     def test_invariants_enforced(self):
         g = time_grid(10.0, 64)
         good = np.exp(-np.abs(g))
-        DephasingSeries(g, good)
+        DephasingSeries.from_samples(g, good)
         with pytest.raises(ValueError, match="conjugate"):
-            DephasingSeries(g, good * np.exp(0.01j * g**2))  # even phase breaks symmetry
+            # even phase breaks symmetry
+            DephasingSeries.from_samples(g, good * np.exp(0.01j * g**2))
         bumped = good.copy()
         bumped[10] = bumped[g.size - 10] = 1.2  # symmetric pair above unit modulus
         with pytest.raises(ValueError, match="modulus"):
-            DephasingSeries(g, bumped)
+            DephasingSeries.from_samples(g, bumped)
+        edge = good + 0j
+        edge[0] += 2j  # the unpaired edge, whose Im the kept Hermitian part drops
+        with pytest.raises(ValueError, match="modulus"):
+            DephasingSeries.from_samples(g, edge)
         with pytest.raises(ValueError, match="t = 0"):
-            DephasingSeries(g, 0.9 * good)
+            DephasingSeries.from_samples(g, 0.9 * good)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                DephasingSeries(g, np.where(g == 0.0, 1.0, bad))
+                DephasingSeries.from_samples(g, np.where(g == 0.0, 1.0, bad))
+
+    def test_half_layout_enforced(self):
+        g = time_grid(10.0, 64)
+        s = DephasingSeries.from_samples(g, np.exp(-np.abs(g)))
+        dt, half = s.dt, s.half
+        assert (s.n, dt, half.size) == (64, g[1] - g[0], 33)
+        assert np.array_equal(s.full(), np.exp(-np.abs(g)))
+        for bad in (half[:-1], half[:2], half[None]):  # n = 62, n = 2, 2-d
+            with pytest.raises(ValueError, match="power-of-two"):
+                DephasingSeries(dt, bad)
+        for bad_dt in (0.0, -dt, np.inf, np.nan):
+            with pytest.raises(ValueError, match="time step"):
+                DephasingSeries(bad_dt, half)
+        with pytest.raises(ValueError, match="modulus"):
+            DephasingSeries(dt, np.where(np.arange(33) == 5, 1.2, half))
+        with pytest.raises(ValueError, match="t = 0"):
+            DephasingSeries(dt, 0.9 * half)
+        with pytest.raises(ValueError, match="finite"):
+            DephasingSeries(dt, np.where(np.arange(33) == 5, np.nan, half))
 
     def test_conventional_series_paper_values(self):
         # t = 1 lands on the grid: dt = 1/32
@@ -619,31 +667,31 @@ class TestSeriesConstruction:
         s1 = dephasing_conventional(OHMIC1, 0.0, g)
         i = np.argmin(np.abs(g - 1.0))
         assert g[i] == 1.0
-        assert abs(abs(s1.values[i]) - 0.25) < 1e-8
+        assert abs(abs(s1.full()[i]) - 0.25) < 1e-8
         s3 = dephasing_conventional(SpectralDensityModel.ohmic(3.0), 0.0, g)
-        assert abs(abs(s3.values[i]) - 0.01) < 1e-8
-        assert s1.values[g.size // 2] == 1.0
+        assert abs(abs(s3.full()[i]) - 0.01) < 1e-8
+        assert s1.half[0] == 1.0
 
     def test_conventional_series_with_splitting(self):
         omega0 = 2.0
         g = time_grid(32.0, 1 << 11)
         s = dephasing_conventional(OHMIC1, omega0, g)
         expected = np.exp(1j * omega0 * g) * (1 + g**2) ** -2.0
-        assert np.max(np.abs(s.values - expected)) < 1e-8
+        assert np.max(np.abs(s.full() - expected)) < 1e-8
 
     def test_extended_series_closed_form(self):
         g = time_grid(50.0, 1 << 12)
         s = dephasing_extended(OHMIC1, np.pi / 2, g)
         expected = (1 + g**2) ** (-2.0 * (1 + 1j * np.sign(g)))
-        assert np.max(np.abs(s.values - expected)) < 1e-8
+        assert np.max(np.abs(s.full() - expected)) < 1e-8
 
     def test_extended_modulus_is_phase_independent(self):
         g = time_grid(20.0, 1 << 10)
         conv = dephasing_conventional(OHMIC1, 0.0, g)
         for phase in (0.0, np.pi / 4, 1.9):
             ext = dephasing_extended(OHMIC1, phase, g)
-            assert np.max(np.abs(np.abs(ext.values) - np.abs(conv.values))) < 1e-9
-            assert ext.values[g.size // 2] == 1.0
+            assert np.max(np.abs(np.abs(ext.half) - np.abs(conv.half))) < 1e-9
+            assert ext.half[0] == 1.0
 
     def test_tabulated_extended_matches_pointwise_phase(self):
         # many table intervals: Phi and the sine integral are two rows of one fill
@@ -654,7 +702,7 @@ class TestSeriesConstruction:
         for k in (3, 64, 128, 160, 250):
             t = g[k]
             exact = np.exp(-1j * pointwise_phase(model, 0.7, t) - _FilonRule(model).integrals(t)[0])
-            assert abs(s.values[k] - exact) < 1e-9
+            assert abs(s.full()[k] - exact) < 1e-9
 
     @pytest.mark.parametrize("t_max, n", [(77.7, 1 << 24), (0.3, 1 << 24), (1000.0 / 3.0, 1 << 24),
                                           (123.456, 1 << 25)])
@@ -674,7 +722,7 @@ class TestSeriesConstruction:
         # grid times ~1e-152 apart: the fill works on integer positions, not on times
         g = time_grid(1e-150, 256)
         for s in (dephasing_conventional(OHMIC1, 0.0, g), dephasing_extended(OHMIC1, 0.3, g)):
-            assert np.max(np.abs(s.values - 1.0)) < 1e-12
+            assert np.max(np.abs(s.half - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("phase", [None, np.pi / 4])
     def test_default_grid_matches_closed_form(self, phase):
@@ -684,7 +732,7 @@ class TestSeriesConstruction:
         exact = ohmic_series(1.0, g, phase=phase)
         quad = (dephasing_conventional(OHMIC1, 0.0, g) if phase is None
                 else dephasing_extended(OHMIC1, phase, g))
-        assert np.max(np.abs(exact.values - quad.values)) < 1e-10
+        assert np.max(np.abs(exact.half - quad.half)) < 1e-10
 
     @pytest.mark.parametrize("phase", [None, np.pi / 4])
     def test_closed_form_matches_quadrature(self, phase):
@@ -692,14 +740,14 @@ class TestSeriesConstruction:
         exact = ohmic_series(1.0, g, phase=phase)
         quad = (dephasing_conventional(OHMIC1, 0.0, g) if phase is None
                 else dephasing_extended(OHMIC1, phase, g))
-        assert np.max(np.abs(exact.values - quad.values)) < 1e-8
+        assert np.max(np.abs(exact.half - quad.half)) < 1e-8
 
     def test_quadrature_pair_matches_closed_pair_at_every_phase(self, ohmic_pair):
         # the landscape builds all 64 phases from one quadrature of (Phi, drift)
         g = time_grid(200.0, 1 << 16)
-        quad, exact = extended_exponents(OHMIC1, g), ohmic_pair(g)
+        quad, exact, dt = extended_exponents(OHMIC1, g), ohmic_pair(g), g[1] - g[0]
         for phase in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
-            err = extended_series(g, *quad, phase).values - extended_series(g, *exact, phase).values
+            err = extended_series(dt, *quad, phase).half - extended_series(dt, *exact, phase).half
             assert np.max(np.abs(err)) <= 1e-10
 
 
@@ -716,7 +764,7 @@ class TestMasterCoefficients:
     def test_pure_rotation_coefficients(self):
         omega0 = 1.3
         g = time_grid(10.0, 1 << 10)
-        s = DephasingSeries(g, np.exp(1j * omega0 * g))
+        s = DephasingSeries.from_samples(g, np.exp(1j * omega0 * g))
         t, eps, gam = master_coeffs(s)
         assert np.max(np.abs(eps - omega0 / 2.0)) < 1e-10
         assert np.max(np.abs(gam)) < 1e-12
@@ -725,16 +773,18 @@ class TestMasterCoefficients:
         g = time_grid(10.0, 1 << 10)
         # place an exact zero of cos on a grid point
         a = 0.5 * np.pi / g[700]
-        s = DephasingSeries(g, np.cos(a * g).astype(complex))
+        s = DephasingSeries.from_samples(g, np.cos(a * g).astype(complex))
         with pytest.raises(CoefficientSingularityError) as err:
             master_coeffs(s)
         assert abs(abs(err.value.t) - g[700]) < 1e-12
 
     def test_window_selects_subgrid(self):
         g = time_grid(10.0, 1 << 10)
-        s = DephasingSeries(g, np.cos(g).astype(complex))
-        t, eps, gam = master_coeffs(s, t_min=-1.0, t_max=1.0)
-        assert t[0] >= -1.0 and t[-1] <= 1.0
+        s = DephasingSeries.from_samples(g, np.cos(g).astype(complex))
+        t, eps, gam = master_coeffs(s, t_max=1.0)
+        assert t[0] == 0.0 and t[-1] <= 1.0 < t[-1] + s.dt
+        with pytest.raises(ValueError, match="window"):
+            master_coeffs(s, t_max=-1.0)
 
 
 def rk4_propagate_master(rho0, times, epsilon, gamma):
@@ -832,7 +882,8 @@ def extended_coherence(coh0: complex, pops, series: DephasingSeries) -> np.ndarr
     p_up, p_down = float(pops[0]), float(pops[1])
     if abs(p_up + p_down - 1.0) > 1e-10 or p_up < -1e-12 or p_down < -1e-12:
         raise ValueError("invalid populations")
-    return coh0 * (p_up * series.values + p_down * np.conj(series.values))
+    values = series.full()
+    return coh0 * (p_up * values + p_down * np.conj(values))
 
 
 class TestExtendedCoherence:
@@ -842,11 +893,11 @@ class TestExtendedCoherence:
 
     def test_aligned_population_passes_factor_through(self):
         coh = extended_coherence(0.5j, (1.0, 0.0), self.series)
-        assert np.max(np.abs(coh - 0.5j * self.series.values)) < 1e-14
+        assert np.max(np.abs(coh - 0.5j * self.series.full())) < 1e-14
 
     def test_balanced_populations_take_real_part(self):
         coh = extended_coherence(0.5, (0.5, 0.5), self.series)
-        assert np.max(np.abs(coh - 0.5 * self.series.values.real)) < 1e-14
+        assert np.max(np.abs(coh - 0.5 * self.series.full().real)) < 1e-14
 
     def test_initial_value_unchanged(self):
         coh = extended_coherence(0.3 + 0.1j, (0.7, 0.3), self.series)
