@@ -52,6 +52,7 @@ BLOCK_WEIGHTS = 1 << 14  # weights of B per block, 16 per (time, half-width): 25
 SHARED_PAIRS = 64  # (time, panel) pairs of one half-width in a block that get their own product
 KNOT_TOL = 1e-9
 KNOT_STENCIL = 6  # knots of each interval's interpolant in the series fill: a local quintic
+FILL_BLOCK = 1 << 13  # grid positions per interpolant call of the series fill
 PHI_NEGLIGIBLE = 37.0  # e^{-37} < 1e-16: the series no longer resolves Phi or the phase
 
 GRADE = 1.5  # b / a <= 1.5: a panel [a, b] lies at least two of its widths from w = 0
@@ -409,7 +410,8 @@ def _on_grid(f, t: np.ndarray) -> np.ndarray:
     KNOT_TOL * e^{+Phi} (Phi at the middle time, the weight capped at 1e16) while
     Phi or its estimate there is below PHI_NEGLIGIBLE.  So f sees each |t| at most
     once.  The positions that are not knots (none on grids of up to 64 times) are
-    read from the same interpolant through all the knots.
+    read from the same interpolant through all the knots, FILL_BLOCK positions
+    at a time, so the fill's temporaries do not grow with the grid.
     """
     half = t.size - 1
     base = np.concatenate([np.linspace(0.0, half, 33), np.geomspace(half * 2.0 ** -12, half, 33)])
@@ -433,9 +435,11 @@ def _on_grid(f, t: np.ndarray) -> np.ndarray:
         y[:, m] = got
         known[m] = True
         a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
-    if not known.all():
-        ks, rest = np.flatnonzero(known), np.flatnonzero(~known)
-        y[:, rest] = _local_quintic(ks, y[:, ks], rest)
+    ks = np.flatnonzero(known)
+    for lo in range(0, t.size, FILL_BLOCK):
+        rest = lo + np.flatnonzero(~known[lo:lo + FILL_BLOCK])
+        if rest.size:
+            y[:, rest] = _local_quintic(ks, y[:, ks], rest)
     return y
 
 

@@ -156,15 +156,24 @@ def he_average(ens: HamiltonianEnsemble, rho0: DensityMatrix, times) -> list[Den
     return hermitized_states(out)
 
 
+def _phase_factors(w: np.ndarray, t: float, arg: np.ndarray) -> np.ndarray:
+    """e^{i w t} for the array w: ``np.exp`` of the purely imaginary i w t, built in the
+    complex buffer ``arg`` of w's size.  These are the bits of ``np.exp(1j * w * t)``
+    but for the sign of a zero imaginary part, where w t is 0."""
+    arg.real = 0.0
+    np.multiply(w, t, out=arg.imag)
+    return np.exp(arg)
+
+
 def _coherence_factor(omega: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     """Trapezoid sum of weights * e^{i omega t} over the grid at each time.  A phase
     omega t past the float range raises ValueError."""
     require_finite_phases(omega, times)
     times = np.asarray(times, dtype=float)
-    iw, d = 1j * omega, np.diff(omega)
+    arg, d = np.empty(omega.size, dtype=complex), np.diff(omega)
     out = np.empty(times.size, dtype=complex)
     for k, t in enumerate(times):
-        y = weights * np.exp(iw * t)
+        y = weights * _phase_factors(omega, t, arg)
         # np.trapezoid's own arithmetic, with the grid's factors taken out of the loop
         out[k] = (d * (y[1:] + y[:-1]) / 2.0).sum()
     return out
@@ -253,15 +262,21 @@ def _accumulate_block(w: np.ndarray, times: np.ndarray, order: np.ndarray,
                       sums: np.ndarray, squares: np.ndarray) -> None:
     """Add one block of draws w to the running sums S and Q of ``mc_coherence``."""
     z = np.ones(w.size, dtype=complex)
-    prev, step_gap = 0.0, None
+    arg = np.empty(w.size, dtype=complex)
+    steps = []  # (gap, e^{iw*gap}) of the last two distinct gaps, the last used first
+    prev = 0.0
     for k in order:
         t = times[k]
         gap = t - prev
         prev = t
         if gap:
-            if step_gap is None or abs(gap - step_gap) > np.spacing(abs(t)):
-                step, step_gap = np.exp(1j * w * gap), gap
-            z *= step
+            tol = np.spacing(abs(t))
+            if not steps or abs(gap - steps[0][0]) > tol:
+                if len(steps) == 2 and abs(gap - steps[1][0]) <= tol:
+                    steps.reverse()
+                else:
+                    steps = [(gap, _phase_factors(w, gap, arg)), *steps[:1]]
+            z *= steps[0][1]
         sums[k] += z.sum()
         squares[k] += np.vdot(z, z).real
 
@@ -298,10 +313,12 @@ def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
     One pass over the draws, MC_BLOCK at a time.  Within a block the times are
     visited in sorted order (stable, so repeats are free) and the phases z
     step by the recurrence z <- z * e^{iw*gap}, gap being the distance to the
-    previous time (the first from t = 0).  The factor e^{iw*gap} is computed
-    again only when the gap moves by more than np.spacing of the later time,
-    so evenly spaced times cost one exponential per draw, and any other time
-    set at most one per draw per time.  Reusing a factor adds at most
+    previous time (the first from t = 0).  The factors e^{iw*gap} of the last
+    two distinct gaps are kept, and one is computed only when the gap is
+    farther than np.spacing of the later time from both kept gaps.  So evenly
+    spaced times cost one exponential per draw, times whose gaps take two
+    lengths (output times moved to a step grid) two, and any other time set at
+    most one per draw per time.  Reusing a factor adds at most
     |w|*ulp(t) of phase per step, the order of the rounding of w*t in a
     direct evaluation; over K steps the means are within
     K*(max|w|*ulp(t_max) + a few eps) of the direct per-time estimate.

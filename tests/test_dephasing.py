@@ -508,6 +508,33 @@ def test_series_holds_its_half(k):
         assert held / grid.size <= 8.1
 
 
+def test_series_fill_memory_is_flat():
+    # the positions between knots are filled FILL_BLOCK at a time: the peak per grid
+    # point stays near 24-26 B (the two returned rows hold 8 B), where one fill call
+    # for all of them peaked at 37-38 B
+    per_point = []
+    for k in (16, 17, 18):
+        grid = time_grid(200.0, 1 << k)
+        extended_exponents(OHMIC1, grid)  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            extended_exponents(OHMIC1, grid)
+            per_point.append(tracemalloc.get_traced_memory()[1] / grid.size)
+        finally:
+            tracemalloc.stop()
+    assert max(per_point) <= 28.0
+    assert per_point[-1] <= per_point[0]
+
+
+@pytest.mark.parametrize("block", [7, 1 << 30], ids=["7", "whole-half"])
+def test_fill_blocks_do_not_change_the_series(monkeypatch, block):
+    grid = time_grid(200.0, 1 << 16)
+    want = extended_exponents(OHMIC1, grid) + (dephasing_conventional(OHMIC1, 0.0, grid).half,)
+    monkeypatch.setattr(dephasing, "FILL_BLOCK", block)
+    got = extended_exponents(OHMIC1, grid) + (dephasing_conventional(OHMIC1, 0.0, grid).half,)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 NARROW_TABLE = SpectralDensityModel.tabulated(np.array([4.07, 4.32]), np.array([1.0, 1.0]))
 NARROW_GRID = time_grid(200.0 / 0.25, 64)  # the CLI's default t_max = 200 / table width
 

@@ -12,6 +12,7 @@ from hens.ensemble import (
     SpectralEnsemble,
     _cdf_index,
     _coherence_factor,
+    _phase_factors,
     _env_coherence,
     cnot_ensemble,
     cnot_mixture,
@@ -506,6 +507,18 @@ class TestMonteCarloAllTimes:
         # distinct gaps: one exponential per draw per time
         mc_coherence(draws, [0.3, 1.0, 2.5, 2.5, 5.0])
         assert sum(sizes) == 4 * draws.size
+        sizes.clear()
+        # gaps of two lengths, a, ..., a, b, a, ...: the factors of both are kept
+        mc_coherence(draws, np.cumsum([0.1] * 5 + [0.25] + [0.1] * 5 + [0.25, 0.1]))
+        assert sum(sizes) == 2 * draws.size
+
+    def test_phase_factors_are_the_exponentials(self):
+        # e^{iwt} built from a purely imaginary buffer: the bits of np.exp(1j * w * t)
+        w = np.concatenate([skewed_draws(5000), [1e-300, -1e-300, 1e10, -1e10]])
+        arg = np.empty(w.size, dtype=complex)
+        for t in (1e-3, 0.37, 1.0, 7.5, -3.2, 199.99, np.float64(2.5)):
+            assert np.array_equal(_phase_factors(w, t, arg).view(np.uint64),
+                                  np.exp(1j * w * t).view(np.uint64))
 
     def test_mc_average_is_the_one_time_estimate(self):
         ens = gaussian_spectral()

@@ -18,6 +18,7 @@ from hens.ensemble import _coherence_factor
 import hens.inversion
 from hens.inversion import (
     WITNESS_BLOCK,
+    _gram_bounds,
     _gram_floors,
     bochner_search,
     bochner_witness,
@@ -320,12 +321,24 @@ class TestBochner:
         assert a.min_eigenvalue == b.min_eigenvalue
         assert np.array_equal(a.times, b.times)
 
-    @pytest.mark.parametrize("bad", [{"restarts": 0}, {"max_size": 1}],
-                             ids=["restarts-0", "max-size-1"])
-    def test_search_bounds_rejected(self, bad):
+    # a NaN stop_below is below no floor: the search would never stop
+    @pytest.mark.parametrize("bad, match", [({"restarts": 0}, "at least"),
+                                            ({"max_size": 1}, "at least"),
+                                            ({"stop_below": float("nan")}, "NaN")],
+                             ids=["restarts-0", "max-size-1", "stop-below-nan"])
+    def test_search_bounds_rejected(self, bad, match):
         s = ohmic_series(1.0, time_grid(10.0, 1 << 8))
-        with pytest.raises(ValueError, match="at least"):
+        with pytest.raises(ValueError, match=match):
             bochner_search(s, **{"restarts": 10, "seed": 0, **bad})
+
+    @pytest.mark.parametrize("stop_below", [-np.inf, np.inf], ids=["-inf", "+inf"])
+    def test_infinite_stop_below_keeps_its_meaning(self, stop_below):
+        # -inf is below every floor, so the search runs out; +inf is above every
+        # floor, so the first restart stops it
+        s = extended_ohmic()
+        got = bochner_search(s, 300, 3, stop_below=stop_below)
+        assert_same_search(got, list(loop_search(s, 300, 3, 8, stop_below))[-1])
+        assert got[1] == (300 if stop_below < 0 else 1)
 
     @pytest.mark.parametrize("phase", [None, np.pi / 2], ids=["conventional", "extended"])
     def test_times_straddling_zero_match_the_closed_form(self, phase):
@@ -355,23 +368,27 @@ def extended_ohmic():
     return ohmic_series(1.0, GRID, phase=np.pi / 2)
 
 
+def loop_restarts(series, restarts, seed, max_size):
+    """Reference: one ``bochner_witness`` report per restart, on the distinct times of
+    its draw in the order of their first draws."""
+    k_hi = int(0.25 * (series.n // 2))  # the grid points j dt in [0, t_max / 4]
+    size_rng, index_rng = (np.random.default_rng(s)
+                           for s in np.random.SeedSequence(seed).spawn(2))
+    for _ in range(restarts):
+        size = int(size_rng.integers(2, max_size + 1))
+        drawn = index_rng.integers(0, k_hi + 1, size)
+        yield bochner_witness(series, np.array(list(dict.fromkeys(drawn.tolist()))) * series.dt)
+
+
 def loop_search(series, restarts, seed, max_size, stop_below):
-    """Reference: the per-restart search, one ``bochner_witness`` call per restart on
-    the distinct times of its draw, in the order of their first draws.
+    """Reference: the per-restart search over ``loop_restarts``.
 
     Yields (best report, restarts used) after each restart it runs, so a search
     of R restarts returns the R-th pair, or the last one if the loop stopped
     before R.
     """
-    k_hi = int(0.25 * (series.n // 2))  # the grid points j dt in [0, t_max / 4]
-    size_rng, index_rng = (np.random.default_rng(s)
-                           for s in np.random.SeedSequence(seed).spawn(2))
     best = None
-    for used in range(1, restarts + 1):
-        size = int(size_rng.integers(2, max_size + 1))
-        drawn = index_rng.integers(0, k_hi + 1, size)
-        times = np.array(list(dict.fromkeys(drawn.tolist()))) * series.dt
-        rep = bochner_witness(series, times)
+    for used, rep in enumerate(loop_restarts(series, restarts, seed, max_size), 1):
         if best is None or rep.min_eigenvalue < best.min_eigenvalue:
             best = rep
         yield best, used
@@ -452,6 +469,110 @@ class TestStackedSearch:
         assert rep["times"] == list(grid[series.n // 2 + np.rint(want.times / series.dt).astype(int)])
         assert rep["min_eigenvalue"] == want.min_eigenvalue
         assert rep["matrix_dim"] == want.matrix_dim
+
+
+def eigensolved(monkeypatch):
+    """The number of matrices ``np.linalg.eigvalsh`` receives while this patch holds."""
+    count = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        count[0] += int(np.prod(np.shape(m)[:-2]))
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return count
+
+
+class TestScreenedSearch:
+    """Only restarts whose Gershgorin bound reaches the cap are eigensolved, and the
+    result is that of the per-restart loop, bit for bit."""
+
+    @pytest.mark.parametrize("stop_below", [None, -1e-3, 0.0], ids=["no-stop", "stop-1e-3",
+                                                                   "stop-0"])
+    def test_conventional_floors_near_zero(self, stop_below):
+        # a positive definite factor: every floor is 0 up to rounding, so the cap,
+        # the rounding margin and the stop threshold all sit in the same few ulps
+        series = ohmic_series(1.0, GRID)
+        for seed in (2, 12345):
+            want = list(loop_search(series, 600, seed, 8, stop_below))[-1]
+            assert_same_search(bochner_search(series, 600, seed, stop_below=stop_below), want)
+
+    @pytest.mark.parametrize("phase", [None, np.pi / 2], ids=["conventional", "extended"])
+    def test_slowly_decaying_series(self, monkeypatch, phase):
+        # at w_c = 0.05 the factor hardly decays over the search window, so the
+        # Gershgorin discs are wide and few restarts are skipped
+        series = ohmic_series(0.05, GRID, phase=phase)
+        want = list(loop_search(series, 600, 99, 8, None))[-1]
+        count = eigensolved(monkeypatch)
+        assert_same_search(bochner_search(series, 600, 99), want)
+        assert count[0] >= 300
+
+    @pytest.mark.parametrize("max_size", [2, 3])
+    @pytest.mark.parametrize("stop_below", [None, 0.5], ids=["no-stop", "stop+0.5"])
+    def test_tied_floors(self, max_size, stop_below):
+        # nine grid points in the window: sets of two or three times share their lags,
+        # so many restarts tie at the smallest floor, and the first of them is reported
+        series = ohmic_series(1.0, time_grid(10.0, 64), phase=np.pi / 2)
+        for seed in range(4):
+            got = bochner_search(series, 400, seed, max_size=max_size, stop_below=stop_below)
+            assert_same_search(got, list(loop_search(series, 400, seed, max_size,
+                                                     stop_below))[-1])
+            floors = [r.min_eigenvalue for r in loop_restarts(series, 400, seed, max_size)]
+            assert floors.count(min(floors)) > 1
+
+    def test_floors_apart_by_ulps(self):
+        # moduli 0.5 + k ulp, k in -3..3, at random phases: sets of two times have
+        # floors and bounds a few ulps apart, where eigvalsh's rounding decides the
+        # order; without the rounding margin the search reports the wrong restart
+        rng = np.random.default_rng(0)
+        j = np.arange(33)
+        for _ in range(40):
+            half = ((0.5 + rng.integers(-3, 4, j.size) * np.spacing(0.5))
+                    * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, j.size)))
+            half[0] = 1.0
+            series = DephasingSeries(0.1, half)
+            for max_size in (2, 3):
+                seed = int(rng.integers(1 << 30))
+                want = list(loop_search(series, 200, seed, max_size, None))[-1]
+                assert_same_search(bochner_search(series, 200, seed, max_size=max_size), want)
+
+    @pytest.mark.parametrize("phase, omega_c", [(None, 1.0), (np.pi / 2, 1.0), (0.3, 1.0),
+                                                (np.pi / 2, 0.05)])
+    def test_bounds_hold_the_floor(self, phase, omega_c):
+        # L_r <= floor <= U_r, up to the rounding the search's margin covers
+        series = ohmic_series(omega_c, GRID, phase=phase)
+        k_hi = series.n // 8
+        moduli = np.zeros(k_hi + 2)
+        moduli[1:-1] = np.abs(series.half[1:k_hi + 1])
+        a = series.half[0].real
+        rng = np.random.default_rng(8)
+        for width in (2, 3, 8, 17):
+            sizes = rng.integers(2, width + 1, 200)
+            sets = [rng.choice(k_hi + 1, size, replace=False) for size in sizes]
+            radius, largest = _gram_bounds(moduli, np.concatenate(sets), sizes)
+            floors = np.array([_gram_floors(series.half, k[None])[0] for k in sets])
+            slack = 16.0 * width**3 * np.finfo(float).eps
+            assert np.all(a - radius <= floors + slack)
+            assert np.all(floors <= a - largest + slack)
+            # and each bound is the matrix's own: a Gershgorin row sum and a largest entry
+            for k, r, m in zip(sets[:20], radius, largest):
+                g = np.abs(series.half[np.abs(k[:, None] - k[None, :])])
+                np.fill_diagonal(g, 0.0)
+                assert r == pytest.approx(g.sum(axis=1).max(), rel=1e-14)
+                assert m == g.max()
+
+    def test_defaults_eigensolve_a_tenth_of_the_matrices(self, monkeypatch, tmp_path):
+        # the CLI defaults (extended, phase pi/2, seed 12345): 452 of the 10000 restarts
+        # reach the eigensolver
+        args = ["witness", "--mode", "extended", "--phase", str(np.pi / 2)]
+        cfg = load_config(make_parser().parse_args(args))
+        _, series = build_series(cfg)
+        count = eigensolved(monkeypatch)
+        assert main([*args, "--output-dir", str(tmp_path)]) == 0
+        restarts = json.loads((tmp_path / "bochner.json").read_text())["restarts_used"]
+        assert restarts == cfg["witness.restarts"] == 10000
+        assert count[0] <= 0.1 * restarts
 
 
 def symbol_floor(series, step, m_max, points=1 << 16):
