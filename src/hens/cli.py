@@ -609,7 +609,11 @@ def cmd_simulate(cfg: dict) -> None:
 
     states: dict[str, list[DensityMatrix]] = {}
     if "master" in paths:  # spectral ensembles only, see _requested_paths
-        states["master"], times = _master_route(cfg, omega, weights, rho0, times)
+        try:
+            states["master"], times = _master_route(cfg, omega, weights, rho0, times)
+        except ValueError as exc:  # name the route; the class still picks the exit code
+            exc.args = (f"master route: {exc} (leave master out of paths to skip it)",)
+            raise
     if "he" in paths:
         states["he"] = (dephase_qubit(rho0, _coherence_factor(omega, weights, times))
                         if kind == "spectral" else he_average(ens, rho0, times))

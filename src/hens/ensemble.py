@@ -30,6 +30,7 @@ PROB_TOL = 1e-10
 MASS_TOL = 1e-8
 NEGATIVE_TOL = 1e-6  # deeper spectral weight dips are negativity, shallower ones noise
 MC_BLOCK = 1 << 16  # draws per sampler substream and per Monte Carlo estimator block
+RESTEP = 128  # visited times between the exact restarts of _phase_walk
 
 
 class SamplingError(ValueError):
@@ -156,24 +157,57 @@ def he_average(ens: HamiltonianEnsemble, rho0: DensityMatrix, times) -> list[Den
     return hermitized_states(out)
 
 
-def _phase_factors(w: np.ndarray, t: float, arg: np.ndarray) -> np.ndarray:
-    """e^{i w t} for the array w: ``np.exp`` of the purely imaginary i w t, built in the
-    complex buffer ``arg`` of w's size.  These are the bits of ``np.exp(1j * w * t)``
-    but for the sign of a zero imaginary part, where w t is 0."""
-    arg.real = 0.0
+def _phase_factors(w: np.ndarray, t: float) -> np.ndarray:
+    """e^{i w t} for the array w: ``np.exp`` of the purely imaginary i w t, in place in
+    one complex array of w's size.  These are the bits of ``np.exp(1j * w * t)`` but
+    for the sign of a zero imaginary part, where w t is 0."""
+    arg = np.zeros(w.size, dtype=complex)
     np.multiply(w, t, out=arg.imag)
-    return np.exp(arg)
+    return np.exp(arg, out=arg)
+
+
+def _phase_walk(w: np.ndarray, times: np.ndarray):
+    """Yield (k, z), z = e^{i w times[k]}, at each time in stable sorted order (repeats
+    are free); z is updated in place.  A phase w*gap past the float range raises ValueError.
+
+    From t = 0, and again at every RESTEP-th time, z steps by z <- z * e^{iw*gap}, gap
+    being the distance to the previous time.  The factors of the last two distinct gaps
+    are kept; one is computed only when the gap is farther than np.spacing(t) from both:
+    evenly spaced times cost one exponential per frequency and one more per RESTEP times.
+
+    A kept gap is within spacing(t) of t - prev, which rounds, as does w*gap: a step adds
+    at most 4|w| ulp(T) of phase, T = max|t|, and 4 eps from np.exp and the product.  So,
+    with the rounding of w t in np.exp(1j * w * t), |z - np.exp(1j * w * t)| is at most
+    K (4|w| ulp(T) + 4 eps), K = min(len(times), RESTEP).
+    """
+    # every |t|, and every gap between the sorted times, is at most this span
+    require_finite_phases(w, float(times.max(initial=0.0)) - float(times.min(initial=0.0)))
+    steps = []  # (gap, e^{iw*gap}) of the last two distinct gaps, the last used first
+    for visited, k in enumerate(np.argsort(times, kind="stable")):
+        if visited % RESTEP == 0:
+            z, prev = np.ones(w.size, dtype=complex), 0.0
+        t = times[k]
+        gap = t - prev
+        prev = t
+        if gap:
+            tol = np.spacing(abs(t))
+            if not steps or abs(gap - steps[0][0]) > tol:
+                if len(steps) == 2 and abs(gap - steps[1][0]) <= tol:
+                    steps.reverse()
+                else:
+                    steps = [(gap, _phase_factors(w, gap)), *steps[:1]]
+            z *= steps[0][1]
+        yield k, z
 
 
 def _coherence_factor(omega: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     """Trapezoid sum of weights * e^{i omega t} over the grid at each time.  A phase
     omega t past the float range raises ValueError."""
-    require_finite_phases(omega, times)
     times = np.asarray(times, dtype=float)
-    arg, d = np.empty(omega.size, dtype=complex), np.diff(omega)
+    d = np.diff(omega)
     out = np.empty(times.size, dtype=complex)
-    for k, t in enumerate(times):
-        y = weights * _phase_factors(omega, t, arg)
+    for k, z in _phase_walk(omega, times):
+        y = weights * z
         # np.trapezoid's own arithmetic, with the grid's factors taken out of the loop
         out[k] = (d * (y[1:] + y[:-1]) / 2.0).sum()
     return out
@@ -258,38 +292,13 @@ def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _accumulate_block(w: np.ndarray, times: np.ndarray, order: np.ndarray,
-                      sums: np.ndarray, squares: np.ndarray) -> None:
-    """Add one block of draws w to the running sums S and Q of ``mc_coherence``."""
-    z = np.ones(w.size, dtype=complex)
-    arg = np.empty(w.size, dtype=complex)
-    steps = []  # (gap, e^{iw*gap}) of the last two distinct gaps, the last used first
-    prev = 0.0
-    for k in order:
-        t = times[k]
-        gap = t - prev
-        prev = t
-        if gap:
-            tol = np.spacing(abs(t))
-            if not steps or abs(gap - steps[0][0]) > tol:
-                if len(steps) == 2 and abs(gap - steps[1][0]) <= tol:
-                    steps.reverse()
-                else:
-                    steps = [(gap, _phase_factors(w, gap, arg)), *steps[:1]]
-            z *= steps[0][1]
-        sums[k] += z.sum()
-        squares[k] += np.vdot(z, z).real
-
-
 def _coherence_estimates(blocks, times) -> tuple[np.ndarray, np.ndarray]:
     """``mc_coherence`` of the draws in all the arrays that ``blocks`` yields, taken one
     array at a time."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     # every |t|, and every gap between the sorted times, is at most this span
     span = float(times.max(initial=0.0)) - float(times.min(initial=0.0))
-    order = np.argsort(times, kind="stable")
     sums = np.zeros(times.size, dtype=complex)
-    squares = np.zeros(times.size)
     n, w_lo, w_hi = 0, 0.0, 0.0
     for w in blocks:
         n += w.size
@@ -298,35 +307,25 @@ def _coherence_estimates(blocks, times) -> tuple[np.ndarray, np.ndarray]:
         # a phase past the float range raises below, once later blocks have
         # completed the max|w| that the error names
         if np.isfinite(max(w_hi, -w_lo) * span):
-            _accumulate_block(w, times, order, sums, squares)
+            for k, z in _phase_walk(w, times):
+                sums[k] += z.sum()
     require_finite_phases((w_lo, w_hi), span)
     means = sums / n
     if n < 2:
         return means, np.zeros(times.size)
-    var = np.maximum(squares - n * (means.real ** 2 + means.imag ** 2), 0.0) / (n - 1)
+    var = np.maximum(n * (1.0 - (means.real ** 2 + means.imag ** 2)), 0.0) / (n - 1)
     return means, np.sqrt(var / n)
 
 
 def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
     """Sample means of e^{iwt} over the drawn frequencies w at each time, and their stderrs.
 
-    One pass over the draws, MC_BLOCK at a time.  Within a block the times are
-    visited in sorted order (stable, so repeats are free) and the phases z
-    step by the recurrence z <- z * e^{iw*gap}, gap being the distance to the
-    previous time (the first from t = 0).  The factors e^{iw*gap} of the last
-    two distinct gaps are kept, and one is computed only when the gap is
-    farther than np.spacing of the later time from both kept gaps.  So evenly
-    spaced times cost one exponential per draw, times whose gaps take two
-    lengths (output times moved to a step grid) two, and any other time set at
-    most one per draw per time.  Reusing a factor adds at most
-    |w|*ulp(t) of phase per step, the order of the rounding of w*t in a
-    direct evaluation; over K steps the means are within
-    K*(max|w|*ulp(t_max) + a few eps) of the direct per-time estimate.
-
-    Per time the blocks accumulate S = sum z and Q = sum |z|^2; the mean is S/n
-    and the variance (Q - n|mean|^2)/(n - 1), floored at 0 (exactly 0 at t = 0
-    and for n = 1).  Returns (means, stderrs) in the caller's order of times.  No
-    draws, or a phase w t past the float range, raises ValueError.
+    One pass over the draws, MC_BLOCK at a time, each block's phases z from one
+    ``_phase_walk`` (its docstring gives their cost and their error).  Per time the
+    mean is sum z / n.  Every z has unit modulus, so sum |z|^2 = n and the variance
+    (sum |z|^2 - n|mean|^2)/(n - 1) is n(1 - |mean|^2)/(n - 1), floored at 0 (exactly
+    0 at t = 0 and for n = 1).  Returns (means, stderrs) in the caller's order of
+    times.  No draws, or a phase w t past the float range, raises ValueError.
     """
     draws = np.asarray(draws, dtype=float)
     if not draws.size:

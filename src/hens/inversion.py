@@ -133,25 +133,25 @@ def forward_ft(dist, grid: np.ndarray) -> DephasingSeries:
     ``dist`` is the pair (omega, weights) of frequencies and real weights,
     matching finite 1-d arrays of two or more points; any other pair raises
     ValueError.  Uses the exact FFT pair when the input lives on the conjugate
-    grid of ``grid``; off it, the n/2 + 1 times of the series' half are the
-    trapezoid sums of one ``_coherence_factor`` call, for at most 2^28
-    (frequency, grid time) pairs.  The result is normalized by its t = 0 sample
-    (the discrete mass of the input, required to be 1 within 1e-6) so the
-    series invariants hold for any legal input.
+    grid of ``grid``; off it, the series' half is one ``_coherence_factor`` call at
+    0, dt, ..., t_max, for at most 2^28 (frequency, grid time) pairs.  The result
+    is normalized by its t = 0 sample (the discrete mass of the input, required to
+    be 1 within 1e-6) so the series invariants hold for any legal input.
     """
     omega, weights = _distribution(dist)
     t, dt = _half_grid(grid)
     n = 2 * (t.size - 1)
     if on_conjugate_grid(omega, n, dt):
-        # phi(j dt) for j = 0 .. n/2; the last becomes the edge sample phi(-t_max)
         half = float(omega[1] - omega[0]) * n * np.fft.ihfft(np.fft.ifftshift(weights))
-        half[-1] = np.conj(half[-1])
     else:
         if omega.size * n > 1 << 28:
             raise ValueError(
                 "grids too large for direct summation; use conjugate grids for the FFT path"
             )
+        t[-1] = -t[-1]  # t_max: its conjugate is the edge sample
         half = _coherence_factor(omega, weights, t)
+    # phi(j dt) for j = 0 .. n/2; the last becomes the edge sample phi(-t_max)
+    half[-1] = np.conj(half[-1])
 
     mass = float(np.real(half[0]))
     if abs(mass - 1.0) > 1e-6:

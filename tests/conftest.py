@@ -11,3 +11,17 @@ def ohmic_pair():
         t = np.append(grid[grid.size // 2:], grid[0])
         return 2.0 * np.log1p(t * t), 4.0 * (t - np.arctan(t))
     return pair
+
+
+@pytest.fixture
+def exp_sizes(monkeypatch):
+    """The sizes of the arrays that ``np.exp`` is called on from now on, in call order."""
+    sizes = []
+    exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        sizes.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    return sizes

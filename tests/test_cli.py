@@ -493,6 +493,22 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_master_route_errors_name_the_route(self, tmp_path, capsys):
+        # a unit Gaussian on [-20, 20]: phi(t) = e^{-t^2/2} reaches the coefficient
+        # singularity inside the default output times; where, is not pinned, since
+        # phi there (~1e-20) lies below the rounding of the sums
+        om = np.linspace(-20.0, 20.0, 4001)
+        p = np.exp(-0.5 * om**2)
+        np.savetxt(tmp_path / "gauss.csv", np.column_stack([om, p / np.trapezoid(p, om)]),
+                   delimiter=",")
+        rc = run("simulate", "--ensemble-kind", "spectral",
+                 "--ensemble-path", str(tmp_path / "gauss.csv"), "--paths", "master",
+                 "--output-dir", str(tmp_path / "out"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "master route: coefficient singularity" in err and "paths" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("edge", [1e300, 1e305])
     def test_overflowing_master_factor_exits_three(self, tmp_path, capsys, edge):
         # |w| up to the edge: the RK4 step factors overflow to inf, and their product

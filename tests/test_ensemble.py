@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import hens.ensemble
 from hens.ensemble import (
     MC_BLOCK,
+    RESTEP,
     Dilation,
     HamiltonianEnsemble,
     SamplingError,
@@ -113,7 +117,8 @@ def gaussian_spectral(sigma=1.0, span=8.0, n=2001):
 
 
 class TestStackedRoutes:
-    """Every route over an array of times equals its per-time reference bit for bit."""
+    """Every route over an array of times equals its per-time reference bit for bit, the
+    spectral coherence factor within the bound of its phase walk."""
 
     @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
     def test_he_average(self, k):
@@ -135,8 +140,13 @@ class TestStackedRoutes:
         times = time_sets()[k]
         ens = gaussian_spectral()
         factors = _coherence_factor(ens.omega, ens.weights, times)
+        # one distinct time takes the direct bits (T1, T2); more are within _phase_walk's
+        # bound on each phase, over the weights' unit trapezoid mass
+        bound = 0.0 if k < 2 else min(times.size, RESTEP) * (
+            4 * np.max(np.abs(ens.omega)) * np.spacing(np.max(times)) + 4 * np.finfo(float).eps)
         for t, f in zip(times, factors):
-            assert f == np.trapezoid(ens.weights * np.exp(1j * ens.omega * t), ens.omega)
+            direct = np.trapezoid(ens.weights * np.exp(1j * ens.omega * t), ens.omega)
+            assert abs(f - direct) <= bound
         got = dephase_qubit(PLUS, factors)
         assert len(got) == times.size
         for f, state in zip(factors, got):
@@ -156,6 +166,14 @@ class TestStackedRoutes:
                 assert np.array_equal(state.matrix, ref.matrix)
                 ok = ok and ref_ok
             assert classical == ok
+
+    @pytest.mark.parametrize("count", [21, 150])
+    def test_evenly_spaced_times_cost_one_exponential_per_frequency(self, exp_sizes, count):
+        ens = gaussian_spectral()
+        exp_sizes.clear()
+        _coherence_factor(ens.omega, ens.weights, np.linspace(0.0, 10.0, count))
+        # the first gap's factors, then one restart per RESTEP visited times
+        assert sum(exp_sizes) == (1 + (count - 1) // RESTEP) * ens.omega.size
 
     def test_factor_past_unit_modulus_rejected(self):
         with pytest.raises(ValueError, match="exceeds unit modulus"):
@@ -491,33 +509,25 @@ class TestMonteCarloAllTimes:
         bound = k * np.max(np.abs(draws)) * np.spacing(times[-1]) + k * np.finfo(float).eps
         assert_matches_reference(draws, times, mean_tol=bound)
 
-    def test_evenly_spaced_times_cost_one_exponential_per_draw(self, monkeypatch):
-        sizes = []
-        exp = np.exp
-
-        def counting_exp(x):
-            sizes.append(np.size(x))
-            return exp(x)
-
+    def test_evenly_spaced_times_cost_one_exponential_per_draw(self, exp_sizes):
         draws = skewed_draws(2 * MC_BLOCK + 5)
-        monkeypatch.setattr(hens.ensemble.np, "exp", counting_exp)
+        exp_sizes.clear()
         mc_coherence(draws, np.linspace(0, 10, 101))
-        assert sum(sizes) == draws.size
-        sizes.clear()
+        assert sum(exp_sizes) == draws.size
+        exp_sizes.clear()
         # distinct gaps: one exponential per draw per time
         mc_coherence(draws, [0.3, 1.0, 2.5, 2.5, 5.0])
-        assert sum(sizes) == 4 * draws.size
-        sizes.clear()
+        assert sum(exp_sizes) == 4 * draws.size
+        exp_sizes.clear()
         # gaps of two lengths, a, ..., a, b, a, ...: the factors of both are kept
         mc_coherence(draws, np.cumsum([0.1] * 5 + [0.25] + [0.1] * 5 + [0.25, 0.1]))
-        assert sum(sizes) == 2 * draws.size
+        assert sum(exp_sizes) == 2 * draws.size
 
     def test_phase_factors_are_the_exponentials(self):
         # e^{iwt} built from a purely imaginary buffer: the bits of np.exp(1j * w * t)
         w = np.concatenate([skewed_draws(5000), [1e-300, -1e-300, 1e10, -1e10]])
-        arg = np.empty(w.size, dtype=complex)
         for t in (1e-3, 0.37, 1.0, 7.5, -3.2, 199.99, np.float64(2.5)):
-            assert np.array_equal(_phase_factors(w, t, arg).view(np.uint64),
+            assert np.array_equal(_phase_factors(w, t).view(np.uint64),
                                   np.exp(1j * w * t).view(np.uint64))
 
     def test_mc_average_is_the_one_time_estimate(self):
@@ -550,6 +560,30 @@ class TestSampledCoherence:
         ref_means, ref_stderrs = mc_coherence(sample_frequencies(ens, n, 21), self.TIMES)
         assert np.array_equal(means, ref_means)
         assert np.array_equal(stderrs, ref_stderrs)
+
+    def test_estimates_do_not_depend_on_the_blas_thread_count(self):
+        # one block of draws: a BLAS reduction over it, such as a sum of |z|^2 by
+        # np.vdot, rounds differently on two threads than on one
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from hens.ensemble import MC_BLOCK, SpectralEnsemble, sampled_coherence",
+            "om = np.linspace(-8.0, 8.0, 2001)",
+            "w = np.exp(-0.5 * om ** 2)",
+            "ens = SpectralEnsemble(om, w / np.trapezoid(w, om))",
+            "means, stderrs = sampled_coherence(ens, MC_BLOCK, 7, np.linspace(0.0, 10.0, 21))",
+            "sys.stdout.write((means.tobytes() + stderrs.tobytes()).hex())",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=60, env={**os.environ, "PYTHONPATH": path,
+                                                   "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_phase_past_the_float_range_raises_the_same_error(self):
         # |w| up to 1e300 at t = 1e10: the error names the max|w| of all the draws,

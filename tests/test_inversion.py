@@ -14,7 +14,7 @@ from hens.dephasing import (
     ohmic_series,
     time_grid,
 )
-from hens.ensemble import _coherence_factor
+from hens.ensemble import RESTEP, _coherence_factor
 import hens.inversion
 from hens.inversion import (
     WITNESS_BLOCK,
@@ -80,6 +80,17 @@ class TestForward:
         s = forward_ft((omega, p), grid)
         direct = np.array([_coherence_factor(omega, p, [t])[0] for t in grid])
         assert np.max(np.abs(s.full() - direct)) < 1e-13
+
+    def test_direct_summation_walks_the_half(self, exp_sizes):
+        # the n/2 + 1 evenly spaced times of the half: one exponential per frequency for
+        # the first step, then one per restart of the walk
+        omega = np.linspace(-20.0, 20.0, 4001)
+        p = gaussian(omega)
+        p /= np.trapezoid(p, omega)
+        grid = time_grid(40.0, 4096)
+        exp_sizes.clear()
+        forward_ft((omega, p), grid)
+        assert sum(exp_sizes) == (1 + grid.size // 2 // RESTEP) * omega.size
 
     def test_delta_spike_gives_pure_phase(self):
         w = np.zeros_like(OMEGA)
