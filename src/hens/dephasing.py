@@ -676,6 +676,7 @@ def master_coeffs(series: DephasingSeries, t_max: float | None = None):
     Returns (t, epsilon, gamma) at t = j dt for j = 0 .. min(n/2 - 2, t_max / dt),
     with epsilon = Im[d/dt ln phi]/2 and gamma = -Re[d/dt ln phi]/2.  Centered
     differences with phase unwrapping along the samples from t = -dt, conj phi(dt).
+    A sample with |phi| <= 1e-14 raises CoefficientSingularityError at the first such t.
     """
     n0 = series.n // 2
     m = n0 - 2 if t_max is None else math.floor(min(n0 - 2, t_max / series.dt))
@@ -684,8 +685,9 @@ def master_coeffs(series: DephasingSeries, t_max: float | None = None):
     v = np.concatenate([np.conj(series.half[1:2]), series.half[:m + 2]])
     t = np.arange(-1, m + 2) * series.dt
     mags = np.abs(v)
-    if np.min(mags) <= 1e-14:
-        raise CoefficientSingularityError(float(t[int(np.argmin(mags))]))
+    vanishing = mags <= 1e-14
+    if vanishing.any():  # the first such time: past it |phi| may be rounding noise
+        raise CoefficientSingularityError(float(t[int(np.argmax(vanishing))]))
     logv = np.log(mags) + 1j * np.unwrap(np.angle(v))
     dlog = (logv[2:] - logv[:-2]) / (2.0 * series.dt)
     return t[1:-1], 0.5 * np.imag(dlog), -0.5 * np.real(dlog)

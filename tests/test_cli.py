@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -495,8 +496,8 @@ class TestSimulate:
 
     def test_master_route_errors_name_the_route(self, tmp_path, capsys):
         # a unit Gaussian on [-20, 20]: phi(t) = e^{-t^2/2} reaches the coefficient
-        # singularity inside the default output times; where, is not pinned, since
-        # phi there (~1e-20) lies below the rounding of the sums
+        # singularity inside the default output times, first at |phi| = 1e-14, where
+        # t = sqrt(2 ln 1e14); the master grid's step is 2 * 200 / 65536
         om = np.linspace(-20.0, 20.0, 4001)
         p = np.exp(-0.5 * om**2)
         np.savetxt(tmp_path / "gauss.csv", np.column_stack([om, p / np.trapezoid(p, om)]),
@@ -507,6 +508,8 @@ class TestSimulate:
         assert rc == 3
         err = capsys.readouterr().err
         assert "master route: coefficient singularity" in err and "paths" in err
+        t = float(re.search(r"near t = ([-+.e\d]+)", err).group(1))
+        assert abs(t - np.sqrt(2.0 * np.log(1e14))) <= 400.0 / 65536
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edge", [1e300, 1e305])

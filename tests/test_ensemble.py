@@ -95,9 +95,14 @@ def loop_dephase_qubit(rho0, factor):
 
 
 def loop_joint_evolve_reduce(dil, rho0, t):
-    """Reference: the dilation at one time, from its own unitary of the joint Hamiltonian."""
-    d = dil.h_system.dim
-    u = loop_unitary(dil.h_joint, t)
+    """Reference: the dilation at one time, from its own unitary of the joint Hamiltonian,
+    one block per environment state, as the Hamiltonian is environment-diagonal."""
+    d, m = dil.h_system.dim, dil.env_dim
+    blocks = dil.h_joint.matrix.reshape(d, m, d, m)
+    u = np.zeros((d, m, d, m), dtype=complex)
+    for j in range(m):
+        u[:, j, :, j] = loop_unitary(HermitianOperator(blocks[:, j, :, j]), t)
+    u = u.reshape(d * m, d * m)
     jt = u @ dil.joint_initial(rho0).matrix @ u.conj().T
     jt = 0.5 * (jt + jt.conj().T)
     reduced = partial_trace(DensityMatrix(jt), (d, dil.env_dim), keep="s")
@@ -118,7 +123,8 @@ def gaussian_spectral(sigma=1.0, span=8.0, n=2001):
 
 class TestStackedRoutes:
     """Every route over an array of times equals its per-time reference bit for bit, the
-    spectral coherence factor within the bound of its phase walk."""
+    spectral coherence factor within the bound of its phase walk and the dilation of a
+    non-diagonal joint Hamiltonian within the rounding of its products."""
 
     @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
     def test_he_average(self, k):
@@ -156,14 +162,25 @@ class TestStackedRoutes:
     def test_dilation(self, k):
         times = time_sets()[k]
         rng = np.random.default_rng(10 + k)
-        for ens in (random_qubit_ensemble(rng, 4), gaussian_spectral().discretize(16)):
+        u = np.finfo(float).eps / 2
+        for ens, same_bits in ((random_qubit_ensemble(rng, 4), False),
+                               (gaussian_spectral().discretize(16), True)):
             dil = dilate(ens)
+            n, m = dil.h_joint.dim, dil.env_dim
+            # a spectral joint Hamiltonian is diagonal, its eigenvectors a permutation: the
+            # same bits.  Otherwise both routes round (V e V^H) J0 (V e V^H)^H from one V
+            # and one e = e^{-iwt}, each D x D product by at most gamma ||X||_F ||Y||_F as in
+            # joint_evolve_reduce's docstring: its four products by 4 gamma sqrt(D), the
+            # reference's U = (V e) V^H by gamma D, twice over in U J0 U^H, and its two
+            # products by 2 gamma sqrt(D).  A reduced entry sums m joint entries.
+            gamma = np.sqrt(2.0) * (n + 2) * u / (1 - (n + 2) * u)
+            bound = 0.0 if same_bits else np.sqrt(m) * 2 * gamma * (n + 3 * np.sqrt(n))
             reduced, classical = joint_evolve_reduce(dil, PLUS, times)
             assert len(reduced) == times.size
             ok = True
             for t, state in zip(times, reduced):
                 ref, ref_ok = loop_joint_evolve_reduce(dil, PLUS, t)
-                assert np.array_equal(state.matrix, ref.matrix)
+                assert np.max(np.abs(state.matrix - ref.matrix)) <= bound
                 ok = ok and ref_ok
             assert classical == ok
 
@@ -192,6 +209,35 @@ class TestStackedRoutes:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 128 * 128 * 16
+
+    @pytest.mark.parametrize("count", [21, 201])
+    def test_dilation_eigensolves_once(self, monkeypatch, count):
+        dil = dilate(random_qubit_ensemble(np.random.default_rng(3), 16))
+        n, m = dil.h_joint.dim, dil.env_dim
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _solve(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        joint_evolve_reduce(dil, PLUS, np.linspace(0.0, 10.0, count))
+        # one eigh of the joint Hamiltonian's m diagonal 2 x 2 blocks; D x D eigvalsh of J0
+        # and sigma, none per time
+        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (m, 2, 2))]
+        assert calls.count(("eigvalsh", (n, n))) == 2
+
+    @pytest.mark.parametrize("bins", [64, 128])
+    def test_dilation_memory_per_bin_squared(self, bins):
+        # a D x D complex array is 64 B per bins^2 (D = 2 bins).  The route holds about
+        # seven: V, sigma, and one time's A, A sigma, A^H, J(t) and the last J(t)
+        dil = dilate(gaussian_spectral().discretize(bins))
+        tracemalloc.start()
+        try:
+            joint_evolve_reduce(dil, PLUS, np.linspace(0.0, 10.0, 21))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * bins**2
 
 
 class TestHamiltonianEnsemble:
