@@ -19,8 +19,6 @@ from .qdyn import (
     HermitianOperator,
     PAULI_X,
     PAULI_Z,
-    TRACE_TOL,
-    _traced_out,
     hermitized_states,
     partial_trace,  # noqa: F401  bench/spans.py wraps this name
     require_finite_phases,
@@ -407,60 +405,32 @@ def dilate(ens: HamiltonianEnsemble) -> Dilation:
 def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, times):
     """Evolve rho0 (x) rho_E under the joint Hamiltonian and trace out the environment.
 
-    One eigendecomposition H = V diag(w) V^H serves every time.  H commutes with the
-    environment's pointer states |j><j| (Dilation holds its environment-off-diagonal
-    entries to 1e-10, rounding), so V and w come from one stacked eigh of H's m diagonal
-    d x d blocks: m d^3 work and, for blocks as small as a qubit's, the same bits at any
-    BLAS thread count (a D x D eigh's vectors move with it from D = 128 under OpenBLAS).
-    The initial joint state moves once into that basis, sigma = V^H J0 V, validated as a
-    DensityMatrix.  Each time then costs two D x D products (D = d m), J(t) = A sigma A^H
-    with A = V e^{-iwt}; J(t) is hermitized, its trace checked, its environment coherence
-    measured and its reduced state validated before the next is formed.  Returns (one
-    reduced state per time, classical_ok), True when no joint state's
-    environment-off-diagonal block passes 1e-10.
+    The joint Hamiltonian is environment-diagonal (Dilation holds its other entries to
+    1e-10, rounding), so its m diagonal d x d blocks H_j evolve each pointer state |j>
+    alone and the reduced state is sum_j p_j U_j rho0 U_j^H, p_j being rho_E's
+    populations: ``he_average`` of the ensemble {(p_j, H_j)}.  For a ``dilate`` output
+    that is the dilated ensemble, bit for bit.  Populations below zero, which a
+    DensityMatrix admits down to PSD_TOL and an ensemble does not, are dropped and the
+    rest renormalized.  Returns (one reduced state per time, classical_ok).
     A phase w t past the float range raises ValueError.
 
-    No J(t) repeats a DensityMatrix's eigenvalue check, since only rounding could fail it.
-    In exact arithmetic A is unitary, so J(t) is unitarily similar to sigma and to J0, and
-    their spectra agree; J0's and sigma's were checked.  In floating point, with unit
-    roundoff u, each eigenvalue of J(t) lies within eta + 2 gamma sqrt(D) of sigma's:
-    - eta = ||A^H A - I||_2 is A's unitarity defect, O(d u) from the computed blocks of V
-      and the rounding of each entry of V e^{-iwt}.  By Ostrowski's theorem the congruence
-      A sigma A^H has eigenvalues theta_k lambda_k(sigma) with |theta_k - 1| <= eta, and
-      |lambda_k(sigma)| <= 1 + D |PSD_TOL|, about 1.
-    - A computed product of D x D complex matrices errs by at most gamma ||X||_F ||Y||_F
-      in the Frobenius norm, gamma = sqrt(2) (D + 2) u / (1 - (D + 2) u) (Higham,
-      "Accuracy and Stability of Numerical Algorithms", 2002, sections 3.5-3.6).  With
-      ||A||_F ~ sqrt(D), ||A||_2 ~ 1 and ||sigma||_F <= 1, the two products add at most
-      2 gamma sqrt(D) to first order; by Weyl's inequality no eigenvalue moves further,
-      and hermitizing moves none further either.
-    That is 1.3e-12 at D = 256 (128 bins), against PSD_TOL = -1e-10.
+    classical_ok is True when no environment-off-diagonal entry of rho_E passes 1e-10.
+    Under an environment-diagonal H, block (j, k) of J(t) is U_j J0_jk U_k^H, so J(t) is
+    environment-diagonal at every t exactly when J0 = rho0 (x) rho_E is; rho0 has unit
+    trace, so that holds exactly when rho_E is diagonal.
     """
     d, m = dil.h_system.dim, dil.env_dim
     if rho0.dim != d:
         raise DimensionError("state dimension differs from the dilation system")
-    joint0 = dil.joint_initial(rho0).matrix
+    env = dil.env_state.matrix
+    p = np.diagonal(env).real
+    if p.min() < 0.0:
+        p = np.clip(p, 0.0, None)
+        p /= p.sum()
     j = np.arange(m)
-    w, vj = np.linalg.eigh(dil.h_joint.matrix.reshape(d, m, d, m)[:, j, :, j])
-    w = w.T.ravel()
-    v = np.zeros((d, m, d, m), dtype=complex)
-    v[:, j, :, j] = vj
-    v = v.reshape(d * m, d * m)
-    times = np.asarray(times, dtype=float)
-    require_finite_phases(w, times)
-    sigma = hermitized_states(v.conj().T @ joint0 @ v)[0].matrix
-    del joint0  # one D x D array less at the loop's peak
-    reduced, classical = [], True
-    for t in times:
-        a = v * np.exp(-1j * w * t)
-        jt = a @ sigma @ a.conj().T
-        jt += jt.conj().T
-        jt *= 0.5
-        if abs(np.trace(jt) - 1.0) > TRACE_TOL:
-            raise ValueError("state trace differs from 1")
-        reduced.append(hermitized_states(_traced_out(jt, d, m, "s"))[0])
-        classical = classical and _env_coherence(jt, d, m) <= 1e-10
-    return reduced, classical
+    blocks = dil.h_joint.matrix.reshape(d, m, d, m)[:, j, :, j]
+    ens = HamiltonianEnsemble(p, tuple(HermitianOperator(h) for h in blocks))
+    return he_average(ens, rho0, times), _env_coherence(env, 1, m) <= 1e-10
 
 
 def cnot_mixture(a: float, j_coupling: float, t: float, rho0: DensityMatrix) -> DensityMatrix:

@@ -116,13 +116,9 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
         raise DimensionError("bad factorization")
     if keep not in ("s", "e"):
         raise ValueError("keep must be 's' or 'e'")
-    return hermitized_states(_traced_out(rho.matrix, d_s, d_e, keep))[0]
-
-
-def _traced_out(m: np.ndarray, d_s: int, d_e: int, keep: str) -> np.ndarray:
-    """The partial trace of a square (d_s d_e) x (d_s d_e) array, unvalidated: the
-    d_s x d_s system block (``keep == "s"``) or the d_e x d_e environment block."""
-    return np.einsum("aebe->ab" if keep == "s" else "aeaf->ef", m.reshape(d_s, d_e, d_s, d_e))
+    out = np.einsum("aebe->ab" if keep == "s" else "aeaf->ef",
+                    rho.matrix.reshape(d_s, d_e, d_s, d_e))
+    return hermitized_states(out)[0]
 
 
 def require_finite_phases(w, times) -> None:

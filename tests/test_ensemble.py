@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hens.ensemble
 from hens.ensemble import (
     MC_BLOCK,
     RESTEP,
@@ -109,6 +110,19 @@ def loop_joint_evolve_reduce(dil, rho0, t):
     return reduced, _env_coherence(jt, d, dil.env_dim) <= 1e-10
 
 
+def gamma(n):
+    """The rounding factor of a computed n x n complex matrix product in the Frobenius
+    norm, sqrt(2) (n + 2) u / (1 - (n + 2) u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return np.sqrt(2.0) * (n + 2) * u / (1 - (n + 2) * u)
+
+
+def with_env_state(dil, env_state):
+    """A hand-built Dilation: ``dil`` with its environment in ``env_state``."""
+    return Dilation(env_dim=dil.env_dim, h_system=dil.h_system, couplings=dil.couplings,
+                    env_state=env_state, h_joint=dil.h_joint, probs=dil.probs)
+
+
 def time_sets():
     """One, two and 21 times, holding t = 0 and a repeated time."""
     t = np.linspace(0.0, 10.0, 20)
@@ -123,8 +137,8 @@ def gaussian_spectral(sigma=1.0, span=8.0, n=2001):
 
 class TestStackedRoutes:
     """Every route over an array of times equals its per-time reference bit for bit, the
-    spectral coherence factor within the bound of its phase walk and the dilation of a
-    non-diagonal joint Hamiltonian within the rounding of its products."""
+    spectral coherence factor within the bound of its phase walk and the dilation within
+    the rounding of its products and of its dense reference's."""
 
     @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
     def test_he_average(self, k):
@@ -163,18 +177,33 @@ class TestStackedRoutes:
         times = time_sets()[k]
         rng = np.random.default_rng(10 + k)
         u = np.finfo(float).eps / 2
-        for ens, same_bits in ((random_qubit_ensemble(rng, 4), False),
-                               (gaussian_spectral().discretize(16), True)):
-            dil = dilate(ens)
-            n, m = dil.h_joint.dim, dil.env_dim
-            # a spectral joint Hamiltonian is diagonal, its eigenvectors a permutation: the
-            # same bits.  Otherwise both routes round (V e V^H) J0 (V e V^H)^H from one V
-            # and one e = e^{-iwt}, each D x D product by at most gamma ||X||_F ||Y||_F as in
-            # joint_evolve_reduce's docstring: its four products by 4 gamma sqrt(D), the
-            # reference's U = (V e) V^H by gamma D, twice over in U J0 U^H, and its two
-            # products by 2 gamma sqrt(D).  A reduced entry sums m joint entries.
-            gamma = np.sqrt(2.0) * (n + 2) * u / (1 - (n + 2) * u)
-            bound = 0.0 if same_bits else np.sqrt(m) * 2 * gamma * (n + 3 * np.sqrt(n))
+        dils = [dilate(random_qubit_ensemble(rng, 4)), dilate(gaussian_spectral().discretize(16))]
+        # hand-built environment states: the coherent pure state sum_j sqrt(p_j) |j>, and
+        # populations below zero that a DensityMatrix admits, down to PSD_TOL, whose
+        # dropped mass takes the rest's sum past PROB_TOL
+        spectral = dils[1]
+        low = spectral.probs.copy()
+        low[[0, -1]] = -0.9e-10
+        low[spectral.env_dim // 2] += 1.0 - low.sum()
+        dils += [with_env_state(dils[0], pure_state(np.sqrt(dils[0].probs))),
+                 with_env_state(spectral, DensityMatrix(np.diag(low)))]
+        flags = []
+        for dil in dils:
+            d, m = dil.h_system.dim, dil.env_dim
+            n = d * m
+            # both routes round sum_j p_j U_j rho0 U_j^H from each block's own eigh, each
+            # n x n complex product by at most gamma_n ||X||_F ||Y||_F in the Frobenius
+            # norm (Higham, "Accuracy and Stability of Numerical Algorithms", 2002,
+            # sections 3.5-3.6).  Each side forms U_j = (V e^{-iwt}) V^H, within gamma_d d,
+            # and uses it twice.  The reference's two D x D products move J(t) by
+            # 2 gamma_D sqrt(D), and a reduced entry sums m of its entries; he_average's
+            # two d x d products move a member's orbit by 2 gamma_d sqrt(d).  Each side's
+            # sum over m weighted members rounds by (m + 1) u.  A dropped population
+            # moves the weights by twice its mass, plus the trace's own error.
+            p = np.diagonal(dil.env_state.matrix).real
+            bound = (4 * gamma(d) * d + np.sqrt(m) * 2 * gamma(n) * np.sqrt(n)
+                     + 2 * gamma(d) * np.sqrt(d) + 2 * (m + 1) * u
+                     - 2 * p[p < 0.0].sum() + abs(p.sum() - 1.0))
             reduced, classical = joint_evolve_reduce(dil, PLUS, times)
             assert len(reduced) == times.size
             ok = True
@@ -183,6 +212,8 @@ class TestStackedRoutes:
                 assert np.max(np.abs(state.matrix - ref.matrix)) <= bound
                 ok = ok and ref_ok
             assert classical == ok
+            flags.append(classical)
+        assert flags == [True, True, False, True]
 
     @pytest.mark.parametrize("count", [21, 150])
     def test_evenly_spaced_times_cost_one_exponential_per_frequency(self, exp_sizes, count):
@@ -197,7 +228,7 @@ class TestStackedRoutes:
             dephase_qubit(PLUS, [1.0, 0.5 + 1.0j])
 
     def test_dilation_memory_does_not_grow_with_times(self):
-        # a 64-bin dilation: its joint states are 128 x 128 complex, 256 KiB each
+        # a 64-bin dilation: a D x D complex array, 128 x 128, is 256 KiB; the route forms none
         dil = dilate(gaussian_spectral().discretize(64))
         peaks = []
         for count in (21, 201):
@@ -213,23 +244,29 @@ class TestStackedRoutes:
     @pytest.mark.parametrize("count", [21, 201])
     def test_dilation_eigensolves_once(self, monkeypatch, count):
         dil = dilate(random_qubit_ensemble(np.random.default_rng(3), 16))
-        n, m = dil.h_joint.dim, dil.env_dim
-        calls = []
+        d, m = dil.h_system.dim, dil.env_dim
+        calls, unitaries = [], []
         for name in ("eigh", "eigvalsh"):
             def counting(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
                 calls.append((_name, np.shape(a)))
                 return _solve(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counting)
+        def counting_unitary_at(h, times, _unitary_at=hens.ensemble.unitary_at):
+            unitaries.append(h.dim)
+            return _unitary_at(h, times)
+        monkeypatch.setattr(hens.ensemble, "unitary_at", counting_unitary_at)
         joint_evolve_reduce(dil, PLUS, np.linspace(0.0, 10.0, count))
-        # one eigh of the joint Hamiltonian's m diagonal 2 x 2 blocks; D x D eigvalsh of J0
-        # and sigma, none per time
-        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (m, 2, 2))]
-        assert calls.count(("eigvalsh", (n, n))) == 2
+        # one eigh per member block, in unitary_at, whatever the count of times; the
+        # reduced states' checks are d x d, and nothing larger is eigensolved
+        assert unitaries == [d] * m
+        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (d, d))] * m
+        assert {shape for _, shape in calls} == {(d, d)}
 
     @pytest.mark.parametrize("bins", [64, 128])
     def test_dilation_memory_per_bin_squared(self, bins):
-        # a D x D complex array is 64 B per bins^2 (D = 2 bins).  The route holds about
-        # seven: V, sigma, and one time's A, A sigma, A^H, J(t) and the last J(t)
+        # a D x D complex array is 64 B per bins^2 (D = 2 bins).  The route holds the m
+        # 2 x 2 blocks and their ensemble, and the bins x bins |rho_E| of the
+        # environment-coherence check: about 20 B per bins^2
         dil = dilate(gaussian_spectral().discretize(bins))
         tracemalloc.start()
         try:
@@ -237,7 +274,7 @@ class TestStackedRoutes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 600 * bins**2
+        assert peak < 64 * bins**2
 
 
 class TestHamiltonianEnsemble:
