@@ -660,15 +660,24 @@ COMMANDS = {
 }
 
 
-def make_parser() -> argparse.ArgumentParser:
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``hens`` parser.  With ``command=None`` it holds all five subcommands, as
+    ``hens --help`` and an unknown or missing subcommand need.  With one name of
+    ``COMMANDS`` it holds that subcommand's parser and flags alone; its usage line still
+    lists all five, so an unrecognized-arguments error reads as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="hens",
         allow_abbrev=False,
         description="Simulate qubit dephasing with Hamiltonian ensembles and "
                     "witness nonclassicality of the dynamics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, text, fields) in COMMANDS.items():
+    if command is None:
+        names, options = list(COMMANDS), {}
+    else:  # usage lists all five; on the full parser this metavar would alter its errors
+        names, options = [command], {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **options)
+    for name in names:
+        handler, text, fields = COMMANDS[name]
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("--config", metavar="FILE", help="JSON config file")
         for path in COMMON + fields:
@@ -680,8 +689,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; the only place that reports a failure and picks the exit code,
-    from the failure's class."""
-    args = make_parser().parse_args(argv)
+    from the failure's class.  Only the named subcommand's parser is built."""
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = make_parser(command).parse_args(argv)
     try:
         args.func(load_config(args))
     except (ConfigError, ValueError) as exc:

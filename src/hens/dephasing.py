@@ -621,14 +621,29 @@ def extended_exponents(model: SpectralDensityModel, grid: np.ndarray):
 
 
 def _extended_values(exponent, drift, phase: float) -> np.ndarray:
-    """exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi, on a half."""
-    sign = np.concatenate([[0.0], np.ones(exponent.size - 2), [-1.0]])  # t = 0, t > 0, -t_max
-    theta = math.cos(phase) * drift + sign * math.sin(phase) * exponent
-    return np.exp(-1j * theta - exponent)
+    """exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi, on a half,
+    in one complex array.  For finite inputs these are the bits of
+    ``np.exp(-1j * theta - exponent)``, signed zeros included: theta is formed with that
+    expression's products, (sign(t) sin(phase)) Phi, and Re is 0 - Phi, not -Phi.  An
+    infinite Phi gives exp(-inf) = 0 here, not NaN, so callers check finiteness."""
+    sin = math.sin(phase)
+    values = np.empty(exponent.size, dtype=complex)
+    theta = values.imag
+    np.multiply(exponent, sin, out=theta)  # t > 0
+    theta[0] = 0.0 * sin * exponent[0]
+    theta[-1] = -sin * exponent[-1]  # the edge, t = -t_max
+    np.multiply(drift, math.cos(phase), out=values.real)
+    np.add(values.real, theta, out=theta)
+    np.negative(theta, out=theta)
+    np.subtract(0.0, exponent, out=values.real)
+    return np.exp(values, out=values)
 
 
 def extended_series(dt: float, exponent, drift, phase: float) -> DephasingSeries:
-    """Series exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi."""
+    """Series exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi.
+    ValueError unless exponent and drift are finite."""
+    if not (np.all(np.isfinite(exponent)) and np.all(np.isfinite(drift))):
+        raise ValueError("exponent and drift must be finite")
     return DephasingSeries(dt, _extended_values(exponent, drift, phase))
 
 

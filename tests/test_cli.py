@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hens.cli
 from hens.cli import COMMANDS, COMMON, FIELDS, load_config, main, make_parser, read_table
 from hens.dephasing import SpectralDensityModel, time_grid
 from hens.ensemble import SpectralEnsemble, sample_frequencies
@@ -879,10 +880,53 @@ def test_flag_sets_exactly_its_field(command, path):
         text = next(c for c in options["choices"] if c != field_value(base, path))
     else:
         text = {int: "7", float: "2.5", str: "x"}[field_types(path)[0]]
-    cfg = load_config(parser.parse_args([command, flag(path), text]))
+    args = parser.parse_args([command, flag(path), text])
+    # the parser main builds for this one subcommand reads the flag alike
+    assert vars(make_parser(command).parse_args([command, flag(path), text])) == vars(args)
+    cfg = load_config(args)
     changed = [p for p in FIELDS if field_value(cfg, p) != field_value(base, p)]
     assert changed == [path]
     assert str(field_value(cfg, path)) == text
+
+
+def parse_outcome(parser, argv, capsys):
+    """(exit code, namespace fields, stdout, stderr) of parsing argv; the code is None
+    when it parses, the fields None when it exits."""
+    try:
+        fields, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        fields, code = None, exc.code
+    return (code, fields, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("tail", [[], ["-h"], ["--bogus"], ["--output-d", "out"],
+                                  ["--seed", "x"], ["--seed"], ["stray"]],
+                         ids=["none", "help", "unknown", "prefix", "bad-int", "no-value",
+                              "positional"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_subcommand_parser_reads_as_the_full_one(command, tail, capsys):
+    argv = [command, *tail]
+    full = parse_outcome(make_parser(), argv, capsys)
+    assert parse_outcome(make_parser(command), argv, capsys) == full
+
+
+@pytest.mark.parametrize("argv,built", [
+    *(([c, "-h"], c) for c in COMMANDS), (["--help"], None), (["bogus"], None), ([], None),
+    (["-h", "dephase"], None)])
+@pytest.mark.parametrize("source", ["argv", "sys.argv"])
+def test_main_builds_the_named_subcommands_parser(monkeypatch, capsys, argv, built, source):
+    asked = []
+
+    def recording(command=None):
+        asked.append(command)
+        return make_parser(command)
+
+    monkeypatch.setattr(hens.cli, "make_parser", recording)
+    # what main reads when it is given no argv, and must not read otherwise
+    monkeypatch.setattr(sys, "argv", ["hens", *argv] if source == "sys.argv" else ["hens", "--x"])
+    with pytest.raises(SystemExit):  # help or a usage error: no subcommand runs
+        main(argv if source == "argv" else None)
+    assert asked == [built]
 
 
 def set_by(source, tmp_path, path, value):

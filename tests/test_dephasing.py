@@ -35,6 +35,7 @@ from hens.dephasing import (
     _spherical_j,
 )
 from hens import dephasing
+from hens.cli import main
 from hens.ensemble import dephase_qubit
 from hens.qdyn import PAULI_Z, DensityMatrix, maximally_mixed, pure_state
 
@@ -508,6 +509,22 @@ def test_series_holds_its_half(k):
         assert held / grid.size <= 8.1
 
 
+@pytest.mark.parametrize("k", [16, 18])
+def test_extended_values_peak_at_what_they_return(k):
+    # one complex array of n/2 + 1 values, 8 B per grid point; the temporaries of
+    # sign(t), theta and -i theta - Phi took the peak to 24 B
+    half = (1 << k) // 2 + 1
+    exponent, drift = np.linspace(0.0, 5.0, half), np.linspace(0.0, 3.0, half)
+    dephasing._extended_values(exponent, drift, 2.0)  # one-time allocations of a first call
+    tracemalloc.start()
+    try:
+        dephasing._extended_values(exponent, drift, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (1 << k) <= 8.1
+
+
 def test_series_fill_memory_is_flat():
     # the positions between knots are filled FILL_BLOCK at a time: the peak per grid
     # point stays near 24-26 B (the two returned rows hold 8 B), where one fill call
@@ -596,6 +613,44 @@ class TestGridKnots:
         exponent, drift = extended_exponents(model, grid)
         assert np.array_equal(exponent, even)
         assert np.array_equal(drift, rule.inverse_frequency_mass * t - np.sign(t) * odd)
+
+
+DEFAULT_GRID = time_grid(200.0, 1 << 16)  # the CLI's default grid at omega_c = 1
+# the CLI's 64 default landscape phases, then some off them
+VALUE_PHASES = [*np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False), 0.3, np.pi / 2, 2.0, -1.0]
+
+
+@functools.cache
+def default_ohmic_pair():
+    return extended_exponents(OHMIC1, DEFAULT_GRID)
+
+
+def test_extended_values_keep_the_bits_of_the_plain_form():
+    # compared as integers, so that -0.0 and +0.0 differ, as they do in phi.csv
+    exponent, drift = default_ohmic_pair()
+    sign = np.concatenate([[0.0], np.ones(exponent.size - 2), [-1.0]])
+    for phase in VALUE_PHASES:
+        theta = math.cos(phase) * drift + sign * math.sin(phase) * exponent
+        expected = np.exp(-1j * theta - exponent)
+        got = dephasing._extended_values(exponent, drift, phase)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), phase
+
+
+def test_extended_phi_csv_keeps_the_negative_zero(tmp_path):
+    assert main(["dephase", "--mode", "extended", "--phase", "2.0", "--grid-n", "64",
+                 "--output-dir", str(tmp_path)]) == 0
+    rows = (tmp_path / "phi.csv").read_text().splitlines()
+    t0 = next(r.split(",") for r in rows[1:] if float(r.split(",")[0]) == 0.0)
+    assert t0[2] == "-0.0000000000000000e+00"
+
+
+@pytest.mark.parametrize("which", ["exponent", "drift"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_extended_series_rejects_a_non_finite_pair(which, value):
+    pair = {"exponent": ohmic_phase_pair()[0].copy(), "drift": ohmic_phase_pair()[1].copy()}
+    pair[which][5] = value
+    with pytest.raises(ValueError, match="finite"):
+        extended_series(PHASE_DT, pair["exponent"], pair["drift"], 0.0)
 
 
 class TestExtendedPhase:
