@@ -531,7 +531,9 @@ def _half_spectrum(half: np.ndarray, dt: float) -> np.ndarray:
     """(dt/2pi) sum_n phi(t_n) e^{-i w_k t_n} on the conjugate grid, for the Hermitian
     series of a half layout, of which only the real parts of phi(0) and phi(-t_max)
     count: one ``np.fft.hfft`` of length n, so the spectrum is real."""
-    return dt / (2.0 * np.pi) * np.fft.fftshift(np.fft.hfft(half, 2 * (half.size - 1)))
+    spectrum = np.fft.fftshift(np.fft.hfft(half, 2 * (half.size - 1)))
+    spectrum *= dt / (2.0 * np.pi)
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -640,8 +642,12 @@ def _extended_values(exponent, drift, phase: float) -> np.ndarray:
 
 
 def extended_series(dt: float, exponent, drift, phase: float) -> DephasingSeries:
-    """Series exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi.
-    ValueError unless exponent and drift are finite."""
+    """Series exp(-i theta - Phi), theta = cos(phase) drift + sign(t) sin(phase) Phi, of
+    array-likes on a half.  ValueError unless exponent and drift are finite float
+    arrays of one 1-d shape."""
+    exponent, drift = (np.asarray(a, dtype=float) for a in (exponent, drift))
+    if exponent.ndim != 1 or drift.shape != exponent.shape:
+        raise ValueError("exponent and drift must match the time grid, and each other")
     if not (np.all(np.isfinite(exponent)) and np.all(np.isfinite(drift))):
         raise ValueError("exponent and drift must be finite")
     return DephasingSeries(dt, _extended_values(exponent, drift, phase))

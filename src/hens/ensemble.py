@@ -202,14 +202,30 @@ def _phase_walk(w: np.ndarray, times: np.ndarray):
 
 def _coherence_factor(omega: np.ndarray, weights: np.ndarray, times) -> np.ndarray:
     """Trapezoid sum of weights * e^{i omega t} over the grid at each time.  A phase
-    omega t past the float range raises ValueError."""
+    omega t past the float range raises ValueError.
+
+    The real trapezoid weights a_k = c_k weights_k, c_k = (d_{k-1} + d_k)/2 with d the
+    grid's steps (d_{-1} = d_{N-1} = 0), are formed once; each time is then
+    ``(a * z).sum()``, numpy's pairwise sum (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2002, section 4.2), not a BLAS reduction, whose rounding
+    would follow the BLAS thread count.  numpy sums N complex terms in leaves of at
+    most 64, four running sums a part, halving above that, so a term meets at most
+    D = ceil(log2 N) + 15 additions.  Each term a_k z_k carries three roundings, as
+    does each of ``np.trapezoid``'s, so for the same phases z each result and
+    ``np.trapezoid(weights * z, omega)`` lie within sqrt(2) gamma_{D+3} M of the exact
+    sum, and within 2 sqrt(2) gamma_{D+3} M of each other: gamma_n = n u/(1 - n u), u
+    the unit roundoff, M = sum_k c_k |weights_k| max|z| (M = 1 for the unit-mass
+    weights of a SpectralEnsemble, up to the phase walk's error in z).
+    """
     times = np.asarray(times, dtype=float)
     d = np.diff(omega)
+    a = np.append(d, 0.0)
+    a[1:] += d
+    a *= 0.5
+    a *= weights
     out = np.empty(times.size, dtype=complex)
     for k, z in _phase_walk(omega, times):
-        y = weights * z
-        # np.trapezoid's own arithmetic, with the grid's factors taken out of the loop
-        out[k] = (d * (y[1:] + y[:-1]) / 2.0).sum()
+        out[k] = (a * z).sum()
     return out
 
 
@@ -242,19 +258,18 @@ def _cdf_index(cdf: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _draw_block(ens: SpectralEnsemble, cdf: np.ndarray, streams: np.random.SeedSequence,
-                size: int) -> np.ndarray:
-    """``size`` inverse-CDF draws from the next substream spawned from ``streams``.
+def _uniforms(streams: np.random.SeedSequence, size: int) -> np.ndarray:
+    """``size`` uniforms on [0, 1) from the next substream spawned from ``streams``."""
+    return np.random.default_rng(streams.spawn(1)[0]).random(size)
 
-    The uniforms are sorted once, their CDF indices come from one merge
-    (``_cdf_index``), and the draws are computed in sorted order and scattered
-    back: each draw depends only on its own uniform, so the block equals a
-    per-draw ``searchsorted`` bit for bit.
+
+def _draws(ens: SpectralEnsemble, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws of the ascending uniforms ``u``, computed in place in ``u``.
+
+    Their CDF indices come from one merge (``_cdf_index``), and each draw depends
+    only on its own uniform, so the draws equal a per-draw ``searchsorted`` bit for
+    bit.  Besides ``u`` the call holds three arrays of its size.
     """
-    u = np.random.default_rng(streams.spawn(1)[0]).random(size)
-    order = np.argsort(u)
-    u = u[order]
-    # in place from here on: a block holds at most five arrays of its size
     # left edge on ties / flat CDF runs; idx is the segment's left grid point
     idx = _cdf_index(cdf, u)
     np.clip(idx, 1, cdf.size - 1, out=idx)
@@ -268,16 +283,15 @@ def _draw_block(ens: SpectralEnsemble, cdf: np.ndarray, streams: np.random.SeedS
     u *= ens.domega
     # idx is in range, so "clip" clips nothing; "raise" would copy through a buffer
     u += np.take(ens.omega, idx, out=left, mode="clip")
-    seg[order] = u
-    return seg
+    return u
 
 
 def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF draws from ``ens.cdf()``, chunked into seeded substreams.
 
-    Each MC_BLOCK substream is one ``_draw_block``: its uniforms are sorted once
-    and merged against the CDF, which gives the same draws as searching each
-    uniform on its own.
+    Each MC_BLOCK substream's uniforms are sorted once (``np.argsort``), drawn by
+    ``_draws`` and scattered back to the order the generator drew them in, which
+    gives the same draws as searching each uniform on its own.
 
     ``ens`` is a SpectralEnsemble, whose construction already rejects a table
     that is not a probability distribution.
@@ -288,7 +302,10 @@ def sample_frequencies(ens: SpectralEnsemble, n: int, seed: int) -> np.ndarray:
     out = np.empty(n)  # before any draw: an n too large to hold fails here
     for start in range(0, n, MC_BLOCK):
         block = out[start:start + MC_BLOCK]
-        block[:] = _draw_block(ens, cdf, streams, block.size)
+        u = _uniforms(streams, block.size)
+        order = np.argsort(u)
+        u = u[order]
+        block[order] = _draws(ens, cdf, u)
     return out
 
 
@@ -336,15 +353,27 @@ def mc_coherence(draws: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
 
 def sampled_coherence(ens: SpectralEnsemble, n: int, seed: int,
                       times) -> tuple[np.ndarray, np.ndarray]:
-    """``mc_coherence(sample_frequencies(ens, n, seed), times)``, bit for bit, drawing
-    and estimating one seeded MC_BLOCK substream at a time: it holds one block of
-    draws whatever n is.  A phase w t past the float range raises the same
-    ValueError, once every block is drawn."""
+    """``mc_coherence`` of ``sample_frequencies(ens, n, seed)`` with each MC_BLOCK of
+    draws sorted ascending, bit for bit, drawing and estimating one seeded MC_BLOCK
+    substream at a time: it holds one block of draws whatever n is.
+
+    A block's uniforms are sorted in place and drawn in that order: the sums of
+    e^{iwt} ignore the order of the draws but for rounding, so the block is never
+    put back in the generator's order.  The means are within the rounding of those
+    sums of ``mc_coherence(sample_frequencies(ens, n, seed), times)``.  A phase w t
+    past the float range raises the same ValueError, once every block is drawn.
+    """
     if n < 1:
         raise ValueError("need at least one sample")
     cdf, streams = ens.cdf(), np.random.SeedSequence(seed)
-    return _coherence_estimates((_draw_block(ens, cdf, streams, min(MC_BLOCK, n - start))
-                                 for start in range(0, n, MC_BLOCK)), times)
+
+    def sorted_blocks():
+        for start in range(0, n, MC_BLOCK):
+            u = _uniforms(streams, min(MC_BLOCK, n - start))
+            u.sort()
+            yield _draws(ens, cdf, u)
+
+    return _coherence_estimates(sorted_blocks(), times)
 
 
 def _env_coherence(matrix: np.ndarray, d: int, env_dim: int) -> float:

@@ -38,6 +38,29 @@ from .ensemble import _coherence_factor
 # one thread); the smallest holds least and wastes least work past stop_below.
 WITNESS_BLOCK = 256
 GRAM_ENTRIES = 1 << 12  # Gram-matrix entries per eigvalsh call: 64 KiB of complex128
+TRAPEZOID_BLOCK = 1 << 12  # trapezoid terms formed at a time: 32 KiB of float64
+
+
+def _trapezoid(y: np.ndarray, x: np.ndarray, negative_part: bool = False,
+               lo: int = 0, hi: int | None = None) -> float:
+    """``np.trapezoid(y, x)``, or of ``np.minimum(y, 0.0)``, bit for bit, holding no
+    array of the grid's size; ``lo`` and ``hi`` select the terms of one recursion step.
+
+    np.trapezoid sums its terms d_k (y_k + y_{k+1}) / 2 as one array, by numpy's
+    pairwise sum: halves of a multiple of 8 terms, down to 128.  Here the same halves
+    go down to TRAPEZOID_BLOCK terms, each formed on its own and summed by ``np.sum``,
+    which adds it as it would inside the whole array.
+    """
+    hi = y.size - 1 if hi is None else hi
+    if hi - lo > TRAPEZOID_BLOCK:
+        mid = (hi - lo) // 2
+        mid -= mid % 8
+        return (_trapezoid(y, x, negative_part, lo, lo + mid)
+                + _trapezoid(y, x, negative_part, lo + mid, hi))
+    part = y[lo:hi + 1]
+    if negative_part:
+        part = np.minimum(part, 0.0)
+    return float(((x[lo + 1:hi + 1] - x[lo:hi]) * (part[1:] + part[:-1]) / 2.0).sum())
 
 
 @dataclass(frozen=True)
@@ -61,8 +84,13 @@ class QuasiDistribution:
 
     @classmethod
     def from_samples(cls, omega, values, realness_residual: float = 0.0):
-        omega = np.asarray(omega, dtype=float).copy()
-        values = np.asarray(values, dtype=float).copy()
+        """The distribution of copies of ``omega`` and ``values``."""
+        return cls._owning(np.array(omega, dtype=float), np.array(values, dtype=float),
+                           realness_residual)
+
+    @classmethod
+    def _owning(cls, omega: np.ndarray, values: np.ndarray, realness_residual: float):
+        """``from_samples`` of float arrays that no one else holds: it keeps them, read-only."""
         if omega.ndim != 1 or omega.size < 2 or values.shape != omega.shape:
             raise ValueError("omega grid and values must be matching 1-d arrays")
         omega.setflags(write=False)
@@ -70,9 +98,9 @@ class QuasiDistribution:
         return cls(
             omega=omega,
             values=values,
-            norm=float(np.trapezoid(values, omega)),
+            norm=_trapezoid(values, omega),
             min_value=float(np.min(values)),
-            negativity=float(-np.trapezoid(np.minimum(values, 0.0), omega)),
+            negativity=-_trapezoid(values, omega, negative_part=True),
             realness_residual=float(realness_residual),
         )
 
@@ -97,7 +125,11 @@ def conjugate_frequency_grid(n: int, dt: float) -> np.ndarray:
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"time step {dt!r} must be finite and positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(n, d=dt))
+        # 2 pi fftshift(fftfreq(n, dt)), point for point, in one array: k / (n dt) for
+        # k = -(n // 2) .. n - n // 2 - 1
+        omega = np.arange(-(n // 2), n - n // 2, dtype=float)
+        omega *= 1.0 / (n * dt)
+        omega *= 2.0 * np.pi
     if not np.all(np.isfinite(omega)):
         raise ValueError(f"time step {dt!r} is too small: its conjugate frequencies "
                          "are not representable in floating point")
@@ -168,9 +200,10 @@ def inverse_ft(series: DephasingSeries) -> QuasiDistribution:
     transform of the anti-Hermitian part is imaginary, and its largest modulus,
     the series' ``realness_residual``, is recorded, never silently lost.
     """
-    return QuasiDistribution.from_samples(conjugate_frequency_grid(series.n, series.dt),
-                                          _half_spectrum(series.half, series.dt),
-                                          realness_residual=series.realness_residual)
+    # the spectrum first: it peaks at two arrays of the grid's size, the grid at one
+    values = _half_spectrum(series.half, series.dt)
+    return QuasiDistribution._owning(conjugate_frequency_grid(series.n, series.dt), values,
+                                     series.realness_residual)
 
 
 def roundtrip_error(dist) -> float:

@@ -653,6 +653,27 @@ def test_extended_series_rejects_a_non_finite_pair(which, value):
         extended_series(PHASE_DT, pair["exponent"], pair["drift"], 0.0)
 
 
+def test_extended_series_takes_lists():
+    exponent, drift = ohmic_phase_pair()
+    for phase in (0.3, 2.0):
+        want = extended_series(PHASE_DT, exponent, drift, phase)
+        got = extended_series(PHASE_DT, exponent.tolist(), drift.tolist(), phase)
+        assert np.array_equal(got.half.view(np.uint64), want.half.view(np.uint64))
+    assert extended_series(0.1, [0.0, 0.1, 0.2], [0.0, 0.0, 0.0], 0.3).n == 4
+
+
+@pytest.mark.parametrize("exponent, drift", [
+    ([0.0, 0.1, 0.2], [0.0, 0.0]),  # lengths differ
+    ([[0.0, 0.1, 0.2]], [[0.0, 0.0, 0.0]]),  # 2-d
+    (0.0, 0.0),  # 0-d
+    ([0.0, "a", 0.2], [0.0, 0.0, 0.0]),  # not a number
+    ([0.0, 0.1, 0.2, 0.3], [0.0, 0.0, 0.0, 0.0]),  # no half of a power-of-two grid
+], ids=["lengths", "2-d", "0-d", "text", "size"])
+def test_extended_series_rejects_malformed_input(exponent, drift):
+    with pytest.raises(ValueError):
+        extended_series(0.1, exponent, drift, 0.3)
+
+
 class TestExtendedPhase:
     """The phase angle theta of ``extended_series`` on the pair of ``extended_exponents``,
     read off the series as -arg phi."""

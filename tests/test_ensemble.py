@@ -129,6 +129,15 @@ def time_sets():
     return [np.array([0.0]), np.array([2.5, 2.5]), np.append(t, t[7])]
 
 
+def trapezoid_sum_bound(n, mass):
+    """The distance ``_coherence_factor``'s docstring allows between its sum over n grid
+    points and np.trapezoid's at the same phases: 2 sqrt(2) gamma_{D+3} M, with
+    D = ceil(log2 n) + 15 and M the weights' trapezoid mass times max|z|."""
+    u = np.finfo(float).eps / 2
+    k = int(np.ceil(np.log2(n))) + 18
+    return 2.0 * np.sqrt(2.0) * k * u / (1 - k * u) * mass
+
+
 def gaussian_spectral(sigma=1.0, span=8.0, n=2001):
     om = np.linspace(-span * sigma, span * sigma, n)
     w = np.exp(-0.5 * (om / sigma) ** 2)
@@ -160,10 +169,12 @@ class TestStackedRoutes:
         times = time_sets()[k]
         ens = gaussian_spectral()
         factors = _coherence_factor(ens.omega, ens.weights, times)
-        # one distinct time takes the direct bits (T1, T2); more are within _phase_walk's
-        # bound on each phase, over the weights' unit trapezoid mass
-        bound = 0.0 if k < 2 else min(times.size, RESTEP) * (
+        # one distinct time takes the direct phases (T1, T2); more are within _phase_walk's
+        # bound on each phase, over the weights' unit trapezoid mass.  The sums then differ
+        # from np.trapezoid's by the pairwise-summation bound of _coherence_factor
+        walk = 0.0 if k < 2 else min(times.size, RESTEP) * (
             4 * np.max(np.abs(ens.omega)) * np.spacing(np.max(times)) + 4 * np.finfo(float).eps)
+        bound = walk + trapezoid_sum_bound(ens.omega.size, 1.0 + walk)
         for t, f in zip(times, factors):
             direct = np.trapezoid(ens.weights * np.exp(1j * ens.omega * t), ens.omega)
             assert abs(f - direct) <= bound
@@ -455,6 +466,28 @@ def reference_draws(ens, n, seed):
     return np.concatenate(chunks)
 
 
+def block_sorted(draws):
+    """The draws with each MC_BLOCK sorted ascending."""
+    return np.concatenate([np.sort(draws[start:start + MC_BLOCK])
+                           for start in range(0, draws.size, MC_BLOCK)])
+
+
+def per_draw(ens, n, seed, positions):
+    """Reference: the sampler's draws at ``positions``, each searched on its own by a
+    scalar left ``np.searchsorted`` of its uniform, in the order the substreams draw them."""
+    cdf = ens.cdf()
+    children = np.random.SeedSequence(seed).spawn(-(-n // MC_BLOCK))
+    u = np.concatenate([np.random.default_rng(child).random(min(MC_BLOCK, n - i * MC_BLOCK))
+                        for i, child in enumerate(children)])
+    out = []
+    for k in positions:
+        i = min(max(int(np.searchsorted(cdf, u[k], side="left")), 1), cdf.size - 1)
+        seg = cdf[i] - cdf[i - 1]
+        frac = (u[k] - cdf[i - 1]) / seg if seg > 0 else 0.0
+        out.append(ens.omega[i - 1] + frac * ens.domega)
+    return np.array(out)
+
+
 def normalized(om, w):
     return SpectralEnsemble(om, w / np.trapezoid(w, om))
 
@@ -629,6 +662,17 @@ class TestMonteCarloAllTimes:
         ens = gaussian_spectral() if table == "gaussian" else sampler_tables()[table]
         assert np.array_equal(sample_frequencies(ens, n, seed=4), reference_draws(ens, n, seed=4))
 
+    @pytest.mark.parametrize("table", ["gaussian", *sampler_tables()])
+    def test_sampler_keeps_the_order_of_the_draws(self, table):
+        # the sampler sorts each block to search it, and must put every draw back in its
+        # uniform's place: the same bits as one scalar search per draw, at every 61st draw
+        # of two blocks
+        ens = gaussian_spectral() if table == "gaussian" else sampler_tables()[table]
+        n = MC_BLOCK + 1000
+        positions = np.arange(0, n, 61)
+        assert np.array_equal(sample_frequencies(ens, n, seed=6)[positions],
+                              per_draw(ens, n, 6, positions))
+
 
 class TestSampledCoherence:
     """The streamed route: each seeded block drawn and added to the sums in turn."""
@@ -640,22 +684,36 @@ class TestSampledCoherence:
     def test_equals_the_composed_calls(self, n):
         ens = gaussian_spectral()
         means, stderrs = sampled_coherence(ens, n, 21, self.TIMES)
-        ref_means, ref_stderrs = mc_coherence(sample_frequencies(ens, n, 21), self.TIMES)
+        draws = sample_frequencies(ens, n, 21)
+        ref_means, ref_stderrs = mc_coherence(block_sorted(draws), self.TIMES)
         assert np.array_equal(means, ref_means)
         assert np.array_equal(stderrs, ref_stderrs)
+        # in the generator's order only the sums' rounding differs: each block's pairwise
+        # sum (ceil(log2 MC_BLOCK) + 15 additions a term), one addition a block and the
+        # division by n
+        means, _ = mc_coherence(draws, self.TIMES)
+        k = int(np.ceil(np.log2(MC_BLOCK))) + 16 + -(-n // MC_BLOCK)
+        u = np.finfo(float).eps / 2
+        assert np.max(np.abs(means - ref_means)) <= 2.0 * np.sqrt(2.0) * k * u / (1 - k * u)
 
     def test_estimates_do_not_depend_on_the_blas_thread_count(self):
-        # one block of draws: a BLAS reduction over it, such as a sum of |z|^2 by
-        # np.vdot, rounds differently on two threads than on one
+        # one block of draws, and the he route's weighted sums over a 65536-point table:
+        # a BLAS reduction over either, such as a sum of |z|^2 by np.vdot or a @ z, rounds
+        # differently on two threads than on one
         code = "\n".join([
             "import sys",
             "import numpy as np",
-            "from hens.ensemble import MC_BLOCK, SpectralEnsemble, sampled_coherence",
+            "from hens.ensemble import MC_BLOCK, SpectralEnsemble, _coherence_factor, "
+            "sampled_coherence",
+            "times = np.linspace(0.0, 10.0, 21)",
             "om = np.linspace(-8.0, 8.0, 2001)",
             "w = np.exp(-0.5 * om ** 2)",
             "ens = SpectralEnsemble(om, w / np.trapezoid(w, om))",
-            "means, stderrs = sampled_coherence(ens, MC_BLOCK, 7, np.linspace(0.0, 10.0, 21))",
-            "sys.stdout.write((means.tobytes() + stderrs.tobytes()).hex())",
+            "means, stderrs = sampled_coherence(ens, MC_BLOCK, 7, times)",
+            "big = np.linspace(-200.0, 200.0, 1 << 16)",
+            "p = (1.0 + np.abs(big)) * np.exp(-np.abs(big)) / 4.0",
+            "factors = _coherence_factor(big, p, times)",
+            "sys.stdout.write((means.tobytes() + stderrs.tobytes() + factors.tobytes()).hex())",
         ])
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,5 +1,8 @@
 import functools
+import gc
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +20,10 @@ from hens.dephasing import (
 from hens.ensemble import RESTEP, _coherence_factor
 import hens.inversion
 from hens.inversion import (
+    TRAPEZOID_BLOCK,
     WITNESS_BLOCK,
+    QuasiDistribution,
+    _trapezoid,
     _gram_bounds,
     _gram_floors,
     bochner_search,
@@ -184,6 +190,74 @@ class TestInverse:
         dist = inverse_ft(ohmic_series(1.0, GRID))
         dt = GRID[1] - GRID[0]
         assert abs(dist.domega - 2.0 * np.pi / (GRID.size * dt)) < 1e-12
+
+
+    @pytest.mark.parametrize("phase", [None, np.pi / 4], ids=["conventional", "extended"])
+    def test_distribution_is_the_parents_arithmetic(self, phase):
+        # the grid, the spectrum and the diagnostics as whole-array numpy expressions
+        series = ohmic_series(1.0, GRID, phase=phase)
+        dist = inverse_ft(series)
+        omega = 2.0 * np.pi * np.fft.fftshift(np.fft.fftfreq(series.n, d=series.dt))
+        values = series.dt / (2.0 * np.pi) * np.fft.fftshift(np.fft.hfft(series.half, series.n))
+        bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+        assert np.array_equal(bits(dist.omega), bits(omega))
+        assert np.array_equal(bits(dist.values), bits(values))
+        assert bits(dist.norm) == bits(np.trapezoid(values, omega))
+        assert bits(dist.negativity) == bits(-np.trapezoid(np.minimum(values, 0.0), omega))
+        assert not (dist.omega.flags.writeable or dist.values.flags.writeable)
+
+    @pytest.mark.parametrize("k", [16, 18])
+    def test_memory_per_point(self, k):
+        # the two returned arrays hold 16 B a grid point; copying them into the
+        # distribution and its np.trapezoid temporaries took the peak to 40 B
+        series = ohmic_series(1.0, time_grid(200.0, 1 << k), phase=np.pi / 4)
+        inverse_ft(series)  # one-time allocations of a first call
+        tracemalloc.start()
+        try:
+            inverse_ft(series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * (1 << k)
+
+    def test_arrays_are_freed_without_the_collector(self):
+        # nothing in inverse_ft may keep its arrays in a reference cycle: they would
+        # outlive the distribution until the next collection, as a recursive closure
+        # over them did
+        series = ohmic_series(1.0, GRID)
+        gc.disable()
+        try:
+            dist = inverse_ft(series)
+            refs = [weakref.ref(dist.omega), weakref.ref(dist.values)]
+            del dist
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_from_samples_copies_its_inputs(self):
+        omega, values = np.linspace(-1.0, 1.0, 5), np.array([0.0, 0.5, 1.0, 0.5, 0.0])
+        dist = QuasiDistribution.from_samples(omega, values)
+        omega[2] = values[2] = 7.0
+        assert dist.omega[2] == 0.0 and dist.values[2] == 1.0
+        assert omega.flags.writeable and values.flags.writeable
+        again = QuasiDistribution.from_samples(list(dist.omega), list(dist.values))
+        assert np.array_equal(again.values, dist.values) and again.norm == dist.norm
+        with pytest.raises(ValueError, match="matching 1-d"):
+            QuasiDistribution.from_samples(omega, values[:4])
+
+
+@pytest.mark.parametrize("size", [2, 3, 9, 129, TRAPEZOID_BLOCK, TRAPEZOID_BLOCK + 1,
+                                  TRAPEZOID_BLOCK + 2, 3 * TRAPEZOID_BLOCK + 17, (1 << 16) + 1])
+def test_trapezoid_is_numpys_bit_for_bit(size):
+    # signed values of many magnitudes on an uneven grid, so that the order of the sum
+    # shows in its last bits
+    rng = np.random.default_rng(size)
+    x = np.cumsum(rng.uniform(0.5, 1.5, size))
+    y = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+    for got, want in ((_trapezoid(y, x), np.trapezoid(y, x)),
+                      (_trapezoid(y, x, negative_part=True),
+                       np.trapezoid(np.minimum(y, 0.0), x))):
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def oracle_spectrum(values, dt):
