@@ -120,7 +120,9 @@ FIELDS = {
                       {"metavar": "FILE", "help": "two-column text with omega, weight"}, None),
     "ensemble.a": (0.5, None, {"metavar": "A", "help": "cnot mixing weight"}, None),
     "ensemble.j": (1.0, None, {"metavar": "J", "help": "cnot coupling strength"}, None),
-    # the dilation's joint Hamiltonian of (2 bins)^2 complex entries: 64 bins^2 B
+    # a bin's 2 x 2 member, also the dilation's pointer-state block: discretize, dilate
+    # and the route peak near 330 B a bin (tracemalloc).  The bound is still that of the
+    # (2 bins)^2 complex joint Hamiltonian, 64 bins^2 B, built only on request
     "ensemble.bins": (128, None,
                       {"metavar": "N", "help": "bins for discretizing a spectral ensemble"},
                       (1, math.isqrt(COUNT_BYTES // 64))),

@@ -8,7 +8,7 @@ that average using only classically correlated joint states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -376,36 +376,48 @@ def sampled_coherence(ens: SpectralEnsemble, n: int, seed: int,
     return _coherence_estimates(sorted_blocks(), times)
 
 
-def _env_coherence(matrix: np.ndarray, d: int, env_dim: int) -> float:
-    """Largest |entry| of the environment-off-diagonal blocks of a (d*m)x(d*m) matrix.
-
-    Zero exactly when the (system, env) operator is classically correlated.
-    """
-    mags = np.abs(matrix.reshape(d, env_dim, d, env_dim)).max(axis=(0, 2))
-    np.fill_diagonal(mags, 0.0)
-    return float(mags.max())
-
-
 @dataclass(frozen=True)
 class Dilation:
-    """Explicit classical system+environment model reproducing an ensemble average."""
+    """The classical dilation of an ensemble {(p_j, H_j)}: the joint Hamiltonian
+    H_SI = sum_j (Hbar + V_j) (x) |j><j| with the environment in diag(p_j).
 
-    env_dim: int
-    h_system: HermitianOperator
-    couplings: tuple[HermitianOperator, ...] = field(repr=False)
-    env_state: DensityMatrix
-    h_joint: HermitianOperator = field(repr=False)
-    probs: np.ndarray = field(repr=False)
+    It holds the dilated ensemble alone: its members are the pointer-state blocks
+    H_j = Hbar + V_j, its probabilities the populations p_j.  So the joint Hamiltonian
+    is environment-diagonal and the environment state diagonal by construction.  The
+    mean Hamiltonian Hbar, the couplings V_j, the environment state and the dense joint
+    forms are derived, each built when asked for.
+    """
 
-    def __post_init__(self):
-        d = self.h_system.dim
-        centered = sum(p * v.matrix for p, v in zip(self.probs, self.couplings))
-        # the rounding of the mean Hamiltonian grows with the couplings' entries
-        scale = max(1.0, *(float(np.max(np.abs(v.matrix))) for v in self.couplings))
-        if float(np.max(np.abs(centered))) > PROB_TOL * scale:
-            raise ValueError("couplings are not centered")
-        if _env_coherence(self.h_joint.matrix, d, self.env_dim) > PROB_TOL:
-            raise ValueError("joint Hamiltonian is not environment-diagonal")
+    ensemble: HamiltonianEnsemble
+
+    @property
+    def env_dim(self) -> int:
+        return self.ensemble.size
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self.ensemble.probs
+
+    @property
+    def h_system(self) -> HermitianOperator:
+        return self.ensemble.mean_hamiltonian()
+
+    @property
+    def couplings(self) -> tuple[HermitianOperator, ...]:
+        hbar = self.h_system.matrix
+        return tuple(HermitianOperator(h.matrix - hbar) for h in self.ensemble.hamiltonians)
+
+    @property
+    def env_state(self) -> DensityMatrix:
+        return DensityMatrix(np.diag(self.probs).astype(complex))
+
+    def joint_hamiltonian(self) -> HermitianOperator:
+        """The dense (d m) x (d m) joint Hamiltonian, block H_j at environment state |j>."""
+        d, m = self.ensemble.dim, self.env_dim
+        joint = np.zeros((d, m, d, m), dtype=complex)
+        j = np.arange(m)
+        joint[:, j, :, j] = [h.matrix for h in self.ensemble.hamiltonians]
+        return HermitianOperator(joint.reshape(d * m, d * m))
 
     def joint_initial(self, rho0: DensityMatrix) -> DensityMatrix:
         return tensor(rho0, self.env_state)
@@ -413,53 +425,25 @@ class Dilation:
 
 def dilate(ens: HamiltonianEnsemble) -> Dilation:
     """Build the dilation: H_SI = sum_j (Hbar + V_j) (x) |j><j|, env populations p_j."""
-    d = ens.dim
-    m = ens.size
-    hbar = ens.mean_hamiltonian()
-    couplings = tuple(HermitianOperator(h.matrix - hbar.matrix) for h in ens.hamiltonians)
-    env_state = DensityMatrix(np.diag(ens.probs).astype(complex))
-    joint = np.zeros((d, m, d, m), dtype=complex)
-    j = np.arange(m)
-    joint[:, j, :, j] = [h.matrix for h in ens.hamiltonians]
-    return Dilation(
-        env_dim=m,
-        h_system=hbar,
-        couplings=couplings,
-        env_state=env_state,
-        h_joint=HermitianOperator(joint.reshape(d * m, d * m)),
-        probs=ens.probs,
-    )
+    return Dilation(ens)
 
 
 def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, times):
     """Evolve rho0 (x) rho_E under the joint Hamiltonian and trace out the environment.
 
-    The joint Hamiltonian is environment-diagonal (Dilation holds its other entries to
-    1e-10, rounding), so its m diagonal d x d blocks H_j evolve each pointer state |j>
-    alone and the reduced state is sum_j p_j U_j rho0 U_j^H, p_j being rho_E's
-    populations: ``he_average`` of the ensemble {(p_j, H_j)}.  For a ``dilate`` output
-    that is the dilated ensemble, bit for bit.  Populations below zero, which a
-    DensityMatrix admits down to PSD_TOL and an ensemble does not, are dropped and the
-    rest renormalized.  Returns (one reduced state per time, classical_ok).
+    The joint Hamiltonian is environment-diagonal, so each pointer state |j> evolves
+    alone under its block H_j and the reduced state is sum_j p_j U_j rho0 U_j^H:
+    ``he_average`` of the dilated ensemble, bit for bit.  No joint state or joint
+    Hamiltonian is formed.  Returns (one reduced state per time, classical_ok).
     A phase w t past the float range raises ValueError.
 
-    classical_ok is True when no environment-off-diagonal entry of rho_E passes 1e-10.
-    Under an environment-diagonal H, block (j, k) of J(t) is U_j J0_jk U_k^H, so J(t) is
-    environment-diagonal at every t exactly when J0 = rho0 (x) rho_E is; rho0 has unit
-    trace, so that holds exactly when rho_E is diagonal.
+    classical_ok is True by construction: block (j, k) of J(t) is U_j J0_jk U_k^H, and
+    J0 = rho0 (x) rho_E is environment-diagonal because rho_E is diagonal, so J(t) is
+    environment-diagonal, that is classically correlated, at every t.
     """
-    d, m = dil.h_system.dim, dil.env_dim
-    if rho0.dim != d:
+    if rho0.dim != dil.ensemble.dim:
         raise DimensionError("state dimension differs from the dilation system")
-    env = dil.env_state.matrix
-    p = np.diagonal(env).real
-    if p.min() < 0.0:
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-    j = np.arange(m)
-    blocks = dil.h_joint.matrix.reshape(d, m, d, m)[:, j, :, j]
-    ens = HamiltonianEnsemble(p, tuple(HermitianOperator(h) for h in blocks))
-    return he_average(ens, rho0, times), _env_coherence(env, 1, m) <= 1e-10
+    return he_average(dil.ensemble, rho0, times), True
 
 
 def cnot_mixture(a: float, j_coupling: float, t: float, rho0: DensityMatrix) -> DensityMatrix:

@@ -1268,10 +1268,17 @@ def test_discrete_ensembles_hold_the_exit_codes(tmp_path_factory):
         return np.allclose(a, a.conj().T)
 
     @hypothesis.settings(max_examples=100, deadline=None, database=None)
-    @hypothesis.given(members=members(), rho0=rho0)
-    def check(members, rho0):
+    # members whose differences from their mean overflow: every route reads the members
+    # alone, so at t = 0 the run exits 0
+    @hypothesis.example(members=[[0.9, [[1.7e308, 0], [0, -1.7e308]]],
+                                 [0.1, [[-1.7e308, 0], [0, 1.7e308]]]],
+                        rho0="plus", times=[0.0])
+    @hypothesis.given(members=members(), rho0=rho0, times=st.none())
+    def check(members, rho0, times):
         out = tmp_path_factory.mktemp("run")
         doc = {"ensemble": {"kind": "discrete", "members": members}, "rho0": rho0}
+        if times is not None:  # a time list takes the place of --times-count
+            doc["times"] = {"list": times}
         (out / "config.json").write_text(json.dumps(doc))
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
@@ -1283,6 +1290,8 @@ def test_discrete_ensembles_hold_the_exit_codes(tmp_path_factory):
         assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
         if rc == 0:  # every member a Hermitian matrix
             assert all(hermitian(m) for _, m in members)
+        if times is not None:  # the example above
+            assert rc == 0, err.getvalue()
 
     check()
 
