@@ -128,8 +128,8 @@ FIELDS = {
                       (1, math.isqrt(COUNT_BYTES // 64))),
     "rho0": ("plus", (str, list), {"help": "plus | up | down | mixed"}, None),
     "times.t_max": (10.0, None, {"metavar": "T"}, None),
-    # a 2 x 2 complex state held as its own array (~180 B) by each of four routes,
-    # and its stacked copy: 1 KiB per time
+    # a time's 2 x 2 states: simulate's child peak ru_maxrss grows ~0.39 KiB a time
+    # for cnot (2 routes) and ~0.46 KiB for spectral (4 routes); the bound assumes 1 KiB
     "times.count": (21, None, {"metavar": "N"}, (1, COUNT_BYTES // 1024)),
     "times.list": (None, (list,), None, None),
     # a float draw, were all held at once (8 B); the mc route holds one MC_BLOCK of them
@@ -514,7 +514,7 @@ def _output_times(cfg: dict) -> np.ndarray:
 
 
 def _master_route(cfg: dict, omega: np.ndarray, weights: np.ndarray, rho0: DensityMatrix,
-                  times: np.ndarray) -> tuple[list[DensityMatrix], np.ndarray]:
+                  times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The master route's states, and the output times moved onto its step grid.
     Its grid-sized arrays are released on return, before any later route runs."""
     # without an explicit grid, a table in FFT layout (the conjugate of a
@@ -609,7 +609,7 @@ def cmd_simulate(cfg: dict) -> None:
                           "%d x %d states (at most %d entries)"
                           % (*fields, times.size, dim, dim, STATE_ENTRIES))
 
-    states: dict[str, list[DensityMatrix]] = {}
+    states: dict[str, np.ndarray] = {}
     if "master" in paths:  # spectral ensembles only, see _requested_paths
         try:
             states["master"], times = _master_route(cfg, omega, weights, rho0, times)
@@ -629,13 +629,12 @@ def cmd_simulate(cfg: dict) -> None:
     emitted = [p for p in ("he", "dilation", "mc", "master") if p in states]
     header, columns = ["t"], [np.asarray(times)]
     for label in emitted:
-        stack = np.array([s.matrix for s in states[label]])
         for i, j in itertools.product(range(dim), repeat=2):
             header += [f"{label}_re_{i}{j}", f"{label}_im_{i}{j}"]
-            columns += [stack[:, i, j].real, stack[:, i, j].imag]
+            columns += [states[label][:, i, j].real, states[label][:, i, j].imag]
     write_table(cfg, "state", header, columns)
 
-    distances = {f"{a}_vs_{b}": max(trace_distance(x, y) for x, y in zip(states[a], states[b]))
+    distances = {f"{a}_vs_{b}": float(trace_distance(states[a], states[b]).max())
                  for a, b in itertools.combinations(emitted, 2)}
     write_json(cfg, "consistency.json", {
         "pairwise_max_trace_distance": distances, **flags, "seed": seed,

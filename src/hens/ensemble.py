@@ -146,8 +146,8 @@ class SpectralEnsemble:
         return HamiltonianEnsemble(probs, hams)
 
 
-def he_average(ens: HamiltonianEnsemble, rho0: DensityMatrix, times) -> list[DensityMatrix]:
-    """Mixture of unitary orbits, sum_j p_j U_j rho0 U_j^dagger: one state per time."""
+def he_average(ens: HamiltonianEnsemble, rho0: DensityMatrix, times) -> np.ndarray:
+    """Mixture of unitary orbits, sum_j p_j U_j rho0 U_j^dagger: a read-only (T, d, d) stack."""
     if rho0.dim != ens.dim:
         raise DimensionError("state and ensemble dimensions differ")
     out = np.zeros((np.size(times), ens.dim, ens.dim), dtype=complex)
@@ -229,9 +229,9 @@ def _coherence_factor(omega: np.ndarray, weights: np.ndarray, times) -> np.ndarr
     return out
 
 
-def dephase_qubit(rho0: DensityMatrix, factors) -> list[DensityMatrix]:
-    """Scale the qubit coherences, rho[1,0] by a factor and rho[0,1] by its conjugate:
-    one state per factor.  A factor past unit modulus raises ValueError."""
+def dephase_qubit(rho0: DensityMatrix, factors) -> np.ndarray:
+    """Scale the qubit coherences, rho[1,0] by a factor and rho[0,1] by its conjugate: a
+    read-only (T, 2, 2) stack of states.  A factor past unit modulus raises ValueError."""
     if rho0.dim != 2:
         raise DimensionError("qubit state expected")
     factors = np.asarray(factors, dtype=complex)
@@ -405,7 +405,11 @@ class Dilation:
     @property
     def couplings(self) -> tuple[HermitianOperator, ...]:
         hbar = self.h_system.matrix
-        return tuple(HermitianOperator(h.matrix - hbar) for h in self.ensemble.hamiltonians)
+        with np.errstate(over="ignore"):  # an overflow is inf, rejected below by name
+            vs = [h.matrix - hbar for h in self.ensemble.hamiltonians]
+        if not all(np.all(np.isfinite(v)) for v in vs):
+            raise ValueError("a coupling H_j - Hbar lies outside the float range")
+        return tuple(HermitianOperator(v) for v in vs)
 
     @property
     def env_state(self) -> DensityMatrix:
@@ -428,13 +432,13 @@ def dilate(ens: HamiltonianEnsemble) -> Dilation:
     return Dilation(ens)
 
 
-def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, times):
+def joint_evolve_reduce(dil: Dilation, rho0: DensityMatrix, times) -> tuple[np.ndarray, bool]:
     """Evolve rho0 (x) rho_E under the joint Hamiltonian and trace out the environment.
 
     The joint Hamiltonian is environment-diagonal, so each pointer state |j> evolves
     alone under its block H_j and the reduced state is sum_j p_j U_j rho0 U_j^H:
     ``he_average`` of the dilated ensemble, bit for bit.  No joint state or joint
-    Hamiltonian is formed.  Returns (one reduced state per time, classical_ok).
+    Hamiltonian is formed.  Returns (the read-only (T, d, d) reduced states, classical_ok).
     A phase w t past the float range raises ValueError.
 
     classical_ok is True by construction: block (j, k) of J(t) is U_j J0_jk U_k^H, and
@@ -458,7 +462,7 @@ def cnot_mixture(a: float, j_coupling: float, t: float, rho0: DensityMatrix) -> 
         raise DimensionError("qubit state expected")
     u = unitary_at(HermitianOperator(0.5 * j_coupling * PAULI_X), [t])[0]
     out = a * (u @ rho0.matrix @ u.conj().T) + (1.0 - a) * rho0.matrix
-    return hermitized_states(out)[0]
+    return DensityMatrix(0.5 * (out + out.conj().T))
 
 
 def cnot_ensemble(a: float, j_coupling: float) -> HamiltonianEnsemble:

@@ -25,9 +25,9 @@ class DimensionError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-def _frozen_complex(matrix) -> np.ndarray:
+def _frozen_complex(matrix, ndim: int = 2) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -35,8 +35,16 @@ def _frozen_complex(matrix) -> np.ndarray:
     return m
 
 
+def _require_states(m: np.ndarray) -> None:
+    """Raise ValueError unless each Hermitian d x d matrix of m has unit trace and is PSD."""
+    if np.any(np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0) > TRACE_TOL):
+        raise ValueError("state trace differs from 1")
+    if np.any(np.linalg.eigvalsh(m)[..., 0] < PSD_TOL):
+        raise ValueError("state has a negative eigenvalue")
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -63,23 +71,20 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen_complex(self.matrix))
-        m = self.matrix
-        if hermiticity_defect(m) > HERM_TOL:
+        if hermiticity_defect(self.matrix) > HERM_TOL:
             raise ValueError("state is not Hermitian")
-        if abs(np.trace(m) - 1.0) > TRACE_TOL:
-            raise ValueError("state trace differs from 1")
-        if float(np.linalg.eigvalsh(m)[0]) < PSD_TOL:
-            raise ValueError("state has a negative eigenvalue")
+        _require_states(self.matrix)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
 
-def hermitized_states(m: np.ndarray) -> list[DensityMatrix]:
-    """A validated DensityMatrix of 0.5 (m + m^H) for each matrix m of a (..., d, d) array."""
-    h = 0.5 * (m + m.conj().swapaxes(-1, -2))
-    return [DensityMatrix(x) for x in h.reshape(-1, *m.shape[-2:])]
+def hermitized_states(m: np.ndarray) -> np.ndarray:
+    """The read-only (T, d, d) array of the states 0.5 (m + m^H), checked as one stack."""
+    h = _frozen_complex(0.5 * (m + m.conj().swapaxes(-1, -2)), ndim=3)
+    _require_states(h)
+    return h
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -118,7 +123,7 @@ def partial_trace(rho: DensityMatrix, dims: tuple[int, int], keep: str) -> Densi
         raise ValueError("keep must be 's' or 'e'")
     out = np.einsum("aebe->ab" if keep == "s" else "aeaf->ef",
                     rho.matrix.reshape(d_s, d_e, d_s, d_e))
-    return hermitized_states(out)[0]
+    return DensityMatrix(0.5 * (out + out.conj().T))
 
 
 def require_finite_phases(w, times) -> None:
@@ -141,8 +146,11 @@ def unitary_at(h: HermitianOperator, times) -> np.ndarray:
     return (v * np.exp(-1j * np.multiply.outer(times, w))[..., None, :]) @ v.conj().T
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of a - b."""
-    if a.dim != b.dim:
+def trace_distance(a, b):
+    """Half the sum of absolute eigenvalues of a - b: a float for two states, and for two
+    (T, d, d) stacks the T distances, from one eigvalsh of the differences."""
+    a, b = (x.matrix if isinstance(x, DensityMatrix) else x for x in (a, b))
+    if np.shape(a) != np.shape(b):
         raise DimensionError("states have different dimensions")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix))))
+    dist = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

@@ -942,14 +942,13 @@ class TestPropagateMaster:
         t_out, factors = propagate_master(*master_case("ohmic"))
         exact = (1.0 + t_out**2) ** -2.0
         assert np.max(np.abs(factors - exact) / exact) < 1e-5
-        pops = np.array([s.matrix[0, 0].real for s in dephase_qubit(PLUS, factors)])
+        pops = dephase_qubit(PLUS, factors)[:, 0, 0].real
         assert np.max(np.abs(pops - 0.5)) < 1e-12
 
     def test_maximally_mixed_is_stationary(self):
         _, factors = propagate_master(*master_case("maximally-mixed"))
         mixed = maximally_mixed(2)
-        assert all(np.array_equal(s.matrix, mixed.matrix)
-                   for s in dephase_qubit(mixed, factors))
+        assert all(np.array_equal(s, mixed.matrix) for s in dephase_qubit(mixed, factors))
 
     @pytest.mark.parametrize("name", ["constant-drift", "ohmic", "maximally-mixed"])
     def test_matches_matrix_rk4(self, name):

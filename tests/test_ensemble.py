@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -154,7 +155,7 @@ class TestStackedRoutes:
             got = he_average(ens, rho0, times)
             assert len(got) == times.size
             for t, state in zip(times, got):
-                assert np.array_equal(state.matrix, loop_he_average(ens, rho0, t).matrix)
+                assert np.array_equal(state, loop_he_average(ens, rho0, t).matrix)
 
     @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
     def test_coherence_factor_and_dephase_qubit(self, k):
@@ -173,7 +174,7 @@ class TestStackedRoutes:
         got = dephase_qubit(PLUS, factors)
         assert len(got) == times.size
         for f, state in zip(factors, got):
-            assert np.array_equal(state.matrix, loop_dephase_qubit(PLUS, f).matrix)
+            assert np.array_equal(state, loop_dephase_qubit(PLUS, f).matrix)
 
     @pytest.mark.parametrize("k", range(3), ids=["T1", "T2", "T21"])
     def test_dilation(self, k):
@@ -199,8 +200,17 @@ class TestStackedRoutes:
             assert classical is True
             for t, state in zip(times, reduced):
                 ref, ref_ok = loop_joint_evolve_reduce(dil, PLUS, t)
-                assert np.max(np.abs(state.matrix - ref.matrix)) <= bound
+                assert np.max(np.abs(state - ref.matrix)) <= bound
                 assert ref_ok
+
+    def test_states_are_read_only(self):
+        ens = random_qubit_ensemble(np.random.default_rng(5), 3)
+        times = np.linspace(0.0, 1.0, 4)
+        for states in (he_average(ens, PLUS, times), dephase_qubit(PLUS, [1.0, 0.5j]),
+                       joint_evolve_reduce(dilate(ens), PLUS, times)[0]):
+            assert states.ndim == 3 and not states.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                states[0, 0, 0] = 0.0
 
     @pytest.mark.parametrize("count", [21, 150])
     def test_evenly_spaced_times_cost_one_exponential_per_frequency(self, exp_sizes, count):
@@ -247,10 +257,12 @@ class TestStackedRoutes:
         assert calls == [] and unitaries == []
         joint_evolve_reduce(dil, PLUS, np.linspace(0.0, 10.0, count))
         # one eigh per member block, in unitary_at, whatever the count of times; the
-        # reduced states' checks are d x d, and nothing larger is eigensolved
+        # reduced states are checked by one eigvalsh of their (T, d, d) stack, and
+        # nothing larger than d x d is eigensolved
         assert unitaries == [d] * m
         assert [c for c in calls if c[0] == "eigh"] == [("eigh", (d, d))] * m
-        assert {shape for _, shape in calls} == {(d, d)}
+        assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (count, d, d))]
+        assert {shape[-2:] for _, shape in calls} == {(d, d)}
 
     @pytest.mark.parametrize("bins", [128, 1024])
     def test_dilation_memory_per_bin(self, bins):
@@ -302,8 +314,8 @@ class TestHamiltonianEnsemble:
             u_minus = u_plus.conj()
             expected = 0.5 * (u_plus @ PLUS.matrix @ u_plus.conj().T
                               + u_minus @ PLUS.matrix @ u_minus.conj().T)
-            assert np.max(np.abs(got.matrix - expected)) < 1e-14
-            assert abs(abs(got.matrix[1, 0])
+            assert np.max(np.abs(got - expected)) < 1e-14
+            assert abs(abs(got[1, 0])
                        - abs(PLUS.matrix[1, 0]) * abs(np.cos(omega_bar * t))) < 1e-14
 
     def test_unitality(self):
@@ -373,7 +385,7 @@ class TestSpectralEnsemble:
         sigma = 0.8
         ens = gaussian_spectral(sigma=sigma)
         for t in (0.5, 1.0, 2.5):
-            coh = spectral_average(ens, PLUS, t).matrix[1, 0]
+            coh = spectral_average(ens, PLUS, t)[1, 0]
             assert abs(abs(coh) / abs(PLUS.matrix[1, 0]) - np.exp(-0.5 * (sigma * t) ** 2)) < 1e-8
 
     def test_discretize_matches_moments(self):
@@ -393,7 +405,7 @@ class TestMonteCarlo:
         ens = gaussian_spectral()
         a, sa = mc_average(ens, PLUS, 1.1, 4000, seed=77)
         b, sb = mc_average(ens, PLUS, 1.1, 4000, seed=77)
-        assert np.array_equal(a.matrix, b.matrix)
+        assert np.array_equal(a, b)
         assert sa == sb
 
     def test_delta_distribution_rotates_within_grid_width(self):
@@ -415,12 +427,12 @@ class TestMonteCarlo:
         # |coherence_MC - coherence_exact| <= 5 stderr in >= 99% of trials
         ens = gaussian_spectral()
         t = 1.3
-        exact = spectral_average(ens, PLUS, t).matrix[1, 0]
+        exact = spectral_average(ens, PLUS, t)[1, 0]
         failures = 0
         trials = 120
         for seed in range(trials):
             got, stderr = mc_average(ens, PLUS, t, 1500, seed=seed)
-            if abs(got.matrix[1, 0] - exact) > 5.0 * stderr:
+            if abs(got[1, 0] - exact) > 5.0 * stderr:
                 failures += 1
         assert failures <= max(1, trials // 100)
 
@@ -629,7 +641,7 @@ class TestMonteCarloAllTimes:
         ens = gaussian_spectral()
         state, stderr = mc_average(ens, PLUS, 1.7, 3000, seed=9)
         zbar, ref_stderr = reference_coherence(sample_frequencies(ens, 3000, seed=9), 1.7)
-        assert abs(state.matrix[1, 0] - 0.5 * zbar) < 1e-15
+        assert abs(state[1, 0] - 0.5 * zbar) < 1e-15
         assert abs(stderr - ref_stderr) <= 1e-12 * ref_stderr
 
     # the Gaussian table's cases keep their plain ids, [n]
@@ -770,6 +782,17 @@ class TestDilation:
         expected = np.kron(h1.matrix, np.diag([1.0, 0.0])) \
             + np.kron(h2.matrix, np.diag([0.0, 1.0]))
         assert np.max(np.abs(dil.joint_hamiltonian().matrix - expected)) < 1e-14
+
+    def test_coupling_past_the_float_range_raises(self):
+        # H_2 - Hbar = -1.8 * 1.7e308 overflows; the members and their mean are finite
+        h = HermitianOperator(np.diag([1.7e308, -1.7e308]).astype(complex))
+        ens = HamiltonianEnsemble(np.array([0.9, 0.1]), (h, HermitianOperator(-h.matrix)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError,
+                               match="a coupling H_j - Hbar lies outside the float range"):
+                dilate(ens).couplings
+        assert caught == []
 
     def test_couplings_are_centered(self):
         rng = np.random.default_rng(23)

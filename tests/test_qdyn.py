@@ -6,6 +6,7 @@ from hens.qdyn import (
     DimensionError,
     HermitianOperator,
     PAULI_Z,
+    hermitized_states,
     maximally_mixed,
     partial_trace,
     pure_state,
@@ -66,6 +67,19 @@ class TestValidation:
         rho = maximally_mixed(2)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad, text", [
+        (np.diag([0.5 + 1e-9, 0.3, 0.2]), "state trace differs from 1"),
+        (np.diag([0.6 + 1e-6, 0.4, -1e-6]), "state has a negative eigenvalue"),
+        (np.diag([np.nan, 0.5, 0.5]), "matrix entries must be finite"),
+    ], ids=["trace", "eigenvalue", "nan"])
+    def test_one_bad_state_rejects_the_stack(self, bad, text):
+        rng = np.random.default_rng(8)
+        stack = np.array([random_state(rng, 3).matrix for _ in range(6)])
+        assert hermitized_states(stack).shape == stack.shape
+        stack[4] = bad
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            hermitized_states(stack)
 
 
 class TestTensor:
@@ -255,3 +269,14 @@ class TestTraceDistance:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             trace_distance(maximally_mixed(2), maximally_mixed(3))
+        with pytest.raises(DimensionError):
+            trace_distance(np.eye(2)[None] / 2, np.array([np.eye(2) / 2] * 2))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stacks_give_the_per_time_distances(self, dim):
+        rng = np.random.default_rng(dim)
+        a, b = (np.array([random_state(rng, dim).matrix for _ in range(50)]) for _ in "ab")
+        got = trace_distance(a, b)
+        want = [trace_distance(DensityMatrix(x), DensityMatrix(y)) for x, y in zip(a, b)]
+        assert got.shape == (50,)
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
