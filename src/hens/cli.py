@@ -62,7 +62,7 @@ from .inversion import (
     negativity_landscape,
     on_conjugate_grid,
 )
-from .qdyn import DensityMatrix, HermitianOperator, maximally_mixed, pure_state, trace_distance
+from .qdyn import DensityMatrix, maximally_mixed, pure_state, trace_distance
 
 
 TABLE_CELLS = 4096  # cells of a table formatted per block, unless one row holds more
@@ -77,10 +77,10 @@ class ConfigError(Exception):
 # does not show them, the argparse options of its flag --<path in kebab case>,
 # or None for a field read only from the config file, and for an integer field
 # the (floor, bound) of its values).  A null default keeps null allowed; a number
-# field also takes an integer; no field takes a boolean.  A count is at least 1, and
-# its bound keeps the array it sizes within COUNT_BYTES: the bytes of one unit are
-# noted beside it.  The seed is at least 0, as numpy's seeds are, and reaches numpy
-# as an int64.
+# field also takes an integer; no field takes a boolean.  A count is at least 1, a
+# witness set's size at least 2, and its bound keeps the array it sizes within
+# COUNT_BYTES: the bytes of one unit are noted beside it.  The seed is at least 0, as
+# numpy's seeds are, and reaches numpy as an int64.
 COUNT_BYTES = 1 << 30
 INT64 = np.iinfo(np.int64)
 FIELDS = {
@@ -108,7 +108,7 @@ FIELDS = {
     "witness.restarts": (10000, None, {"metavar": "N"}, (1, COUNT_BYTES // 8)),
     # a Gram matrix of s x s complex entries: 16 s^2 B
     "witness.max_set_size": (8, None, {"metavar": "N"},
-                             (1, math.isqrt(COUNT_BYTES // 16))),
+                             (2, math.isqrt(COUNT_BYTES // 16))),
     "witness.stop_below": (None, (float,), {
         "metavar": "EIG", "help": "stop once an eigenvalue below this is found"}, None),
     "series.path": (None, (str,),
@@ -120,9 +120,9 @@ FIELDS = {
                       {"metavar": "FILE", "help": "two-column text with omega, weight"}, None),
     "ensemble.a": (0.5, None, {"metavar": "A", "help": "cnot mixing weight"}, None),
     "ensemble.j": (1.0, None, {"metavar": "J", "help": "cnot coupling strength"}, None),
-    # a bin's 2 x 2 member, also the dilation's pointer-state block: discretize, dilate
-    # and the route peak near 330 B a bin (tracemalloc).  The bound is still that of the
-    # (2 bins)^2 complex joint Hamiltonian, 64 bins^2 B, built only on request
+    # a bin's 2 x 2 member, also its pointer-state block: the ensemble holds 72 B a bin;
+    # discretize, dilate and the route peak at 365 B a bin at 1024 bins, 329 B at 4096
+    # (tracemalloc).  The bound is still the (2 bins)^2 joint Hamiltonian's, 64 bins^2 B
     "ensemble.bins": (128, None,
                       {"metavar": "N", "help": "bins for discretizing a spectral ensemble"},
                       (1, math.isqrt(COUNT_BYTES // 64))),
@@ -593,9 +593,8 @@ def cmd_simulate(cfg: dict) -> None:
                                   f"not {m!r}")
         try:
             probs = [_number(m[0], "ensemble.members") for m in members]
-            hams = tuple(HermitianOperator(_parse_matrix(m[1], "ensemble.members"))
-                         for m in members)
-            ens = HamiltonianEnsemble(probs, hams)
+            ens = HamiltonianEnsemble(probs, [_parse_matrix(m[1], "ensemble.members")
+                                              for m in members])
         except ValueError as exc:  # add the name; the class still picks the exit code
             exc.args = (f"bad ensemble: {exc}",)
             raise

@@ -19,6 +19,8 @@ from .qdyn import (
     HermitianOperator,
     PAULI_X,
     PAULI_Z,
+    eigen_unitary,
+    hermitian_matrices,
     hermitized_states,
     partial_trace,  # noqa: F401  bench/spans.py wraps this name
     require_finite_phases,
@@ -40,40 +42,41 @@ class SamplingError(ValueError):
 
 @dataclass(frozen=True)
 class HamiltonianEnsemble:
-    """Weighted collection {(p_j, H_j)} over a common dimension."""
+    """Weighted collection {(p_j, H_j)} over a common dimension.  The members, given as
+    HermitianOperators, d x d matrices or one (m, d, d) array, are held as ``matrices``."""
 
     probs: np.ndarray
-    hamiltonians: tuple[HermitianOperator, ...]
+    matrices: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float).copy()
-        hs = tuple(self.hamiltonians)
-        if p.ndim != 1 or len(hs) != p.size or p.size == 0:
+        if p.ndim != 1 or len(self.matrices) != p.size or p.size == 0:
             raise ValueError("probabilities and Hamiltonians must pair up")
+        h = hermitian_matrices(self.matrices)
         if not np.all(np.isfinite(p)):
             raise ValueError("probabilities must be finite")
         if np.min(p) < 0.0:
             raise ValueError("negative probability")
         if abs(p.sum() - 1.0) > PROB_TOL:
             raise ValueError("probabilities do not sum to 1")
-        dims = {h.dim for h in hs}
-        if len(dims) != 1:
-            raise DimensionError("ensemble members have mixed dimensions")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "hamiltonians", hs)
+        object.__setattr__(self, "matrices", h)
+
+    @property
+    def hamiltonians(self) -> tuple[HermitianOperator, ...]:
+        return tuple(HermitianOperator(h) for h in self.matrices)
 
     @property
     def dim(self) -> int:
-        return self.hamiltonians[0].dim
+        return self.matrices.shape[-1]
 
     @property
     def size(self) -> int:
         return self.probs.size
 
     def mean_hamiltonian(self) -> HermitianOperator:
-        m = sum(p * h.matrix for p, h in zip(self.probs, self.hamiltonians))
-        return HermitianOperator(m)
+        return HermitianOperator(sum(p * h for p, h in zip(self.probs, self.matrices)))
 
 
 def require_uniform_grid(omega: np.ndarray) -> None:
@@ -142,17 +145,17 @@ class SpectralEnsemble:
         probs = np.diff(cum)
         probs = probs / probs.sum()
         mids = 0.5 * (edges[1:] + edges[:-1])
-        hams = tuple(HermitianOperator(0.5 * om * PAULI_Z) for om in mids)
-        return HamiltonianEnsemble(probs, hams)
+        return HamiltonianEnsemble(probs, 0.5 * mids[:, None, None] * PAULI_Z)
 
 
 def he_average(ens: HamiltonianEnsemble, rho0: DensityMatrix, times) -> np.ndarray:
-    """Mixture of unitary orbits, sum_j p_j U_j rho0 U_j^dagger: a read-only (T, d, d) stack."""
+    """Mixture of unitary orbits, sum_j p_j U_j rho0 U_j^dagger: a read-only (T, d, d) stack,
+    from one eigendecomposition of the stacked members, summed member by member."""
     if rho0.dim != ens.dim:
         raise DimensionError("state and ensemble dimensions differ")
     out = np.zeros((np.size(times), ens.dim, ens.dim), dtype=complex)
-    for p, h in zip(ens.probs, ens.hamiltonians):
-        u = unitary_at(h, times)
+    for p, w, v in zip(ens.probs, *np.linalg.eigh(ens.matrices)):
+        u = eigen_unitary(w, v, times)
         out += p * (u @ rho0.matrix @ u.conj().swapaxes(1, 2))
     return hermitized_states(out)
 
@@ -406,8 +409,8 @@ class Dilation:
     def couplings(self) -> tuple[HermitianOperator, ...]:
         hbar = self.h_system.matrix
         with np.errstate(over="ignore"):  # an overflow is inf, rejected below by name
-            vs = [h.matrix - hbar for h in self.ensemble.hamiltonians]
-        if not all(np.all(np.isfinite(v)) for v in vs):
+            vs = self.ensemble.matrices - hbar
+        if not np.all(np.isfinite(vs)):
             raise ValueError("a coupling H_j - Hbar lies outside the float range")
         return tuple(HermitianOperator(v) for v in vs)
 
@@ -420,7 +423,7 @@ class Dilation:
         d, m = self.ensemble.dim, self.env_dim
         joint = np.zeros((d, m, d, m), dtype=complex)
         j = np.arange(m)
-        joint[:, j, :, j] = [h.matrix for h in self.ensemble.hamiltonians]
+        joint[:, j, :, j] = self.ensemble.matrices
         return HermitianOperator(joint.reshape(d * m, d * m))
 
     def joint_initial(self, rho0: DensityMatrix) -> DensityMatrix:
@@ -467,10 +470,5 @@ def cnot_mixture(a: float, j_coupling: float, t: float, rho0: DensityMatrix) -> 
 
 def cnot_ensemble(a: float, j_coupling: float) -> HamiltonianEnsemble:
     """The two-member ensemble realized by the CNOT construction."""
-    return HamiltonianEnsemble(
-        np.array([a, 1.0 - a]),
-        (
-            HermitianOperator(0.5 * j_coupling * PAULI_X),
-            HermitianOperator(np.zeros((2, 2), dtype=complex)),
-        ),
-    )
+    return HamiltonianEnsemble(np.array([a, 1.0 - a]),
+                               np.array([0.5 * j_coupling * PAULI_X, np.zeros((2, 2))]))

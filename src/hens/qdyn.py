@@ -47,6 +47,22 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)))) if m.size else 0.0
 
 
+def hermitian_matrices(members, ndim: int = 3) -> np.ndarray:
+    """The read-only (m, d, d) complex array of the members, from one array or a sequence of
+    matrices or HermitianOperators (one d x d matrix for ndim 2), checked as one stack.
+    ValueError unless square, finite and Hermitian; DimensionError for mixed sizes."""
+    if ndim == 3 and not isinstance(members, np.ndarray):
+        members = [h.matrix if isinstance(h, HermitianOperator) else h for h in members]
+        if len({np.shape(h) for h in members}) > 1:
+            for h in members:  # a bad member reads as its own fault, as an operator would
+                hermitian_matrices(h, ndim=2)
+            raise DimensionError("ensemble members have mixed dimensions")
+    m = _frozen_complex(members, ndim)
+    if hermiticity_defect(m) > HERM_TOL:
+        raise ValueError("operator is not Hermitian")
+    return m
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A Hermitian matrix in units where hbar = 1."""
@@ -54,9 +70,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _frozen_complex(self.matrix))
-        if hermiticity_defect(self.matrix) > HERM_TOL:
-            raise ValueError("operator is not Hermitian")
+        object.__setattr__(self, "matrix", hermitian_matrices(self.matrix, ndim=2))
 
     @property
     def dim(self) -> int:
@@ -138,12 +152,16 @@ def require_finite_phases(w, times) -> None:
                          "in floating point")
 
 
-def unitary_at(h: HermitianOperator, times) -> np.ndarray:
-    """U = exp(-i h t) from one eigendecomposition of h: a (T, d, d) stack for T times.
-    A phase w t past the float range raises ValueError."""
-    w, v = np.linalg.eigh(h.matrix)
+def eigen_unitary(w: np.ndarray, v: np.ndarray, times) -> np.ndarray:
+    """U = V e^{-iwt} V^H = exp(-i h t) from the eigenpairs (w, V) of h: a (T, d, d) stack
+    for T times.  A phase w t past the float range raises ValueError."""
     require_finite_phases(w, times)
     return (v * np.exp(-1j * np.multiply.outer(times, w))[..., None, :]) @ v.conj().T
+
+
+def unitary_at(h: HermitianOperator, times) -> np.ndarray:
+    """U = exp(-i h t) at the times: ``eigen_unitary`` of one eigendecomposition of h."""
+    return eigen_unitary(*np.linalg.eigh(h.matrix), times)
 
 
 def trace_distance(a, b):

@@ -18,6 +18,7 @@ import hens.cli
 from hens.cli import COMMANDS, COMMON, FIELDS, load_config, main, make_parser, read_table
 from hens.dephasing import SpectralDensityModel, time_grid
 from hens.ensemble import SpectralEnsemble, sample_frequencies
+from hens.inversion import conjugate_frequency_grid
 from hens.qdyn import PAULI_X, pure_state
 
 
@@ -638,6 +639,14 @@ def write_inputs(d):
     om = np.linspace(-8.0, 8.0, 257)
     p = np.exp(-0.5 * om**2)
     np.savetxt(d / "dist.csv", np.column_stack([om, p / np.trapezoid(p, om)]), delimiter=",")
+    np.savetxt(d / "half_dist.csv", np.column_stack([om, 0.5 * p / np.trapezoid(p, om)]),
+               delimiter=",")
+    # 64 rows on the FFT conjugate of time_grid(5, 64), whose last time is 4.84375 as
+    # read back from the rows' step (time_grid(8, 64)'s reads back as 7.749999999999991)
+    om = conjugate_frequency_grid(64, 10.0 / 64)
+    p = np.exp(-0.5 * om**2)
+    np.savetxt(d / "fft_dist.csv", np.column_stack([om, p / np.trapezoid(p, om)]),
+               delimiter=",")
     # spacing 1/16 below omega = 0 and 1/8 above it
     om = np.concatenate([np.linspace(-8.0, 0.0, 129), np.linspace(0.0, 8.0, 65)[1:]])
     p = np.exp(-0.5 * om**2)
@@ -662,6 +671,7 @@ def write_inputs(d):
     (d / "nan_j.txt").write_text("0 0\n1 nan\n2 0\n")
     (d / "nan_series.csv").write_text("t,re_phi,im_phi\n0,nan,0\n")
     (d / "grid5.json").write_text('{"grid": 5}')
+    (d / "not_json.json").write_text('{"grid": ')
     (d / "nan_member.json").write_text(
         '{"ensemble": {"kind": "discrete", "members": [[1.0, [[0, 0], [0, NaN]]]]}}')
     (d / "dict_member.json").write_text(
@@ -689,6 +699,20 @@ BAD_VALUE_MESSAGES = {
     "zero-restarts": "config field 'witness.restarts' is out of range (at least 1)",
     "zero-samples": "config field 'mc.samples' is out of range (at least 1)",
     "zero-bins": "config field 'ensemble.bins' is out of range (at least 1)",
+    "set-size-one": "config field 'witness.max_set_size' is out of range (at least 2)",
+    "missing-config": "cannot read config",
+    "config-not-json": "cannot read config",
+    "config-array": "config must be a JSON object",
+    "tabulated-no-path": "tabulated model needs model.path",
+    "output-dir-under-file": "cannot create output directory",
+    "equal-window": "empty frequency window",
+    "cnot-mc": "paths ['mc'] require a spectral ensemble",
+    "zero-times-t-max": "times.t_max must be positive",
+    "negative-time": "output times must be finite and nonnegative",
+    "spectral-no-path": "spectral ensemble needs ensemble.path",
+    "half-mass": "spectral weights are not normalized",
+    "cnot-a-past-one": "cnot mixing weight must lie in [0, 1]",
+    "master-grid-end": "output times exceed the master-equation grid",
     # the eigenvalue's last digits depend on LAPACK; the time does not
     "huge-phase-dilation": " * 10.0 is not representable in floating point",
     "huge-phase-he": " * 10000000000.0 is not representable in floating point",
@@ -769,6 +793,28 @@ def bad_field(command, field, value, *flags):
     # the 256-point default grid's frequencies end near |omega| = 2
     pytest.param(["landscape", "--window-omega-lo", "1000", "--window-omega-hi", "2000",
                   "--grid-n", "256"], id="empty-window"),
+    pytest.param(["landscape", "--window-omega-lo", "1", "--window-omega-hi", "1",
+                  "--grid-n", "256"], id="equal-window"),
+    pytest.param(["dephase", "--config", "{d}/missing.json"], id="missing-config"),
+    pytest.param(["dephase", "--config", "{d}/not_json.json"], id="config-not-json"),
+    pytest.param(["dephase", "--config", [1, 2]], id="config-array"),
+    pytest.param(["dephase", "--model-kind", "tabulated", *SMALL_GRID], id="tabulated-no-path"),
+    pytest.param(["dephase", *SMALL_GRID, "--output-dir", "{d}/grid5.json/out"],
+                 id="output-dir-under-file"),
+    pytest.param(["simulate", "--ensemble-kind", "cnot", "--paths", "he,mc"], id="cnot-mc"),
+    pytest.param(["simulate", "--ensemble-kind", "cnot", "--times-t-max", "0"],
+                 id="zero-times-t-max"),
+    pytest.param(["simulate", "--config", {"times": {"list": [-1]}}, "--ensemble-kind", "cnot"],
+                 id="negative-time"),
+    pytest.param(["simulate", "--ensemble-kind", "spectral"], id="spectral-no-path"),
+    pytest.param(["simulate", "--ensemble-kind", "spectral", "--ensemble-path",
+                  "{d}/half_dist.csv"], id="half-mass"),
+    pytest.param(["simulate", "--ensemble-kind", "cnot", "--ensemble-a", "1.5"],
+                 id="cnot-a-past-one"),
+    # the times end at the grid's last time, which the master coefficients stop short of
+    pytest.param(["simulate", "--ensemble-kind", "spectral", "--ensemble-path",
+                  "{d}/fft_dist.csv", "--paths", "master", "--times-t-max", "4.84375"],
+                 id="master-grid-end"),
     bad_field("landscape", "phases.count", "abc"),
     bad_field("landscape", "phases.count", 2.5, *SMALL_GRID),
     bad_field("landscape", "window.omega_lo", "a", *SMALL_GRID),
@@ -830,8 +876,9 @@ def test_bad_values_exit_two(tmp_path, capsys, request, argv):
         else:  # a config document
             args.append(str(tmp_path / f"config{i}.json"))
             Path(args[-1]).write_text(json.dumps(a))
-    rc = run(*args, "--output-dir", str(tmp_path / "out"))
-    assert rc == 2
+    if "--output-dir" not in args:
+        args += ["--output-dir", str(tmp_path / "out")]
+    assert run(*args) == 2
     err = capsys.readouterr().err
     assert err.strip() and "Traceback" not in err
     assert BAD_VALUE_MESSAGES.get(request.node.callspec.id, "") in err
@@ -955,7 +1002,7 @@ def test_non_finite_number_exits_two(tmp_path, capsys, path, value, source):
     assert not (tmp_path / "out").exists()
 
 
-COUNT_FIELDS = [path for path in FIELDS if FIELDS[path][3] and FIELDS[path][3][0] == 1]
+COUNT_FIELDS = [path for path in FIELDS if FIELDS[path][3] and FIELDS[path][3][0] >= 1]
 
 
 @pytest.mark.parametrize("source", ["flag", "json"])
@@ -965,7 +1012,7 @@ def test_count_of_zero_exits_two(tmp_path, capsys, path, source):
     extra = ["--ensemble-kind", "cnot"] if argv[0] == "simulate" else []
     assert run(*argv, *extra, "--output-dir", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert f"config field {path!r} is out of range (at least 1)" in err
+    assert f"config field {path!r} is out of range (at least {FIELDS[path][3][0]})" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

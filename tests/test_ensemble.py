@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -30,6 +31,7 @@ from hens.ensemble import (
 )
 from hens.qdyn import (
     DensityMatrix,
+    DimensionError,
     HermitianOperator,
     PAULI_X,
     PAULI_Z,
@@ -256,11 +258,12 @@ class TestStackedRoutes:
         dil = dilate(ens)
         assert calls == [] and unitaries == []
         joint_evolve_reduce(dil, PLUS, np.linspace(0.0, 10.0, count))
-        # one eigh per member block, in unitary_at, whatever the count of times; the
-        # reduced states are checked by one eigvalsh of their (T, d, d) stack, and
-        # nothing larger than d x d is eigensolved
-        assert unitaries == [d] * m
-        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (d, d))] * m
+        # one eigh of the (m, d, d) member blocks, not one per member through
+        # unitary_at, whatever the count of times; the reduced states are checked by
+        # one eigvalsh of their (T, d, d) stack, and nothing larger than d x d is
+        # eigensolved
+        assert unitaries == []
+        assert [c for c in calls if c[0] == "eigh"] == [("eigh", (m, d, d))]
         assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (count, d, d))]
         assert {shape[-2:] for _, shape in calls} == {(d, d)}
 
@@ -287,10 +290,43 @@ class TestHamiltonianEnsemble:
         with pytest.raises(ValueError):
             HamiltonianEnsemble(np.array([1.5, -0.5]), (h, h))
 
-    def test_rejects_non_finite_probability(self):
-        h = HermitianOperator(PAULI_Z)
-        with pytest.raises(ValueError, match="finite"):
-            HamiltonianEnsemble(np.array([0.5, np.nan]), (h, h))
+    @pytest.mark.parametrize("probs, members, error, text", [
+        ([0.5, np.nan], [PAULI_Z, PAULI_Z], ValueError, "probabilities must be finite"),
+        ([0.5, 0.5], [PAULI_Z], ValueError, "probabilities and Hamiltonians must pair up"),
+        ([0.5, 0.5], [PAULI_Z, np.ones((2, 3))], ValueError, "expected a square matrix"),
+        # beside a member of another size, a member that is not square reads as such
+        ([0.5, 0.5], [np.eye(3), np.ones((2, 3))], ValueError, "expected a square matrix"),
+        ([0.5, 0.5], [PAULI_Z, np.diag([np.nan, 1.0])], ValueError,
+         "matrix entries must be finite"),
+        ([0.5, 0.5], [PAULI_Z, np.triu(np.ones((2, 2)))], ValueError,
+         "operator is not Hermitian"),
+        ([0.5, 0.5], [PAULI_Z, np.eye(3)], DimensionError,
+         "ensemble members have mixed dimensions"),
+        ([0.5, 0.5], np.array([PAULI_Z, [[0, 1j], [1j, 0]]]), ValueError,
+         "operator is not Hermitian"),
+    ], ids=["nan-probability", "unpaired", "not-square", "not-square-beside-3x3", "nan",
+            "not-hermitian", "mixed-dimensions", "not-hermitian-array"])
+    def test_rejects(self, probs, members, error, text):
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            HamiltonianEnsemble(np.array(probs), members)
+
+    def test_members_are_one_read_only_stack(self):
+        rng = np.random.default_rng(5)
+        ops = random_qubit_ensemble(rng, 6).hamiltonians
+        stack = np.array([h.matrix for h in ops])
+        p = np.full(6, 1.0 / 6.0)
+        forms = [HamiltonianEnsemble(p, ops), HamiltonianEnsemble(p, list(stack)),
+                 HamiltonianEnsemble(p, stack)]
+        for ens in forms:
+            assert ens.matrices.shape == (6, 2, 2) and ens.dim == 2
+            assert ens.matrices.tobytes() == stack.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                ens.matrices[0, 0, 0] = 1.0
+            assert all(isinstance(h, HermitianOperator) for h in ens.hamiltonians)
+            assert np.array_equal([h.matrix for h in ens.hamiltonians], stack)
+        # the ensemble holds its own copy: the caller's array stays writable
+        stack[0, 0, 0] = 2.0
+        assert forms[2].matrices[0, 0, 0] != 2.0
 
     def test_single_member_equals_unitary_orbit(self):
         rng = np.random.default_rng(2)
@@ -387,6 +423,19 @@ class TestSpectralEnsemble:
         for t in (0.5, 1.0, 2.5):
             coh = spectral_average(ens, PLUS, t)[1, 0]
             assert abs(abs(coh) / abs(PLUS.matrix[1, 0]) - np.exp(-0.5 * (sigma * t) ** 2)) < 1e-8
+
+    def test_discretized_ensemble_holds_its_arrays_alone(self):
+        # a bin holds its probability and its 2 x 2 complex member, 72 B, as one
+        # (bins, 2, 2) stack: no per-bin operator object
+        ens = gaussian_spectral()
+        tracemalloc.start()
+        try:
+            fin = ens.discretize(1024)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fin.size == 1024
+        assert held < 100 * 1024
 
     def test_discretize_matches_moments(self):
         ens = gaussian_spectral(sigma=1.0)
